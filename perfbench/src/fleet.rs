@@ -125,7 +125,8 @@ fn traced_fold(
 pub fn run(params: &Params) -> Outcome {
     let mut outcome = Outcome::default();
     let runner = SweepRunner::with_threads(params.nproc);
-    let (fleets, setup_s) = timed_setups(|| {
+    // Set-up takes ~150 ms, so seven of them keep its median steady.
+    let (fleets, setup_s) = timed_setups(7, || {
         let fleets = fleets(params);
         for fleet in &fleets {
             black_box(fleet.config.run(&runner));

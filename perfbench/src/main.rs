@@ -27,9 +27,6 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use trace::{Layer, Totals};
 
-/// Set-ups per run; the reported `setup_s` is their median.
-const SETUPS: usize = 3;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     Full,
@@ -93,20 +90,20 @@ impl Outcome {
     }
 }
 
-/// Times `setup` [`SETUPS`] times, dropping all but the last result, and
+/// Times `setup` `count` times, dropping all but the last result, and
 /// returns it with the median set-up time.
-pub fn timed_setups<T>(mut setup: impl FnMut() -> T) -> (T, Metric) {
-    let mut times = Vec::with_capacity(SETUPS);
+pub fn timed_setups<T>(count: usize, mut setup: impl FnMut() -> T) -> (T, Metric) {
+    let mut times = Vec::with_capacity(count);
     let mut kept = None;
-    for _ in 0..SETUPS {
+    for _ in 0..count {
         drop(kept.take());
         let start = Instant::now();
         kept = Some(setup());
         times.push(start.elapsed().as_secs_f64());
     }
     times.sort_by(f64::total_cmp);
-    let mut setup_s = metric("setup_s", times[SETUPS / 2], "s");
-    setup_s.note = format!("median of {SETUPS} set-ups");
+    let mut setup_s = metric("setup_s", times[count / 2], "s");
+    setup_s.note = format!("median of {count} set-ups");
     (kept.expect("at least one set-up"), setup_s)
 }
 

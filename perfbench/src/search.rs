@@ -266,7 +266,7 @@ pub fn run(params: &Params) -> Outcome {
     let spool_path = params
         .out_dir
         .join(format!("spool-search_grid-{}", std::process::id()));
-    let (prepared, setup_s) = timed_setups(|| setup(params, &spool_path));
+    let (prepared, setup_s) = timed_setups(3, || setup(params, &spool_path));
     let (spool, searches) = match prepared {
         Ok(prepared) => prepared,
         Err(error) => {

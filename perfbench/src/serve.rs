@@ -446,7 +446,8 @@ fn replay(
 pub fn run(params: &Params) -> Outcome {
     let mut outcome = Outcome::default();
     let traffic = Traffic::new(params.seed, params.nproc);
-    let (rig, setup_s) = timed_setups(|| setup(params, &traffic));
+    // Set-up takes ~50 ms, so seven of them keep its median steady.
+    let (rig, setup_s) = timed_setups(7, || setup(params, &traffic));
     let mut rig = match rig {
         Ok(rig) => rig,
         Err(error) => {
