@@ -7,8 +7,9 @@
 //! * `engine` — a 10-node body network simulated over a long horizon on the
 //!   **reference** path (the seed repository's original engine: binary-heap
 //!   event queue, per-arbitration allocation, unbounded latency `Vec` sorted
-//!   at the end) versus the **streaming** path (calendar bucket queue,
-//!   ready-bitmask arbitration, O(1)-memory latency sketches), reporting
+//!   at the end) versus the **streaming** path (generation-slot heap plus
+//!   completion FIFO, ready-bitmask arbitration, O(1)-memory latency
+//!   sketches), reporting
 //!   events/sec and simulated bytes/sec plus the speedup.  The speedup is
 //!   **vs the seed engine** — PR 1 had already removed the per-arbitration
 //!   allocation on the live path, so read the trajectory as cumulative since

@@ -22,15 +22,14 @@
 //! under a 4-way [`ShardPlan`] merge, and a mid-stream checkpoint
 //! save/load/resume that finishes byte-identical to the uninterrupted fold.
 //!
-//! Results are **spliced into `BENCH_netsim.json`** (in `$HIDWA_BENCH_OUT`
-//! or the current directory) as a `churn_policies` section, so this binary
-//! must run *after* `bench_netsim` regenerates that file; re-runs replace
-//! the section idempotently.  Exits non-zero on any identity failure.
+//! With `HIDWA_RESULTS_DIR` set, the section is written to
+//! `$HIDWA_RESULTS_DIR/fig_churn_policies.json` (the committed copy lives in
+//! `results/`).  Exits non-zero on any identity failure.
 //!
 //! Knobs: `HIDWA_BENCH_CHURN_BODIES` (default 1000),
 //! `HIDWA_BENCH_CHURN_HORIZON_S` (default 2 s per-body horizon).
 
-use hidwa_bench::{env_f64, json};
+use hidwa_bench::env_f64;
 use hidwa_core::fleet::{ChurnSpec, FleetCheckpoint, FleetConfig, PolicyKind, ShardPlan};
 use hidwa_core::population::{ChurnModel, PopulationModel};
 use hidwa_core::sweep::SweepRunner;
@@ -102,22 +101,6 @@ const CHURN_RATES: [f64; 2] = [0.2, 0.6];
 /// Severe epoch fades (down to 20 % of nominal goodput) so re-optimizing
 /// policies actually have cut moves worth making.
 const LINK_FADE: f64 = 0.8;
-
-/// Splice `section` into the existing `BENCH_netsim.json` as the trailing
-/// `churn_policies` key, replacing any previous copy of the section.
-fn splice_into_bench_netsim(path: &std::path::Path, section: &ChurnSection) {
-    let mut text = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}".to_string());
-    if let Some(position) = text.find(",\n  \"churn_policies\"") {
-        text.truncate(position);
-        text.push_str("\n}");
-    }
-    let body = text.trim_end().trim_end_matches('}').trim_end().to_string();
-    let separator = if body.ends_with('{') { "\n" } else { ",\n" };
-    // Re-indent the section under its key so the spliced file stays tidy.
-    let rendered = json::to_string_pretty(section).replace('\n', "\n  ");
-    let spliced = format!("{body}{separator}  \"churn_policies\": {rendered}\n}}\n");
-    std::fs::write(path, spliced).expect("write BENCH_netsim.json");
-}
 
 fn main() -> std::process::ExitCode {
     let bodies = (env_f64("HIDWA_BENCH_CHURN_BODIES", 1000.0) as usize).max(100);
@@ -256,10 +239,6 @@ fn main() -> std::process::ExitCode {
         resume_ok,
         rows,
     };
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&out_dir).join("BENCH_netsim.json");
-    splice_into_bench_netsim(&path, &section);
-    println!("\n[churn_policies section spliced into {}]", path.display());
     hidwa_bench::write_json("fig_churn_policies", &section);
 
     assert_eq!(

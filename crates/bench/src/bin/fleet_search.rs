@@ -20,9 +20,9 @@
 //!   spool root folds **nothing**: every revisit hits the
 //!   completed-evaluation index (fold count == 0, cache hits == requests).
 //!
-//! Results are **spliced into `BENCH_netsim.json`** (in `$HIDWA_BENCH_OUT`
-//! or the current directory) as a `search` section; re-runs replace the
-//! section idempotently.  Search checkpoints and fleet blobs spool under
+//! With `HIDWA_RESULTS_DIR` set, the section is written to
+//! `$HIDWA_RESULTS_DIR/fleet_search.json` (the committed copy lives in
+//! `results/`).  Search checkpoints and fleet blobs spool under
 //! `$HIDWA_SEARCH_SPOOL` (default `search-spool/`), which CI uploads as an
 //! artifact.
 //!
@@ -37,7 +37,7 @@
 //!              [--budget <k>] [--strategy <exhaustive|descent>]
 //! ```
 
-use hidwa_bench::{env_f64, json};
+use hidwa_bench::env_f64;
 use hidwa_core::fleet::driver::{
     DriverFleetSpec, InProcessExecutor, PopulationSpec, ProcessExecutor, WorkerCommand,
 };
@@ -421,10 +421,6 @@ fn main() -> ExitCode {
         descent_cache_ok,
         archetypes,
     };
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = Path::new(&out_dir).join("BENCH_netsim.json");
-    splice_into_bench_netsim(&path, &section);
-    println!("\n[search section spliced into {}]", path.display());
     hidwa_bench::write_json("fleet_search", &section);
 
     assert!(
@@ -448,19 +444,4 @@ fn main() -> ExitCode {
         "coordinate descent re-folded a completed evaluation"
     );
     ExitCode::SUCCESS
-}
-
-/// Splice `section` into the existing `BENCH_netsim.json` as the trailing
-/// `search` key, replacing any previous copy of the section.
-fn splice_into_bench_netsim(path: &Path, section: &SearchSection) {
-    let mut text = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}".to_string());
-    if let Some(position) = text.find(",\n  \"search\"") {
-        text.truncate(position);
-        text.push_str("\n}");
-    }
-    let body = text.trim_end().trim_end_matches('}').trim_end().to_string();
-    let separator = if body.ends_with('{') { "\n" } else { ",\n" };
-    let rendered = json::to_string_pretty(section).replace('\n', "\n  ");
-    let spliced = format!("{body}{separator}  \"search\": {rendered}\n}}\n");
-    std::fs::write(path, spliced).expect("write BENCH_netsim.json");
 }

@@ -12,12 +12,11 @@
 //!
 //! # Wire format (version 2)
 //!
-//! Big-endian throughout, written with the `bytes` cursors.  The layout is
-//! documented normatively in `ARCHITECTURE.md`; in short:
+//! A [`sealed`] envelope with magic `b"HIDWAFLT"`; the body is big-endian
+//! throughout.  The layout is documented normatively in `ARCHITECTURE.md`;
+//! in short:
 //!
 //! ```text
-//! magic  b"HIDWAFLT"              8 bytes
-//! version u16                     (currently 2)
 //! config fingerprint              base_seed u64 · bodies u64 ·
 //!                                 horizon f64-bits · top_k u32 ·
 //!                                 churn fingerprint u64 (0 = no churn)
@@ -30,7 +29,6 @@
 //!                                 placement-energy ExactSum ·
 //!                                 fleet sketch · body-p95 sketch ·
 //!                                 worst list
-//! checksum u64                    FNV-1a 64 over every preceding byte
 //! ```
 //!
 //! Version 2 (PR 9) added the churn fingerprint to the config identity and
@@ -48,7 +46,8 @@
 //! that passes the checksum but violates the algebra is still rejected.
 
 use super::{ranks_before, BodySummary, FleetAggregator, FleetConfig};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::sealed::{self, take_f64, take_string, take_u32, take_u64, SealError};
+use bytes::{BufMut, Bytes, BytesMut};
 use hidwa_netsim::sketch::{ExactSum, LatencySketch, SketchCodecError};
 use hidwa_units::{Energy, TimeSpan};
 use std::sync::Arc;
@@ -58,10 +57,6 @@ const MAGIC: &[u8; 8] = b"HIDWAFLT";
 
 /// Current checkpoint format version.
 const VERSION: u16 = 2;
-
-/// Bytes of envelope that must exist before payload decoding can start:
-/// magic + version + trailing checksum.
-const ENVELOPE: usize = MAGIC.len() + 2 + 8;
 
 /// Why checkpoint bytes failed to load, or a loaded checkpoint failed to
 /// resume.  Loading never panics and never silently mis-restores: every
@@ -109,6 +104,17 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<SealError> for CheckpointError {
+    fn from(error: SealError) -> Self {
+        match error {
+            SealError::Truncated => Self::Truncated,
+            SealError::BadMagic => Self::BadMagic,
+            SealError::UnsupportedVersion(version) => Self::UnsupportedVersion(version),
+            SealError::Corrupt(what) => Self::Corrupt(what),
+        }
+    }
+}
 
 impl From<SketchCodecError> for CheckpointError {
     fn from(error: SketchCodecError) -> Self {
@@ -200,9 +206,7 @@ impl FleetCheckpoint {
     /// module docs for the layout).
     #[must_use]
     pub fn save(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_slice(MAGIC);
-        out.put_u16(VERSION);
+        let mut out = sealed::start(MAGIC, VERSION);
         out.put_u64(self.base_seed);
         out.put_u64(self.bodies);
         out.put_f64(self.horizon.as_seconds());
@@ -227,9 +231,7 @@ impl FleetCheckpoint {
         for summary in &aggregator.worst {
             encode_summary(summary, &mut out);
         }
-        let checksum = fnv1a64(&out);
-        out.put_u64(checksum);
-        out.freeze()
+        sealed::seal(out)
     }
 
     /// Decodes and validates a checkpoint previously written by
@@ -244,22 +246,7 @@ impl FleetCheckpoint {
     ///   or any violated aggregator invariant (bit flips that survive the
     ///   checksum cannot survive the invariants).
     pub fn load(raw: &[u8]) -> Result<Self, CheckpointError> {
-        if raw.len() < ENVELOPE {
-            return Err(CheckpointError::Truncated);
-        }
-        if &raw[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u16::from_be_bytes([raw[MAGIC.len()], raw[MAGIC.len() + 1]]);
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let (body, tail) = raw.split_at(raw.len() - 8);
-        let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(body) != stored {
-            return Err(CheckpointError::Corrupt("checksum mismatch"));
-        }
-        let mut input = Bytes::from(body[MAGIC.len() + 2..].to_vec());
+        let mut input = sealed::open(raw, MAGIC, VERSION, 0)?;
         let base_seed = take_u64(&mut input)?;
         let bodies = take_u64(&mut input)?;
         let horizon_seconds = take_f64(&mut input)?;
@@ -310,9 +297,7 @@ impl FleetCheckpoint {
         for _ in 0..worst_len {
             worst.push(decode_summary(&mut input)?);
         }
-        if input.remaining() != 0 {
-            return Err(CheckpointError::Corrupt("trailing bytes after payload"));
-        }
+        sealed::finish(&input)?;
         // Cross-field invariants of the fold algebra.
         if body_p95.count() != ingested {
             return Err(CheckpointError::Corrupt(
@@ -363,9 +348,7 @@ impl FleetCheckpoint {
 fn encode_summary(summary: &BodySummary, out: &mut BytesMut) {
     out.put_u64(summary.body_index as u64);
     out.put_u64(summary.seed);
-    let label = summary.archetype.as_bytes();
-    out.put_u32(label.len() as u32);
-    out.put_slice(label);
+    sealed::put_string(out, &summary.archetype);
     out.put_u64(summary.nodes as u64);
     out.put_u64(summary.generated_frames as u64);
     out.put_u64(summary.delivered_frames as u64);
@@ -384,13 +367,7 @@ fn encode_summary(summary: &BodySummary, out: &mut BytesMut) {
 fn decode_summary(input: &mut Bytes) -> Result<BodySummary, CheckpointError> {
     let body_index = take_u64(input)?;
     let seed = take_u64(input)?;
-    let label_len = take_u32(input)? as usize;
-    if label_len > input.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let label_bytes = input.split_to(label_len).to_vec();
-    let label = String::from_utf8(label_bytes)
-        .map_err(|_| CheckpointError::Corrupt("archetype label not UTF-8"))?;
+    let label = take_string(input)?;
     let nodes = take_u64(input)?;
     let generated_frames = take_u64(input)?;
     let delivered_frames = take_u64(input)?;
@@ -449,35 +426,4 @@ fn decode_summary(input: &mut Bytes) -> Result<BodySummary, CheckpointError> {
         replans,
         placement_energy: Energy::from_joules(placement_joules),
     })
-}
-
-/// FNV-1a 64-bit digest — the checkpoint's corruption seal, also reused by
-/// the driver's run fingerprints.  Not cryptographic (the threat model is
-/// bit rot and truncation, not forgery), but any single-bit flip anywhere in
-/// the blob changes it.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-fn take_u32(input: &mut Bytes) -> Result<u32, CheckpointError> {
-    if input.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(input.get_u32())
-}
-
-fn take_u64(input: &mut Bytes) -> Result<u64, CheckpointError> {
-    if input.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    Ok(input.get_u64())
-}
-
-fn take_f64(input: &mut Bytes) -> Result<f64, CheckpointError> {
-    Ok(f64::from_bits(take_u64(input)?))
 }

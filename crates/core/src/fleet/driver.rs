@@ -66,11 +66,12 @@
 //! std::fs::remove_dir_all(&root).ok();
 //! ```
 
-use super::checkpoint::{fnv1a64, CheckpointError, FleetCheckpoint};
+use super::checkpoint::{CheckpointError, FleetCheckpoint};
 use super::placement::ChurnSpec;
 use super::shard::ShardPlan;
 use super::{FleetAggregator, FleetConfig, FleetReport};
 use crate::population::{LinkCache, PopulationModel};
+use crate::sealed::fnv1a64;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;

@@ -394,7 +394,7 @@ impl ChurnSpec {
     /// churn-free fleet fingerprints as 0.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        super::checkpoint::fnv1a64(self.flag_value().as_bytes())
+        crate::sealed::fnv1a64(self.flag_value().as_bytes())
     }
 }
 

@@ -33,6 +33,8 @@
 //!   coordinate-descent strategies, and a sealed resumable index of
 //!   completed evaluations (the production question "which config do we
 //!   ship to the fleet").
+//! * [`sealed`] — the one sealed binary envelope (magic, version, body,
+//!   FNV-1a 64 seal) under the checkpoint, search-index and serve formats.
 //! * [`wire`] — the length-prefixed socket framing shared by the fleet blob
 //!   transport and the plan server (one implementation, capped reads, typed
 //!   errors).
@@ -84,6 +86,7 @@ pub mod partition;
 pub mod population;
 pub mod projection;
 pub mod scenario;
+pub mod sealed;
 pub mod search;
 pub mod serve;
 pub mod sweep;

@@ -27,17 +27,16 @@
 //!
 //! # Search-checkpoint wire format (`HIDWASRC`, version 1)
 //!
-//! All integers big-endian; every `f64` crosses as raw IEEE-754 bits.
+//! A [`sealed`] envelope (magic at offset 0, version 1 at offset 8, the
+//! seal in the last 8 bytes).  All integers big-endian; every `f64` crosses
+//! as raw IEEE-754 bits.  The body:
 //!
 //! | offset    | size  | field                                             |
 //! |-----------|-------|---------------------------------------------------|
-//! | 0         | 8     | magic `"HIDWASRC"`                                |
-//! | 8         | 2     | format version (`u16`, = 1)                       |
 //! | 10        | 8     | search-spec fingerprint (`u64`)                   |
 //! | 18        | 8     | grid length (`u64`)                               |
 //! | 26        | 8     | completed-evaluation count `n` (`u64`)            |
 //! | 34        | 40·n  | records, strictly ascending by grid point         |
-//! | 34 + 40·n | 8     | FNV-1a 64 seal over all preceding bytes           |
 //!
 //! Each 40-byte record is `point u64`, `fleet energy J f64-bits`,
 //! `worst-body p95 s f64-bits`, `migration rate f64-bits`,
@@ -58,26 +57,25 @@ use std::path::{Path, PathBuf};
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
 
-use crate::fleet::checkpoint::fnv1a64;
 use crate::fleet::driver::{
     mac_tag, radio_tag, run_fingerprint, DriverError, DriverFleetSpec, FleetDriver, ShardExecutor,
 };
 use crate::fleet::placement::{objective_tag, ChurnSpec, PolicyKind};
 use crate::fleet::FleetReport;
 use crate::partition::Objective;
+use crate::sealed::{self, fnv1a64, take_u64, SealError};
 use crate::sweep::SweepRunner;
+use bytes::{Buf, BufMut};
 
 /// File name of the search checkpoint inside the spool root.
 pub const CHECKPOINT_FILE: &str = "search.ckpt";
 
 const MAGIC: &[u8; 8] = b"HIDWASRC";
 const VERSION: u16 = 1;
-/// Magic + version + spec fingerprint + grid length + count.
-const HEADER: usize = 8 + 2 + 8 + 8 + 8;
+/// Spec fingerprint + grid length + count.
+const HEADER: usize = 3 * 8;
 /// Point + three f64-bit metrics + fleet-state fingerprint.
 const RECORD: usize = 5 * 8;
-/// Smallest well-formed blob: an empty index plus the seal.
-const ENVELOPE: usize = HEADER + 8;
 
 /// The discrete grid the search walks: one axis per fleet-level knob, the
 /// grid being their cartesian product.  Axis values are deduplicated and
@@ -639,6 +637,17 @@ impl fmt::Display for SearchCheckpointError {
 
 impl std::error::Error for SearchCheckpointError {}
 
+impl From<SealError> for SearchCheckpointError {
+    fn from(error: SealError) -> Self {
+        match error {
+            SealError::Truncated => Self::Truncated,
+            SealError::BadMagic => Self::BadMagic,
+            SealError::UnsupportedVersion(version) => Self::UnsupportedVersion(version),
+            SealError::Corrupt(what) => Self::Corrupt(what),
+        }
+    }
+}
+
 /// The versioned, FNV-sealed index of completed evaluations — the search
 /// layer's unit of resumability (see the module docs for the wire format).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -729,22 +738,18 @@ impl SearchCheckpoint {
     /// the layout).
     #[must_use]
     pub fn save(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ENVELOPE + self.completed.len() * RECORD);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.extend_from_slice(&self.spec_fp.to_be_bytes());
-        out.extend_from_slice(&self.grid_len.to_be_bytes());
-        out.extend_from_slice(&(self.completed.len() as u64).to_be_bytes());
+        let mut out = sealed::start(MAGIC, VERSION);
+        out.put_u64(self.spec_fp);
+        out.put_u64(self.grid_len);
+        out.put_u64(self.completed.len() as u64);
         for outcome in self.completed.values() {
-            out.extend_from_slice(&outcome.point.to_be_bytes());
-            out.extend_from_slice(&outcome.energy_j_bits.to_be_bytes());
-            out.extend_from_slice(&outcome.worst_p95_s_bits.to_be_bytes());
-            out.extend_from_slice(&outcome.migration_rate_bits.to_be_bytes());
-            out.extend_from_slice(&outcome.state_fp.to_be_bytes());
+            out.put_u64(outcome.point);
+            out.put_u64(outcome.energy_j_bits);
+            out.put_u64(outcome.worst_p95_s_bits);
+            out.put_u64(outcome.migration_rate_bits);
+            out.put_u64(outcome.state_fp);
         }
-        let seal = fnv1a64(&out);
-        out.extend_from_slice(&seal.to_be_bytes());
-        out
+        sealed::seal(out).to_vec()
     }
 
     /// Decodes and validates a blob previously written by
@@ -759,30 +764,10 @@ impl SearchCheckpoint {
     ///   bytes, or any violated index invariant (records out of order,
     ///   points outside the grid, non-finite metrics).
     pub fn load(raw: &[u8]) -> Result<Self, SearchCheckpointError> {
-        if raw.len() < MAGIC.len() + 2 {
-            return Err(SearchCheckpointError::Truncated);
-        }
-        if &raw[..MAGIC.len()] != MAGIC {
-            return Err(SearchCheckpointError::BadMagic);
-        }
-        let version = u16::from_be_bytes([raw[MAGIC.len()], raw[MAGIC.len() + 1]]);
-        if version != VERSION {
-            return Err(SearchCheckpointError::UnsupportedVersion(version));
-        }
-        if raw.len() < ENVELOPE {
-            return Err(SearchCheckpointError::Truncated);
-        }
-        let (body, tail) = raw.split_at(raw.len() - 8);
-        let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(body) != stored {
-            return Err(SearchCheckpointError::Corrupt("seal mismatch"));
-        }
-        let take_u64 = |offset: usize| -> u64 {
-            u64::from_be_bytes(body[offset..offset + 8].try_into().expect("8-byte field"))
-        };
-        let spec_fp = take_u64(MAGIC.len() + 2);
-        let grid_len = take_u64(MAGIC.len() + 10);
-        let count = take_u64(MAGIC.len() + 18);
+        let mut body = sealed::open(raw, MAGIC, VERSION, HEADER)?;
+        let spec_fp = take_u64(&mut body)?;
+        let grid_len = take_u64(&mut body)?;
+        let count = take_u64(&mut body)?;
         if count > grid_len {
             return Err(SearchCheckpointError::Corrupt(
                 "more evaluations than grid points",
@@ -792,18 +777,13 @@ impl SearchCheckpoint {
             .ok()
             .and_then(|count| count.checked_mul(RECORD))
             .ok_or(SearchCheckpointError::Corrupt("record count overflows"))?;
-        match (body.len() - HEADER).cmp(&records) {
-            std::cmp::Ordering::Less => return Err(SearchCheckpointError::Truncated),
-            std::cmp::Ordering::Greater => {
-                return Err(SearchCheckpointError::Corrupt("trailing bytes after index"));
-            }
-            std::cmp::Ordering::Equal => {}
+        if body.remaining() < records {
+            return Err(SearchCheckpointError::Truncated);
         }
         let mut completed = BTreeMap::new();
         let mut previous: Option<u64> = None;
-        for record in 0..records / RECORD {
-            let base = HEADER + record * RECORD;
-            let point = take_u64(base);
+        for _ in 0..count {
+            let point = take_u64(&mut body)?;
             if point >= grid_len {
                 return Err(SearchCheckpointError::Corrupt("point outside the grid"));
             }
@@ -813,10 +793,10 @@ impl SearchCheckpoint {
             previous = Some(point);
             let outcome = EvaluationOutcome {
                 point,
-                energy_j_bits: take_u64(base + 8),
-                worst_p95_s_bits: take_u64(base + 16),
-                migration_rate_bits: take_u64(base + 24),
-                state_fp: take_u64(base + 32),
+                energy_j_bits: take_u64(&mut body)?,
+                worst_p95_s_bits: take_u64(&mut body)?,
+                migration_rate_bits: take_u64(&mut body)?,
+                state_fp: take_u64(&mut body)?,
             };
             for (value, reason) in [
                 (outcome.energy_j(), "energy not finite and non-negative"),
@@ -832,6 +812,7 @@ impl SearchCheckpoint {
             }
             completed.insert(point, outcome);
         }
+        sealed::finish(&body)?;
         Ok(Self {
             spec_fp,
             grid_len,
@@ -1271,7 +1252,7 @@ mod tests {
         let spec = SearchSpec::new(DriverFleetSpec::new(4), space_2x3());
         let checkpoint = SearchCheckpoint::new(&spec);
         let blob = checkpoint.save();
-        assert_eq!(blob.len(), ENVELOPE);
+        assert_eq!(blob.len(), 8 + 2 + HEADER + 8);
         let loaded = SearchCheckpoint::load(&blob).expect("empty index loads");
         assert_eq!(loaded, checkpoint);
         assert!(loaded.verify_spec(&spec).is_ok());

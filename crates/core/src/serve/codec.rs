@@ -1,26 +1,21 @@
 //! Versioned, checksummed binary codec for plan-server requests and
 //! responses.
 //!
-//! The wire discipline mirrors the fleet checkpoint format
-//! ([`FleetCheckpoint`](crate::fleet::FleetCheckpoint)): every envelope
-//! leads with a magic and a format version, ends with an FNV-1a-64 seal over
-//! every preceding byte, and decoding **never panics** — truncated,
-//! bit-flipped, version-bumped or otherwise malformed bytes come back as a
-//! typed [`WireCodecError`], and every enumeration byte is range-checked so
-//! a blob that passes the checksum but names an unknown model, objective or
-//! link is still rejected.
+//! Every envelope is a [`sealed`] envelope, like the fleet checkpoint
+//! format ([`FleetCheckpoint`](crate::fleet::FleetCheckpoint)): decoding
+//! **never panics** — truncated, bit-flipped, version-bumped or otherwise
+//! malformed bytes come back as a typed [`WireCodecError`], and every
+//! enumeration byte is range-checked so a blob that passes the checksum but
+//! names an unknown model, objective or link is still rejected.
 //!
-//! # Envelope layout (version 1, big-endian)
+//! # Envelope body (version 1, big-endian)
 //!
 //! Request (magic `b"HIDWAPLQ"`):
 //!
 //! ```text
-//! magic     8 bytes     b"HIDWAPLQ"
-//! version   u16         (currently 1)
 //! kind      u8          0 = query batch · 1 = shutdown
 //! count     u16         queries in the batch (0 for shutdown)
 //! items     count × query (see below)
-//! checksum  u64         FNV-1a 64 over every preceding byte
 //! ```
 //!
 //! Response (magic `b"HIDWAPLR"`): same shape with kind `0` = answer batch,
@@ -33,7 +28,8 @@
 //! normative field-by-field table lives in `ARCHITECTURE.md`.
 
 use crate::partition::Objective;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::sealed::{self, take_f64, take_string, take_u16, take_u32, take_u64, take_u8};
+use bytes::{BufMut, Bytes, BytesMut};
 use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
 
@@ -54,39 +50,13 @@ pub const MAX_SERVE_FRAME: u64 = 1 << 20;
 /// Most queries (or answers) one envelope may carry.
 pub const MAX_BATCH: usize = 4096;
 
-/// Bytes of envelope that must exist before payload decoding can start:
-/// magic + version + kind + count + trailing checksum.
-const ENVELOPE: usize = 8 + 2 + 1 + 2 + 8;
+/// Body bytes every envelope carries before its items: kind + count.
+const HEADER: usize = 1 + 2;
 
-/// Why serve bytes failed to decode.  Decoding never panics and never
-/// mis-accepts: every malformed input maps to one of these variants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireCodecError {
-    /// The input ended before the encoded structure was complete.
-    Truncated,
-    /// The leading magic matches neither envelope — not serve traffic.
-    BadMagic,
-    /// The format version is one this build does not understand.
-    UnsupportedVersion(u16),
-    /// The bytes are structurally complete but fail the checksum or carry a
-    /// field outside its domain (unknown model, non-finite rate, …).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for WireCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Truncated => write!(f, "serve envelope truncated"),
-            Self::BadMagic => write!(f, "not a serve envelope (bad magic)"),
-            Self::UnsupportedVersion(version) => {
-                write!(f, "unsupported serve wire version {version}")
-            }
-            Self::Corrupt(what) => write!(f, "serve envelope corrupt: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for WireCodecError {}
+/// Why serve bytes failed to decode: the sealed envelope's error, since a
+/// serve envelope has no other failure.  Decoding never panics and never
+/// mis-accepts.
+pub use crate::sealed::SealError as WireCodecError;
 
 /// The five models of the wearable zoo, as stable wire identifiers.
 ///
@@ -415,12 +385,6 @@ fn put_request(out: &mut BytesMut, request: &Request) {
     }
 }
 
-fn put_string(out: &mut BytesMut, text: &str) {
-    let bytes = text.as_bytes();
-    out.put_u32(bytes.len() as u32);
-    out.put_slice(bytes);
-}
-
 fn put_response(out: &mut BytesMut, response: &Response) {
     match response {
         Response::Plan(plan) => {
@@ -438,7 +402,7 @@ fn put_response(out: &mut BytesMut, response: &Response) {
         }
         Response::Infeasible(reason) => {
             out.put_u8(1);
-            put_string(out, reason);
+            sealed::put_string(out, reason);
         }
         Response::Projection(projection) => {
             out.put_u8(2);
@@ -448,15 +412,9 @@ fn put_response(out: &mut BytesMut, response: &Response) {
         }
         Response::Error(message) => {
             out.put_u8(3);
-            put_string(out, message);
+            sealed::put_string(out, message);
         }
     }
-}
-
-fn seal(mut out: BytesMut) -> Bytes {
-    let checksum = crate::fleet::checkpoint::fnv1a64(&out);
-    out.put_u64(checksum);
-    out.freeze()
 }
 
 fn encode_envelope<T>(
@@ -466,15 +424,13 @@ fn encode_envelope<T>(
     put: impl Fn(&mut BytesMut, &T),
 ) -> Bytes {
     assert!(items.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-    let mut out = BytesMut::new();
-    out.put_slice(magic);
-    out.put_u16(WIRE_VERSION);
+    let mut out = sealed::start(magic, WIRE_VERSION);
     out.put_u8(kind);
     out.put_u16(items.len() as u16);
     for item in items {
         put(&mut out, item);
     }
-    seal(out)
+    sealed::seal(out)
 }
 
 /// Encodes a batch of queries into one sealed request envelope.
@@ -509,40 +465,6 @@ pub fn encode_bye() -> Bytes {
 }
 
 // --- decoding ---------------------------------------------------------------
-
-fn take_u8(input: &mut Bytes) -> Result<u8, WireCodecError> {
-    if input.remaining() < 1 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u8())
-}
-
-fn take_u32(input: &mut Bytes) -> Result<u32, WireCodecError> {
-    if input.remaining() < 4 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u32())
-}
-
-fn take_u64(input: &mut Bytes) -> Result<u64, WireCodecError> {
-    if input.remaining() < 8 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u64())
-}
-
-fn take_f64(input: &mut Bytes) -> Result<f64, WireCodecError> {
-    Ok(f64::from_bits(take_u64(input)?))
-}
-
-fn take_string(input: &mut Bytes) -> Result<String, WireCodecError> {
-    let len = take_u32(input)? as usize;
-    if len > input.remaining() {
-        return Err(WireCodecError::Truncated);
-    }
-    String::from_utf8(input.split_to(len).to_vec())
-        .map_err(|_| WireCodecError::Corrupt("string not UTF-8"))
-}
 
 fn take_context(input: &mut Bytes) -> Result<WireContext, WireCodecError> {
     let link = take_u8(input)?;
@@ -654,45 +576,16 @@ fn take_response(input: &mut Bytes) -> Result<Response, WireCodecError> {
     }
 }
 
-/// Validates the envelope frame (magic, version, checksum) and returns the
-/// payload cursor plus the kind and item-count fields.
+/// Opens the sealed envelope and returns the item cursor plus the kind and
+/// item-count fields.
 fn open_envelope(raw: &[u8], magic: &[u8; 8]) -> Result<(Bytes, u8, usize), WireCodecError> {
-    if raw.len() < ENVELOPE {
-        return Err(WireCodecError::Truncated);
-    }
-    if &raw[..8] != magic {
-        return Err(WireCodecError::BadMagic);
-    }
-    let version = u16::from_be_bytes([raw[8], raw[9]]);
-    if version != WIRE_VERSION {
-        return Err(WireCodecError::UnsupportedVersion(version));
-    }
-    let (body, tail) = raw.split_at(raw.len() - 8);
-    let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-    if crate::fleet::checkpoint::fnv1a64(body) != stored {
-        return Err(WireCodecError::Corrupt("checksum mismatch"));
-    }
-    let mut input = Bytes::from(body[10..].to_vec());
+    let mut input = sealed::open(raw, magic, WIRE_VERSION, HEADER)?;
     let kind = take_u8(&mut input)?;
-    let count = take_u64_16(&mut input)?;
+    let count = take_u16(&mut input)? as usize;
     if count > MAX_BATCH {
         return Err(WireCodecError::Corrupt("batch larger than MAX_BATCH"));
     }
     Ok((input, kind, count))
-}
-
-fn take_u64_16(input: &mut Bytes) -> Result<usize, WireCodecError> {
-    if input.remaining() < 2 {
-        return Err(WireCodecError::Truncated);
-    }
-    Ok(input.get_u16() as usize)
-}
-
-fn close_envelope(input: &Bytes) -> Result<(), WireCodecError> {
-    if input.remaining() != 0 {
-        return Err(WireCodecError::Corrupt("trailing bytes after payload"));
-    }
-    Ok(())
 }
 
 /// Decodes and validates a request envelope.
@@ -707,14 +600,14 @@ pub fn decode_request(raw: &[u8]) -> Result<RequestEnvelope, WireCodecError> {
             for _ in 0..count {
                 requests.push(take_request(&mut input)?);
             }
-            close_envelope(&input)?;
+            sealed::finish(&input)?;
             Ok(RequestEnvelope::Queries(requests))
         }
         1 => {
             if count != 0 {
                 return Err(WireCodecError::Corrupt("shutdown envelope with items"));
             }
-            close_envelope(&input)?;
+            sealed::finish(&input)?;
             Ok(RequestEnvelope::Shutdown)
         }
         _ => Err(WireCodecError::Corrupt("unknown request envelope kind")),
@@ -733,14 +626,14 @@ pub fn decode_response(raw: &[u8]) -> Result<ResponseEnvelope, WireCodecError> {
             for _ in 0..count {
                 responses.push(take_response(&mut input)?);
             }
-            close_envelope(&input)?;
+            sealed::finish(&input)?;
             Ok(ResponseEnvelope::Answers(responses))
         }
         1 => {
             if count != 0 {
                 return Err(WireCodecError::Corrupt("bye envelope with items"));
             }
-            close_envelope(&input)?;
+            sealed::finish(&input)?;
             Ok(ResponseEnvelope::Bye)
         }
         _ => Err(WireCodecError::Corrupt("unknown response envelope kind")),

@@ -11,7 +11,10 @@
 //! * **accept** — the shared nonblocking listener is registered in *every*
 //!   loop (level-triggered); whichever loop wakes first accepts until
 //!   `WouldBlock` and keeps the connection on its own epoll, so there is no
-//!   cross-thread handoff and no wake-pipe plumbing.
+//!   cross-thread handoff and no wake-pipe plumbing.  Any other accept
+//!   error (`EMFILE` under fd exhaustion) leaves the listener readable, so
+//!   the loop drops listener interest until the next tick instead of
+//!   spinning on it.
 //! * **read** — readable connections are drained to `WouldBlock`; the bytes
 //!   feed the incremental [`FrameDecoder`], and every completed frame is
 //!   answered through the same `handle_frame` the legacy path uses, with
@@ -55,6 +58,9 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// `epoll_wait` timeout: the granularity of timeout sweeps and stop-flag
 /// observation.
 const TICK_MS: i32 = 20;
+
+/// How long a loop ignores the listener after a failed accept.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(TICK_MS as u64);
 
 /// How long a stopping loop keeps pumping to flush pending responses.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
@@ -124,6 +130,7 @@ fn event_loop(
     let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut draining = false;
     let mut drain_deadline = Instant::now();
+    let mut accept_paused_until: Option<Instant> = None;
 
     loop {
         let Ok(ready) = epoll.wait(&mut events, TICK_MS) else {
@@ -133,8 +140,11 @@ fn event_loop(
             // Copy the packed fields out before use.
             let (token, bits) = (event.data, event.events);
             if token == LISTENER_TOKEN {
-                if !draining {
-                    accept_all(epoll, listener, &mut conns, &mut free);
+                if !draining
+                    && !accept_all(epoll, listener, &mut conns, &mut free)
+                    && epoll.delete(listener.as_raw_fd()).is_ok()
+                {
+                    accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
                 }
                 continue;
             }
@@ -161,6 +171,14 @@ fn event_loop(
         }
 
         let now = Instant::now();
+        if !draining
+            && accept_paused_until.is_some_and(|until| now >= until)
+            && epoll
+                .add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)
+                .is_ok()
+        {
+            accept_paused_until = None;
+        }
         if let Some(deadline) = idle_timeout {
             for slot in 0..conns.len() {
                 let stalled = conns[slot].as_ref().is_some_and(|conn| {
@@ -192,13 +210,15 @@ fn event_loop(
 }
 
 /// Accepts until `WouldBlock`; every new connection is nonblocking, Nagle
-/// is off, and read interest is registered on this loop's epoll.
+/// is off, and read interest is registered on this loop's epoll.  Returns
+/// `false` when accepting failed for another reason (`EMFILE`, `ENFILE`,
+/// …), which leaves the listener readable.
 fn accept_all(
     epoll: &Epoll,
     listener: &TcpListener,
     conns: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
-) {
+) -> bool {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -228,9 +248,9 @@ fn accept_all(
                     closing: false,
                 });
             }
-            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+            Err(_) => return false,
         }
     }
 }

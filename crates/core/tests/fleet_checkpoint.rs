@@ -3,6 +3,9 @@
 //! version-bumped / mismatched checkpoints come back as typed errors — never
 //! a panic, never a silent mis-restore.
 
+mod common;
+
+use common::{reseal, Sweep};
 use hidwa_core::fleet::{CheckpointError, ChurnSpec, FleetCheckpoint, FleetConfig, PolicyKind};
 use hidwa_core::population::{ChurnModel, PopulationModel};
 use hidwa_core::sweep::SweepRunner;
@@ -16,15 +19,11 @@ fn fleet() -> FleetConfig {
         .with_top_k(6)
 }
 
-/// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md wire
-/// format), so tests can mint structurally valid blobs with chosen fields.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+/// The shared envelope sweep over a 100-body fold checkpointed at body
+/// `stop`.
+fn sweep_at(stop: usize) -> Sweep<FleetCheckpoint, CheckpointError> {
+    let blob = fleet().run_until(&SweepRunner::serial(), stop).save();
+    Sweep::new(&blob, FleetCheckpoint::load)
 }
 
 #[test]
@@ -85,80 +84,30 @@ fn thousand_body_hetero_fleet_state_bytes_are_width_independent() {
 
 #[test]
 fn truncated_checkpoints_error_at_every_cut() {
-    let config = fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 37).save().to_vec();
-    for cut in 0..blob.len() {
-        match FleetCheckpoint::load(&blob[..cut]) {
-            Err(_) => {}
-            Ok(_) => panic!(
-                "a {cut}-byte prefix of a {}-byte checkpoint loaded",
-                blob.len()
-            ),
-        }
-    }
+    sweep_at(37).prefixes();
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    let config = fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 23).save().to_vec();
-    // One flip per byte position (rotating the bit index so all eight bit
-    // lanes are exercised): the FNV seal catches every single-bit flip by
-    // construction, and this sweep proves no code path panics or accepts one.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            FleetCheckpoint::load(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the checkpoint still loaded"
-        );
-    }
+    sweep_at(23).bit_flips();
 }
 
 #[test]
 fn version_and_magic_mismatches_are_typed() {
-    let config = fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 9).save().to_vec();
+    let blob = fleet().run_until(&SweepRunner::serial(), 9).save().to_vec();
+    let sweep = Sweep::new(&blob, FleetCheckpoint::load);
+    sweep.version_bump();
+    sweep.foreign_magic();
 
-    // A future version with a correct checksum must be refused as
-    // UnsupportedVersion, not mis-parsed.
-    let mut future = blob.clone();
-    future[9] = 3; // version u16 big-endian at offset 8..10
-    let body_len = future.len() - 8;
-    let reseal = fnv1a64(&future[..body_len]);
-    future[body_len..].copy_from_slice(&reseal.to_be_bytes());
-    assert_eq!(
-        FleetCheckpoint::load(&future).unwrap_err(),
-        CheckpointError::UnsupportedVersion(3)
-    );
-
-    // An *old* (version-1, pre-churn) blob is likewise refused — version 2
+    // An *old* (version-1, pre-churn) blob is refused too — version 2
     // cannot guess migration or occupancy statistics the old format never
     // measured, so it rejects rather than restoring zeros.
     let mut old = blob.clone();
     old[9] = 1;
-    let reseal = fnv1a64(&old[..body_len]);
-    old[body_len..].copy_from_slice(&reseal.to_be_bytes());
+    reseal(&mut old);
     assert_eq!(
         FleetCheckpoint::load(&old).unwrap_err(),
         CheckpointError::UnsupportedVersion(1)
-    );
-
-    let mut alien = blob.clone();
-    alien[..8].copy_from_slice(b"NOTAFLT!");
-    assert_eq!(
-        FleetCheckpoint::load(&alien).unwrap_err(),
-        CheckpointError::BadMagic
-    );
-
-    assert_eq!(
-        FleetCheckpoint::load(&[]).unwrap_err(),
-        CheckpointError::Truncated
-    );
-    assert_eq!(
-        FleetCheckpoint::load(&blob[..12]).unwrap_err(),
-        CheckpointError::Truncated
     );
 
     // Arbitrary garbage of plausible length errors instead of panicking.
@@ -229,26 +178,10 @@ fn churned_resume_from_every_body_boundary_is_byte_identical() {
 
 #[test]
 fn churned_checkpoint_corruption_sweep_never_panics() {
-    let config = churned_fleet();
-    let blob = config.run_until(&SweepRunner::serial(), 31).save().to_vec();
-    // Truncation at every cut.
-    for cut in 0..blob.len() {
-        assert!(
-            FleetCheckpoint::load(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a churned checkpoint loaded"
-        );
-    }
-    // One bit flip per byte position, rotating through all eight lanes —
-    // covers the new migration/replan/active-span/placement-energy fields.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            FleetCheckpoint::load(&tampered).is_err(),
-            "bit {bit} of byte {position} of a churned checkpoint survived"
-        );
-    }
+    // The whole envelope sweep over a blob whose migration, re-plan,
+    // active-span and placement-energy fields are all live.
+    let blob = churned_fleet().run_until(&SweepRunner::serial(), 31).save();
+    Sweep::new(&blob, FleetCheckpoint::load).all();
 }
 
 #[test]

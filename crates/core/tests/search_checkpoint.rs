@@ -1,10 +1,12 @@
-//! Corruption sweep of the `HIDWASRC` v1 search-checkpoint format (ISSUE
-//! 10 satellite), mirroring what `fleet_checkpoint.rs` does for the fleet
-//! v2 format: every-prefix truncation, every-byte bit-flips, a resealed
-//! version bump and structural mutations all decode to typed errors —
-//! never a panic — and resuming under a different search identity is
-//! refused with a `SpecMismatch`.
+//! Corruption sweep of the `HIDWASRC` v1 search-checkpoint format: the
+//! shared envelope sweep (every-prefix truncation, every-byte bit-flips, a
+//! resealed version bump, foreign magics) and the index's structural
+//! mutations all decode to typed errors — never a panic — and resuming
+//! under a different search identity is refused with a `SpecMismatch`.
 
+mod common;
+
+use common::{reseal, Sweep};
 use hidwa_core::fleet::driver::DriverFleetSpec;
 use hidwa_core::fleet::placement::{ChurnSpec, PolicyKind};
 use hidwa_core::population::ChurnModel;
@@ -12,26 +14,6 @@ use hidwa_core::search::{ObjectiveSpace, SearchCheckpoint, SearchCheckpointError
 use hidwa_core::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
-
-/// Local FNV-1a 64 copy, so the tests can re-seal deliberately corrupted
-/// blobs without depending on crate internals.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Recomputes the trailing seal after a mutation, so the corruption under
-/// test — not the seal — is what the decoder has to catch.
-fn reseal(mut blob: Vec<u8>) -> Vec<u8> {
-    let split = blob.len() - 8;
-    let seal = fnv1a64(&blob[..split]);
-    blob[split..].copy_from_slice(&seal.to_be_bytes());
-    blob
-}
 
 fn search_spec(seed: u64) -> SearchSpec {
     let base = DriverFleetSpec::new(2)
@@ -60,6 +42,10 @@ fn populated() -> (SearchSpec, SearchCheckpoint, Vec<u8>) {
     (spec, checkpoint, blob)
 }
 
+fn sweep() -> Sweep<SearchCheckpoint, SearchCheckpointError> {
+    Sweep::new(&populated().2, SearchCheckpoint::load)
+}
+
 const HEADER: usize = 8 + 2 + 8 + 8 + 8;
 const RECORD: usize = 5 * 8;
 
@@ -76,63 +62,30 @@ fn round_trip_is_exact() {
 
 #[test]
 fn every_prefix_truncation_is_a_typed_error() {
-    let (_, _, blob) = populated();
-    for cut in 0..blob.len() {
-        let result = SearchCheckpoint::load(&blob[..cut]);
-        assert!(
-            result.is_err(),
-            "prefix of {cut} bytes decoded successfully"
-        );
-    }
+    sweep().prefixes();
 }
 
 #[test]
 fn every_single_bit_flip_is_a_typed_error() {
-    let (_, _, blob) = populated();
-    for position in 0..blob.len() {
-        let mut corrupt = blob.clone();
-        corrupt[position] ^= 1 << (position % 8);
-        let result = SearchCheckpoint::load(&corrupt);
-        assert!(
-            result.is_err(),
-            "bit flip at byte {position} decoded successfully"
-        );
-    }
+    sweep().bit_flips();
 }
 
 #[test]
 fn resealed_version_bump_is_unsupported() {
-    let (_, _, blob) = populated();
-    let mut bumped = blob;
-    bumped[8..10].copy_from_slice(&2u16.to_be_bytes());
-    let bumped = reseal(bumped);
-    assert_eq!(
-        SearchCheckpoint::load(&bumped),
-        Err(SearchCheckpointError::UnsupportedVersion(2))
-    );
+    sweep().version_bump();
 }
 
 #[test]
 fn foreign_magic_is_rejected() {
-    let (_, _, blob) = populated();
-    let mut foreign = blob;
-    foreign[..8].copy_from_slice(b"HIDWAFLT");
-    let foreign = reseal(foreign);
-    assert_eq!(
-        SearchCheckpoint::load(&foreign),
-        Err(SearchCheckpointError::BadMagic)
-    );
-    assert_eq!(
-        SearchCheckpoint::load(&[]),
-        Err(SearchCheckpointError::Truncated)
-    );
+    sweep().foreign_magic();
 }
 
 #[test]
 fn structural_mutations_are_corrupt_not_panics() {
     let (_, _, blob) = populated();
-    let expect_corrupt = |mutated: Vec<u8>, label: &str| {
-        let result = SearchCheckpoint::load(&reseal(mutated));
+    let expect_corrupt = |mut mutated: Vec<u8>, label: &str| {
+        reseal(&mut mutated);
+        let result = SearchCheckpoint::load(&mutated);
         assert!(
             matches!(result, Err(SearchCheckpointError::Corrupt(_))),
             "{label}: expected Corrupt, got {result:?}"

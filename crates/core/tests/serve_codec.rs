@@ -1,37 +1,21 @@
-//! Serve-codec corruption battery, mirroring `fleet_checkpoint.rs`: every
-//! prefix truncation, every single-bit flip, resealed version bumps and
-//! domain-violating bytes come back as typed [`WireCodecError`]s — never a
+//! Serve-codec corruption battery: the shared envelope sweep (every prefix
+//! truncation, every single-bit flip, a resealed version bump, foreign
+//! magics) over both directions, plus domain-violating bytes and chunked
+//! frame delivery, all come back as typed [`WireCodecError`]s — never a
 //! panic, never a mis-accept — and well-formed envelopes round-trip exactly.
 
+mod common;
+
+use common::{reseal, Sweep};
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     self, quantize_f64, ModelId, PlanRequest, ProjectionRequest, Request, RequestEnvelope,
     Response, ResponseEnvelope, WireCodecError, WireContext, WireLink, WirePlan, WireProjection,
-    MAX_BATCH, WIRE_VERSION,
+    MAX_BATCH,
 };
 use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
 use proptest::prelude::*;
-
-/// Re-implementation of the documented FNV-1a 64 seal (ARCHITECTURE.md wire
-/// format), so tests can mint structurally valid envelopes with chosen
-/// fields.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Re-seals a tampered envelope so only the tampering — not the checksum —
-/// decides whether it decodes.
-fn reseal(blob: &mut [u8]) {
-    let body_len = blob.len() - 8;
-    let seal = fnv1a64(&blob[..body_len]);
-    blob[body_len..].copy_from_slice(&seal.to_be_bytes());
-}
 
 const OBJECTIVES: [Objective; 3] = [
     Objective::LeafEnergy,
@@ -90,6 +74,20 @@ fn representative_responses() -> Vec<Response> {
     ]
 }
 
+fn requests() -> Sweep<RequestEnvelope, WireCodecError> {
+    Sweep::new(
+        &codec::encode_requests(&representative_requests()),
+        codec::decode_request,
+    )
+}
+
+fn responses() -> Sweep<ResponseEnvelope, WireCodecError> {
+    Sweep::new(
+        &codec::encode_responses(&representative_responses()),
+        codec::decode_response,
+    )
+}
+
 #[test]
 fn request_and_response_envelopes_roundtrip_exactly() {
     let requests = representative_requests();
@@ -112,49 +110,14 @@ fn request_and_response_envelopes_roundtrip_exactly() {
 
 #[test]
 fn every_prefix_truncation_is_rejected() {
-    let blob = codec::encode_requests(&representative_requests()).to_vec();
-    for cut in 0..blob.len() {
-        assert!(
-            codec::decode_request(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a {}-byte request envelope decoded",
-            blob.len()
-        );
-    }
-    let blob = codec::encode_responses(&representative_responses()).to_vec();
-    for cut in 0..blob.len() {
-        assert!(
-            codec::decode_response(&blob[..cut]).is_err(),
-            "a {cut}-byte prefix of a {}-byte response envelope decoded",
-            blob.len()
-        );
-    }
+    requests().prefixes();
+    responses().prefixes();
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    let blob = codec::encode_requests(&representative_requests()).to_vec();
-    // One flip per byte position, rotating the bit index so all eight bit
-    // lanes are exercised: the FNV seal catches every single-bit flip by
-    // construction, and the sweep proves no decode path panics or accepts.
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            codec::decode_request(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the envelope still decoded"
-        );
-    }
-    let blob = codec::encode_responses(&representative_responses()).to_vec();
-    for position in 0..blob.len() {
-        let bit = position % 8;
-        let mut tampered = blob.clone();
-        tampered[position] ^= 1 << bit;
-        assert!(
-            codec::decode_response(&tampered).is_err(),
-            "bit {bit} of byte {position} flipped and the envelope still decoded"
-        );
-    }
+    requests().bit_flips();
+    responses().bit_flips();
 }
 
 #[test]
@@ -193,46 +156,23 @@ fn every_single_bit_flip_survives_chunked_frame_delivery() {
 
 #[test]
 fn version_bump_with_resealed_checksum_is_refused_as_unsupported() {
-    let mut future = codec::encode_requests(&representative_requests()).to_vec();
-    future[9] = (WIRE_VERSION + 1) as u8; // version u16 BE at offset 8..10
-    reseal(&mut future);
-    assert_eq!(
-        codec::decode_request(&future).unwrap_err(),
-        WireCodecError::UnsupportedVersion(WIRE_VERSION + 1)
-    );
-
-    let mut future = codec::encode_bye().to_vec();
-    future[8] = 0xFF;
-    future[9] = 0xFF;
-    reseal(&mut future);
-    assert_eq!(
-        codec::decode_response(&future).unwrap_err(),
-        WireCodecError::UnsupportedVersion(0xFFFF)
-    );
+    requests().version_bump();
+    responses().version_bump();
 }
 
 #[test]
 fn magic_mismatches_are_typed_and_directional() {
+    requests().foreign_magic();
+    responses().foreign_magic();
+    // A request envelope is not response traffic and vice versa.
     let request = codec::encode_requests(&representative_requests());
     let response = codec::encode_responses(&representative_responses());
-    // A request envelope is not response traffic and vice versa.
     assert_eq!(
         codec::decode_response(&request).unwrap_err(),
         WireCodecError::BadMagic
     );
     assert_eq!(
         codec::decode_request(&response).unwrap_err(),
-        WireCodecError::BadMagic
-    );
-    assert_eq!(
-        codec::decode_request(&[]).unwrap_err(),
-        WireCodecError::Truncated
-    );
-    let mut alien = request.to_vec();
-    alien[..8].copy_from_slice(b"NOTSERVE");
-    reseal(&mut alien);
-    assert_eq!(
-        codec::decode_request(&alien).unwrap_err(),
         WireCodecError::BadMagic
     );
 }

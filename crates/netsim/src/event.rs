@@ -1,21 +1,14 @@
-//! Deterministic discrete-event engine.
+//! Deterministic discrete-event queue.
 //!
 //! Events are ordered by simulation time with a monotonically increasing
 //! sequence number as a tiebreaker, so simulations are fully deterministic
 //! regardless of insertion order of simultaneous events.
 //!
-//! Two queue implementations share that contract and pop in **identical**
-//! order (asserted by `tests/queue_equivalence.rs`):
-//!
-//! * [`BucketQueue`] — the default: a calendar queue whose bucket storage is
-//!   reused across pops, so steady-state simulation allocates nothing per
-//!   event.  O(1) amortised schedule/pop for the clustered event times a MAC
-//!   schedule produces.
-//! * [`BinaryHeapQueue`] — the pre-refactor `std::collections::BinaryHeap`
-//!   engine, kept as the exact reference for equivalence tests and for the
-//!   `bench_netsim` old-vs-new comparison.
-//!
-//! [`EventQueue`] aliases the default implementation.
+//! [`BinaryHeapQueue`] — a `std::collections::BinaryHeap` — is the queue of
+//! the exact reference engine
+//! ([`Simulation::with_reference_engine`](crate::sim::Simulation::with_reference_engine)).
+//! The streaming engine needs no general-purpose queue: it keeps generation
+//! slots in a flat min-heap and completions in a FIFO (see [`crate::sim`]).
 
 use hidwa_units::TimeSpan;
 use std::cmp::Ordering;
@@ -52,14 +45,6 @@ struct Scheduled {
     event: Event,
 }
 
-impl Scheduled {
-    /// `(time, sequence)` lexicographic order — the single source of truth
-    /// for pop order in both queue implementations.
-    fn sort_key(&self) -> (f64, u64) {
-        (self.time.as_seconds(), self.sequence)
-    }
-}
-
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.sequence == other.sequence
@@ -85,15 +70,8 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The default event queue used by the simulator.
-pub type EventQueue = BucketQueue;
-
-/// A time-ordered event queue backed by `std::collections::BinaryHeap`.
-///
-/// This is the pre-refactor engine: correct and simple, but every push beyond
-/// the high-water mark reallocates the heap and each pop re-sifts the tree.
-/// It is retained as the behavioural reference — [`BucketQueue`] must pop in
-/// exactly this order.
+/// A time-ordered event queue backed by `std::collections::BinaryHeap`:
+/// earliest time first, ties in insertion order.
 #[derive(Debug, Default)]
 pub struct BinaryHeapQueue {
     heap: BinaryHeap<Scheduled>,
@@ -136,529 +114,13 @@ impl BinaryHeapQueue {
     }
 }
 
-/// One slab entry: a scheduled event plus its *virtual bucket number*
-/// `k = ⌊time / width⌋` (fixed at insert so epoch membership is an exact
-/// integer comparison — no float drift between the insert-side and pop-side
-/// mapping) and the intrusive link to the next entry in the same bucket.
-#[derive(Debug, Clone)]
-struct SlabSlot {
-    k: u64,
-    time: TimeSpan,
-    sequence: u64,
-    /// Next slab index in this bucket's list (or the free list), [`NIL`]
-    /// terminated.
-    next: u32,
-    event: Event,
-}
-
-/// Sentinel slab index for "no entry".
-const NIL: u32 = u32::MAX;
-
-/// A calendar (bucket) event queue over an index-based slab, reusing storage
-/// across pops.
-///
-/// All entries live in one slab arena; freed indices go to a free list, so
-/// the steady state of a simulation (schedule one, pop one) recycles a
-/// handful of hot slab slots and never touches the allocator.  Finite-time
-/// events are linked into `heads[k & (bucket_count - 1)]` where
-/// `k = ⌊time / width⌋` (the *virtual bucket*, fixed at insert); a cursor
-/// walks the virtual buckets in increasing `k`, and within one `k` the
-/// earliest `(time, sequence)` entry pops first — exactly the
-/// [`BinaryHeapQueue`] order.  An occupancy bitmap lets a pop jump straight
-/// to the next non-empty bucket with `trailing_zeros` instead of walking
-/// empty buckets one at a time.
-///
-/// Non-finite times (a zero-goodput link schedules completion at `+∞`) are
-/// kept in a dedicated overflow list consulted when no finite event remains.
-/// Scheduling an event earlier than the cursor rewinds the cursor, so the
-/// queue is correct for arbitrary interleavings, not just monotone
-/// simulation time.
-///
-/// Degenerate pile-ups (thousands of entries landing in one bucket, e.g. all
-/// at the same key) do **not** degrade pops to a linear scan: a bucket whose
-/// unsorted head prefix exceeds a small threshold is sorted lazily on first
-/// pop and kept as an ascending suffix, after which each pop examines at most
-/// the (small) fresh prefix plus the suffix head.
-#[derive(Debug)]
-pub struct BucketQueue {
-    /// Head slab index per physical bucket ([`NIL`] = empty); power-of-two
-    /// length.
-    heads: Vec<u32>,
-    /// Slab arena holding every pending (and freed) finite-time entry.
-    arena: Vec<SlabSlot>,
-    /// Head of the freed-slot list within the arena.
-    free_head: u32,
-    /// Bit `b` of `occupancy[b / 64]` set ⇔ bucket `b` is non-empty.
-    occupancy: Vec<u64>,
-    /// Per-bucket count of entries at the head of the chain inserted since
-    /// the bucket was last sorted; everything after the first
-    /// `unsorted[bucket]` entries is an ascending `(k, time, sequence)`
-    /// suffix.  Lets a degenerate bucket (thousands of same-`k` entries) be
-    /// sorted **once** on first pop instead of linear-scanned on every pop.
-    unsorted: Vec<u32>,
-    /// Reused scratch buffer for [`Self::sort_bucket`].
-    sort_scratch: Vec<u32>,
-    /// Events at non-finite times, popped only once the wheel drains.
-    far: Vec<Scheduled>,
-    width: f64,
-    inv_width: f64,
-    /// Virtual bucket the cursor is currently draining.
-    cursor_k: u64,
-    len: usize,
-    next_sequence: u64,
-}
-
-/// Location of a bucket's minimal entry, as reported by
-/// [`BucketQueue::min_in_bucket`]: the entry, its in-chain predecessor, its
-/// virtual bucket, and whether it sits in the unsorted head prefix (the
-/// bookkeeping [`BucketQueue::unlink_min`] needs to keep the prefix count
-/// exact under removals).
-#[derive(Clone, Copy)]
-struct BucketMin {
-    prev: u32,
-    index: u32,
-    k: u64,
-    in_prefix: bool,
-}
-
-impl Default for BucketQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BucketQueue {
-    /// Initial bucket count; grows when occupancy exceeds [`Self::GROW_FACTOR`].
-    const INITIAL_BUCKETS: usize = 64;
-    /// Grow the wheel when `len > bucket_count * GROW_FACTOR`.
-    const GROW_FACTOR: usize = 4;
-    /// Default bucket width in seconds (1 ms — the order of one frame
-    /// service time on a Mbps-class body medium).  Any width is *correct*;
-    /// width only affects the constant factor, and it is re-estimated from
-    /// the live event-gap distribution whenever the wheel grows.
-    const DEFAULT_WIDTH: f64 = 1.0e-3;
-    /// Unsorted-prefix length beyond which a pop sorts the bucket chain once
-    /// (after which pops examine ≤ this many candidates plus the sorted
-    /// suffix head).  MAC-shaped traffic never reaches it; only degenerate
-    /// same-key pile-ups pay the sort, amortised to one sort per
-    /// `SORT_THRESHOLD` inserts.
-    const SORT_THRESHOLD: u32 = 32;
-
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            heads: vec![NIL; Self::INITIAL_BUCKETS],
-            arena: Vec::new(),
-            free_head: NIL,
-            occupancy: vec![0; Self::INITIAL_BUCKETS.div_ceil(64)],
-            unsorted: vec![0; Self::INITIAL_BUCKETS],
-            sort_scratch: Vec::new(),
-            far: Vec::new(),
-            width: Self::DEFAULT_WIDTH,
-            inv_width: 1.0 / Self::DEFAULT_WIDTH,
-            cursor_k: 0,
-            len: 0,
-            next_sequence: 0,
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn virtual_bucket(&self, seconds: f64) -> u64 {
-        // Multiply by the cached reciprocal; the `as` cast truncates toward
-        // zero (= floor for non-negative input) and saturates, so negative
-        // times map to k = 0 and astronomically large (but finite) times
-        // share the top bucket.  Any monotone time→k mapping is correct —
-        // ordering within a bucket still goes by (time, sequence), so
-        // clamping never reorders pops.
-        (seconds * self.inv_width) as u64
-    }
-
-    #[inline]
-    fn set_occupied(&mut self, bucket: usize) {
-        self.occupancy[bucket >> 6] |= 1u64 << (bucket & 63);
-    }
-
-    #[inline]
-    fn clear_if_empty(&mut self, bucket: usize) {
-        if self.heads[bucket] == NIL {
-            self.occupancy[bucket >> 6] &= !(1u64 << (bucket & 63));
-        }
-    }
-
-    /// Smallest occupied physical bucket in `[from, to)`, or `None`.
-    fn next_occupied_in(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let mut word_index = from >> 6;
-        let last_word = (to - 1) >> 6;
-        let mut word = self.occupancy[word_index] & (u64::MAX << (from & 63));
-        loop {
-            if word != 0 {
-                let bucket = (word_index << 6) + word.trailing_zeros() as usize;
-                return (bucket < to).then_some(bucket);
-            }
-            word_index += 1;
-            if word_index > last_word {
-                return None;
-            }
-            word = self.occupancy[word_index];
-        }
-    }
-
-    /// Takes a slab slot (recycling the free list) and links it at the head
-    /// of `bucket`.
-    fn link_slot(&mut self, bucket: usize, k: u64, time: TimeSpan, sequence: u64, event: Event) {
-        let next = self.heads[bucket];
-        let index = if self.free_head != NIL {
-            let index = self.free_head;
-            let slot = &mut self.arena[index as usize];
-            self.free_head = slot.next;
-            *slot = SlabSlot {
-                k,
-                time,
-                sequence,
-                next,
-                event,
-            };
-            index
-        } else {
-            assert!(self.arena.len() < NIL as usize, "slab capacity exhausted");
-            self.arena.push(SlabSlot {
-                k,
-                time,
-                sequence,
-                next,
-                event,
-            });
-            (self.arena.len() - 1) as u32
-        };
-        self.heads[bucket] = index;
-        self.unsorted[bucket] += 1;
-        self.set_occupied(bucket);
-    }
-
-    /// Unlinks `index` (whose predecessor in its bucket list is `prev`, or
-    /// [`NIL`] for the head) and returns its payload; the slot joins the
-    /// free list.
-    fn unlink_slot(&mut self, bucket: usize, prev: u32, index: u32) -> (TimeSpan, u64, Event) {
-        let next = self.arena[index as usize].next;
-        if prev == NIL {
-            self.heads[bucket] = next;
-        } else {
-            self.arena[prev as usize].next = next;
-        }
-        self.clear_if_empty(bucket);
-        let slot = &mut self.arena[index as usize];
-        slot.next = self.free_head;
-        self.free_head = index;
-        self.len -= 1;
-        (
-            slot.time,
-            slot.sequence,
-            std::mem::replace(&mut slot.event, Event::Tick),
-        )
-    }
-
-    /// Sorts a bucket's whole chain ascending by `(k, time, sequence)` and
-    /// relinks it, zeroing the unsorted prefix.  Slots stay in place in the
-    /// arena — only `next` pointers and the bucket head are rewritten.
-    fn sort_bucket(&mut self, bucket: usize) {
-        let mut scratch = std::mem::take(&mut self.sort_scratch);
-        scratch.clear();
-        let mut current = self.heads[bucket];
-        while current != NIL {
-            scratch.push(current);
-            current = self.arena[current as usize].next;
-        }
-        scratch.sort_by(|&a, &b| {
-            let a = &self.arena[a as usize];
-            let b = &self.arena[b as usize];
-            (a.k, a.time.as_seconds(), a.sequence)
-                .partial_cmp(&(b.k, b.time.as_seconds(), b.sequence))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut next = NIL;
-        for &index in scratch.iter().rev() {
-            self.arena[index as usize].next = next;
-            next = index;
-        }
-        self.heads[bucket] = next;
-        self.unsorted[bucket] = 0;
-        self.sort_scratch = scratch;
-    }
-
-    /// Locates the `(k, time, sequence)`-minimal entry of a non-empty bucket.
-    ///
-    /// Only the unsorted head prefix is scanned, plus the first entry of the
-    /// sorted suffix (which, being ascending, is the suffix minimum).  A
-    /// prefix past [`Self::SORT_THRESHOLD`] is sorted once first, so a
-    /// degenerate same-key bucket costs one `O(n log n)` sort on first pop
-    /// and `O(SORT_THRESHOLD)` per pop after, instead of `O(n)` every pop.
-    #[inline]
-    fn min_in_bucket(&mut self, bucket: usize) -> BucketMin {
-        if self.unsorted[bucket] >= Self::SORT_THRESHOLD {
-            self.sort_bucket(bucket);
-        }
-        let prefix_len = self.unsorted[bucket];
-        let mut best_prev = NIL;
-        let mut best = self.heads[bucket];
-        let first = &self.arena[best as usize];
-        let (mut best_k, mut best_time, mut best_seq) = (first.k, first.time, first.sequence);
-        let mut best_in_prefix = prefix_len > 0;
-        let mut prev = best;
-        let mut current = first.next;
-        // Remaining prefix candidates (the head was position 0), then one
-        // suffix-head candidate.
-        let mut remaining = prefix_len.saturating_sub(1) + 1;
-        while current != NIL && remaining > 0 {
-            remaining -= 1;
-            let in_prefix = remaining > 0;
-            let slot = &self.arena[current as usize];
-            if (slot.k, slot.time.as_seconds(), slot.sequence)
-                < (best_k, best_time.as_seconds(), best_seq)
-            {
-                best_prev = prev;
-                best = current;
-                best_k = slot.k;
-                best_time = slot.time;
-                best_seq = slot.sequence;
-                best_in_prefix = in_prefix;
-            }
-            prev = current;
-            current = slot.next;
-        }
-        BucketMin {
-            prev: best_prev,
-            index: best,
-            k: best_k,
-            in_prefix: best_in_prefix,
-        }
-    }
-
-    /// Unlinks the entry [`Self::min_in_bucket`] reported, keeping the
-    /// unsorted-prefix count exact (a removal from the sorted suffix leaves
-    /// the suffix sorted, so only prefix removals decrement).
-    fn unlink_min(&mut self, bucket: usize, min: BucketMin) -> (TimeSpan, u64, Event) {
-        if min.in_prefix {
-            self.unsorted[bucket] -= 1;
-        }
-        self.unlink_slot(bucket, min.prev, min.index)
-    }
-
-    /// Schedules an event at an absolute simulation time.
-    #[inline]
-    pub fn schedule(&mut self, time: TimeSpan, event: Event) {
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        self.schedule_with_sequence(time, sequence, event);
-    }
-
-    /// [`BucketQueue::schedule`] with a caller-supplied tiebreak sequence —
-    /// for schedulers that share one sequence counter across several
-    /// structures (see `sim`'s split scheduler).  Callers must keep
-    /// sequences unique; relative pop order among equal times follows the
-    /// sequence order exactly as in [`BucketQueue::schedule`].
-    #[inline]
-    pub(crate) fn schedule_with_sequence(&mut self, time: TimeSpan, sequence: u64, event: Event) {
-        let seconds = time.as_seconds();
-        if !seconds.is_finite() {
-            self.far.push(Scheduled {
-                time,
-                sequence,
-                event,
-            });
-            self.len += 1;
-            return;
-        }
-        let k = self.virtual_bucket(seconds);
-        if k < self.cursor_k || self.wheel_len() == 0 {
-            // Rewind (or re-anchor an idle wheel) so the cursor never sits
-            // past a pending event.
-            self.cursor_k = k;
-        }
-        self.len += 1;
-        let bucket = (k & (self.heads.len() as u64 - 1)) as usize;
-        self.link_slot(bucket, k, time, sequence, event);
-        if self.len > self.heads.len() * Self::GROW_FACTOR {
-            self.grow();
-        }
-    }
-
-    fn wheel_len(&self) -> usize {
-        self.len - self.far.len()
-    }
-
-    /// Pops the earliest event, returning its time and payload.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(TimeSpan, Event)> {
-        self.pop_with_sequence()
-            .map(|(time, _sequence, event)| (time, event))
-    }
-
-    /// [`BucketQueue::pop`] that also returns the entry's tiebreak sequence.
-    #[inline]
-    pub(crate) fn pop_with_sequence(&mut self) -> Option<(TimeSpan, u64, Event)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len() == 0 {
-            return self.pop_far();
-        }
-        // One lap over the *occupied* buckets starting at the cursor: the
-        // first bucket whose minimal entry belongs to its current-lap
-        // virtual bucket holds the global minimum (a smaller `k` would
-        // demand an occupied bucket nearer the cursor, and `k` is monotone
-        // in time).  Buckets whose entries are all future-lap are skipped;
-        // if a whole lap is future-lap the pending events are sparser than
-        // one wheel revolution, so locate the minimum directly.
-        let bucket_count = self.heads.len();
-        if bucket_count == 64 {
-            // Pre-growth wheel (the steady state for body-network queues):
-            // the occupancy bitmap is one word, so the lap is a rotate plus
-            // trailing_zeros per occupied bucket — no empty-bucket walking.
-            let start = (self.cursor_k & 63) as usize;
-            let mut rotated = self.occupancy[0].rotate_right(start as u32);
-            while rotated != 0 {
-                let offset = rotated.trailing_zeros() as usize;
-                let bucket = (start + offset) & 63;
-                let target_k = self.cursor_k.saturating_add(offset as u64);
-                let min = self.min_in_bucket(bucket);
-                if min.k == target_k {
-                    self.cursor_k = target_k;
-                    return Some(self.unlink_min(bucket, min));
-                }
-                rotated &= rotated - 1;
-            }
-            return Some(self.take_global_min());
-        }
-        let start = (self.cursor_k & (bucket_count as u64 - 1)) as usize;
-        for (range_start, range_end, base_offset) in
-            [(start, bucket_count, 0), (0, start, bucket_count - start)]
-        {
-            let mut from = range_start;
-            while let Some(bucket) = self.next_occupied_in(from, range_end) {
-                let offset = base_offset + (bucket - range_start);
-                // Saturating: `k` itself saturates for astronomically far
-                // times, and a saturated cursor must still match them.
-                let target_k = self.cursor_k.saturating_add(offset as u64);
-                let min = self.min_in_bucket(bucket);
-                if min.k == target_k {
-                    self.cursor_k = target_k;
-                    return Some(self.unlink_min(bucket, min));
-                }
-                from = bucket + 1;
-            }
-        }
-        Some(self.take_global_min())
-    }
-
-    /// O(pending) fallback: removes the global minimum and re-anchors the
-    /// cursor at its virtual bucket.
-    fn take_global_min(&mut self) -> (TimeSpan, u64, Event) {
-        // `(bucket, min, (k, seconds, sequence))` of the best so far.
-        type Candidate = (usize, BucketMin, (u64, f64, u64));
-        let mut best: Option<Candidate> = None;
-        let mut from = 0;
-        while let Some(bucket) = self.next_occupied_in(from, self.heads.len()) {
-            let min = self.min_in_bucket(bucket);
-            let slot = &self.arena[min.index as usize];
-            let key = (slot.k, slot.time.as_seconds(), slot.sequence);
-            if best.is_none_or(|(_, _, best_key)| key < best_key) {
-                best = Some((bucket, min, key));
-            }
-            from = bucket + 1;
-        }
-        let (bucket, min, key) = best.expect("wheel_len() > 0 guarantees a finite entry");
-        self.cursor_k = key.0;
-        self.unlink_min(bucket, min)
-    }
-
-    fn pop_far(&mut self) -> Option<(TimeSpan, u64, Event)> {
-        let mut best: Option<(usize, (f64, u64))> = None;
-        for (i, entry) in self.far.iter().enumerate() {
-            let key = entry.sort_key();
-            if best.is_none_or(|(_, best_key)| key < best_key) {
-                best = Some((i, key));
-            }
-        }
-        let (i, _) = best?;
-        self.len -= 1;
-        let entry = self.far.swap_remove(i);
-        Some((entry.time, entry.sequence, entry.event))
-    }
-
-    /// Doubles the wheel and re-estimates the bucket width from the live
-    /// span of pending event times, then re-links every slab entry under the
-    /// new `(width, bucket_count)` mapping (slots stay in place — only the
-    /// `k` fields, bucket heads and links are rewritten).
-    fn grow(&mut self) {
-        let new_count = self.heads.len() * 2;
-        // Collect the live slab indices by walking every bucket list.
-        let mut live: Vec<u32> = Vec::with_capacity(self.wheel_len());
-        for &head in &self.heads {
-            let mut current = head;
-            while current != NIL {
-                live.push(current);
-                current = self.arena[current as usize].next;
-            }
-        }
-        let (mut min_t, mut max_t) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &index in &live {
-            let s = self.arena[index as usize].time.as_seconds();
-            min_t = min_t.min(s);
-            max_t = max_t.max(s);
-        }
-        if max_t > min_t && !live.is_empty() {
-            // Aim for ~one pending event per bucket across the live span.
-            self.width = ((max_t - min_t) / live.len() as f64).clamp(1.0e-7, 1.0);
-            self.inv_width = 1.0 / self.width;
-        }
-        self.heads.clear();
-        self.heads.resize(new_count, NIL);
-        self.occupancy.clear();
-        self.occupancy.resize(new_count.div_ceil(64), 0);
-        // Relinking is head-insertion, so every rebuilt chain is a fresh
-        // unsorted prefix.
-        self.unsorted.clear();
-        self.unsorted.resize(new_count, 0);
-        self.cursor_k = u64::MAX;
-        for index in live {
-            let k = self.virtual_bucket(self.arena[index as usize].time.as_seconds());
-            self.cursor_k = self.cursor_k.min(k);
-            let bucket = (k & (new_count as u64 - 1)) as usize;
-            let slot = &mut self.arena[index as usize];
-            slot.k = k;
-            slot.next = self.heads[bucket];
-            self.heads[bucket] = index;
-            self.unsorted[bucket] += 1;
-            self.set_occupied(bucket);
-        }
-        if self.wheel_len() == 0 {
-            self.cursor_k = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = BinaryHeapQueue::new();
         q.schedule(TimeSpan::from_seconds(2.0), Event::Tick);
         q.schedule(
             TimeSpan::from_seconds(1.0),
@@ -675,7 +137,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_preserve_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = BinaryHeapQueue::new();
         let t = TimeSpan::from_seconds(1.0);
         q.schedule(t, Event::FrameGenerated { node: 1, bytes: 1 });
         q.schedule(t, Event::FrameGenerated { node: 2, bytes: 2 });
@@ -691,7 +153,7 @@ mod tests {
 
     #[test]
     fn len_and_is_empty() {
-        let mut q = EventQueue::new();
+        let mut q = BinaryHeapQueue::new();
         assert!(q.is_empty());
         q.schedule(TimeSpan::ZERO, Event::Tick);
         assert_eq!(q.len(), 1);
@@ -702,7 +164,7 @@ mod tests {
 
     #[test]
     fn infinite_times_pop_last() {
-        let mut q = BucketQueue::new();
+        let mut q = BinaryHeapQueue::new();
         q.schedule(
             TimeSpan::from_seconds(f64::INFINITY),
             Event::FrameGenerated { node: 9, bytes: 9 },
@@ -716,63 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn rewinds_when_scheduling_before_the_cursor() {
-        let mut q = BucketQueue::new();
-        q.schedule(TimeSpan::from_seconds(100.0), Event::Tick);
-        assert_eq!(q.pop().unwrap().0, TimeSpan::from_seconds(100.0));
-        // Cursor now sits at t = 100 s; an earlier insert must still pop
-        // first.
-        q.schedule(TimeSpan::from_seconds(200.0), Event::Tick);
-        q.schedule(
-            TimeSpan::from_seconds(0.5),
-            Event::FrameGenerated { node: 1, bytes: 1 },
-        );
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, TimeSpan::from_seconds(0.5));
-        assert!(matches!(e, Event::FrameGenerated { .. }));
-        assert_eq!(q.pop().unwrap().0, TimeSpan::from_seconds(200.0));
-    }
-
-    #[test]
-    fn degenerate_same_key_bucket_pops_in_heap_order() {
-        // Thousands of entries at the *same time* land in one virtual bucket:
-        // the documented worst case for the calendar queue.  The lazy bucket
-        // sort must keep pop order heap-identical (ties broken by insertion
-        // sequence) while avoiding the O(n) re-scan per pop.
-        let mut bucket = BucketQueue::new();
-        let mut heap = BinaryHeapQueue::new();
-        let t = TimeSpan::from_millis(0.5);
-        for i in 0..5000usize {
-            bucket.schedule(t, Event::FrameGenerated { node: i, bytes: 1 });
-            heap.schedule(t, Event::FrameGenerated { node: i, bytes: 1 });
-        }
-        // Interleave pops with fresh same-key inserts so the sorted suffix
-        // coexists with a live unsorted prefix.
-        for i in 0..2000usize {
-            assert_eq!(bucket.pop(), heap.pop());
-            if i % 3 == 0 {
-                let e = Event::FrameGenerated {
-                    node: 10_000 + i,
-                    bytes: 2,
-                };
-                bucket.schedule(t, e.clone());
-                heap.schedule(t, e);
-            }
-        }
-        while let Some(expected) = heap.pop() {
-            assert_eq!(bucket.pop().unwrap(), expected);
-        }
-        assert!(bucket.is_empty());
-    }
-
-    #[test]
     fn same_key_pile_up_drains_fast() {
-        // The pre-fix behaviour was O(n) per pop (O(n²) to drain); with the
-        // lazy sort the full stuff-then-drain cycle is O(n log n).  100k
-        // entries drain in well under a second even on a loaded machine; the
-        // quadratic path would take minutes.
+        // 100k simultaneous events drain in insertion order, in well under
+        // a second even on a loaded machine.
         let n = 100_000usize;
-        let mut q = BucketQueue::new();
+        let mut q = BinaryHeapQueue::new();
         let t = TimeSpan::from_millis(0.25);
         for i in 0..n {
             q.schedule(t, Event::FrameGenerated { node: i, bytes: 1 });
@@ -787,38 +197,29 @@ mod tests {
         assert!(q.is_empty());
         assert!(
             start.elapsed() < std::time::Duration::from_secs(10),
-            "same-key drain took {:?} — linear-scan regression?",
+            "same-key drain took {:?}",
             start.elapsed()
         );
     }
 
     #[test]
     fn growth_keeps_order_under_load() {
-        let mut bucket = BucketQueue::new();
-        let mut heap = BinaryHeapQueue::new();
-        // Enough events to force several grow() cycles, with clustered and
-        // spread-out times plus ties.
-        for i in 0..2000u64 {
+        // Clustered and spread-out times with ties, pushed through several
+        // reallocations of the heap: pops follow (time, insertion) order.
+        let mut q = BinaryHeapQueue::new();
+        let mut expected = Vec::new();
+        for i in 0..2000usize {
             let t = TimeSpan::from_seconds(((i * 37) % 500) as f64 * 0.01);
-            bucket.schedule(
-                t,
-                Event::FrameGenerated {
-                    node: i as usize,
-                    bytes: 1,
-                },
-            );
-            heap.schedule(
-                t,
-                Event::FrameGenerated {
-                    node: i as usize,
-                    bytes: 1,
-                },
-            );
+            q.schedule(t, Event::FrameGenerated { node: i, bytes: 1 });
+            expected.push((t.as_seconds(), i));
         }
-        assert_eq!(bucket.len(), heap.len());
-        while let Some(expected) = heap.pop() {
-            assert_eq!(bucket.pop().unwrap(), expected);
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(q.len(), expected.len());
+        for (seconds, node) in expected {
+            let (t, event) = q.pop().unwrap();
+            assert_eq!(t.as_seconds(), seconds);
+            assert_eq!(event, Event::FrameGenerated { node, bytes: 1 });
         }
-        assert!(bucket.is_empty());
+        assert!(q.is_empty());
     }
 }

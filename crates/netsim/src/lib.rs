@@ -7,8 +7,8 @@
 //! once, and what latency and per-node energy does it deliver — is a
 //! scheduling question, which this crate answers by simulation:
 //!
-//! * [`event`] — a deterministic discrete-event engine (calendar bucket
-//!   queue by default, binary-heap reference kept for equivalence).
+//! * [`event`] — the deterministic time-ordered event queue of the exact
+//!   reference engine.
 //! * [`traffic`] — periodic, bursty and streaming traffic sources for the
 //!   wearable workloads.
 //! * [`node`] — leaf/hub node descriptions: link parameters, sensing and
