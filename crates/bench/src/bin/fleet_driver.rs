@@ -22,14 +22,17 @@
 //! this on every push).  `--plan` prints the fingerprint, spool path and the
 //! exact per-shard `shard_worker` command lines **without running anything**
 //! — the starting point for multi-machine runs.
+//!
+//! A bad invocation exits 2 before a spool directory or worker exists:
+//! `--shards` and `--boundaries` are mutually exclusive, `--churn-fade` and
+//! `--churn-policy` need `--churn-rate`, and the spec flags get the
+//! worker's own checks (`DriverFleetSpec::from_flags`).
 
-use hidwa_core::fleet::driver::{
-    DriverFleetSpec, FleetDriver, PopulationSpec, ProcessExecutor, WorkerCommand,
-};
+use hidwa_core::flags::{usage_error, Flags};
+use hidwa_core::fleet::driver::{DriverFleetSpec, FleetDriver, ProcessExecutor, WorkerCommand};
 use hidwa_core::fleet::{ChurnSpec, PolicyKind};
 use hidwa_core::population::ChurnModel;
 use hidwa_core::sweep::SweepRunner;
-use hidwa_units::TimeSpan;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -43,110 +46,60 @@ usage: fleet_driver --bodies <n> [--shards <k> | --boundaries <a,b,..>]
                     [--verify-single-stream] [--plan]
        fleet_driver --worker <worker flags...>   (internal worker mode)";
 
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("{message}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
+const FLAGS: &str = "--bodies= --shards= --boundaries= --base-seed= --horizon-s= --top-k= \
+    --population= --spool-root= --churn-rate= --churn-fade= --churn-policy= --worker-bin= \
+    --worker-threads= --max-attempts= --inject-kill= --verify-single-stream --plan";
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("--worker") {
         return hidwa_core::fleet::driver::worker_main(args.skip(1));
     }
+    drive(args).unwrap_or_else(|message| usage_error(USAGE, &message))
+}
 
-    let mut bodies = None;
-    let mut shards = 2usize;
-    let mut boundaries: Option<Vec<usize>> = None;
-    let mut base_seed = None;
-    let mut horizon_s = None;
-    let mut top_k = None;
-    let mut population = PopulationSpec::Uniform;
-    let mut spool_root = "spool".to_string();
-    let mut churn_rate: Option<f64> = None;
-    let mut churn_fade: Option<f64> = None;
-    let mut churn_policy = PolicyKind::ReoptimizeOnChange;
-    let mut worker_bin: Option<String> = None;
-    let mut worker_threads = 1usize;
-    let mut max_attempts = FleetDriver::DEFAULT_MAX_ATTEMPTS;
-    let mut inject_kill = None;
-    let mut verify = false;
-    let mut plan_only = false;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--bodies" => bodies = Some(parse(&value("--bodies")?)?),
-                "--shards" => shards = parse(&value("--shards")?)?,
-                "--boundaries" => {
-                    boundaries = Some(
-                        value("--boundaries")?
-                            .split(',')
-                            .filter(|part| !part.is_empty())
-                            .map(parse)
-                            .collect::<Result<_, _>>()?,
-                    );
-                }
-                "--base-seed" => base_seed = Some(parse(&value("--base-seed")?)?),
-                "--horizon-s" => horizon_s = Some(parse(&value("--horizon-s")?)?),
-                "--top-k" => top_k = Some(parse(&value("--top-k")?)?),
-                "--population" => {
-                    population = PopulationSpec::parse(&value("--population")?)
-                        .map_err(|error| error.to_string())?;
-                }
-                "--spool-root" => spool_root = value("--spool-root")?,
-                "--churn-rate" => churn_rate = Some(parse(&value("--churn-rate")?)?),
-                "--churn-fade" => churn_fade = Some(parse(&value("--churn-fade")?)?),
-                "--churn-policy" => churn_policy = PolicyKind::parse(&value("--churn-policy")?)?,
-                "--worker-bin" => worker_bin = Some(value("--worker-bin")?),
-                "--worker-threads" => worker_threads = parse(&value("--worker-threads")?)?,
-                "--max-attempts" => max_attempts = parse(&value("--max-attempts")?)?,
-                "--inject-kill" => inject_kill = Some(parse(&value("--inject-kill")?)?),
-                "--verify-single-stream" => verify = true,
-                "--plan" => plan_only = true,
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-            Ok(())
-        })();
-        if let Err(message) = result {
-            return usage_error(&message);
-        }
-    }
-    let Some(bodies) = bodies else {
-        return usage_error("--bodies is required");
-    };
-
-    let mut spec = DriverFleetSpec::new(bodies).with_population(population);
-    if let Some(base_seed) = base_seed {
-        spec = spec.with_base_seed(base_seed);
-    }
-    if let Some(seconds) = horizon_s {
-        spec = spec.with_horizon(TimeSpan::from_seconds(seconds));
-    }
-    if let Some(top_k) = top_k {
-        spec = spec.with_top_k(top_k);
-    }
-    if let Some(rate) = churn_rate {
+/// Runs the coordinator.  `Err` is a usage error; every one is raised
+/// before a spool directory is created or a worker spawned.
+fn drive(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+    let flags = Flags::parse(FLAGS, args)?;
+    flags.exclusive("--shards", "--boundaries")?;
+    flags.needs("--churn-fade", "--churn-rate")?;
+    flags.needs("--churn-policy", "--churn-rate")?;
+    let mut spec = DriverFleetSpec::from_flags(&flags)?;
+    if let Some(rate) = flags.value("--churn-rate")? {
         let mut churn = ChurnModel::with_rate(rate);
-        if let Some(fade) = churn_fade {
+        if let Some(fade) = flags.value("--churn-fade")? {
             churn = churn.with_link_fade(fade);
         }
-        spec = spec.with_churn(ChurnSpec::new(churn, churn_policy));
-    } else if churn_fade.is_some() {
-        return usage_error("--churn-fade needs --churn-rate");
+        let policy = flags.tag("--churn-policy", &PolicyKind::ALL, PolicyKind::tag)?;
+        spec = spec.with_churn(ChurnSpec::new(
+            churn,
+            policy.unwrap_or(PolicyKind::ReoptimizeOnChange),
+        ));
     }
-
-    let driver = match &boundaries {
-        Some(boundaries) => match FleetDriver::with_boundaries(spec.clone(), boundaries) {
-            Ok(driver) => driver,
-            Err(error) => return usage_error(&format!("--boundaries: {error}")),
-        },
-        None => FleetDriver::new(spec.clone(), shards),
+    let driver = match flags.raw("--boundaries") {
+        Some(list) => {
+            let boundaries: Vec<usize> = list
+                .split(',')
+                .filter(|part| !part.is_empty())
+                .map(str::parse)
+                .collect::<Result<_, _>>()
+                .map_err(|_| format!("--boundaries could not parse {list:?}"))?;
+            FleetDriver::with_boundaries(spec.clone(), &boundaries)
+                .map_err(|error| format!("--boundaries: {error}"))?
+        }
+        None => FleetDriver::new(spec.clone(), flags.value("--shards")?.unwrap_or(2)),
     }
-    .with_max_attempts(max_attempts);
+    .with_max_attempts(
+        flags
+            .value("--max-attempts")?
+            .unwrap_or(FleetDriver::DEFAULT_MAX_ATTEMPTS),
+    );
+    let worker_threads: usize = flags.value("--worker-threads")?.unwrap_or(1);
+    let inject_kill = flags.value("--inject-kill")?;
+    let spool_root = flags.raw("--spool-root").unwrap_or("spool");
 
-    if plan_only {
+    if flags.has("--plan") {
         // Dry run: print everything a multi-machine operator needs — the
         // fingerprint, the spool path, and the exact worker command per
         // shard — without folding a single body (see DEPLOYMENT.md
@@ -162,16 +115,16 @@ fn main() -> ExitCode {
                 driver.fingerprint()
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let mut worker = match worker_bin {
+    let mut worker = match flags.raw("--worker-bin") {
         Some(path) => WorkerCommand::new(path),
         None => match WorkerCommand::current_exe_worker() {
             Ok(worker) => worker,
             Err(error) => {
                 eprintln!("cannot resolve the current executable: {error}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
@@ -182,11 +135,11 @@ fn main() -> ExitCode {
     if let Some(shard) = inject_kill {
         executor = executor.with_injected_kill(shard);
     }
-    let spool = match driver.spool_in(&spool_root) {
+    let spool = match driver.spool_in(spool_root) {
         Ok(spool) => spool,
         Err(error) => {
             eprintln!("cannot open spool under {spool_root}: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -198,7 +151,7 @@ fn main() -> ExitCode {
     println!("spool dir   : {}", spool.dir().display());
     println!(
         "fleet       : {} bodies, population {}, {} shard(s)",
-        bodies,
+        spec.bodies(),
         spec.population(),
         driver.shard_count()
     );
@@ -208,7 +161,7 @@ fn main() -> ExitCode {
         Ok(run) => run,
         Err(error) => {
             eprintln!("driver run failed: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -250,9 +203,9 @@ fn main() -> ExitCode {
         );
     }
 
-    if verify {
+    if flags.has("--verify-single-stream") {
         let config = spec.to_config();
-        let single = config.run_until(&SweepRunner::new(), bodies);
+        let single = config.run_until(&SweepRunner::new(), spec.bodies());
         let identical_state = run.state_bytes() == single.save().to_vec();
         let identical_report = report == &single.into_parts().0.finish();
         println!(
@@ -269,14 +222,8 @@ fn main() -> ExitCode {
             }
         );
         if !(identical_state && identical_report) {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
-}
-
-fn parse<T: std::str::FromStr>(value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("could not parse {value:?}"))
+    Ok(ExitCode::SUCCESS)
 }

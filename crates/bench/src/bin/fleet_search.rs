@@ -36,10 +36,15 @@
 //! fleet_search --search --bodies 64 --shards 2 --spool search-spool/demo \
 //!              [--budget <k>] [--strategy <exhaustive|descent>]
 //! ```
+//!
+//! A bad invocation exits 2 with the usage before the spool root is
+//! created; `--horizon-s` gets the worker's own finite, non-negative check.
 
 use hidwa_bench::env_f64;
+use hidwa_core::flags::{usage_error, Flags};
 use hidwa_core::fleet::driver::{
-    DriverFleetSpec, InProcessExecutor, PopulationSpec, ProcessExecutor, WorkerCommand,
+    check_horizon, DriverFleetSpec, InProcessExecutor, PopulationSpec, ProcessExecutor,
+    WorkerCommand,
 };
 use hidwa_core::fleet::{ChurnSpec, PolicyKind};
 use hidwa_core::population::ChurnModel;
@@ -230,58 +235,45 @@ fn check_descent_cache(spec: &SearchSpec, searched_root: &Path) -> bool {
     run.complete() && run.folds() == 0 && run.cache_hits() == run.requests()
 }
 
-/// Operator mode for the `DEPLOYMENT.md` walkthrough: one search with
-/// explicit flags, evaluations folded by real worker processes.
-fn search_cli(mut args: impl Iterator<Item = String>) -> ExitCode {
-    const USAGE: &str = "\
+const SEARCH_USAGE: &str = "\
 usage: fleet_search --search [--bodies <n>] [--shards <k>] [--spool <dir>]
                     [--budget <k>] [--strategy <exhaustive|descent>]
                     [--population <uniform|mixed>] [--horizon-s <f64>]";
-    let mut bodies = 64usize;
-    let mut shards = 2usize;
-    let mut spool = PathBuf::from("search-spool/walkthrough");
-    let mut budget: Option<usize> = None;
-    let mut strategy = SearchStrategy::ExhaustiveGrid;
-    let mut population = PopulationSpec::Mixed;
-    let mut horizon_s = 0.25f64;
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--bodies" => {
-                    bodies = value("--bodies")?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--shards" => {
-                    shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--spool" => spool = PathBuf::from(value("--spool")?),
-                "--budget" => {
-                    budget = Some(value("--budget")?.parse().map_err(|e| format!("{e}"))?);
-                }
-                "--strategy" => {
-                    strategy = match value("--strategy")?.as_str() {
-                        "exhaustive" => SearchStrategy::ExhaustiveGrid,
-                        "descent" => SearchStrategy::CoordinateDescent { max_rounds: 4 },
-                        other => return Err(format!("unknown strategy {other:?}")),
-                    };
-                }
-                "--population" => {
-                    population = PopulationSpec::parse(&value("--population")?)
-                        .map_err(|e| format!("{e}"))?;
-                }
-                "--horizon-s" => {
-                    horizon_s = value("--horizon-s")?.parse().map_err(|e| format!("{e}"))?;
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-            Ok(())
-        })();
-        if let Err(message) = result {
-            eprintln!("{message}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+
+const SEARCH_FLAGS: &str =
+    "--bodies= --shards= --spool= --budget= --strategy= --population= --horizon-s=";
+
+/// The strategies `--strategy` names, and their tags.
+const STRATEGIES: [SearchStrategy; 2] = [
+    SearchStrategy::ExhaustiveGrid,
+    SearchStrategy::CoordinateDescent { max_rounds: 4 },
+];
+
+fn strategy_tag(strategy: SearchStrategy) -> &'static str {
+    match strategy {
+        SearchStrategy::ExhaustiveGrid => "exhaustive",
+        SearchStrategy::CoordinateDescent { .. } => "descent",
     }
+}
+
+/// Operator mode for the `DEPLOYMENT.md` walkthrough: one search with
+/// explicit flags, evaluations folded by real worker processes.  `Err` is a
+/// usage error, raised before the spool root is created.
+fn search_cli(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+    let flags = Flags::parse(SEARCH_FLAGS, args)?;
+    let bodies: usize = flags.value("--bodies")?.unwrap_or(64);
+    let shards: usize = flags.value("--shards")?.unwrap_or(2);
+    let spool = flags
+        .value("--spool")?
+        .unwrap_or_else(|| PathBuf::from("search-spool/walkthrough"));
+    let budget = flags.value("--budget")?;
+    let strategy = flags
+        .tag("--strategy", &STRATEGIES, strategy_tag)?
+        .unwrap_or(SearchStrategy::ExhaustiveGrid);
+    let population = flags
+        .tag("--population", &PopulationSpec::ALL, PopulationSpec::tag)?
+        .unwrap_or(PopulationSpec::Mixed);
+    let horizon_s = check_horizon("--horizon-s", flags.value("--horizon-s")?.unwrap_or(0.25))?;
 
     let spec = SearchSpec::new(
         base_spec(bodies, TimeSpan::from_seconds(horizon_s), population),
@@ -294,7 +286,7 @@ usage: fleet_search --search [--bodies <n>] [--shards <k>] [--spool <dir>]
         Ok(worker) => worker,
         Err(error) => {
             eprintln!("cannot locate own executable: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let executor = ProcessExecutor::new(worker);
@@ -308,7 +300,7 @@ usage: fleet_search --search [--bodies <n>] [--shards <k>] [--spool <dir>]
         Ok(run) => run,
         Err(error) => {
             eprintln!("search failed: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!(
@@ -327,7 +319,7 @@ usage: fleet_search --search [--bodies <n>] [--shards <k>] [--spool <dir>]
         println!("\nPareto frontier (fleet energy vs worst-body p95):");
         print_frontier(&frontier_rows(&run, &space));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -336,7 +328,8 @@ fn main() -> ExitCode {
         return hidwa_core::fleet::driver::worker_main(args.skip(1));
     }
     if args.peek().map(String::as_str) == Some("--search") {
-        return search_cli(args.skip(1));
+        return search_cli(args.skip(1))
+            .unwrap_or_else(|message| usage_error(SEARCH_USAGE, &message));
     }
 
     let bodies = (env_f64("HIDWA_BENCH_SEARCH_BODIES", 48.0) as usize).max(8);

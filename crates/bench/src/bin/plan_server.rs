@@ -8,7 +8,7 @@
 //! counter summary and exits 0.
 //!
 //! ```text
-//! plan_server [--addr <host:port>] [--no-cache] [--cache-capacity <n>]
+//! plan_server [--addr <host:port>] [--no-cache | --cache-capacity <n>]
 //!             [--threads <n|legacy>] [--runner <n>] [--idle-timeout-ms <n>]
 //! ```
 //!
@@ -17,7 +17,10 @@
 //! thread-per-connection escape hatch.  `--runner` sizes the sweep runner
 //! that evaluates cache misses, `--cache-capacity` bounds the plan cache
 //! with CLOCK eviction, and `--idle-timeout-ms` tunes (or `0` disables) the
-//! mid-frame stall guard that drops slow-loris connections.
+//! mid-frame stall guard that drops slow-loris connections.  `--no-cache`
+//! and `--cache-capacity` are mutually exclusive.  A bad invocation exits 2
+//! with the usage on stderr before the address is bound; `--help` prints
+//! the usage on stdout and exits 0.
 //!
 //! Shutdown is part of the protocol rather than a signal: a std-only binary
 //! cannot install signal handlers without extra dependencies, so any client
@@ -25,72 +28,60 @@
 //! cleanly, and the acknowledgement (`Bye`) confirms the counters printed
 //! below are final.
 
+use hidwa_core::flags::{usage_error, Flags};
 use hidwa_core::serve::{PlanServer, PlanService, ServeConfig, ThreadModel};
 use hidwa_core::sweep::SweepRunner;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: plan_server [--addr <host:port>] [--no-cache] \
-                     [--cache-capacity <n>] [--threads <n|legacy>] [--runner <n>] \
-                     [--idle-timeout-ms <n>]";
+const USAGE: &str = "usage: plan_server [--addr <host:port>] [--no-cache | --cache-capacity <n>] \
+                     [--threads <n|legacy>] [--runner <n>] [--idle-timeout-ms <n>]";
+
+const FLAGS: &str =
+    "--addr= --no-cache --cache-capacity= --threads= --runner= --idle-timeout-ms= --help -h";
 
 fn main() -> ExitCode {
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut cache = true;
-    let mut cache_capacity: Option<usize> = None;
-    let mut runner: Option<usize> = None;
-    let mut config = ServeConfig::default();
+    serve(std::env::args().skip(1))
+        .unwrap_or_else(|message| usage_error(USAGE, &format!("plan_server: {message}")))
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--addr" => match args.next() {
-                Some(value) => addr = value,
-                None => return usage_error("--addr needs a value"),
-            },
-            "--no-cache" => cache = false,
-            "--cache-capacity" => match args.next().and_then(|raw| raw.parse().ok()) {
-                Some(value) => cache_capacity = Some(value),
-                None => return usage_error("--cache-capacity needs a positive integer"),
-            },
-            "--threads" => match args.next().as_deref() {
-                Some("legacy") => config.threads = ThreadModel::Legacy,
-                Some(raw) => match raw.parse::<usize>().ok().filter(|&n| n > 0) {
-                    Some(event_loops) => config.threads = ThreadModel::Reactor { event_loops },
-                    None => return usage_error("--threads needs a positive integer or `legacy`"),
-                },
-                None => return usage_error("--threads needs a value"),
-            },
-            "--runner" => match args.next().and_then(|raw| raw.parse().ok()) {
-                Some(value) => runner = Some(value),
-                None => return usage_error("--runner needs a positive integer"),
-            },
-            "--idle-timeout-ms" => match args.next().and_then(|raw| raw.parse::<u64>().ok()) {
-                Some(0) => config.idle_timeout = None,
-                Some(ms) => config.idle_timeout = Some(Duration::from_millis(ms)),
-                None => return usage_error("--idle-timeout-ms needs an integer (0 disables)"),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown flag {other}")),
-        }
+/// Serves until a client sends the shutdown envelope.  `Err` is a usage
+/// error, raised before the address is bound.
+fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
+    let flags = Flags::parse(FLAGS, args)?;
+    if flags.has("--help") || flags.has("-h") {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
     }
-
+    flags.exclusive("--no-cache", "--cache-capacity")?;
+    let addr = flags.raw("--addr").unwrap_or("127.0.0.1:0");
+    let cache_capacity: Option<usize> = flags.value("--cache-capacity")?;
+    let mut config = ServeConfig::default();
+    if flags.raw("--threads") == Some("legacy") {
+        config.threads = ThreadModel::Legacy;
+    } else if let Some(event_loops) = flags.value::<NonZeroUsize>("--threads")? {
+        config.threads = ThreadModel::Reactor {
+            event_loops: event_loops.get(),
+        };
+    }
+    if let Some(ms) = flags.value("--idle-timeout-ms")? {
+        config.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+    }
+    let cache = !flags.has("--no-cache");
     let mut service = PlanService::new().with_cache(cache);
     if let Some(capacity) = cache_capacity {
         service = service.with_cache_capacity(capacity);
     }
-    if let Some(runner) = runner {
+    if let Some(runner) = flags.value("--runner")? {
         service = service.with_runner(SweepRunner::with_threads(runner));
     }
 
-    let server = match PlanServer::bind_with(addr.as_str(), service, config) {
+    let server = match PlanServer::bind_with(addr, service, config) {
         Ok(server) => server,
         Err(error) => {
             eprintln!("plan_server: cannot bind {addr}: {error}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("listening on {}", server.addr());
@@ -123,11 +114,5 @@ fn main() -> ExitCode {
         stats.cached_plans,
         stats.cache_evictions
     );
-    ExitCode::SUCCESS
-}
-
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("plan_server: {message}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
+    Ok(ExitCode::SUCCESS)
 }

@@ -6,7 +6,7 @@
 
 use hidwa_core::fleet::driver::transport::{SocketHub, Transport};
 use hidwa_core::fleet::driver::{
-    DriverFleetSpec, FleetDriver, PopulationSpec, ProcessExecutor, WorkerCommand,
+    DriverError, DriverFleetSpec, FleetDriver, PopulationSpec, ProcessExecutor, WorkerCommand,
     SIMULATED_CRASH_EXIT,
 };
 use hidwa_core::fleet::{FleetAggregator, FleetCheckpoint};
@@ -179,6 +179,30 @@ fn worker_rejects_malformed_invocations_with_usage() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown flag"), "stderr was: {stderr}");
+}
+
+#[test]
+fn a_worker_usage_error_reaches_the_driver_error() {
+    let spec = small_spec(4, 3);
+    let driver = FleetDriver::new(spec, 1);
+    let dir = spool_dir("usage");
+    let spool = driver.spool_in(&dir).expect("spool");
+    let executor = ProcessExecutor::new(WorkerCommand::new(worker_bin()).arg("--frobnicate"));
+    let error = driver
+        .run(&executor, &spool)
+        .expect_err("no worker can start");
+    std::fs::remove_dir_all(&dir).ok();
+    let DriverError::Exhausted { last, .. } = error else {
+        panic!("expected Exhausted, got {error}");
+    };
+    match *last {
+        DriverError::Worker {
+            code: Some(2),
+            ref stderr,
+            ..
+        } => assert!(stderr.contains("unknown flag"), "stderr tail: {stderr}"),
+        other => panic!("expected a usage exit, got {other}"),
+    }
 }
 
 #[test]

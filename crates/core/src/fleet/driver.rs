@@ -70,9 +70,11 @@ use super::checkpoint::{CheckpointError, FleetCheckpoint};
 use super::placement::ChurnSpec;
 use super::shard::ShardPlan;
 use super::{FleetAggregator, FleetConfig, FleetReport};
+use crate::flags::Flags;
 use crate::population::{LinkCache, PopulationModel};
 use crate::sealed::fnv1a64;
 use crate::sweep::SweepRunner;
+use bytes::Bytes;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
 use std::ops::Range;
@@ -110,19 +112,8 @@ pub fn mac_tag(policy: MacPolicy) -> &'static str {
     }
 }
 
-/// Parses a `--mac` flag value.
-///
-/// # Errors
-/// A human-readable message for an unknown tag.
-pub fn parse_mac_tag(tag: &str) -> Result<MacPolicy, String> {
-    match tag {
-        "tdma" => Ok(MacPolicy::Tdma),
-        "polling" => Ok(MacPolicy::Polling),
-        other => Err(format!(
-            "unknown MAC policy {other:?} (expected \"tdma\" or \"polling\")"
-        )),
-    }
-}
+/// Every value `--mac` accepts.
+const MAC_POLICIES: [MacPolicy; 2] = [MacPolicy::Tdma, MacPolicy::Polling];
 
 /// The `--radio` flag tag of a [`RadioTechnology`].
 #[must_use]
@@ -135,20 +126,23 @@ pub fn radio_tag(technology: RadioTechnology) -> &'static str {
     }
 }
 
-/// Parses a `--radio` flag value.
+/// Every value `--radio` accepts.
+const RADIOS: [RadioTechnology; 4] = [
+    RadioTechnology::WiR,
+    RadioTechnology::Ble,
+    RadioTechnology::Nfmi,
+    RadioTechnology::WiFi,
+];
+
+/// The check every CLI applies to a horizon flag (`--horizon-s`, and the
+/// worker's `--horizon-bits`): a finite, non-negative number of seconds.
 ///
 /// # Errors
-/// A human-readable message for an unknown tag.
-pub fn parse_radio_tag(tag: &str) -> Result<RadioTechnology, String> {
-    match tag {
-        "wi-r" => Ok(RadioTechnology::WiR),
-        "ble" => Ok(RadioTechnology::Ble),
-        "nfmi" => Ok(RadioTechnology::Nfmi),
-        "wifi" => Ok(RadioTechnology::WiFi),
-        other => Err(format!(
-            "unknown radio {other:?} (expected \"wi-r\", \"ble\", \"nfmi\" or \"wifi\")"
-        )),
-    }
+/// `<flag> must be a finite non-negative duration`.
+pub fn check_horizon(flag: &str, seconds: f64) -> Result<f64, String> {
+    (seconds.is_finite() && seconds >= 0.0)
+        .then_some(seconds)
+        .ok_or_else(|| format!("{flag} must be a finite non-negative duration"))
 }
 
 /// Why a driver run (or a worker invocation) failed.
@@ -287,26 +281,15 @@ pub enum PopulationSpec {
 }
 
 impl PopulationSpec {
+    /// Every named population, in `--population` tag order.
+    pub const ALL: [Self; 2] = [Self::Uniform, Self::Mixed];
+
     /// The flag value naming this population (`--population <tag>`).
     #[must_use]
     pub fn tag(self) -> &'static str {
         match self {
             Self::Uniform => "uniform",
             Self::Mixed => "mixed",
-        }
-    }
-
-    /// Parses a `--population` flag value.
-    ///
-    /// # Errors
-    /// [`DriverError::Usage`] for an unknown tag.
-    pub fn parse(tag: &str) -> Result<Self, DriverError> {
-        match tag {
-            "uniform" => Ok(Self::Uniform),
-            "mixed" => Ok(Self::Mixed),
-            other => Err(DriverError::Usage(format!(
-                "unknown population {other:?} (expected \"uniform\" or \"mixed\")"
-            ))),
         }
     }
 }
@@ -525,6 +508,49 @@ impl DriverFleetSpec {
         }
     }
 
+    /// Reads the spec from the worker's spec flags; a CLI whose table lists
+    /// only some of them (`fleet_driver`) gets the defaults for the rest.
+    ///
+    /// # Errors
+    /// The usage error of a malformed or conflicting flag.
+    pub fn from_flags(flags: &Flags) -> Result<Self, String> {
+        flags.exclusive("--horizon-s", "--horizon-bits")?;
+        flags.exclusive("--traffic-scale", "--traffic-scale-bits")?;
+        let mut spec = Self::new(flags.required("--bodies")?);
+        if let Some(base_seed) = flags.value("--base-seed")? {
+            spec.base_seed = base_seed;
+        }
+        if let Some(seconds) = flags.value("--horizon-s")? {
+            spec.horizon_bits = check_horizon("--horizon-s", seconds)?.to_bits();
+        }
+        if let Some(bits) = flags.value("--horizon-bits")? {
+            spec.horizon_bits = check_horizon("--horizon-bits", f64::from_bits(bits))?.to_bits();
+        }
+        if let Some(top_k) = flags.value("--top-k")? {
+            spec = spec.with_top_k(top_k);
+        }
+        let population = flags.tag("--population", &PopulationSpec::ALL, PopulationSpec::tag)?;
+        spec.population = population.unwrap_or(spec.population);
+        spec.mac = flags.tag("--mac", &MAC_POLICIES, mac_tag)?;
+        spec.radio = flags.tag("--radio", &RADIOS, radio_tag)?;
+        let positive = |flag: &str, factor: f64| {
+            (factor.is_finite() && factor > 0.0)
+                .then_some(factor.to_bits())
+                .ok_or_else(|| format!("{flag} must be a finite positive factor"))
+        };
+        if let Some(factor) = flags.value("--traffic-scale")? {
+            spec.traffic_scale_bits = positive("--traffic-scale", factor)?;
+        }
+        if let Some(bits) = flags.value("--traffic-scale-bits")? {
+            spec.traffic_scale_bits = positive("--traffic-scale-bits", f64::from_bits(bits))?;
+        }
+        spec.churn = flags
+            .raw("--churn")
+            .map(ChurnSpec::parse_flag)
+            .transpose()?;
+        Ok(spec)
+    }
+
     /// The standard worker CLI flags for folding `shard` of this fleet —
     /// transport flags (see [`Transport::worker_flags`]) come on top.
     #[must_use]
@@ -634,165 +660,51 @@ pub struct WorkerRequest {
     pub fail_with_partial: bool,
 }
 
+/// The worker CLI's flag table (reference in `DEPLOYMENT.md`).
+const WORKER_FLAGS: &str = "--bodies= --base-seed= --horizon-s= --horizon-bits= --top-k= \
+    --population= --mac= --radio= --traffic-scale= --traffic-scale-bits= --churn= \
+    --shard-index= --shard-start= --shard-end= --spool= --connect= --threads= \
+    --fail-after-bodies= --fail-with-partial";
+
 impl WorkerRequest {
     /// Parses the worker CLI flags (everything after the program name /
     /// `--worker` subcommand).
     ///
     /// # Errors
-    /// [`DriverError::Usage`] describing the first malformed, missing or
-    /// unknown flag.
+    /// [`DriverError::Usage`] describing a malformed, missing, unknown or
+    /// conflicting flag.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, DriverError> {
-        let mut args = args.into_iter();
-        let mut bodies = None;
-        let mut base_seed = None;
-        let mut horizon_bits = None;
-        let mut top_k = None;
-        let mut population = None;
-        let mut mac = None;
-        let mut radio = None;
-        let mut traffic_scale_bits = None;
-        let mut churn = None;
-        let mut shard_index = None;
-        let mut shard_start = None;
-        let mut shard_end = None;
-        let mut spool: Option<PathBuf> = None;
-        let mut connect: Option<String> = None;
-        let mut threads = 1usize;
-        let mut fail_after = None;
-        let mut fail_with_partial = false;
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--bodies" => bodies = Some(parse_value(&flag, args.next())?),
-                "--base-seed" => base_seed = Some(parse_value(&flag, args.next())?),
-                "--horizon-bits" => horizon_bits = Some(parse_value(&flag, args.next())?),
-                "--horizon-s" => {
-                    let seconds: f64 = parse_value(&flag, args.next())?;
-                    if !(seconds.is_finite() && seconds >= 0.0) {
-                        return Err(DriverError::Usage(
-                            "--horizon-s must be a finite non-negative duration".into(),
-                        ));
-                    }
-                    horizon_bits = Some(seconds.to_bits());
-                }
-                "--top-k" => top_k = Some(parse_value(&flag, args.next())?),
-                "--population" => {
-                    population = Some(PopulationSpec::parse(&require_value(&flag, args.next())?)?);
-                }
-                "--mac" => {
-                    let value = require_value(&flag, args.next())?;
-                    mac = Some(parse_mac_tag(&value).map_err(DriverError::Usage)?);
-                }
-                "--radio" => {
-                    let value = require_value(&flag, args.next())?;
-                    radio = Some(parse_radio_tag(&value).map_err(DriverError::Usage)?);
-                }
-                "--traffic-scale" => {
-                    let factor: f64 = parse_value(&flag, args.next())?;
-                    if !(factor.is_finite() && factor > 0.0) {
-                        return Err(DriverError::Usage(
-                            "--traffic-scale must be a finite positive factor".into(),
-                        ));
-                    }
-                    traffic_scale_bits = Some(factor.to_bits());
-                }
-                "--traffic-scale-bits" => {
-                    let bits: u64 = parse_value(&flag, args.next())?;
-                    let factor = f64::from_bits(bits);
-                    if !(factor.is_finite() && factor > 0.0) {
-                        return Err(DriverError::Usage(
-                            "--traffic-scale-bits do not encode a finite positive factor".into(),
-                        ));
-                    }
-                    traffic_scale_bits = Some(bits);
-                }
-                "--churn" => {
-                    let value = require_value(&flag, args.next())?;
-                    churn = Some(ChurnSpec::parse_flag(&value).map_err(DriverError::Usage)?);
-                }
-                "--shard-index" => shard_index = Some(parse_value(&flag, args.next())?),
-                "--shard-start" => shard_start = Some(parse_value(&flag, args.next())?),
-                "--shard-end" => shard_end = Some(parse_value(&flag, args.next())?),
-                "--spool" => spool = Some(PathBuf::from(require_value(&flag, args.next())?)),
-                "--connect" => connect = Some(require_value(&flag, args.next())?),
-                "--threads" => threads = parse_value::<usize>(&flag, args.next())?.max(1),
-                "--fail-after-bodies" => fail_after = Some(parse_value(&flag, args.next())?),
-                "--fail-with-partial" => fail_with_partial = true,
-                other => {
-                    return Err(DriverError::Usage(format!("unknown flag {other:?}")));
-                }
-            }
-        }
-        let bodies = bodies.ok_or_else(|| DriverError::Usage("--bodies is required".into()))?;
-        let mut spec = DriverFleetSpec::new(bodies);
-        if let Some(base_seed) = base_seed {
-            spec = spec.with_base_seed(base_seed);
-        }
-        if let Some(bits) = horizon_bits {
-            let seconds = f64::from_bits(bits);
-            if !(seconds.is_finite() && seconds >= 0.0) {
-                return Err(DriverError::Usage(
-                    "--horizon-bits do not encode a finite non-negative duration".into(),
-                ));
-            }
-            spec.horizon_bits = bits;
-        }
-        if let Some(top_k) = top_k {
-            spec = spec.with_top_k(top_k);
-        }
-        if let Some(population) = population {
-            spec = spec.with_population(population);
-        }
-        if let Some(mac) = mac {
-            spec = spec.with_mac(mac);
-        }
-        if let Some(radio) = radio {
-            spec = spec.with_radio(radio);
-        }
-        if let Some(bits) = traffic_scale_bits {
-            spec.traffic_scale_bits = bits;
-        }
-        if let Some(churn) = churn {
-            spec = spec.with_churn(churn);
-        }
+        let flags = Flags::parse(WORKER_FLAGS, args).map_err(DriverError::Usage)?;
+        Self::from_flags(&flags).map_err(DriverError::Usage)
+    }
+
+    fn from_flags(flags: &Flags) -> Result<Self, String> {
+        flags.exclusive("--spool", "--connect")?;
+        flags.needs("--fail-with-partial", "--spool")?;
+        let spec = DriverFleetSpec::from_flags(flags)?;
         let shard = ShardAssignment {
-            index: shard_index
-                .ok_or_else(|| DriverError::Usage("--shard-index is required".into()))?,
-            start: shard_start
-                .ok_or_else(|| DriverError::Usage("--shard-start is required".into()))?,
-            end: shard_end.ok_or_else(|| DriverError::Usage("--shard-end is required".into()))?,
+            index: flags.required("--shard-index")?,
+            start: flags.required("--shard-start")?,
+            end: flags.required("--shard-end")?,
         };
-        if shard.start > shard.end || shard.end > bodies {
-            return Err(DriverError::Usage(format!(
-                "shard range {}..{} does not fit the {bodies}-body fleet",
-                shard.start, shard.end
-            )));
-        }
-        let transport = match (spool, connect) {
-            (Some(dir), None) => WorkerTransport::Spool(dir),
-            (None, Some(addr)) => WorkerTransport::Connect(addr),
-            (None, None) => {
-                return Err(DriverError::Usage(
-                    "one of --spool or --connect is required".into(),
-                ));
-            }
-            (Some(_), Some(_)) => {
-                return Err(DriverError::Usage(
-                    "--spool and --connect are mutually exclusive".into(),
-                ));
-            }
-        };
-        if fail_with_partial && !matches!(transport, WorkerTransport::Spool(_)) {
-            return Err(DriverError::Usage(
-                "--fail-with-partial requires --spool".into(),
+        if shard.start > shard.end || shard.end > spec.bodies {
+            return Err(format!(
+                "shard range {}..{} does not fit the {}-body fleet",
+                shard.start, shard.end, spec.bodies
             ));
         }
+        let transport = match (flags.value("--spool")?, flags.raw("--connect")) {
+            (Some(dir), _) => WorkerTransport::Spool(dir),
+            (None, Some(addr)) => WorkerTransport::Connect(addr.to_string()),
+            (None, None) => return Err("one of --spool or --connect is required".into()),
+        };
         Ok(Self {
             spec,
             shard,
             transport,
-            threads,
-            fail_after,
-            fail_with_partial,
+            threads: flags.value("--threads")?.unwrap_or(1usize).max(1),
+            fail_after: flags.value("--fail-after-bodies")?,
+            fail_with_partial: flags.has("--fail-with-partial"),
         })
     }
 
@@ -802,53 +714,58 @@ impl WorkerRequest {
     /// [`DriverError`] when the spool/socket transport cannot be constructed
     /// or the publish fails.
     pub fn run(&self) -> Result<WorkerOutcome, DriverError> {
-        let runner = SweepRunner::with_threads(self.threads);
-        let config = self.spec.to_config();
-        let links = LinkCache::for_population(config.population());
-        let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
         if let Some(fail_after) = self.fail_after {
             // Deterministic stand-in for a mid-shard kill: fold a prefix,
             // publish nothing complete, die with the simulated-crash code.
             let stop = (self.shard.start + fail_after).min(self.shard.end);
-            config.fold_range(&runner, &links, &mut partial, self.shard.start..stop);
-            if self.fail_with_partial {
-                if let WorkerTransport::Spool(dir) = &self.transport {
-                    let spool = SpoolTransport::create(dir).map_err(TransportError::Io)?;
-                    let blob = FleetCheckpoint::capture(&config, &partial, stop).save();
-                    spool
-                        .write_partial(self.shard.index, &blob)
-                        .map_err(TransportError::Io)?;
-                }
+            let blob = fold(&self.spec, self.shard.start..stop, self.threads);
+            if let (true, WorkerTransport::Spool(dir)) = (self.fail_with_partial, &self.transport) {
+                SpoolTransport::create(dir)
+                    .and_then(|spool| spool.write_partial(self.shard.index, &blob))
+                    .map_err(TransportError::Io)?;
             }
             return Ok(WorkerOutcome::SimulatedCrash);
         }
-        config.fold_range(&runner, &links, &mut partial, self.shard.range());
-        let blob = FleetCheckpoint::capture(&config, &partial, self.shard.end).save();
-        match &self.transport {
+        let transport: Box<dyn Transport> = match &self.transport {
             WorkerTransport::Spool(dir) => {
-                let spool = SpoolTransport::create(dir).map_err(TransportError::Io)?;
-                spool.publish(self.shard.index, &blob)?;
+                Box::new(SpoolTransport::create(dir).map_err(TransportError::Io)?)
             }
-            WorkerTransport::Connect(addr) => {
-                SocketPublisher::new(addr.clone()).publish(self.shard.index, &blob)?;
-            }
-        }
+            WorkerTransport::Connect(addr) => Box::new(SocketPublisher::new(addr.clone())),
+        };
         Ok(WorkerOutcome::Completed {
             bodies: self.shard.end - self.shard.start,
-            blob_bytes: blob.len(),
+            blob_bytes: fold_and_publish(&self.spec, &self.shard, self.threads, &*transport)?,
         })
     }
 }
 
-fn require_value(flag: &str, value: Option<String>) -> Result<String, DriverError> {
-    value.ok_or_else(|| DriverError::Usage(format!("{flag} needs a value")))
+/// Folds `range` of `spec`'s fleet on a `threads`-wide runner and seals the
+/// partial as a checkpoint blob.
+fn fold(spec: &DriverFleetSpec, range: Range<usize>, threads: usize) -> Bytes {
+    let config = spec.to_config();
+    let links = LinkCache::for_population(config.population());
+    let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
+    let end = range.end;
+    config.fold_range(
+        &SweepRunner::with_threads(threads),
+        &links,
+        &mut partial,
+        range,
+    );
+    FleetCheckpoint::capture(&config, &partial, end).save()
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, DriverError> {
-    let value = require_value(flag, value)?;
-    value
-        .parse()
-        .map_err(|_| DriverError::Usage(format!("{flag} could not parse {value:?}")))
+/// The one fold-and-publish path of every worker, in-process or not: folds
+/// `shard` and publishes its blob on `transport`.  Returns the blob size.
+fn fold_and_publish(
+    spec: &DriverFleetSpec,
+    shard: &ShardAssignment,
+    threads: usize,
+    transport: &dyn Transport,
+) -> Result<usize, DriverError> {
+    let blob = fold(spec, shard.range(), threads);
+    transport.publish(shard.index, &blob)?;
+    Ok(blob.len())
 }
 
 /// Ready-made `main` body for worker binaries: parse, run, map outcomes to
@@ -863,11 +780,7 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Resul
 pub fn worker_main(args: impl IntoIterator<Item = String>) -> std::process::ExitCode {
     let request = match WorkerRequest::parse(args) {
         Ok(request) => request,
-        Err(error) => {
-            eprintln!("{error}");
-            eprintln!("{WORKER_USAGE}");
-            return std::process::ExitCode::from(2);
-        }
+        Err(error) => return crate::flags::usage_error(WORKER_USAGE, &error.to_string()),
     };
     match request.run() {
         Ok(WorkerOutcome::Completed { bodies, blob_bytes }) => {
@@ -951,33 +864,7 @@ impl ShardExecutor for InProcessExecutor {
         _attempt: usize,
         transport: &dyn Transport,
     ) -> Result<(), DriverError> {
-        WorkerRequest {
-            spec: spec.clone(),
-            shard: shard.clone(),
-            // The request publishes through `transport` below, not through
-            // a parsed transport spec; give it a placeholder it never uses.
-            transport: WorkerTransport::Spool(PathBuf::new()),
-            threads: self.threads,
-            fail_after: None,
-            fail_with_partial: false,
-        }
-        .fold_and_publish_on(transport)
-    }
-}
-
-impl WorkerRequest {
-    /// Folds the range and publishes on an already-constructed transport
-    /// (the in-process path; [`run`](Self::run) is the CLI path that builds
-    /// the transport from flags).
-    fn fold_and_publish_on(&self, transport: &dyn Transport) -> Result<(), DriverError> {
-        let runner = SweepRunner::with_threads(self.threads);
-        let config = self.spec.to_config();
-        let links = LinkCache::for_population(config.population());
-        let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
-        config.fold_range(&runner, &links, &mut partial, self.shard.range());
-        let blob = FleetCheckpoint::capture(&config, &partial, self.shard.end).save();
-        transport.publish(self.shard.index, &blob)?;
-        Ok(())
+        fold_and_publish(spec, shard, self.threads, transport).map(drop)
     }
 }
 
@@ -1581,6 +1468,21 @@ mod tests {
             "--connect",
             "127.0.0.1:1",
         ]); // both transports
+        let shard = "--bodies 10 --shard-index 0 --shard-start 0 --shard-end 5 --spool /tmp/x";
+        // Two spellings of one value conflict; the later one does not win.
+        let pairs = [
+            ["--horizon-s", "--horizon-bits"],
+            ["--traffic-scale", "--traffic-scale-bits"],
+        ];
+        for [a, b] in pairs {
+            let args = format!("{shard} {a} 1 {b} {}", 1.0f64.to_bits());
+            match WorkerRequest::parse(args.split(' ').map(String::from)) {
+                Err(DriverError::Usage(message)) => {
+                    assert!(message.contains(a) && message.contains(b), "{message}");
+                }
+                other => panic!("expected a conflict for {args}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! into the one value a [`FleetConfig`](super::FleetConfig) (and the
 //! process-boundary [`DriverFleetSpec`](super::DriverFleetSpec)) carries.
 
+use crate::flags::parse_tag;
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use crate::population::{BodyScenario, ChurnModel, ChurnSample};
 use hidwa_isa::models::{self, WearableModel};
@@ -188,6 +189,13 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// Every built-in policy, in tag order.
+    pub const ALL: [Self; 3] = [
+        Self::StaticAtAdmission,
+        Self::ReoptimizeOnChange,
+        Self::Hysteresis,
+    ];
+
     /// The flag/row tag naming this policy.
     #[must_use]
     pub fn tag(self) -> &'static str {
@@ -195,22 +203,6 @@ impl PolicyKind {
             Self::StaticAtAdmission => "static-at-admission",
             Self::ReoptimizeOnChange => "reoptimize-on-change",
             Self::Hysteresis => "hysteresis",
-        }
-    }
-
-    /// Parses a policy tag.
-    ///
-    /// # Errors
-    /// A human-readable message for an unknown tag.
-    pub fn parse(tag: &str) -> Result<Self, String> {
-        match tag {
-            "static-at-admission" | "static" => Ok(Self::StaticAtAdmission),
-            "reoptimize-on-change" | "reoptimize" => Ok(Self::ReoptimizeOnChange),
-            "hysteresis" => Ok(Self::Hysteresis),
-            other => Err(format!(
-                "unknown placement policy {other:?} (expected \
-                 \"static-at-admission\", \"reoptimize-on-change\" or \"hysteresis\")"
-            )),
         }
     }
 }
@@ -371,9 +363,9 @@ impl ChurnSpec {
             .parse()
             .map_err(|_| "churn field epochs is not a u32".to_string())?;
         let fade = bits(parts[4], "link-fade")?;
-        let policy = PolicyKind::parse(parts[5])?;
+        let policy = parse_tag("churn policy", &PolicyKind::ALL, PolicyKind::tag, parts[5])?;
         let threshold = bits(parts[6], "hysteresis-threshold")?;
-        let objective = parse_objective_tag(parts[7])?;
+        let objective = parse_tag("churn objective", &OBJECTIVES, objective_tag, parts[7])?;
         let migration_cost = bits(parts[8], "migration-cost")?;
         if migration_cost < 0.0 {
             return Err("churn field migration-cost is negative".to_string());
@@ -408,20 +400,12 @@ pub fn objective_tag(objective: Objective) -> &'static str {
     }
 }
 
-/// Parses an objective tag.
-///
-/// # Errors
-/// A human-readable message for an unknown tag.
-pub fn parse_objective_tag(tag: &str) -> Result<Objective, String> {
-    match tag {
-        "leaf-energy" => Ok(Objective::LeafEnergy),
-        "latency" => Ok(Objective::Latency),
-        "edp" => Ok(Objective::EnergyDelayProduct),
-        other => Err(format!(
-            "unknown objective {other:?} (expected \"leaf-energy\", \"latency\" or \"edp\")"
-        )),
-    }
-}
+/// Every objective the `--churn` encoding names.
+const OBJECTIVES: [Objective; 3] = [
+    Objective::LeafEnergy,
+    Objective::Latency,
+    Objective::EnergyDelayProduct,
+];
 
 /// The wearable model a body's archetype runs — the workload the placement
 /// layer partitions.  Archetype names come from
@@ -622,10 +606,11 @@ mod tests {
         for bad in [
             "",
             "1:2:3",
-            "x:0:0:4:0:static:0:edp:0",
+            "x:0:0:4:0:hysteresis:0:edp:0",
             "0:0:0:4:0:warp:0:edp:0",
-            "0:0:0:4:0:static:0:speed:0",
-            "0:0:0:nope:0:static:0:edp:0",
+            "0:0:0:4:0:static:0:edp:0",
+            "0:0:0:4:0:hysteresis:0:speed:0",
+            "0:0:0:nope:0:hysteresis:0:edp:0",
         ] {
             assert!(ChurnSpec::parse_flag(bad).is_err(), "accepted {bad:?}");
         }
@@ -633,15 +618,14 @@ mod tests {
 
     #[test]
     fn policy_tags_round_trip() {
-        for kind in [
-            PolicyKind::StaticAtAdmission,
-            PolicyKind::ReoptimizeOnChange,
-            PolicyKind::Hysteresis,
-        ] {
-            assert_eq!(PolicyKind::parse(kind.tag()).unwrap(), kind);
+        let parse = |tag| parse_tag("policy", &PolicyKind::ALL, PolicyKind::tag, tag);
+        for kind in PolicyKind::ALL {
+            assert_eq!(parse(kind.tag()), Ok(kind));
             assert_eq!(kind.to_string(), kind.tag());
         }
-        assert!(PolicyKind::parse("best-fit").is_err());
+        for retired in ["best-fit", "static", "reoptimize"] {
+            assert!(parse(retired).is_err(), "accepted {retired:?}");
+        }
     }
 
     #[test]

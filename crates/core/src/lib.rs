@@ -33,6 +33,8 @@
 //!   coordinate-descent strategies, and a sealed resumable index of
 //!   completed evaluations (the production question "which config do we
 //!   ship to the fleet").
+//! * [`flags`] — the one command-line flag parser and tag lookup under the
+//!   worker protocol and every CLI.
 //! * [`sealed`] — the one sealed binary envelope (magic, version, body,
 //!   FNV-1a 64 seal) under the checkpoint, search-index and serve formats.
 //! * [`wire`] — the length-prefixed socket framing shared by the fleet blob
@@ -81,6 +83,7 @@
 pub mod arch;
 pub mod devices;
 mod error;
+pub mod flags;
 pub mod fleet;
 pub mod partition;
 pub mod population;

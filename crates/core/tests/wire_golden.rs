@@ -1,6 +1,8 @@
 //! Golden wire bytes of the three sealed formats: fleet checkpoints
 //! (`HIDWAFLT`), the search index (`HIDWASRC`) and plan-server envelopes
-//! (`HIDWAPLQ`/`HIDWAPLR`).
+//! (`HIDWAPLQ`/`HIDWAPLR`), plus the worker CLI arguments and the
+//! fingerprints the flag tags feed (they cross process and disk boundaries
+//! too).
 //!
 //! Round-trip tests cannot catch a layout change made on both the encode
 //! and the decode side; these pins can.  Small blobs are pinned in full,
@@ -8,9 +10,14 @@
 //! every preceding byte).  Every fixture is built from fixed values — no
 //! simulation — so the bytes cannot move with the platform's libm.
 
-use hidwa_core::fleet::driver::DriverFleetSpec;
-use hidwa_core::fleet::{BodySummary, FleetAggregator, FleetCheckpoint, FleetConfig};
+use hidwa_core::fleet::driver::{
+    run_fingerprint, DriverFleetSpec, PopulationSpec, ShardAssignment,
+};
+use hidwa_core::fleet::{
+    BodySummary, ChurnSpec, FleetAggregator, FleetCheckpoint, FleetConfig, PolicyKind,
+};
 use hidwa_core::partition::Objective;
+use hidwa_core::population::ChurnModel;
 use hidwa_core::search::{EvaluationOutcome, ObjectiveSpace, SearchCheckpoint, SearchSpec};
 use hidwa_core::serve::codec::{
     self, ModelId, PlanRequest, ProjectionRequest, Request, Response, WireContext, WireLink,
@@ -220,4 +227,107 @@ fn shutdown_and_bye_envelopes() {
             "5bac9e16a8614982", // seal
         ),
     );
+}
+
+/// A spec that sets every tagged worker flag: mixed population, TDMA, Wi-Fi,
+/// doubled traffic and a reoptimize-on-change churn spec (default `edp`
+/// objective).
+fn tagged_spec() -> DriverFleetSpec {
+    DriverFleetSpec::new(40)
+        .with_base_seed(0x5EED)
+        .with_horizon(horizon())
+        .with_population(PopulationSpec::Mixed)
+        .with_mac(MacPolicy::Tdma)
+        .with_radio(RadioTechnology::WiFi)
+        .with_traffic_scale(2.0)
+        .with_churn(ChurnSpec::new(
+            ChurnModel::with_rate(0.25).with_link_fade(0.5),
+            PolicyKind::ReoptimizeOnChange,
+        ))
+}
+
+#[test]
+fn worker_args_of_a_tagged_spec() {
+    let shard = ShardAssignment {
+        index: 1,
+        start: 16,
+        end: 40,
+    };
+    let churn = concat!(
+        "4598175219545276416:4603129179135383962:4606732058837280358:4:",
+        "4602678819172646912:reoptimize-on-change:4591870180066957722:edp:",
+        "4576918229304087675",
+    );
+    assert_eq!(
+        tagged_spec().worker_args(&shard),
+        [
+            "--base-seed",
+            "24301",
+            "--bodies",
+            "40",
+            "--horizon-bits",
+            "4602678819172646912",
+            "--top-k",
+            "8",
+            "--population",
+            "mixed",
+            "--mac",
+            "tdma",
+            "--radio",
+            "wifi",
+            "--traffic-scale-bits",
+            "4611686018427387904",
+            "--churn",
+            churn,
+            "--shard-index",
+            "1",
+            "--shard-start",
+            "16",
+            "--shard-end",
+            "40",
+        ]
+    );
+}
+
+#[test]
+fn run_fingerprint_of_a_tagged_spec() {
+    assert_eq!(run_fingerprint(&tagged_spec(), &[16]), "a0467a6ce76c4eb1");
+}
+
+#[test]
+fn search_fingerprint_over_every_tag() {
+    let space = ObjectiveSpace::new()
+        .with_mac_axis(&[MacPolicy::Tdma, MacPolicy::Polling])
+        .with_objective_axis(&[
+            Objective::LeafEnergy,
+            Objective::Latency,
+            Objective::EnergyDelayProduct,
+        ])
+        .with_radio_axis(&[
+            RadioTechnology::WiR,
+            RadioTechnology::Ble,
+            RadioTechnology::Nfmi,
+            RadioTechnology::WiFi,
+        ])
+        .with_churn_policy_axis(&[
+            PolicyKind::StaticAtAdmission,
+            PolicyKind::ReoptimizeOnChange,
+            PolicyKind::Hysteresis,
+        ]);
+    let spec = SearchSpec::new(tagged_spec(), space);
+    assert_eq!(format!("{:016x}", spec.fingerprint()), "89f7aeca4da0b063");
+}
+
+#[test]
+fn fleet_checkpoint_of_an_empty_churned_fold() {
+    let churn = ChurnSpec::new(
+        ChurnModel::with_rate(0.5).with_epochs(3),
+        PolicyKind::Hysteresis,
+    )
+    .with_objective(Objective::Latency)
+    .with_hysteresis_threshold(0.2);
+    let config = fleet().with_churn(churn);
+    let blob = FleetCheckpoint::capture(&config, &FleetAggregator::new(horizon(), 4), 0).save();
+    assert_sealed("empty churned fold", &blob, 250, "d3c54f3b9efd9c6c");
+    assert_eq!(FleetCheckpoint::load(&blob).unwrap().save(), blob);
 }

@@ -25,6 +25,7 @@
 //! reference.  CI drives the reactor smoke test with `--stress 64x8`.
 //! `--rounds <n>` sets frames per connection (default 50).
 
+use hidwa_core::flags::Flags;
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     self, ModelId, PlanRequest, ProjectionRequest, Request, Response, WireContext, WireLink,
@@ -35,35 +36,23 @@ use hidwa_phy::RadioTechnology;
 use std::collections::VecDeque;
 
 fn main() {
-    let mut connect: Option<String> = None;
-    let mut shutdown = false;
-    let mut stress: Option<(usize, usize)> = None;
-    let mut rounds = 50usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--connect" => connect = Some(args.next().expect("--connect needs host:port")),
-            "--shutdown" => shutdown = true,
-            "--stress" => {
-                let spec = args.next().expect("--stress needs <conns>x<depth>");
-                let (conns, depth) = spec
-                    .split_once('x')
-                    .and_then(|(c, d)| Some((c.parse().ok()?, d.parse().ok()?)))
-                    .filter(|&(c, d): &(usize, usize)| c > 0 && d > 0)
-                    .expect("--stress wants e.g. 64x8");
-                stress = Some((conns, depth));
-            }
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|raw| raw.parse().ok())
-                    .expect("--rounds needs a positive integer");
-            }
-            other => panic!(
-                "unknown flag {other} (try --connect <host:port> / --shutdown / --stress 64x8)"
-            ),
-        }
-    }
+    let flags = Flags::parse(
+        "--connect= --shutdown --stress= --rounds=",
+        std::env::args().skip(1),
+    )
+    .expect("flags as the module docs list them");
+    let connect = flags.raw("--connect").map(String::from);
+    let mut shutdown = flags.has("--shutdown");
+    let stress = flags.raw("--stress").map(|spec| {
+        spec.split_once('x')
+            .and_then(|(c, d)| Some((c.parse().ok()?, d.parse().ok()?)))
+            .filter(|&(c, d): &(usize, usize)| c > 0 && d > 0)
+            .expect("--stress wants e.g. 64x8")
+    });
+    let rounds = flags
+        .value("--rounds")
+        .expect("--rounds needs a positive integer")
+        .unwrap_or(50usize);
 
     // Self-contained mode boots its own server and always shuts it down.
     let embedded = if connect.is_none() {
