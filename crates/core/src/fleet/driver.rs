@@ -1356,21 +1356,16 @@ impl FleetDriver {
         }
         // Every recovered fault in `outcomes[_].recovered` was followed by a
         // successful re-run; the merge below is over validated blobs only.
-        let parts: Vec<FleetCheckpoint> = blobs.into_iter().flatten().collect();
         let plan = ShardPlan::from_boundaries(config.clone(), &self.boundaries)
             .expect("boundaries validated at construction");
-        let report = plan
-            .merge_checkpoints(parts.iter().cloned())
+        let merged = plan
+            .merge_partials(blobs.into_iter().flatten())
             .map_err(DriverError::Merge)?;
         // Keep the merged state around so callers can check byte-identity
         // without re-fetching and re-merging the blobs themselves.
-        let mut merged = FleetAggregator::new(config.horizon(), config.top_k());
-        for part in parts {
-            merged.merge(part.into_parts().0);
-        }
         let merged_state = FleetCheckpoint::capture(&config, &merged, self.spec.bodies);
         Ok(DriverRun {
-            report,
+            report: merged.finish(),
             merged_state,
             fingerprint: self.fingerprint(),
             shards: outcomes,

@@ -37,7 +37,8 @@
 use crate::flags::parse_tag;
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use crate::population::{BodyScenario, ChurnModel, ChurnSample};
-use hidwa_isa::models::{self, WearableModel};
+use crate::serve::codec::ModelId;
+use hidwa_isa::models::WearableModel;
 use hidwa_phy::RadioTechnology;
 use hidwa_units::Energy;
 
@@ -408,17 +409,20 @@ const OBJECTIVES: [Objective; 3] = [
 ];
 
 /// The wearable model a body's archetype runs — the workload the placement
-/// layer partitions.  Archetype names come from
+/// layer partitions — borrowed from the process's shared zoo
+/// ([`ModelId::model`]), the same models the plan server answers from.
+/// Archetype names come from
 /// [`PopulationModel`](crate::population::PopulationModel) sampling; unknown
 /// archetypes (including `"uniform"`) default to the keyword-spotting CNN.
 #[must_use]
-pub fn model_for_archetype(name: &str) -> WearableModel {
+pub fn model_for_archetype(name: &str) -> &'static WearableModel {
     match name {
-        "health-patch" => models::ecg_arrhythmia_cnn(),
-        "ar-assistant" => models::video_feature_extractor(),
-        "ble-minimal" => models::imu_gesture_cnn(),
-        _ => models::keyword_spotting_cnn(),
+        "health-patch" => ModelId::EcgArrhythmia,
+        "ar-assistant" => ModelId::VideoFeature,
+        "ble-minimal" => ModelId::ImuGesture,
+        _ => ModelId::KeywordSpotting,
     }
+    .model()
 }
 
 /// What one body's residency cost under a policy.
@@ -469,8 +473,8 @@ pub fn simulate_placement(
     // in the zoo has a first cut), flagged infeasible in its metrics.
     let admission = epoch_optimizer(0);
     let mut current = admission
-        .optimize(&model, spec.objective())
-        .or_else(|_| admission.all_on_hub(&model))
+        .optimize(model, spec.objective())
+        .or_else(|_| admission.all_on_hub(model))
         .expect("wearable models always expose cut points");
 
     let mut replans = 0u64;
@@ -485,8 +489,8 @@ pub fn simulate_placement(
             .cut_points()
             .iter()
             .find(|cut| cut.index == current.cut_index)
-            .map_or_else(|| current.clone(), |cut| optimizer.evaluate(&model, cut));
-        let decision = policy.decide(&optimizer, &model, spec.objective(), &retained);
+            .map_or_else(|| current.clone(), |cut| optimizer.evaluate(model, cut));
+        let decision = policy.decide(&optimizer, model, spec.objective(), &retained);
         if decision.replanned {
             replans += 1;
         }
@@ -630,8 +634,15 @@ mod tests {
 
     #[test]
     fn archetype_models_cover_the_population() {
-        for name in ["health-patch", "ar-assistant", "ble-minimal", "uniform"] {
+        for (name, id) in [
+            ("health-patch", ModelId::EcgArrhythmia),
+            ("ar-assistant", ModelId::VideoFeature),
+            ("ble-minimal", ModelId::ImuGesture),
+            ("uniform", ModelId::KeywordSpotting),
+            ("no-such-archetype", ModelId::KeywordSpotting),
+        ] {
             let model = model_for_archetype(name);
+            assert_eq!(model.name(), id.model().name(), "{name}");
             assert!(!model.cut_points().is_empty(), "{name}");
         }
     }

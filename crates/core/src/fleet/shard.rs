@@ -194,6 +194,16 @@ impl ShardPlan {
         &self,
         parts: impl IntoIterator<Item = FleetCheckpoint>,
     ) -> Result<FleetReport, CheckpointError> {
+        Ok(self.merge_partials(parts)?.finish())
+    }
+
+    /// The checks and merge behind [`merge_checkpoints`](Self::merge_checkpoints),
+    /// stopping before `finish` so a caller can also capture the merged
+    /// state.
+    pub(crate) fn merge_partials(
+        &self,
+        parts: impl IntoIterator<Item = FleetCheckpoint>,
+    ) -> Result<FleetAggregator, CheckpointError> {
         let mut merged = FleetAggregator::new(self.config.horizon(), self.config.top_k());
         let mut ranges: Vec<(usize, usize)> = Vec::new();
         for part in parts {
@@ -220,7 +230,7 @@ impl ShardPlan {
                 "merged shard partials do not cover the fleet",
             ));
         }
-        Ok(merged.finish())
+        Ok(merged)
     }
 }
 

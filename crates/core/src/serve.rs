@@ -6,11 +6,13 @@
 //! socket instead of a crate link, with all the expensive state held warm
 //! across requests:
 //!
-//! * [`PlanService`] — the I/O-free core.  Holds the [`WearableModel`] zoo
-//!   (per-model layer profiles and cut points are construction-time caches),
-//!   a warm [`LinkCache`] (every supported
-//!   technology × body-site channel derivation precomputed), the Fig. 3
-//!   projector, and an interned-key plan cache memoizing
+//! * [`PlanService`] — the I/O-free core.  Answers from the
+//!   [`WearableModel`](hidwa_isa::models::WearableModel) zoo that each
+//!   process builds once and shares with churn placement
+//!   ([`ModelId::model`]; per-model layer profiles and cut points are
+//!   construction-time caches), and holds a warm [`LinkCache`] (every
+//!   supported technology × body-site channel derivation precomputed), the
+//!   Fig. 3 projector, and an interned-key plan cache memoizing
 //!   `(model, context-quantized, objective)` with replay-exact hit/miss
 //!   counters.  Batches evaluate through the
 //!   [`SweepRunner`].
@@ -75,7 +77,6 @@ use crate::projection::Fig3Projector;
 use crate::sweep::SweepRunner;
 use codec::{quantize_f64, ModelId};
 use hidwa_energy::compute::{ComputeClass, ComputeEngine};
-use hidwa_isa::models::{self, WearableModel};
 use hidwa_phy::ble::BleTransceiver;
 use hidwa_phy::wir::WiRTransceiver;
 use hidwa_phy::Transceiver;
@@ -148,12 +149,11 @@ impl LinkLabel {
     }
 }
 
-/// The warm, I/O-free serving core: model zoo, link tables, projector,
-/// plan cache and the sweep runner batches evaluate through.
+/// The warm, I/O-free serving core: link tables, projector, plan cache and
+/// the sweep runner batches evaluate through, over the shared model zoo
+/// ([`ModelId::model`]).
 #[derive(Debug)]
 pub struct PlanService {
-    /// Models in [`ModelId`] wire order.
-    zoo: Vec<WearableModel>,
     links: LinkCache,
     projector: Fig3Projector,
     runner: SweepRunner,
@@ -177,24 +177,20 @@ impl Default for PlanService {
 impl PlanService {
     /// A service with the cache enabled and a default-width runner.
     ///
-    /// Construction is where all the warmth comes from: the zoo's per-model
-    /// profile/cut-point caches, the full technology × site link table and
-    /// the projector are built here, once, so no request ever re-derives
-    /// them.
+    /// Construction is where all the warmth comes from: the full
+    /// technology × site link table and the projector are built here, and
+    /// the shared zoo's per-model profile/cut-point caches are built by the
+    /// first service or placement in the process, so no request ever
+    /// re-derives them.
     #[must_use]
     pub fn new() -> Self {
         let wir = WiRTransceiver::ixana_class();
         let wir_rate = wir.max_data_rate();
         let ble = BleTransceiver::phy_1m();
         let ble_rate = ble.max_data_rate();
+        // The first call in the process builds the whole shared zoo.
+        let _ = ModelId::EcgArrhythmia.model();
         Self {
-            zoo: vec![
-                models::ecg_arrhythmia_cnn(),
-                models::imu_gesture_cnn(),
-                models::keyword_spotting_cnn(),
-                models::video_feature_extractor(),
-                models::vitals_trend_mlp(),
-            ],
             links: LinkCache::warm(),
             projector: Fig3Projector::paper_defaults(),
             runner: SweepRunner::new(),
@@ -242,12 +238,6 @@ impl PlanService {
     #[must_use]
     pub fn cache_enabled(&self) -> bool {
         self.cache.is_some()
-    }
-
-    /// The model behind a wire id (zoo order is wire order).
-    #[must_use]
-    pub fn model(&self, id: ModelId) -> &WearableModel {
-        &self.zoo[id.index()]
     }
 
     /// A counter snapshot.
@@ -323,7 +313,7 @@ impl PlanService {
 
     /// One fresh optimisation of a canonical query (the cache-miss path).
     fn evaluate_plan(&self, canonical: &CanonicalPlan) -> Response {
-        let model = &self.zoo[canonical.model.index()];
+        let model = canonical.model.model();
         let mut context = PartitionContext::new(
             canonical.label.to_label(),
             ComputeEngine::of_class(ComputeClass::IsaAccelerator),
@@ -477,7 +467,7 @@ mod tests {
             Objective::LeafEnergy,
         ));
         let direct = PartitionOptimizer::new(PartitionContext::wir_default())
-            .optimize(service.model(ModelId::EcgArrhythmia), Objective::LeafEnergy)
+            .optimize(ModelId::EcgArrhythmia.model(), Objective::LeafEnergy)
             .unwrap();
         match answer {
             Response::Plan(wire) => {

@@ -31,7 +31,9 @@ use crate::partition::Objective;
 use crate::sealed::{self, take_f64, take_string, take_u16, take_u32, take_u64, take_u8};
 use bytes::{BufMut, Bytes, BytesMut};
 use hidwa_eqs::body::BodySite;
+use hidwa_isa::models::{self, WearableModel};
 use hidwa_phy::RadioTechnology;
+use std::sync::OnceLock;
 
 /// Leading magic of every request envelope.
 pub const REQUEST_MAGIC: &[u8; 8] = b"HIDWAPLQ";
@@ -60,9 +62,9 @@ pub use crate::sealed::SealError as WireCodecError;
 
 /// The five models of the wearable zoo, as stable wire identifiers.
 ///
-/// The discriminants are normative: they index the
-/// [`PlanService`](super::PlanService)'s pre-built zoo and appear verbatim
-/// on the wire.
+/// The discriminants are normative: they index the process's one shared
+/// zoo ([`ModelId::model`]), which the [`PlanService`](super::PlanService)
+/// and churn placement both read, and appear verbatim on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ModelId {
@@ -99,6 +101,24 @@ impl ModelId {
     #[must_use]
     pub fn index(self) -> usize {
         self as usize
+    }
+
+    /// The model behind this id, from the one zoo each process builds on
+    /// first use and shares between serving and churn placement.  A model
+    /// is a pure function of its constructor, so sharing it never changes an
+    /// answer; it only stops every caller from re-profiling the network.
+    #[must_use]
+    pub fn model(self) -> &'static WearableModel {
+        static ZOO: OnceLock<[WearableModel; 5]> = OnceLock::new();
+        &ZOO.get_or_init(|| {
+            [
+                models::ecg_arrhythmia_cnn(),
+                models::imu_gesture_cnn(),
+                models::keyword_spotting_cnn(),
+                models::video_feature_extractor(),
+                models::vitals_trend_mlp(),
+            ]
+        })[self.index()]
     }
 }
 
@@ -637,5 +657,64 @@ pub fn decode_response(raw: &[u8]) -> Result<ResponseEnvelope, WireCodecError> {
             Ok(ResponseEnvelope::Bye)
         }
         _ => Err(WireCodecError::Corrupt("unknown response envelope kind")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn build(id: ModelId) -> WearableModel {
+        match id {
+            ModelId::EcgArrhythmia => models::ecg_arrhythmia_cnn(),
+            ModelId::ImuGesture => models::imu_gesture_cnn(),
+            ModelId::KeywordSpotting => models::keyword_spotting_cnn(),
+            ModelId::VideoFeature => models::video_feature_extractor(),
+            ModelId::VitalsTrend => models::vitals_trend_mlp(),
+        }
+    }
+
+    #[test]
+    fn the_shared_zoo_equals_freshly_built_models() {
+        for id in ModelId::ALL {
+            let (shared, fresh) = (id.model(), build(id));
+            assert_eq!(shared.name(), fresh.name(), "{id:?}");
+            assert_eq!(shared.input_shape(), fresh.input_shape(), "{id:?}");
+            assert_eq!(
+                shared.inferences_per_second().to_bits(),
+                fresh.inferences_per_second().to_bits(),
+                "{id:?}"
+            );
+            assert_eq!(shared.raw_sensor_rate(), fresh.raw_sensor_rate(), "{id:?}");
+            assert_eq!(shared.output_classes(), fresh.output_classes(), "{id:?}");
+            assert_eq!(shared.profiles(), fresh.profiles(), "{id:?}");
+            assert_eq!(shared.cut_points(), fresh.cut_points(), "{id:?}");
+            assert_eq!(
+                shared.macs_per_inference(),
+                fresh.macs_per_inference(),
+                "{id:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_shared_zoo_is_built_once_per_process() {
+        let start = std::sync::Barrier::new(3);
+        let read = || {
+            start.wait();
+            ModelId::ALL.map(ModelId::model)
+        };
+        let mut reads = std::thread::scope(|scope| {
+            let readers = [scope.spawn(read), scope.spawn(read)];
+            let mut reads = vec![read()];
+            reads.extend(readers.map(|reader| reader.join().expect("zoo reader panicked")));
+            reads
+        });
+        reads.push(ModelId::ALL.map(ModelId::model));
+        for read in &reads[1..] {
+            for (a, b) in reads[0].iter().zip(read) {
+                assert!(std::ptr::eq(*a, *b), "{} was built twice", a.name());
+            }
+        }
     }
 }
