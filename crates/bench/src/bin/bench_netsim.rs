@@ -27,6 +27,13 @@
 //!   fleet-size spread (no materialised per-body vector anywhere), and that
 //!   a ≥1000-body heterogeneous fleet aggregates byte-identically at thread
 //!   widths 1 and 4.
+//! * `width_scaling` — the 1000-body and the largest heterogeneous fold
+//!   timed at [`SweepRunner::with_threads`] 1 and 2 (interleaved, median of
+//!   `HIDWA_BENCH_SAMPLES`: a best-of would pick the rare moments a lone
+//!   thread has the host to itself), with the width-2/width-1 throughput
+//!   ratio and a flag that every fold's checkpoint bytes equal the first
+//!   width-1 fold's.  The ratio is recorded, not gated: a shared host makes
+//!   it noisy.
 //! * `shard_fleet` — the same 1000-body heterogeneous stream folded under
 //!   several [`ShardPlan`] layouts (even and ragged), each row asserting the
 //!   merged partials are **byte-identical** to the single-stream fold (via
@@ -42,11 +49,14 @@
 //!   identical to the single stream — the process boundary must be
 //!   invisible in the result.
 //!
-//! Exits non-zero if the two engine paths disagree on any exact statistic or
-//! if any determinism / memory-bound / shard-identity check fails.
+//! The file opens with the run's provenance (cores, rustc, git revision,
+//! profile).  Exits non-zero if the two engine paths disagree on any exact
+//! statistic or if any determinism / memory-bound / width / shard-identity
+//! check fails.
 //!
-//! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per path, best
-//! taken), `HIDWA_BENCH_HORIZON_S` (default 3600 s engine horizon — an hour
+//! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per path: the
+//! best is taken for the engines, the median for the widths),
+//! `HIDWA_BENCH_HORIZON_S` (default 3600 s engine horizon — an hour
 //! of body time, where the reference path's unbounded sample vectors start
 //! paying reallocation and sort costs), `HIDWA_BENCH_FLEET_HORIZON_S`
 //! (default 5 s per-body horizon), `HIDWA_BENCH_STREAM_BODIES` (default
@@ -139,6 +149,25 @@ hidwa_bench::json_struct!(HeteroRow {
     delivery_ratio,
 });
 
+struct WidthRow {
+    bodies: usize,
+    horizon_s: f64,
+    width1_bodies_per_sec: f64,
+    width2_bodies_per_sec: f64,
+    width2_over_width1: f64,
+    /// Every fold, at either width, checkpointed the same bytes.
+    identical: bool,
+}
+
+hidwa_bench::json_struct!(WidthRow {
+    bodies,
+    horizon_s,
+    width1_bodies_per_sec,
+    width2_bodies_per_sec,
+    width2_over_width1,
+    identical,
+});
+
 struct ShardRow {
     layout: String,
     shards: usize,
@@ -196,6 +225,8 @@ struct BenchNetsim {
     hetero_memory_bounded: bool,
     hetero_determinism_bodies: usize,
     hetero_determinism_ok: bool,
+    width_scaling: Vec<WidthRow>,
+    width_identity_ok: bool,
     shard_fleet: Vec<ShardRow>,
     shard_identity_ok: bool,
     checkpoint_resume_ok: bool,
@@ -212,6 +243,8 @@ hidwa_bench::json_struct!(BenchNetsim {
     hetero_memory_bounded,
     hetero_determinism_bodies,
     hetero_determinism_ok,
+    width_scaling,
+    width_identity_ok,
     shard_fleet,
     shard_identity_ok,
     checkpoint_resume_ok,
@@ -488,6 +521,54 @@ fn main() -> std::process::ExitCode {
         }
     );
 
+    // --- Width scaling: the same fold at width 1 and width 2 ----------------
+    println!("\nwidth scaling (mixed population, interleaved, median of {samples})");
+    println!(
+        "{:<8} {:>14} {:>14} {:>8} {:>10}",
+        "bodies", "w1 bodies/s", "w2 bodies/s", "w2/w1", "identical"
+    );
+    let mut width_rows = Vec::new();
+    for bodies in [1000, stream_bodies] {
+        let config = FleetConfig::new(bodies)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(0xD15EA5E)
+            .with_horizon(stream_horizon);
+        let mut wall_s = [Vec::new(), Vec::new()];
+        let mut reference: Option<Vec<u8>> = None;
+        let mut identical = true;
+        for _ in 0..samples {
+            for (slot, width) in [(0, 1), (1, 2)] {
+                let start = Instant::now();
+                let checkpoint = config.run_until(&SweepRunner::with_threads(width), bodies);
+                wall_s[slot].push(start.elapsed().as_secs_f64());
+                let state = checkpoint.save().to_vec();
+                identical &= *reference.get_or_insert_with(|| state.clone()) == state;
+            }
+        }
+        let [width1_s, width2_s] = wall_s.map(|mut runs| {
+            runs.sort_by(f64::total_cmp);
+            runs[runs.len() / 2]
+        });
+        let row = WidthRow {
+            bodies,
+            horizon_s: stream_horizon.as_seconds(),
+            width1_bodies_per_sec: bodies as f64 / width1_s,
+            width2_bodies_per_sec: bodies as f64 / width2_s,
+            width2_over_width1: width1_s / width2_s,
+            identical,
+        };
+        println!(
+            "{:<8} {:>14.0} {:>14.0} {:>7.2}x {:>10}",
+            row.bodies,
+            row.width1_bodies_per_sec,
+            row.width2_bodies_per_sec,
+            row.width2_over_width1,
+            if identical { "yes" } else { "NO" }
+        );
+        width_rows.push(row);
+    }
+    let width_identity_ok = width_rows.iter().all(|row| row.identical);
+
     // --- Sharded ingestion: merged partials vs the single stream ------------
     let shard_bodies = (env_f64("HIDWA_BENCH_SHARD_BODIES", 1000.0) as usize).max(100);
     let shard_config = FleetConfig::new(shard_bodies)
@@ -685,16 +766,15 @@ fn main() -> std::process::ExitCode {
         hetero_memory_bounded: memory_bounded,
         hetero_determinism_bodies,
         hetero_determinism_ok: hetero_deterministic,
+        width_scaling: width_rows,
+        width_identity_ok,
         shard_fleet: shard_rows,
         shard_identity_ok,
         checkpoint_resume_ok,
         driver_fleet: driver_rows,
         driver_identity_ok,
     };
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&out_dir).join("BENCH_netsim.json");
-    std::fs::write(&path, json::to_string_pretty(&results)).expect("write BENCH_netsim.json");
-    println!("[written {}]", path.display());
+    json::write_bench("BENCH_netsim.json", &results);
 
     assert_eq!(disagreements, 0, "engines disagreed on exact statistics");
     assert!(deterministic, "fleet aggregation depends on thread width");
@@ -705,6 +785,10 @@ fn main() -> std::process::ExitCode {
     assert!(
         memory_bounded,
         "aggregation state grew with fleet size: {state_small} -> {state_large} buckets"
+    );
+    assert!(
+        width_identity_ok,
+        "a width-2 fold's state bytes diverged from the width-1 fold's"
     );
     assert!(
         shard_identity_ok,

@@ -107,10 +107,7 @@ fn main() {
         });
     }
 
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&out_dir).join("BENCH_partition.json");
-    std::fs::write(&path, json::to_string_pretty(&results)).expect("write BENCH_partition.json");
-    println!("[written {}]", path.display());
+    json::write_bench("BENCH_partition.json", &results);
 
     assert_eq!(disagreements, 0, "fast and naive optimisers disagreed");
 

@@ -164,10 +164,7 @@ fn main() {
         markers_ok,
         edge_ok,
     };
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&out_dir).join("BENCH_projection.json");
-    std::fs::write(&path, json::to_string_pretty(&results)).expect("write BENCH_projection.json");
-    println!("[written {}]", path.display());
+    json::write_bench("BENCH_projection.json", &results);
 
     assert!(monotone_ok, "projection sweep is not monotone in rate");
     assert!(markers_ok, "a paper device marker missed its claimed band");

@@ -345,10 +345,7 @@ fn main() {
         }
     }
 
-    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&out_dir).join("BENCH_serving.json");
-    std::fs::write(&path, json::to_string_pretty(&results)).expect("write BENCH_serving.json");
-    println!("[written {}]", path.display());
+    json::write_bench("BENCH_serving.json", &results);
 
     // Sanity floor rather than a flaky perf wall: a warm cached server on
     // loopback must comfortably clear 1k requests/sec in either mode.

@@ -7,6 +7,8 @@
 //! unaffected by the offline switch.
 
 use std::fmt::Write as _;
+use std::path::Path;
+use std::process::Command;
 
 /// Types that can write themselves as a JSON value.
 pub trait ToJson {
@@ -167,6 +169,70 @@ macro_rules! json_struct {
 /// Public indentation helper for the [`crate::json_struct!`] expansion.
 pub fn push_indent_pub(out: &mut String, indent: usize) {
     push_indent(out, indent);
+}
+
+/// Where a `BENCH_*.json` was measured, under the field names of
+/// perfbench's provenance line, so a diff in a committed file can be read as
+/// a regression or as a different machine.
+struct Provenance {
+    nproc: usize,
+    rustc: &'static str,
+    git_rev: String,
+    profile: &'static str,
+}
+
+crate::json_struct!(Provenance {
+    nproc,
+    rustc,
+    git_rev,
+    profile
+});
+
+/// `git rev-parse HEAD` of the checkout these binaries were built from, read
+/// at run time; "unknown" when the sources are not a git checkout.
+fn git_rev() -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if !root.join(".git").exists() {
+        return "unknown".to_string();
+    }
+    Command::new("git")
+        .arg("-C")
+        .arg(&root)
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Writes a perf-trajectory file `name` (to `$HIDWA_BENCH_OUT`, or the
+/// current directory) as `{"provenance": {...}, "results": results}`: the
+/// cores, compiler, git revision and profile of this run, then the rows.
+///
+/// # Panics
+/// Panics if the file cannot be written.
+pub fn write_bench<T: ToJson + ?Sized>(name: &str, results: &T) {
+    let provenance = Provenance {
+        nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        rustc: env!("HIDWA_BENCH_RUSTC"),
+        git_rev: git_rev(),
+        profile: env!("HIDWA_BENCH_PROFILE"),
+    };
+    let mut out = String::from("{\n");
+    push_indent(&mut out, 1);
+    out.push_str("\"provenance\": ");
+    provenance.write_json(&mut out, 1);
+    out.push_str(",\n");
+    push_indent(&mut out, 1);
+    out.push_str("\"results\": ");
+    results.write_json(&mut out, 1);
+    out.push_str("\n}\n");
+    let out_dir = std::env::var("HIDWA_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
+    let path = Path::new(&out_dir).join(name);
+    std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("[written {}]", path.display());
 }
 
 #[cfg(test)]

@@ -12,19 +12,22 @@
 //! # Bounded-memory aggregation
 //!
 //! Summaries are **not** materialised per body.  [`FleetConfig::run`] streams
-//! the fleet in body-order chunks over a
-//! [`SweepRunner`] and folds each chunk into a [`FleetAggregator`]: merged
-//! latency sketches, running counters, and a top-K list of the worst bodies
-//! by p95 latency.  Aggregation state is `O(K + sketch buckets)` —
-//! independent of fleet size — so a 10k-body (or 10M-body) stream runs in
-//! the memory of a single chunk.
+//! the fleet through one ordered window over a [`SweepRunner`]
+//! ([`SweepRunner::fold_ordered`]): workers simulate bodies at most
+//! `window` ahead of the ingest, and every summary is folded into a
+//! [`FleetAggregator`] in body order as soon as it lands — merged latency
+//! sketches, running counters, and a top-K list of the worst bodies by p95
+//! latency.  Aggregation state is `O(K + sketch buckets)` — independent of
+//! fleet size — so a 10k-body (or 10M-body) stream runs in
+//! `O(window + K + sketch)` memory.
 //!
 //! # Determinism and the merge algebra
 //!
-//! Scenario sampling is a pure per-body function, chunks are folded in body
-//! order, and the fold itself is deterministic, so the final [`FleetReport`]
-//! is byte-identical at any thread width and any chunk size (asserted by the
-//! tests below and, at ≥1000 heterogeneous bodies, by `bench_netsim`).
+//! Scenario sampling is a pure per-body function, summaries are folded in
+//! body order, and the fold itself is deterministic, so the final
+//! [`FleetReport`] is byte-identical at any thread width and any window
+//! (asserted by the tests below, by `tests/fleet_checkpoint.rs` and, at
+//! ≥1000 heterogeneous bodies, by `bench_netsim`).
 //!
 //! PR 4 extends the determinism contract with a third axis: **shard
 //! layout**.  [`FleetAggregator`] is a commutative monoid under
@@ -109,7 +112,7 @@ pub struct FleetConfig {
     horizon: TimeSpan,
     population: PopulationModel,
     top_k: usize,
-    chunk_size: Option<usize>,
+    window: Option<usize>,
     churn: Option<ChurnSpec>,
 }
 
@@ -131,7 +134,7 @@ impl FleetConfig {
                 MacPolicy::Polling,
             ),
             top_k: Self::DEFAULT_TOP_K,
-            chunk_size: None,
+            window: None,
             churn: None,
         }
     }
@@ -186,11 +189,12 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the streaming chunk size (bodies materialised per fold step).
-    /// Defaults to `max(64, 4 × runner threads)`.
+    /// Sets the streaming window: how many bodies may be simulated ahead of
+    /// the oldest one not yet folded.  Defaults to `max(64, 4 × runner
+    /// threads)`.
     #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = Some(chunk_size.max(1));
+    pub fn with_chunk_size(mut self, window: usize) -> Self {
+        self.window = Some(window.max(1));
         self
     }
 
@@ -310,15 +314,15 @@ impl FleetConfig {
         }
     }
 
-    /// Streams the whole fleet over `runner` in body-order chunks and folds
-    /// every [`BodySummary`] into a bounded [`FleetAggregator`].
+    /// Streams the whole fleet over `runner` through one ordered window and
+    /// folds every [`BodySummary`] into a bounded [`FleetAggregator`].
     ///
     /// The expensive channel-model link derivation runs once per distinct
-    /// `(technology, site)` pair of the population; each chunk materialises
-    /// at most `chunk_size` summaries before they are folded and dropped, so
-    /// peak memory is `O(chunk + K + sketch)` — independent of `bodies`.
-    /// Chunks are folded in body order and sampling is per-body pure, so the
-    /// report is byte-identical at any thread width and chunk size.
+    /// `(technology, site)` pair of the population; at most `window`
+    /// summaries wait to be folded at any time, so peak memory is
+    /// `O(window + K + sketch)` — independent of `bodies`.  Summaries are
+    /// folded in body order and sampling is per-body pure, so the report is
+    /// byte-identical at any thread width and window.
     #[must_use]
     pub fn run(&self, runner: &SweepRunner) -> FleetReport {
         let links = LinkCache::for_population(&self.population);
@@ -328,11 +332,12 @@ impl FleetConfig {
     }
 
     /// Folds bodies `range` (in body order) into `aggregator` — the one
-    /// streaming loop behind [`run`](Self::run), the shard runners and
-    /// checkpoint resume.  Chunk boundaries are an execution detail: the
-    /// fold ingests per body in index order, so the resulting state depends
-    /// only on which bodies were folded, never on how they were chunked or
-    /// which thread simulated them.
+    /// streaming loop behind [`run`](Self::run), [`run_until`](Self::run_until),
+    /// [`resume`](Self::resume), the shard runners and the driver's worker
+    /// fold.  The window is an execution detail: the fold ingests per body
+    /// in index order, so the resulting state depends only on which bodies
+    /// were folded, never on how far ahead of the ingest they ran or which
+    /// thread simulated them.
     fn fold_range(
         &self,
         runner: &SweepRunner,
@@ -340,20 +345,15 @@ impl FleetConfig {
         aggregator: &mut FleetAggregator,
         range: Range<usize>,
     ) {
-        let chunk_size = self
-            .chunk_size
+        let window = self
+            .window
             .unwrap_or_else(|| (runner.threads() * 4).max(64));
-        let mut chunk: Vec<usize> = Vec::with_capacity(chunk_size.min(range.len()));
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + chunk_size).min(range.end);
-            chunk.clear();
-            chunk.extend(start..end);
-            for summary in runner.map(&chunk, |&body_index| self.simulate_body(body_index, links)) {
-                aggregator.ingest(summary);
-            }
-            start = end;
-        }
+        runner.fold_ordered(
+            range,
+            window,
+            |body_index| self.simulate_body(body_index, links),
+            |summary| aggregator.ingest(summary),
+        );
     }
 
     /// Runs the fold for bodies `0..stop` (clamped to the fleet size) and
@@ -892,7 +892,7 @@ mod tests {
         let wide = fleet.run(&SweepRunner::with_threads(4));
         assert_eq!(serial, wide);
         assert_eq!(serial.bodies(), 32);
-        // Chunk size is an execution detail, not an output knob.
+        // The window is an execution detail, not an output knob.
         let chunked = fleet
             .clone()
             .with_chunk_size(5)
@@ -1077,7 +1077,7 @@ mod tests {
         assert!(report.placement_energy() > Energy::ZERO);
         assert!(report.migration_rate() >= 0.0);
 
-        // Determinism: thread width and chunk size still invisible.
+        // Determinism: thread width and window still invisible.
         let wide = churned
             .clone()
             .with_chunk_size(5)
