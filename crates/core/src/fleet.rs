@@ -7,42 +7,44 @@
 //! wrapper over a [`PopulationModel`]: each body's scenario (leaf set,
 //! traffic mix, radio, MAC policy) is sampled deterministically from
 //! `(base_seed, body_index)`, simulated on the streaming netsim engine, and
-//! reduced to a compact [`BodySummary`] inside the parallel map.
+//! reduced to a compact [`BodySummary`] on the thread that simulated it.
 //!
 //! # Bounded-memory aggregation
 //!
-//! Summaries are **not** materialised per body.  [`FleetConfig::run`] streams
-//! the fleet through one ordered window over a [`SweepRunner`]
-//! ([`SweepRunner::fold_ordered`]): workers simulate bodies at most
-//! `window` ahead of the ingest, and every summary is folded into a
-//! [`FleetAggregator`] in body order as soon as it lands — merged latency
-//! sketches, running counters, and a top-K list of the worst bodies by p95
-//! latency.  Aggregation state is `O(K + sketch buckets)` — independent of
-//! fleet size — so a 10k-body (or 10M-body) stream runs in
-//! `O(window + K + sketch)` memory.
+//! Summaries are **not** materialised per body.  [`FleetConfig::run`] folds
+//! the fleet over a [`SweepRunner`] ([`SweepRunner::fold`]): every thread
+//! ingests the summaries of the bodies it simulates into a
+//! [`FleetAggregator`] of its own — merged latency sketches, running
+//! counters, and a top-K list of the worst bodies by p95 latency — and the
+//! per-thread partials merge once, after the join.  No summary waits to be
+//! folded, and aggregation state is `O(K + sketch buckets)` per partial —
+//! independent of fleet size — so a 10k-body (or 10M-body) fold runs in
+//! `O(threads × (K + sketch))` memory.
 //!
 //! # Determinism and the merge algebra
 //!
-//! Scenario sampling is a pure per-body function, summaries are folded in
-//! body order, and the fold itself is deterministic, so the final
-//! [`FleetReport`] is byte-identical at any thread width and any window
-//! (asserted by the tests below, by `tests/fleet_checkpoint.rs` and, at
-//! ≥1000 heterogeneous bodies, by `bench_netsim`).
+//! Scenario sampling is a pure per-body function, each partial ingests its
+//! bodies in increasing index order, and the partials merge through a
+//! commutative monoid, so the final [`FleetReport`] is byte-identical at any
+//! thread width (asserted by the tests below, by `tests/fleet_checkpoint.rs`
+//! and, at ≥1000 heterogeneous bodies, by `bench_netsim`).
 //!
-//! PR 4 extends the determinism contract with a third axis: **shard
-//! layout**.  [`FleetAggregator`] is a commutative monoid under
+//! The determinism contract's second axis is the **shard layout**.
+//! [`FleetAggregator`] is a commutative monoid under
 //! [`FleetAggregator::merge`] — every non-associative piece of state (the
 //! f64 running sums) is kept in an [`ExactSum`] fixed-point accumulator, the
 //! sketches merge bucket-wise, and the exact top-K worst list merges
 //! union-then-truncate under the total order (p95 desc, body index asc).
-//! Consequently any partition of `0..bodies` into contiguous shards (see
-//! [`ShardPlan`]), folded independently — on other threads, processes or
-//! machines — and merged in any grouping, finishes byte-identical to the
-//! single-stream fold.  [`FleetCheckpoint`] serializes a partial fold so an
-//! interrupted ingestion resumes mid-stream ([`FleetConfig::run_until`] /
-//! [`FleetConfig::resume`]) with the same guarantee.
+//! Consequently any partition of `0..bodies` — contiguous shards (see
+//! [`ShardPlan`]) or the interleaved claims of the fold's threads — whose
+//! parts are each folded in index order, independently on other threads,
+//! processes or machines, and merged in any grouping, finishes
+//! byte-identical to the single-stream fold.  [`FleetCheckpoint`] serializes
+//! a partial fold so an interrupted ingestion resumes mid-stream
+//! ([`FleetConfig::run_until`] / [`FleetConfig::resume`]) with the same
+//! guarantee.
 //!
-//! PR 5 adds the fourth axis: the **process boundary**.  [`driver`] is a
+//! The third axis is the **process boundary**.  [`driver`] is a
 //! coordinator/worker runtime that spawns shard worker *processes*, ships
 //! their partials as checkpoint blobs over a spool directory or local
 //! socket, re-runs killed or corrupted shards, and merges — byte-identical
@@ -112,7 +114,6 @@ pub struct FleetConfig {
     horizon: TimeSpan,
     population: PopulationModel,
     top_k: usize,
-    window: Option<usize>,
     churn: Option<ChurnSpec>,
 }
 
@@ -134,7 +135,6 @@ impl FleetConfig {
                 MacPolicy::Polling,
             ),
             top_k: Self::DEFAULT_TOP_K,
-            window: None,
             churn: None,
         }
     }
@@ -186,15 +186,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_top_k(mut self, top_k: usize) -> Self {
         self.top_k = top_k.max(1);
-        self
-    }
-
-    /// Sets the streaming window: how many bodies may be simulated ahead of
-    /// the oldest one not yet folded.  Defaults to `max(64, 4 × runner
-    /// threads)`.
-    #[must_use]
-    pub fn with_chunk_size(mut self, window: usize) -> Self {
-        self.window = Some(window.max(1));
         self
     }
 
@@ -314,15 +305,15 @@ impl FleetConfig {
         }
     }
 
-    /// Streams the whole fleet over `runner` through one ordered window and
-    /// folds every [`BodySummary`] into a bounded [`FleetAggregator`].
+    /// Folds the whole fleet over `runner` into per-thread
+    /// [`FleetAggregator`]s and merges them into one bounded report.
     ///
     /// The expensive channel-model link derivation runs once per distinct
-    /// `(technology, site)` pair of the population; at most `window`
-    /// summaries wait to be folded at any time, so peak memory is
-    /// `O(window + K + sketch)` — independent of `bodies`.  Summaries are
-    /// folded in body order and sampling is per-body pure, so the report is
-    /// byte-identical at any thread width and window.
+    /// `(technology, site)` pair of the population; each summary is folded
+    /// on the thread that simulated it and dropped, so peak memory is
+    /// `O(threads × (K + sketch))` — independent of `bodies`.  Each partial
+    /// ingests its bodies in index order and sampling is per-body pure, so
+    /// the report is byte-identical at any thread width.
     #[must_use]
     pub fn run(&self, runner: &SweepRunner) -> FleetReport {
         let links = LinkCache::for_population(&self.population);
@@ -331,13 +322,14 @@ impl FleetConfig {
         aggregator.finish()
     }
 
-    /// Folds bodies `range` (in body order) into `aggregator` — the one
-    /// streaming loop behind [`run`](Self::run), [`run_until`](Self::run_until),
+    /// Folds bodies `range` into `aggregator` — the one loop behind
+    /// [`run`](Self::run), [`run_until`](Self::run_until),
     /// [`resume`](Self::resume), the shard runners and the driver's worker
-    /// fold.  The window is an execution detail: the fold ingests per body
-    /// in index order, so the resulting state depends only on which bodies
-    /// were folded, never on how far ahead of the ingest they ran or which
-    /// thread simulated them.
+    /// fold.  The calling thread ingests its bodies into `aggregator`, each
+    /// helper into a fresh partial that is merged in after the join.  Every
+    /// partial ingests in increasing body index, so the resulting state
+    /// depends only on which bodies were folded, never on which thread
+    /// simulated them (see [`FleetAggregator::merge`]).
     fn fold_range(
         &self,
         runner: &SweepRunner,
@@ -345,14 +337,12 @@ impl FleetConfig {
         aggregator: &mut FleetAggregator,
         range: Range<usize>,
     ) {
-        let window = self
-            .window
-            .unwrap_or_else(|| (runner.threads() * 4).max(64));
-        runner.fold_ordered(
+        runner.fold(
             range,
-            window,
-            |body_index| self.simulate_body(body_index, links),
-            |summary| aggregator.ingest(summary),
+            aggregator,
+            || FleetAggregator::new(self.horizon, self.top_k),
+            |partial, body_index| partial.ingest(self.simulate_body(body_index, links)),
+            FleetAggregator::merge,
         );
     }
 
@@ -447,16 +437,17 @@ pub struct BodySummary {
 /// * the top-K worst bodies by p95, kept exactly (worst first, ties broken
 ///   toward the earlier body).
 ///
-/// Ingestion order is **no longer** load-bearing: every piece of state
-/// merges through an associative, commutative operation (integer adds,
+/// How the bodies are split across aggregators is **not** load-bearing, as
+/// long as each ingests its own in increasing index order: every piece of
+/// state merges through an associative, commutative operation (integer adds,
 /// [`ExactSum`] fixed-point sums, bucket-wise sketch merges, min/max
 /// lattices, and a top-K union ordered by `(p95 desc, body index asc)`), so
 /// the aggregator is a commutative monoid under [`merge`](Self::merge) with
-/// [`FleetAggregator::new`] as the identity.  Fold any contiguous shards
-/// independently, merge the partials in any grouping, and the state is
-/// byte-identical to the single-stream body-order fold — the contract the
-/// shard and checkpoint layers are built on (property-tested in
-/// `tests/fleet_shards.rs`).
+/// [`FleetAggregator::new`] as the identity.  Fold any partition of the
+/// fleet into index-ordered subsets independently, merge the partials in
+/// any grouping, and the state is byte-identical to the single-stream
+/// body-order fold — the contract the thread, shard and checkpoint layers
+/// are built on (property-tested in `tests/fleet_shards.rs`).
 #[derive(Debug, Clone)]
 pub struct FleetAggregator {
     horizon: TimeSpan,
@@ -513,8 +504,12 @@ impl FleetAggregator {
         self.bodies
     }
 
-    /// Folds one body into the aggregate.  Call in body order for
-    /// thread-width-independent results.
+    /// Folds one body into the aggregate.
+    ///
+    /// Each aggregator must ingest its bodies in increasing index order: the
+    /// top-K list breaks p95 ties toward the body ingested first.  Partials
+    /// that each did so then merge in any grouping (see
+    /// [`merge`](Self::merge)).
     pub fn ingest(&mut self, summary: BodySummary) {
         self.bodies += 1;
         self.fleet_latency.merge(&summary.latency);
@@ -570,9 +565,10 @@ impl FleetAggregator {
     /// merge union-then-truncate under the total order `(p95 descending,
     /// body index ascending)` — the same order single-stream ingestion
     /// maintains, and a total order because body indices are unique.  Hence
-    /// for any partition of the fleet into contiguous shards, folding each
-    /// shard independently and merging the partials (in **any** grouping or
-    /// order) is byte-identical to the single-stream fold.
+    /// for any partition of the fleet into subsets, folding each subset
+    /// independently in increasing body index and merging the partials (in
+    /// **any** grouping or order) is byte-identical to the single-stream
+    /// fold.
     ///
     /// Truncation loses nothing: a body in the merged top-K is in the top-K
     /// of whichever partial ingested it, so per-shard truncation before the
@@ -892,12 +888,9 @@ mod tests {
         let wide = fleet.run(&SweepRunner::with_threads(4));
         assert_eq!(serial, wide);
         assert_eq!(serial.bodies(), 32);
-        // The window is an execution detail, not an output knob.
-        let chunked = fleet
-            .clone()
-            .with_chunk_size(5)
-            .run(&SweepRunner::with_threads(3));
-        assert_eq!(serial, chunked);
+        // An odd width splits the bodies unevenly across the partials.
+        let odd = fleet.run(&SweepRunner::with_threads(3));
+        assert_eq!(serial, odd);
     }
 
     #[test]
@@ -908,11 +901,9 @@ mod tests {
             .with_horizon(TimeSpan::from_seconds(1.0))
             .with_top_k(4);
         let serial = fleet.run(&SweepRunner::serial());
-        let wide = fleet
-            .clone()
-            .with_chunk_size(7)
-            .run(&SweepRunner::with_threads(4));
-        assert_eq!(serial, wide);
+        for width in [3, 4] {
+            assert_eq!(serial, fleet.run(&SweepRunner::with_threads(width)));
+        }
         assert_eq!(serial.bodies(), 48);
         assert_eq!(serial.worst_bodies().len(), 4);
         // Worst-first ordering with deterministic tie-breaks.
@@ -958,6 +949,69 @@ mod tests {
             .sum();
         assert_eq!(report.fleet_latency().count(), delivered);
         assert_eq!(report.body_p95_distribution().count(), 5);
+    }
+
+    #[test]
+    fn interleaved_partitions_merge_to_the_serial_fold() {
+        use crate::population::ChurnModel;
+        let uniform = FleetConfig::new(64).with_horizon(TimeSpan::from_seconds(2.0));
+        // Every uniform body ties on p95, so only the body-index tie-break
+        // orders its top-K.
+        let report = uniform.run(&SweepRunner::serial());
+        let p95 = report.worst_bodies()[0].worst_p95_latency;
+        assert!(report
+            .worst_bodies()
+            .iter()
+            .all(|body| body.worst_p95_latency == p95));
+        let churned = FleetConfig::new(64)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(77)
+            .with_horizon(TimeSpan::from_seconds(1.0))
+            .with_top_k(4)
+            .with_churn(ChurnSpec::new(
+                ChurnModel::with_rate(0.5).with_link_fade(0.8),
+                PolicyKind::ReoptimizeOnChange,
+            ));
+        for config in [uniform, churned] {
+            let links = LinkCache::for_population(config.population());
+            let summaries: Vec<BodySummary> = (0..config.bodies())
+                .map(|i| config.simulate_body(i, &links))
+                .collect();
+            // Ingests the bodies `keep` selects, in index order.
+            let fold = |keep: &dyn Fn(usize) -> bool| {
+                let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
+                for summary in summaries.iter().filter(|s| keep(s.body_index)) {
+                    aggregator.ingest(summary.clone());
+                }
+                aggregator
+            };
+            let bytes = |aggregator: &FleetAggregator| {
+                FleetCheckpoint::capture(&config, aggregator, config.bodies())
+                    .save()
+                    .to_vec()
+            };
+            let serial = bytes(&fold(&|_| true));
+            for modulus in [2, 3] {
+                let parts: Vec<FleetAggregator> = (0..modulus)
+                    .map(|residue| fold(&|i| i % modulus == residue))
+                    .collect();
+                for reversed in [false, true] {
+                    let mut order = parts.clone();
+                    if reversed {
+                        order.reverse();
+                    }
+                    let mut merged = FleetAggregator::new(config.horizon(), config.top_k());
+                    for part in order {
+                        merged.merge(part);
+                    }
+                    assert_eq!(
+                        bytes(&merged),
+                        serial,
+                        "residues mod {modulus}, reversed {reversed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1077,13 +1131,11 @@ mod tests {
         assert!(report.placement_energy() > Energy::ZERO);
         assert!(report.migration_rate() >= 0.0);
 
-        // Determinism: thread width and window still invisible.
-        let wide = churned
-            .clone()
-            .with_chunk_size(5)
-            .run(&SweepRunner::with_threads(4));
+        // Determinism: thread width still invisible.
         let serial = churned.run(&SweepRunner::serial());
-        assert_eq!(serial, wide);
+        for width in [3, 4] {
+            assert_eq!(serial, churned.run(&SweepRunner::with_threads(width)));
+        }
         assert_eq!(serial, report);
     }
 

@@ -171,7 +171,7 @@ impl ShardPlan {
 
     /// Runs the whole plan and finalises the merged aggregate — byte-
     /// identical to [`FleetConfig::run`] on the same config (property-tested
-    /// across layouts, widths and windows in `tests/fleet_shards.rs`).
+    /// across layouts and widths in `tests/fleet_shards.rs`).
     #[must_use]
     pub fn run(&self, runner: &SweepRunner) -> FleetReport {
         self.fold(runner).finish()

@@ -718,7 +718,7 @@ impl LinkCache {
 /// (distinct from the scenario stream, so enabling churn never changes which
 /// leaves a body carries) and consumes a fixed number of draws per body.
 /// Arrivals, departures, duty cycles and epoch deratings are therefore
-/// byte-identical at any thread width, window, shard layout or process
+/// byte-identical at any thread width, shard layout or process
 /// boundary — the property the fleet identity tests extend to churn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnModel {

@@ -1,7 +1,7 @@
 //! Turn-key body-area network scenarios built on the discrete-event
 //! simulator — used by the examples and the scaling/ablation benches.
 
-use hidwa_energy::sensing::{Sensor, SensorModality};
+use hidwa_energy::sensing::SensorModality;
 use hidwa_energy::Battery;
 use hidwa_eqs::body::{BodyModel, BodySite};
 use hidwa_eqs::capacity::CapacityEstimator;
@@ -151,7 +151,7 @@ pub fn standard_leaf_set() -> Vec<LeafSpec> {
 #[must_use]
 pub fn leaf_node(leaf: &LeafSpec, link: LinkParams) -> NodeConfig {
     NodeConfig::leaf(leaf.name, leaf.site, link)
-        .with_sensing_power(Sensor::typical(leaf.modality).power())
+        .with_sensing_power(leaf.modality.typical_power())
         .with_compute_power(leaf.compute_power)
         .with_traffic(leaf.traffic.clone())
 }

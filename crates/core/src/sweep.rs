@@ -11,20 +11,21 @@
 //! # Implementation notes
 //!
 //! The workspace builds offline, so `rayon` cannot be a dependency; the
-//! runner ships one primitive of its own, [`SweepRunner::fold_ordered`],
-//! built on `std::thread::scope`.  The calling thread and `threads − 1`
-//! helpers claim indices in order from an atomic counter; no claim runs more
-//! than a *window* past the oldest unconsumed index, so at most `window`
-//! results wait in a ring of slots; and the calling thread hands each result
-//! to the consumer in index order as soon as every earlier one has been
-//! consumed.  [`SweepRunner::map`] is that fold with a window of the whole
-//! input, pushing into a `Vec`; its shape matches `rayon`'s indexed
+//! runner ships one primitive of its own, [`SweepRunner::fold`], built on
+//! `std::thread::scope`.  The calling thread and `threads − 1` helpers claim
+//! indices from one atomic counter, and each folds its claims into a partial
+//! accumulator of its own; after the join the helpers' partials are merged
+//! into the caller's.  No thread waits on another before the join, and no
+//! result waits to be folded, so memory is `O(threads × partial)`.
+//! [`SweepRunner::map`] is that fold collecting `(index, value)` pairs,
+//! ordered by index afterwards; its shape matches `rayon`'s indexed
 //! `par_iter().map().collect()`.
 //!
-//! A panic in any participant aborts the fold and propagates to the caller
-//! (no thread stays parked on the window), and the thread count is capped by
-//! `available_parallelism`, overridable with the `HIDWA_SWEEP_THREADS`
-//! environment variable (`1` forces serial execution, e.g. when profiling).
+//! A panic in any participant exhausts the claim counter, so the others stop
+//! at their next claim, and propagates to the caller after the join.  The
+//! thread count is capped by `available_parallelism`, overridable with the
+//! `HIDWA_SWEEP_THREADS` environment variable (`1` forces serial execution,
+//! e.g. when profiling).
 
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use hidwa_isa::models::WearableModel;
@@ -32,7 +33,7 @@ use hidwa_netsim::sim::{Simulation, SimulationReport};
 use hidwa_units::TimeSpan;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// One (model × context × objective) cell of a partition sweep.
 #[derive(Debug, Clone)]
@@ -128,62 +129,78 @@ impl SweepRunner {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        let mut results = Vec::with_capacity(items.len());
-        self.fold_ordered(
+        let mut pairs = Vec::with_capacity(items.len());
+        self.fold(
             0..items.len(),
-            items.len(),
-            |index| f(index, &items[index]),
-            |value| results.push(value),
+            &mut pairs,
+            Vec::new,
+            |pairs, index| pairs.push((index, f(index, &items[index]))),
+            |pairs, mut partial| pairs.append(&mut partial),
         );
-        results
+        pairs.sort_unstable_by_key(|&(index, _)| index);
+        pairs.into_iter().map(|(_, value)| value).collect()
     }
 
-    /// Streams `produce(i)` for every `i` in `range` into `consume`, in
-    /// index order, with at most `window` (minimum 1) results produced but
-    /// not yet consumed.
+    /// Folds every index of `range` into `acc`, in parallel.
     ///
-    /// The calling thread and up to `threads − 1` helpers claim indices in
-    /// order; a claim more than `window` past the oldest unconsumed index
-    /// waits until the consumer catches up.  `consume` runs on the calling
-    /// thread, on each result as soon as every earlier one has been
-    /// consumed, so its calls are exactly those of the serial loop
-    /// `for i in range { consume(produce(i)) }` — which is what a width-1
-    /// runner (or a window of 1) runs, inline, with no thread and no lock.
+    /// The calling thread folds its claims into `acc`; each of up to
+    /// `threads − 1` helpers folds its claims into its own `init()`, and
+    /// after the join every helper's accumulator is merged into `acc`.
+    /// Indices come from one atomic counter, so each accumulator sees its
+    /// indices in increasing order, but which indices land in which
+    /// accumulator varies from run to run.  The result is therefore
+    /// independent of the width exactly when folding any partition of
+    /// `range` into index-ordered subsets and merging the parts gives what
+    /// the serial loop `for i in range { fold(acc, i) }` gives — which is
+    /// what a width-1 runner runs, inline, with no thread.
     ///
     /// # Panics
-    /// Propagates the first panic from `produce` or `consume`, on any
-    /// thread; the other participants stop at their next claim or deposit.
-    pub fn fold_ordered<T, P, C>(
-        &self,
-        range: Range<usize>,
-        window: usize,
-        produce: P,
-        mut consume: C,
-    ) where
-        T: Send,
-        P: Fn(usize) -> T + Sync,
-        C: FnMut(T),
+    /// Propagates a panic from `fold` or `merge`, on any thread, once every
+    /// thread has stopped: a panicking thread exhausts the claim counter, so
+    /// the others stop at their next claim.
+    pub fn fold<A, N, F, M>(&self, range: Range<usize>, acc: &mut A, init: N, fold: F, mut merge: M)
+    where
+        A: Send,
+        N: Fn() -> A + Sync,
+        F: Fn(&mut A, usize) + Sync,
+        M: FnMut(&mut A, A),
     {
-        let window = window.clamp(1, range.len().max(1));
-        let helpers = self.threads.min(window) - 1;
+        let helpers = self.threads.min(range.len()).saturating_sub(1);
         if helpers == 0 {
             for index in range {
-                consume(produce(index));
+                fold(acc, index);
             }
             return;
         }
 
-        let shared = Window::new(&range, window);
         let next = AtomicUsize::new(range.start);
+        let claim_into = |acc: &mut A| {
+            let _stop = StopOnUnwind(&next, range.end);
+            loop {
+                // The counter only hands out tickets; it publishes no data.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= range.end {
+                    return;
+                }
+                fold(acc, index);
+            }
+        };
         std::thread::scope(|scope| {
-            let (shared, next, produce) = (&shared, &next, &produce);
+            let (init, claim_into) = (&init, &claim_into);
             let handles: Vec<_> = (0..helpers)
-                .map(|_| scope.spawn(move || shared.help(next, produce)))
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut partial = init();
+                        claim_into(&mut partial);
+                        partial
+                    })
+                })
                 .collect();
-            shared.lead(next, produce, &mut consume);
+            claim_into(acc);
             for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
+                match handle.join() {
+                    Ok(partial) => merge(acc, partial),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
         });
@@ -263,164 +280,14 @@ impl SweepRunner {
     }
 }
 
-/// How many times a waiter yields before it parks.  Waits are usually one
-/// body long; and a parked thread's wake-up can move it onto its waker's
-/// core, after which the two take turns on one core while the other idles.
-const SPINS: usize = 64;
+/// Exhausts a fold's claim counter if its thread unwinds, so every other
+/// participant stops at its next claim.
+struct StopOnUnwind<'a>(&'a AtomicUsize, usize);
 
-const POISONED: &str = "fold window lock poisoned: no user code runs under it";
-
-/// The shared state of one parallel [`SweepRunner::fold_ordered`] call.
-struct Window<T> {
-    end: usize,
-    /// Ring length: result `i` waits in slot `i % width`.
-    width: usize,
-    /// Oldest unconsumed index.  Only the calling thread advances it, and
-    /// only while holding `state`'s lock, so a helper that checks it under
-    /// the lock cannot miss an advance.  The `Release` store pairs with the
-    /// helpers' lock-free `Acquire` load: an index below `head + width`
-    /// means its slot has been emptied.
-    head: AtomicUsize,
-    state: Mutex<WindowState<T>>,
-    /// Helpers whose claim lies past the window sleep here.
-    room: Condvar,
-    /// The calling thread sleeps here while the head result is in flight.
-    ready: Condvar,
-}
-
-struct WindowState<T> {
-    slots: Vec<Option<T>>,
-    /// Set, under this lock, when a participant panics: every sleeper wakes
-    /// and leaves.
-    aborted: bool,
-    /// Head index at which the calling thread wakes the helpers sleeping
-    /// on `room` (`usize::MAX` while none sleeps).
-    wake_helpers_at: usize,
-    lead_waiting: bool,
-}
-
-/// Aborts the fold if its owner unwinds, so no other participant sleeps
-/// forever on a result or a slot that will never come.
-struct AbortOnUnwind<'a, T>(&'a Window<T>);
-
-impl<T> Drop for AbortOnUnwind<'_, T> {
+impl Drop for StopOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.aborted = true;
-            self.0.room.notify_all();
-            self.0.ready.notify_all();
-        }
-    }
-}
-
-impl<T> Window<T> {
-    fn new(range: &Range<usize>, width: usize) -> Self {
-        Self {
-            end: range.end,
-            width,
-            head: AtomicUsize::new(range.start),
-            state: Mutex::new(WindowState {
-                slots: (0..width).map(|_| None).collect(),
-                aborted: false,
-                wake_helpers_at: usize::MAX,
-                lead_waiting: false,
-            }),
-            room: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, WindowState<T>> {
-        self.state.lock().expect(POISONED)
-    }
-
-    /// A helper's loop: claim, wait for room, produce, deposit.
-    fn help(&self, next: &AtomicUsize, produce: &impl Fn(usize) -> T) {
-        let _abort = AbortOnUnwind(self);
-        loop {
-            // The counter only hands out tickets; it publishes no data.
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= self.end || !self.wait_for_room(index) {
-                return;
-            }
-            let value = produce(index);
-            let mut state = self.lock();
-            if state.aborted {
-                return;
-            }
-            state.slots[index % self.width] = Some(value);
-            if state.lead_waiting && index == self.head.load(Ordering::Acquire) {
-                self.ready.notify_one();
-            }
-        }
-    }
-
-    /// Waits until `index` (claimed, so not yet consumed) lies inside the
-    /// window.  Returns `false` if the fold was aborted.
-    fn wait_for_room(&self, index: usize) -> bool {
-        for _ in 0..SPINS {
-            if index - self.head.load(Ordering::Acquire) < self.width {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        let mut state = self.lock();
-        loop {
-            if state.aborted {
-                return false;
-            }
-            if index - self.head.load(Ordering::Acquire) < self.width {
-                return true;
-            }
-            // Sleep until half the window ahead of this claim has drained,
-            // so a helper wakes to a run of free slots, not one per body.
-            let wake_at = index + 1 - self.width + self.width / 2;
-            state.wake_helpers_at = state.wake_helpers_at.min(wake_at);
-            state = self.room.wait(state).expect(POISONED);
-        }
-    }
-
-    /// The calling thread's loop: consume the head result whenever it is
-    /// ready; otherwise produce its own claim if that lies inside the
-    /// window; otherwise sleep until the head result lands.
-    fn lead(&self, next: &AtomicUsize, produce: &impl Fn(usize) -> T, consume: &mut impl FnMut(T)) {
-        let _abort = AbortOnUnwind(self);
-        let mut head = self.head.load(Ordering::Acquire);
-        let mut claim = None;
-        let mut spins = 0;
-        let mut state = self.lock();
-        while head < self.end && !state.aborted {
-            if let Some(value) = state.slots[head % self.width].take() {
-                drop(state);
-                consume(value);
-                head += 1;
-                spins = 0;
-                state = self.lock();
-                self.head.store(head, Ordering::Release);
-                if head >= state.wake_helpers_at {
-                    state.wake_helpers_at = usize::MAX;
-                    self.room.notify_all();
-                }
-                continue;
-            }
-            let index = *claim.get_or_insert_with(|| next.fetch_add(1, Ordering::Relaxed));
-            if index < self.end && index - head < self.width {
-                claim = None;
-                drop(state);
-                let value = produce(index);
-                state = self.lock();
-                state.slots[index % self.width] = Some(value);
-            } else if spins < SPINS {
-                spins += 1;
-                drop(state);
-                std::thread::yield_now();
-                state = self.lock();
-            } else {
-                state.lead_waiting = true;
-                state = self.ready.wait(state).expect(POISONED);
-                state.lead_waiting = false;
-            }
+            self.0.store(self.1, Ordering::Relaxed);
         }
     }
 }
@@ -467,59 +334,56 @@ mod tests {
         (0..(index * 7919) % 500).fold(index, |acc, k| std::hint::black_box(acc ^ k))
     }
 
+    /// Folds `range` at `threads` into per-accumulator runs of indices:
+    /// each accumulator starts as one empty run, `fold` appends to it, and
+    /// `merge` appends the partial's runs.  Returns the runs, calling
+    /// thread's first, and how often `merge` ran.
+    fn fold_runs(threads: usize, range: Range<usize>) -> (Vec<Vec<usize>>, usize) {
+        let mut runs = vec![Vec::new()];
+        let mut merges = 0;
+        SweepRunner::with_threads(threads).fold(
+            range,
+            &mut runs,
+            || vec![Vec::new()],
+            |runs, i| {
+                std::hint::black_box(jitter(i));
+                runs[0].push(i);
+            },
+            |runs, partial| {
+                merges += 1;
+                runs.extend(partial);
+            },
+        );
+        (runs, merges)
+    }
+
     #[test]
-    fn fold_ordered_consumes_in_index_order() {
+    fn fold_visits_every_index_exactly_once() {
         for range in [5..5, 3..4, 3..40] {
-            let len = range.len();
-            let expected: Vec<usize> = range.clone().map(|i| i * 2 + 1).collect();
-            for threads in [1, 2, 4] {
-                for window in [1, 2, 7, len] {
-                    let mut seen = Vec::new();
-                    SweepRunner::with_threads(threads).fold_ordered(
-                        range.clone(),
-                        window,
-                        |i| {
-                            std::hint::black_box(jitter(i));
-                            i * 2 + 1
-                        },
-                        |value| seen.push(value),
-                    );
-                    assert_eq!(
-                        seen, expected,
-                        "{range:?} at width {threads}, window {window}"
-                    );
-                }
+            for threads in [1, 2, 4, 64] {
+                let (runs, _) = fold_runs(threads, range.clone());
+                let mut seen: Vec<usize> = runs.concat();
+                seen.sort_unstable();
+                let expected: Vec<usize> = range.clone().collect();
+                assert_eq!(seen, expected, "{range:?} at width {threads}");
             }
         }
     }
 
     #[test]
-    fn fold_ordered_never_runs_past_the_window() {
-        for threads in [2, 4] {
-            for window in [1, 2, 7] {
-                let produced = AtomicUsize::new(0);
-                let consumed = AtomicUsize::new(0);
-                let most_ahead = AtomicUsize::new(0);
-                SweepRunner::with_threads(threads).fold_ordered(
-                    0..200,
-                    window,
-                    |i| {
-                        let done = produced.fetch_add(1, Ordering::SeqCst) + 1;
-                        let ahead = done - consumed.load(Ordering::SeqCst);
-                        most_ahead.fetch_max(ahead, Ordering::SeqCst);
-                        i
-                    },
-                    |i| {
-                        // A slow consumer, so producers press on the window.
-                        std::hint::black_box(jitter(i * 3));
-                        consumed.fetch_add(1, Ordering::SeqCst);
-                    },
-                );
-                let most_ahead = most_ahead.into_inner();
-                assert!(
-                    (1..=window).contains(&most_ahead),
-                    "{most_ahead} results unconsumed at width {threads}, window {window}"
-                );
+    fn fold_partials_see_increasing_indices_and_merge_once_per_helper() {
+        for range in [5..5, 3..4, 3..40, 0..500] {
+            for threads in [1, 2, 4, 64] {
+                let (runs, merges) = fold_runs(threads, range.clone());
+                let helpers = threads.min(range.len()).max(1) - 1;
+                assert_eq!(merges, helpers, "{range:?} at width {threads}");
+                assert_eq!(runs.len(), 1 + helpers, "{range:?} at width {threads}");
+                for run in &runs {
+                    assert!(
+                        run.windows(2).all(|pair| pair[0] < pair[1]),
+                        "{range:?} at width {threads}: {run:?} not increasing"
+                    );
+                }
             }
         }
     }
@@ -553,79 +417,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fold_ordered_propagates_a_helper_panic_in_produce() {
-        let message = panic_message_within_deadline(|| {
-            let lead = std::thread::current().id();
-            let helper_started = std::sync::atomic::AtomicBool::new(false);
-            SweepRunner::with_threads(2).fold_ordered(
-                0..100,
-                4,
-                |i| {
-                    if std::thread::current().id() == lead {
-                        // Hold the calling thread until a helper has
-                        // claimed a body, so the panic is the helper's.
-                        await_until(|| helper_started.load(Ordering::SeqCst));
-                        return i;
-                    }
-                    helper_started.store(true, Ordering::SeqCst);
-                    panic!("helper produce failed");
-                },
-                drop,
-            );
-        });
-        assert_eq!(message, "helper produce failed");
+    /// Sets its flag when dropped.
+    struct SetOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
     }
 
     #[test]
-    fn fold_ordered_propagates_a_calling_thread_panic_in_produce() {
+    fn fold_propagates_a_helper_panic_in_fold() {
+        let lead_folds = Arc::new(AtomicUsize::new(0));
+        let folds = Arc::clone(&lead_folds);
+        let message = panic_message_within_deadline(move || {
+            let lead = std::thread::current().id();
+            let helper_unwound = std::sync::atomic::AtomicBool::new(false);
+            SweepRunner::with_threads(2).fold(
+                0..100,
+                &mut None,
+                || Some(SetOnDrop(&helper_unwound)),
+                |_, _| {
+                    if std::thread::current().id() == lead {
+                        // Hold the calling thread until the helper has
+                        // panicked and dropped its partial, so the panic is
+                        // the helper's and has exhausted the counter.
+                        folds.fetch_add(1, Ordering::SeqCst);
+                        await_until(|| helper_unwound.load(Ordering::SeqCst));
+                        return;
+                    }
+                    panic!("helper fold failed");
+                },
+                |_, _| {},
+            );
+        });
+        assert_eq!(message, "helper fold failed");
+        // The calling thread stopped at its next claim.
+        assert!(lead_folds.load(Ordering::SeqCst) <= 1);
+    }
+
+    #[test]
+    fn fold_propagates_a_calling_thread_panic_in_fold() {
         let message = panic_message_within_deadline(|| {
             let lead = std::thread::current().id();
             let lead_started = std::sync::atomic::AtomicBool::new(false);
-            SweepRunner::with_threads(4).fold_ordered(
+            SweepRunner::with_threads(4).fold(
                 0..100,
-                3,
-                |i| {
+                &mut (),
+                || (),
+                |(), _| {
                     if std::thread::current().id() == lead {
                         lead_started.store(true, Ordering::SeqCst);
-                        panic!("lead produce failed");
+                        panic!("lead fold failed");
                     }
-                    // Helpers stall until the calling thread has claimed a
-                    // body, so it must produce one.
+                    // Helpers stall until the calling thread has claimed an
+                    // index, so it must fold one.
                     await_until(|| lead_started.load(Ordering::SeqCst));
-                    i
                 },
-                drop,
+                |(), ()| {},
             );
         });
-        assert_eq!(message, "lead produce failed");
+        assert_eq!(message, "lead fold failed");
     }
 
     #[test]
-    fn fold_ordered_propagates_a_panic_in_consume() {
-        for window in [1, 2, 64] {
-            let message = panic_message_within_deadline(move || {
-                let produced = AtomicUsize::new(0);
-                SweepRunner::with_threads(4).fold_ordered(
-                    0..100,
-                    window,
-                    |i| {
-                        produced.fetch_add(1, Ordering::SeqCst);
-                        i
-                    },
-                    |i| {
-                        if i == 5 {
-                            // Fail only once the helpers have filled the
-                            // window and had time to park on it.
-                            await_until(|| produced.load(Ordering::SeqCst) >= 5 + window);
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            panic!("consume failed");
-                        }
-                    },
-                );
-            });
-            assert_eq!(message, "consume failed");
-        }
+    fn fold_propagates_a_panic_in_merge() {
+        let message = panic_message_within_deadline(|| {
+            let mut total = 0;
+            SweepRunner::with_threads(4).fold(
+                0..100,
+                &mut total,
+                || 0,
+                |total, i| *total += i,
+                |_, _| panic!("merge failed"),
+            );
+        });
+        assert_eq!(message, "merge failed");
     }
 
     #[test]

@@ -73,6 +73,14 @@ impl SensorModality {
             SensorModality::Vision => DataRate::from_mbps(10.0),
         }
     }
+
+    /// Sensing power at the typical rate under the modality's survey model —
+    /// what [`Sensor::typical`]'s [`power`](Sensor::power) reads, without
+    /// building a named sensor.
+    #[must_use]
+    pub fn typical_power(self) -> Power {
+        SensingModel::for_modality(self).power_at(self.typical_rate())
+    }
 }
 
 impl core::fmt::Display for SensorModality {
@@ -269,6 +277,12 @@ mod tests {
             let s = Sensor::typical(modality);
             let p = m.power_at(modality.typical_rate());
             assert_eq!(s.power(), p);
+            // The allocation-free shortcut reads the same bits.
+            assert_eq!(
+                modality.typical_power().as_watts().to_bits(),
+                s.power().as_watts().to_bits(),
+                "{modality}"
+            );
             assert!(p > Power::ZERO);
         }
         // Biopotential anchor: 2 µW at 4 kbps.
