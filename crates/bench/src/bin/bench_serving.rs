@@ -11,19 +11,16 @@
 //!   through the same [`LatencySketch`] the simulator uses (for pipeline
 //!   depth > 1 this includes queueing behind earlier in-flight frames);
 //! * `hit_rate` — plan-cache hit rate for the scenario;
-//! * `mode` / `pipeline` — thread model (`reactor` / `legacy`) and client
-//!   pipeline depth;
-//! * `ratio_vs_legacy` — reactor rps over the matching legacy scenario's
-//!   rps (0 where no legacy twin exists).
+//! * `pipeline` — client pipeline depth.
 //!
-//! Three row families: the four historical cache×batch scenarios in
-//! **legacy** mode (comparable to earlier PRs), the same four under the
-//! **reactor**, and reactor connection-scaling rows (4/16/64/256
+//! Every server runs the default [`ServeConfig`](hidwa_core::serve::ServeConfig)
+//! (one epoll event loop per core, capped at 4).  Two row families: the four
+//! cache×batch scenarios, and connection-scaling rows (4/16/64/256
 //! connections × pipeline depth 1/8).  Writes `BENCH_serving.json` (to
-//! `$HIDWA_BENCH_OUT` or the current directory) so successive PRs can
+//! `$HIDWA_BENCH_OUT` or the current directory) so successive changes can
 //! track the trajectory.
 //!
-//! Knobs: `HIDWA_BENCH_CLIENTS` (default 4) for the paired scenarios,
+//! Knobs: `HIDWA_BENCH_CLIENTS` (default 4) for the cache×batch scenarios,
 //! `HIDWA_BENCH_REQUESTS` frames per client (default 1500),
 //! `HIDWA_BENCH_SCALE_QUERIES` total queries per scaling row (default
 //! 24000), `HIDWA_BENCH_MIN_RPS` floor (default 1000).
@@ -33,7 +30,7 @@ use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     ModelId, PlanRequest, ProjectionRequest, Request, WireContext, WireLink,
 };
-use hidwa_core::serve::{PlanClient, PlanServer, PlanService, ServeConfig, ThreadModel};
+use hidwa_core::serve::{PlanClient, PlanServer, PlanService};
 use hidwa_eqs::body::BodySite;
 use hidwa_netsim::sketch::LatencySketch;
 use hidwa_phy::RadioTechnology;
@@ -43,7 +40,6 @@ use std::time::Instant;
 
 struct ScenarioResult {
     scenario: String,
-    mode: String,
     clients: usize,
     batch: usize,
     pipeline: usize,
@@ -53,12 +49,10 @@ struct ScenarioResult {
     p50_us: f64,
     p99_us: f64,
     hit_rate: f64,
-    ratio_vs_legacy: f64,
 }
 
 hidwa_bench::json_struct!(ScenarioResult {
     scenario,
-    mode,
     clients,
     batch,
     pipeline,
@@ -68,7 +62,6 @@ hidwa_bench::json_struct!(ScenarioResult {
     p50_us,
     p99_us,
     hit_rate,
-    ratio_vs_legacy,
 });
 
 /// The replayed log: 5 models × 3 links × 3 objectives plus projections —
@@ -120,23 +113,16 @@ fn drain_one(lane: &mut Lane, sketch: &mut LatencySketch, served: &mut u64) {
 /// One scenario: `clients` concurrent connections, driven from a small
 /// fixed pool of generator threads (a load generator needs many sockets,
 /// not many OS threads), each pumping `frames` frames of `batch` queries
-/// through a window of `pipeline` in-flight tags against a fresh server in
-/// `mode`; returns the merged submit-to-reply sketch and the server's
-/// final stats.
+/// through a window of `pipeline` in-flight tags against a fresh server;
+/// returns the merged submit-to-reply sketch and the server's final stats.
 fn run_scenario(
-    mode: ThreadModel,
     cache: bool,
     clients: usize,
     frames: usize,
     batch: usize,
     pipeline: usize,
 ) -> (LatencySketch, hidwa_core::serve::ServeStats, f64, u64) {
-    let config = ServeConfig {
-        threads: mode,
-        ..ServeConfig::default()
-    };
-    let server = PlanServer::bind_with("127.0.0.1:0", PlanService::new().with_cache(cache), config)
-        .expect("bind loopback");
+    let server = PlanServer::bind(PlanService::new().with_cache(cache)).expect("bind loopback");
     let addr = server.addr();
     let log = query_log();
     let generators = clients.min(hidwa_bench::env_usize("HIDWA_BENCH_GEN_THREADS", 8));
@@ -211,21 +197,12 @@ fn run_scenario(
     (sketch, stats, elapsed, served)
 }
 
-fn mode_label(mode: ThreadModel) -> &'static str {
-    match mode {
-        ThreadModel::Reactor { .. } => "reactor",
-        ThreadModel::Legacy => "legacy",
-    }
-}
-
 /// Runs a scenario `HIDWA_BENCH_PASSES` times (default 3) and reports the
 /// best pass by rps: on a shared host, throughput is a property of the
 /// code, noise is a property of the neighbours, and max-of-N strips most
 /// of the latter out of the tracked trajectory.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &str,
-    mode: ThreadModel,
     cache: bool,
     clients: usize,
     frames: usize,
@@ -235,7 +212,7 @@ fn measure(
     let passes = hidwa_bench::env_usize("HIDWA_BENCH_PASSES", 3).max(1);
     let mut best = None;
     for _ in 0..passes {
-        let pass = run_scenario(mode, cache, clients, frames, batch, pipeline);
+        let pass = run_scenario(cache, clients, frames, batch, pipeline);
         assert_eq!(
             pass.3, pass.1.requests,
             "served answers must match counters"
@@ -259,13 +236,11 @@ fn measure(
     let p99_us = sketch.quantile(0.99).as_seconds() * 1e6;
     let hit_rate = stats.hit_rate();
     println!(
-        "{name:<16} {:<8} {clients:>7} {batch:>5} {pipeline:>4} {served:>9} {rps:>10.0} {p50_us:>7.0} µs {p99_us:>7.0} µs {:>8.1}%",
-        mode_label(mode),
+        "{name:<16} {clients:>7} {batch:>5} {pipeline:>4} {served:>9} {rps:>10.0} {p50_us:>7.0} µs {p99_us:>7.0} µs {:>8.1}%",
         hit_rate * 100.0
     );
     ScenarioResult {
         scenario: name.to_string(),
-        mode: mode_label(mode).to_string(),
         clients,
         batch,
         pipeline,
@@ -275,7 +250,6 @@ fn measure(
         p50_us,
         p99_us,
         hit_rate,
-        ratio_vs_legacy: 0.0,
     }
 }
 
@@ -289,7 +263,7 @@ fn main() {
         "end-to-end plan-server round trips: rps, latency quantiles, cache hit rate",
     );
 
-    let paired: [(&str, bool, usize); 4] = [
+    let grid: [(&str, bool, usize); 4] = [
         ("single_cached", true, 1),
         ("single_uncached", false, 1),
         ("batch16_cached", true, 16),
@@ -297,65 +271,38 @@ fn main() {
     ];
 
     println!(
-        "{:<16} {:<8} {:>7} {:>5} {:>4} {:>9} {:>10} {:>10} {:>10} {:>9}",
-        "scenario", "mode", "clients", "batch", "pipe", "requests", "rps", "p50", "p99", "hit rate"
+        "{:<16} {:>7} {:>5} {:>4} {:>9} {:>10} {:>10} {:>10} {:>9}",
+        "scenario", "clients", "batch", "pipe", "requests", "rps", "p50", "p99", "hit rate"
     );
     let mut results = Vec::new();
 
-    // Row family 1+2: the historical cache×batch grid, legacy and reactor
-    // side by side.  Batched scenarios answer `batch` queries per frame:
-    // scale the frame count down so every scenario serves comparable totals.
-    for mode in [ThreadModel::Legacy, ThreadModel::default_for_platform()] {
-        for (name, cache, batch) in paired {
-            let frames = (rounds / batch).max(1);
-            results.push(measure(name, mode, cache, clients, frames, batch, 1));
-        }
+    // Row family 1: the cache×batch grid.  Batched scenarios answer `batch`
+    // queries per frame: scale the frame count down so every scenario
+    // serves comparable totals.
+    for (name, cache, batch) in grid {
+        let frames = (rounds / batch).max(1);
+        results.push(measure(name, cache, clients, frames, batch, 1));
     }
 
-    // Row family 3: reactor connection scaling, single cached queries.
-    let reactor = ThreadModel::default_for_platform();
-    if matches!(reactor, ThreadModel::Reactor { .. }) {
-        for conns in [4usize, 16, 64, 256] {
-            for depth in [1usize, 8] {
-                let frames = (scale_queries / conns).max(1);
-                let name = format!("scale_{conns}x{depth}");
-                results.push(measure(&name, reactor, true, conns, frames, 1, depth));
-            }
-        }
-    }
-
-    // The reactor-vs-legacy trajectory: same scenario, rps ratio.
-    for index in 0..results.len() {
-        if results[index].mode == "legacy" {
-            continue;
-        }
-        let twin = results
-            .iter()
-            .position(|row| row.mode == "legacy" && row.scenario == results[index].scenario);
-        if let Some(twin) = twin {
-            results[index].ratio_vs_legacy = results[index].rps / results[twin].rps;
-        }
-    }
-    for row in &results {
-        if row.ratio_vs_legacy > 0.0 {
-            println!(
-                "reactor vs legacy ({}): {:.2}×",
-                row.scenario, row.ratio_vs_legacy
-            );
+    // Row family 2: connection scaling, single cached queries.
+    for conns in [4usize, 16, 64, 256] {
+        for depth in [1usize, 8] {
+            let frames = (scale_queries / conns).max(1);
+            let name = format!("scale_{conns}x{depth}");
+            results.push(measure(&name, true, conns, frames, 1, depth));
         }
     }
 
     json::write_bench("BENCH_serving.json", &results);
 
     // Sanity floor rather than a flaky perf wall: a warm cached server on
-    // loopback must comfortably clear 1k requests/sec in either mode.
+    // loopback must comfortably clear 1k requests/sec.
     let floor = hidwa_bench::env_f64("HIDWA_BENCH_MIN_RPS", 1000.0);
     for row in &results {
         if row.scenario == "single_cached" {
             assert!(
                 row.rps >= floor,
-                "{} cached single-query serving fell below {floor} rps: {:.0}",
-                row.mode,
+                "cached single-query serving fell below {floor} rps: {:.0}",
                 row.rps
             );
         }

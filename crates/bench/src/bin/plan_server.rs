@@ -9,16 +9,16 @@
 //!
 //! ```text
 //! plan_server [--addr <host:port>] [--no-cache | --cache-capacity <n>]
-//!             [--threads <n|legacy>] [--runner <n>] [--idle-timeout-ms <n>]
+//!             [--threads <n>] [--runner <n>] [--idle-timeout-ms <n>]
 //! ```
 //!
-//! `--threads` picks the connection-driving model: a positive integer runs
-//! that many epoll event loops (the Linux default), `legacy` runs the
-//! thread-per-connection escape hatch.  `--runner` sizes the sweep runner
-//! that evaluates cache misses, `--cache-capacity` bounds the plan cache
-//! with CLOCK eviction, and `--idle-timeout-ms` tunes (or `0` disables) the
-//! mid-frame stall guard that drops slow-loris connections.  `--no-cache`
-//! and `--cache-capacity` are mutually exclusive.  A bad invocation exits 2
+//! `--threads` sets how many epoll event loops drive the connections
+//! (default one per core, capped at 4); serving needs epoll, so the server
+//! runs on Linux only.  `--runner` sizes the sweep runner that evaluates
+//! cache misses, `--cache-capacity` bounds the plan cache with CLOCK
+//! eviction, and `--idle-timeout-ms` tunes (or `0` disables) the mid-frame
+//! stall guard that drops slow-loris connections.  `--no-cache` and
+//! `--cache-capacity` are mutually exclusive.  A bad invocation exits 2
 //! with the usage on stderr before the address is bound; `--help` prints
 //! the usage on stdout and exits 0.
 //!
@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage: plan_server [--addr <host:port>] [--no-cache | --cache-capacity <n>] \
-                     [--threads <n|legacy>] [--runner <n>] [--idle-timeout-ms <n>]";
+                     [--threads <n>] [--runner <n>] [--idle-timeout-ms <n>]";
 
 const FLAGS: &str =
     "--addr= --no-cache --cache-capacity= --threads= --runner= --idle-timeout-ms= --help -h";
@@ -58,9 +58,7 @@ fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let addr = flags.raw("--addr").unwrap_or("127.0.0.1:0");
     let cache_capacity: Option<usize> = flags.value("--cache-capacity")?;
     let mut config = ServeConfig::default();
-    if flags.raw("--threads") == Some("legacy") {
-        config.threads = ThreadModel::Legacy;
-    } else if let Some(event_loops) = flags.value::<NonZeroUsize>("--threads")? {
+    if let Some(event_loops) = flags.value::<NonZeroUsize>("--threads")? {
         config.threads = ThreadModel::Reactor {
             event_loops: event_loops.get(),
         };
@@ -91,13 +89,8 @@ fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         (true, None) => "on (unbounded)".to_string(),
     };
     println!("cache: {cache_label}");
-    println!(
-        "threads: {}",
-        match config.threads {
-            ThreadModel::Reactor { event_loops } => format!("reactor ({event_loops} event loops)"),
-            ThreadModel::Legacy => "legacy (thread per connection)".to_string(),
-        }
-    );
+    let ThreadModel::Reactor { event_loops } = config.threads;
+    println!("threads: reactor ({event_loops} event loops)");
 
     // Blocks until a client sends the shutdown envelope.
     let service = server.wait();

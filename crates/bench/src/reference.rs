@@ -1,8 +1,6 @@
-//! Naive reference implementations the perf benches compare against.
-//!
-//! One definition, used by both the criterion bench (`partition_opt`) and
-//! the perf-trajectory runner (`bench_partition`), so the two always measure
-//! the same baseline.
+//! Naive reference implementations the perf-trajectory runners compare
+//! against: `bench_partition` times the partition optimiser against
+//! [`naive_optimize_leaf_energy`] and checks that both pick the same cut.
 
 use hidwa_core::partition::{PartitionOptimizer, PartitionPlan};
 use hidwa_isa::models::WearableModel;

@@ -118,6 +118,9 @@ fn every_cli_words_bad_flags_alike() {
     assert_usage(&WORKER, &["--bodies", "4", "--radio", "zigbee"], &[radios]);
     let strategies = r#"(expected "exhaustive" or "descent")"#;
     assert_usage(&SEARCH, &["--strategy", "sideways"], &[strategies]);
+    // `--threads` takes an event-loop count and nothing else.
+    let threads = r#"--threads could not parse "legacy""#;
+    assert_usage(&SERVER, &["--threads", "legacy"], &[threads]);
 }
 
 #[test]

@@ -42,7 +42,7 @@
 //!   errors).
 //! * [`serve`] — the partition optimiser and Fig. 3 projector as a warm,
 //!   long-running TCP service: sealed binary codec, exact interned-key plan
-//!   cache, std-only thread-per-connection front-end and matching client.
+//!   cache, std-only epoll front-end (Linux) and matching client.
 //!
 //! # Caching and ownership model
 //!

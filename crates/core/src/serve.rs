@@ -20,10 +20,9 @@
 //!   ([`PlanRequest`] / [`Response`]); decoding never panics.
 //! * [`server`] — the std-only TCP front-end ([`PlanServer`]) over the
 //!   shared [`wire`](crate::wire) framing, plus the matching pipelined
-//!   [`PlanClient`].  On Linux it defaults to the epoll [`reactor`] (a
-//!   small fixed pool of event-loop threads driving every connection);
-//!   [`ThreadModel::Legacy`] keeps the original thread-per-connection
-//!   path, and the two are equivalence-tested byte-for-byte.
+//!   [`PlanClient`].  The server drives every connection from the epoll
+//!   [`reactor`], a small fixed pool of event-loop threads, so serving is
+//!   Linux-only.
 //!
 //! # Determinism contract
 //!

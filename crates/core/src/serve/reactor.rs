@@ -1,12 +1,11 @@
 //! The readiness-driven serving core: every connection multiplexed over a
 //! small fixed pool of epoll event loops (Linux only).
 //!
-//! The thread-per-connection front-end (kept as
-//! [`ThreadModel::Legacy`](super::server::ThreadModel)) spends one OS thread
-//! per live client, so its ceiling is the scheduler, not the hardware.  The
-//! reactor inverts that: each of N event-loop threads owns one epoll
-//! instance and drives every connection assigned to it through a
-//! nonblocking state machine —
+//! A thread per connection would spend one OS thread per live client, so
+//! its ceiling would be the scheduler, not the hardware.  The reactor
+//! inverts that: each of N event-loop threads owns one epoll instance and
+//! drives every connection assigned to it through a nonblocking state
+//! machine —
 //!
 //! * **accept** — the shared nonblocking listener is registered in *every*
 //!   loop (level-triggered); whichever loop wakes first accepts until
@@ -17,9 +16,9 @@
 //!   spinning on it.
 //! * **read** — readable connections are drained to `WouldBlock`; the bytes
 //!   feed the incremental [`FrameDecoder`], and every completed frame is
-//!   answered through the same `handle_frame` the legacy path uses, with
-//!   the response frames accumulated in a per-connection write buffer (a
-//!   burst of pipelined requests leaves as one `write`).
+//!   answered through `handle_frame`, with the response frames accumulated
+//!   in a per-connection write buffer (a burst of pipelined requests leaves
+//!   as one `write`).
 //! * **write / interest re-arming** — the buffer is flushed opportunistically;
 //!   when the socket fills, `EPOLLOUT` interest is armed and dropped again
 //!   the moment the buffer drains (level-triggered `EPOLLOUT` with nothing
@@ -36,14 +35,14 @@
 //!
 //! Determinism note: connection scheduling is OS-driven and therefore not
 //! deterministic, but every *answer* is — responses are a pure function of
-//! the canonical query (see [`super::PlanService`]), so reactor and legacy
-//! modes are byte-identical per request, which the serve test suite asserts
-//! across both modes.
+//! the canonical query (see [`super::PlanService`]), so every client gets
+//! the bytes a serial linked-in service would answer, at any event-loop
+//! count, which the serve test suite asserts.
 
-use super::server::{handle_frame, FrameDisposition};
+use super::codec::{self, RequestEnvelope, Response};
 use super::sys::{self, Epoll, EpollEvent};
-use super::{codec, PlanService};
-use crate::wire::FrameDecoder;
+use super::PlanService;
+use crate::wire::{self, FrameDecoder};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -251,6 +250,46 @@ fn accept_all(
             Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
+        }
+    }
+}
+
+/// What a handled frame means for the connection's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameDisposition {
+    /// Keep answering frames.
+    KeepOpen,
+    /// Flush the appended reply (`Bye`), then close.
+    CloseAfterFlush,
+}
+
+/// The protocol step: decode one frame's payload, append the tagged reply
+/// frame to `out`, report what happens to the connection next.
+fn handle_frame(
+    service: &PlanService,
+    stop: &AtomicBool,
+    tag: u64,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) -> FrameDisposition {
+    match codec::decode_request(payload) {
+        Ok(RequestEnvelope::Queries(requests)) => {
+            let answers = service.answer_batch(&requests);
+            wire::append_frame(out, tag, &codec::encode_responses(&answers));
+            FrameDisposition::KeepOpen
+        }
+        Ok(RequestEnvelope::Shutdown) => {
+            wire::append_frame(out, tag, &codec::encode_bye());
+            stop.store(true, Ordering::SeqCst);
+            FrameDisposition::CloseAfterFlush
+        }
+        Err(error) => {
+            // The frame was well-delimited, so the stream is still in
+            // sync: answer with a typed error and keep the connection.
+            let reply =
+                codec::encode_responses(&[Response::Error(format!("bad request: {error}"))]);
+            wire::append_frame(out, tag, &reply);
+            FrameDisposition::KeepOpen
         }
     }
 }

@@ -6,19 +6,11 @@
 //! carries one request batch; the reply frame echoes the request tag so a
 //! client can match responses to submissions (and pipeline several).
 //!
-//! Two thread models serve the same protocol ([`ThreadModel`]):
-//!
-//! * **Reactor** (Linux default) — a small fixed pool of epoll event-loop
-//!   threads drives *all* connections through nonblocking state machines
-//!   (see [`reactor`](super::reactor)).  Throughput scales with
-//!   connections, not OS threads.
-//! * **Legacy** — the original acceptor + one blocking thread per
-//!   connection.  Kept as the `--threads legacy` escape hatch and as the
-//!   equivalence baseline: both modes answer byte-identical responses,
-//!   which the serve test suite asserts across the full matrix.
-//!
-//! Both modes funnel every completed frame through one `handle_frame`, so
-//! protocol semantics cannot drift between them.  Error containment is
+//! [`PlanServer`] drives every connection from a small fixed pool of epoll
+//! event-loop threads through nonblocking state machines (see
+//! [`reactor`](super::reactor)), so throughput scales with connections, not
+//! OS threads.  Serving needs epoll: off Linux, [`PlanServer::bind_with`]
+//! fails with [`io::ErrorKind::Unsupported`].  Error containment is
 //! per-layer:
 //!
 //! * A **frame** violation (oversized length, truncated header, I/O error)
@@ -35,59 +27,41 @@
 //!   guard.  A connection idle *between* frames is left alone.
 //!
 //! Shutdown is wire-level: any client may send the
-//! [`RequestEnvelope::Shutdown`] envelope; the server answers `Bye`, stops
-//! accepting, and [`PlanServer::wait`] returns.  (A std-only binary cannot
-//! install signal handlers without extra dependencies, so the protocol owns
-//! clean shutdown — the `plan_server` binary documents this.)
+//! [`RequestEnvelope::Shutdown`](super::RequestEnvelope::Shutdown)
+//! envelope; the server answers `Bye`, stops accepting, and
+//! [`PlanServer::wait`] returns.  (A std-only binary cannot install signal
+//! handlers without extra dependencies, so the protocol owns clean shutdown
+//! — the `plan_server` binary documents this.)
 
-use super::codec::{
-    self, Request, RequestEnvelope, Response, ResponseEnvelope, WireCodecError, MAX_SERVE_FRAME,
-};
+use super::codec::{self, Request, Response, ResponseEnvelope, WireCodecError, MAX_SERVE_FRAME};
 use super::PlanService;
-use crate::wire::{self, FrameDecoder, FrameError};
+use crate::wire::{self, FrameError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+#[cfg(target_os = "linux")]
+use super::reactor::spawn as spawn_event_loops;
+
 /// How connections are driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadModel {
-    /// Epoll event-loop pool (Linux; [`PlanServer::bind`]'s default there).
-    /// On other platforms this model falls back to [`Legacy`](Self::Legacy).
+    /// A pool of epoll event loops sharing the listener.
     Reactor {
         /// Event-loop threads sharing the listener (clamped to ≥ 1).
         event_loops: usize,
     },
-    /// The original acceptor + thread-per-connection model.
-    Legacy,
-}
-
-impl ThreadModel {
-    /// The platform default: a reactor on Linux with one event loop per
-    /// core (capped at 4 — plan serving is I/O-light, so a few loops
-    /// saturate well before the core count on big hosts, and a single loop
-    /// avoids pointless context switching on small ones), legacy elsewhere.
-    #[must_use]
-    pub fn default_for_platform() -> Self {
-        if cfg!(target_os = "linux") {
-            let cores = thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-            Self::Reactor {
-                event_loops: cores.clamp(1, 4),
-            }
-        } else {
-            Self::Legacy
-        }
-    }
 }
 
 /// Server knobs beyond the bind address.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Connection-driving model (see [`ThreadModel`]).
+    /// Event-loop pool size (see [`ThreadModel`]).
     pub threads: ThreadModel,
     /// Drop a connection stalled mid-frame (or with unread responses) for
     /// longer than this; `None` disables the guard.  Idle-but-between-frames
@@ -96,17 +70,23 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
+    /// One event loop per core, capped at 4 — plan serving is I/O-light, so
+    /// a few loops saturate well before the core count on big hosts, and a
+    /// single loop avoids pointless context switching on small ones — and a
+    /// 10 s idle timeout.
     fn default() -> Self {
+        let cores = thread::available_parallelism().map_or(2, NonZeroUsize::get);
         Self {
-            threads: ThreadModel::default_for_platform(),
+            threads: ThreadModel::Reactor {
+                event_loops: cores.clamp(1, 4),
+            },
             idle_timeout: Some(Duration::from_secs(10)),
         }
     }
 }
 
-/// A running plan server: a worker pool (reactor loops, or an acceptor
-/// spawning per-connection threads) answering out of one shared
-/// [`PlanService`].
+/// A running plan server: a pool of epoll event loops answering out of one
+/// shared [`PlanService`].
 #[derive(Debug)]
 pub struct PlanServer {
     addr: SocketAddr,
@@ -116,8 +96,7 @@ pub struct PlanServer {
 }
 
 impl PlanServer {
-    /// Binds an ephemeral loopback port and serves with default config
-    /// (reactor mode on Linux).
+    /// Binds an ephemeral loopback port and serves with default config.
     pub fn bind(service: PlanService) -> io::Result<Self> {
         Self::bind_addr("127.0.0.1:0", service)
     }
@@ -128,28 +107,22 @@ impl PlanServer {
     }
 
     /// Binds `addr` and serves with explicit [`ServeConfig`].
+    ///
+    /// # Errors
+    /// The bind or thread-spawn failure; [`io::ErrorKind::Unsupported`] off
+    /// Linux, where there is no epoll.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         service: PlanService,
         config: ServeConfig,
     ) -> io::Result<Self> {
+        let ThreadModel::Reactor { event_loops } = config.threads;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let service = Arc::new(service);
-        let workers = match config.threads {
-            #[cfg(target_os = "linux")]
-            ThreadModel::Reactor { event_loops } => {
-                super::reactor::spawn(&listener, &service, &stop, event_loops, config.idle_timeout)?
-            }
-            #[cfg(not(target_os = "linux"))]
-            ThreadModel::Reactor { .. } => {
-                spawn_legacy(listener, addr, &stop, &service, config.idle_timeout)?
-            }
-            ThreadModel::Legacy => {
-                spawn_legacy(listener, addr, &stop, &service, config.idle_timeout)?
-            }
-        };
+        let workers =
+            spawn_event_loops(&listener, &service, &stop, event_loops, config.idle_timeout)?;
         Ok(Self {
             addr,
             stop,
@@ -180,16 +153,16 @@ impl PlanServer {
     }
 
     /// Stops the server from the owning side (idempotent; also run by
-    /// `Drop`).  Reactor loops notice the flag within one tick and flush
-    /// what they owe; the legacy acceptor is poked out of its blocking
-    /// `accept` — in-flight answers are never truncated.
+    /// `Drop`).  The event loops flush what they owe before they exit, so
+    /// in-flight answers are never truncated.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if self.workers.is_empty() {
             return;
         }
-        // Poke a blocking legacy `accept` so the loop observes the flag
-        // (a reactor accepts-then-drops the probe; harmless).
+        // Every loop watches the listener, so a probe connection wakes the
+        // loops' `epoll_wait` now instead of leaving them to see the flag
+        // at their next 20 ms tick.  The loop that accepts it drops it.
         let _ = TcpStream::connect(self.addr);
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -203,146 +176,19 @@ impl Drop for PlanServer {
     }
 }
 
-/// What a handled frame means for the connection's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameDisposition {
-    /// Keep answering frames.
-    KeepOpen,
-    /// Flush the appended reply (`Bye`), then close.
-    CloseAfterFlush,
-}
-
-/// The single protocol step both thread models share: decode one frame's
-/// payload, append the tagged reply frame to `out`, report what happens to
-/// the connection next.  Keeping this common is what makes reactor/legacy
-/// byte-equivalence structural rather than coincidental.
-pub(crate) fn handle_frame(
-    service: &PlanService,
-    stop: &AtomicBool,
-    tag: u64,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) -> FrameDisposition {
-    match codec::decode_request(payload) {
-        Ok(RequestEnvelope::Queries(requests)) => {
-            let answers = service.answer_batch(&requests);
-            wire::append_frame(out, tag, &codec::encode_responses(&answers));
-            FrameDisposition::KeepOpen
-        }
-        Ok(RequestEnvelope::Shutdown) => {
-            wire::append_frame(out, tag, &codec::encode_bye());
-            stop.store(true, Ordering::SeqCst);
-            FrameDisposition::CloseAfterFlush
-        }
-        Err(error) => {
-            // The frame was well-delimited, so the stream is still in
-            // sync: answer with a typed error and keep the connection.
-            let reply =
-                codec::encode_responses(&[Response::Error(format!("bad request: {error}"))]);
-            wire::append_frame(out, tag, &reply);
-            FrameDisposition::KeepOpen
-        }
-    }
-}
-
-/// Spawns the legacy acceptor thread (which in turn spawns one detached
-/// thread per connection).
-fn spawn_legacy(
-    listener: TcpListener,
-    addr: SocketAddr,
-    stop: &Arc<AtomicBool>,
-    service: &Arc<PlanService>,
-    idle_timeout: Option<Duration>,
+/// Serving needs epoll, so off Linux every bind fails.
+#[cfg(not(target_os = "linux"))]
+fn spawn_event_loops(
+    _listener: &TcpListener,
+    _service: &Arc<PlanService>,
+    _stop: &Arc<AtomicBool>,
+    _event_loops: usize,
+    _idle_timeout: Option<Duration>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    let stop = Arc::clone(stop);
-    let service = Arc::clone(service);
-    let acceptor = thread::Builder::new()
-        .name("serve-acceptor".into())
-        .spawn(move || accept_loop(&listener, addr, &stop, &service, idle_timeout))?;
-    Ok(vec![acceptor])
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    addr: SocketAddr,
-    stop: &Arc<AtomicBool>,
-    service: &Arc<PlanService>,
-    idle_timeout: Option<Duration>,
-) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // Request/response ping-pong: Nagle buys nothing and costs 40 ms
-        // stalls when a reply spans segments.
-        let _ = stream.set_nodelay(true);
-        let stop = Arc::clone(stop);
-        let service = Arc::clone(service);
-        thread::spawn(move || {
-            // Per-connection errors stay on the connection.
-            let _ = serve_connection(stream, addr, &stop, &service, idle_timeout);
-        });
-    }
-}
-
-/// Answers frames on one legacy connection until the peer disconnects,
-/// violates framing, stalls mid-frame beyond the idle timeout, or requests
-/// shutdown.  Runs the same incremental [`FrameDecoder`] as the reactor, so
-/// chunked delivery and pipelined bursts behave identically: every frame
-/// completed by one read is answered, and the replies leave as one write.
-fn serve_connection(
-    mut stream: TcpStream,
-    addr: SocketAddr,
-    stop: &AtomicBool,
-    service: &PlanService,
-    idle_timeout: Option<Duration>,
-) -> Result<(), FrameError> {
-    stream.set_read_timeout(idle_timeout)?;
-    stream.set_write_timeout(idle_timeout)?;
-    let mut decoder = FrameDecoder::new(MAX_SERVE_FRAME);
-    let mut buf = [0u8; 16 * 1024];
-    let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return Ok(()), // peer EOF
-            Ok(got) => {
-                frames.clear();
-                decoder.feed(&buf[..got], &mut frames)?;
-                out.clear();
-                let mut close = false;
-                for (tag, payload) in frames.drain(..) {
-                    match handle_frame(service, stop, tag, &payload, &mut out) {
-                        FrameDisposition::KeepOpen => {}
-                        FrameDisposition::CloseAfterFlush => {
-                            close = true;
-                            break;
-                        }
-                    }
-                }
-                stream.write_all(&out)?;
-                if close {
-                    let _ = stream.flush();
-                    // Poke the acceptor out of its blocking `accept`.
-                    let _ = TcpStream::connect(addr);
-                    return Ok(());
-                }
-            }
-            Err(error)
-                if error.kind() == io::ErrorKind::WouldBlock
-                    || error.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Read timeout fired.  Mid-frame = slow-loris: drop.  Idle
-                // between frames: keep waiting for the next request.
-                if decoder.mid_frame() {
-                    return Err(FrameError::Io(error));
-                }
-            }
-            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-            Err(error) => return Err(error.into()),
-        }
-    }
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "plan serving needs epoll, which only Linux has",
+    ))
 }
 
 /// A client-side protocol violation.

@@ -1,10 +1,10 @@
-//! Server battery, run against **both thread models** (epoll reactor and
-//! legacy thread-per-connection): N concurrent clients receive
-//! byte-identical responses to a serial linked-in optimiser (cache on and
-//! off), pipelined clients match replies by tag in any consumption order,
-//! slow-loris peers are dropped without taking down the server, and the
-//! server survives malformed frames, oversized frames and mid-request
-//! disconnects without taking down other connections.
+//! Server battery, run against the epoll reactor with one and with two
+//! event loops: N concurrent clients receive byte-identical responses to a
+//! serial linked-in optimiser (cache on and off), pipelined clients match
+//! replies by tag in any consumption order, slow-loris peers are dropped
+//! without taking down the server, and the server survives malformed
+//! frames, oversized frames and mid-request disconnects without taking
+//! down other connections.
 
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
@@ -25,9 +25,13 @@ const OBJECTIVES: [Objective; 3] = [
     Objective::EnergyDelayProduct,
 ];
 
-/// Both connection-driving models; every test in this battery runs the
-/// full matrix so reactor/legacy equivalence is asserted structurally.
-const MODES: [ThreadModel; 2] = [ThreadModel::Reactor { event_loops: 2 }, ThreadModel::Legacy];
+/// One event loop (what perfbench's `serve_plans` serves with) and two
+/// loops sharing the listener; every test here that takes `MODES` runs
+/// both.
+const MODES: [ThreadModel; 2] = [
+    ThreadModel::Reactor { event_loops: 1 },
+    ThreadModel::Reactor { event_loops: 2 },
+];
 
 fn bind_mode(service: PlanService, threads: ThreadModel) -> PlanServer {
     PlanServer::bind_with(
