@@ -19,7 +19,11 @@
 //! per-thread partials merge once, after the join.  No summary waits to be
 //! folded, and aggregation state is `O(K + sketch buckets)` per partial —
 //! independent of fleet size — so a 10k-body (or 10M-body) fold runs in
-//! `O(threads × (K + sketch))` memory.
+//! `O(threads × (K + sketch))` memory.  Each thread also owns one netsim
+//! [`Workspace`] for the whole fold: every body it simulates runs in that
+//! workspace, reset in place, and is reduced straight into its summary
+//! ([`Simulation::run_totals`](hidwa_netsim::sim::Simulation::run_totals)),
+//! so no per-body engine or report is built.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -78,6 +82,7 @@ use crate::population::{BodyScenario, LinkCache, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
+use hidwa_netsim::sim::Workspace;
 use hidwa_netsim::sketch::{self, ExactSum, LatencySketch};
 use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, DataVolume, Energy, TimeSpan};
@@ -259,8 +264,13 @@ impl FleetConfig {
 
     /// Simulates one body end to end: sample scenario (and, for a churned
     /// fleet, the body's residency and placement trajectory), build, run the
-    /// active span, reduce.
-    fn simulate_body(&self, body_index: usize, links: &LinkCache) -> BodySummary {
+    /// active span in `workspace`, reduce.
+    fn simulate_body(
+        &self,
+        body_index: usize,
+        links: &LinkCache,
+        workspace: &mut Workspace,
+    ) -> BodySummary {
         let scenario = self.scenario_for_body(body_index);
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
             None => (self.horizon, 0, 0, Energy::ZERO),
@@ -277,27 +287,22 @@ impl FleetConfig {
                 )
             }
         };
-        let mut sim = scenario.build_simulation(links);
-        let report = sim.run(active_span);
-        let mut latency = LatencySketch::new();
-        let mut worst_p95 = TimeSpan::ZERO;
-        for (stats, sketch) in report.node_stats().iter().zip(report.latency_sketches()) {
-            latency.merge(sketch);
-            worst_p95 = worst_p95.max(stats.p95_latency);
-        }
+        let totals = scenario
+            .build_simulation(links)
+            .run_totals(workspace, active_span);
         BodySummary {
             body_index,
             seed: scenario.seed(),
             archetype: Arc::clone(scenario.archetype_label()),
             nodes: scenario.leaves().len(),
-            generated_frames: report.node_stats().iter().map(|s| s.generated_frames).sum(),
-            delivered_frames: report.node_stats().iter().map(|s| s.delivered_frames).sum(),
-            delivered_bytes: report.node_stats().iter().map(|s| s.delivered_bytes).sum(),
-            events_processed: report.events_processed(),
-            delivery_ratio: report.delivery_ratio(),
-            total_energy: report.total_energy(),
-            worst_p95_latency: worst_p95,
-            latency,
+            generated_frames: totals.generated_frames,
+            delivered_frames: totals.delivered_frames,
+            delivered_bytes: totals.delivered_bytes,
+            events_processed: totals.events_processed,
+            delivery_ratio: totals.delivery_ratio(),
+            total_energy: totals.total_energy,
+            worst_p95_latency: totals.worst_p95_latency,
+            latency: totals.latency,
             active_span,
             migrations,
             replans,
@@ -329,7 +334,9 @@ impl FleetConfig {
     /// helper into a fresh partial that is merged in after the join.  Every
     /// partial ingests in increasing body index, so the resulting state
     /// depends only on which bodies were folded, never on which thread
-    /// simulated them (see [`FleetAggregator::merge`]).
+    /// simulated them (see [`FleetAggregator::merge`]).  Each thread pairs
+    /// its partial with one netsim [`Workspace`] and runs all of its bodies
+    /// in it.
     fn fold_range(
         &self,
         runner: &SweepRunner,
@@ -337,13 +344,18 @@ impl FleetConfig {
         aggregator: &mut FleetAggregator,
         range: Range<usize>,
     ) {
+        let fresh = || FleetAggregator::new(self.horizon, self.top_k);
+        let mut calling = (std::mem::replace(aggregator, fresh()), Workspace::new());
         runner.fold(
             range,
-            aggregator,
-            || FleetAggregator::new(self.horizon, self.top_k),
-            |partial, body_index| partial.ingest(self.simulate_body(body_index, links)),
-            FleetAggregator::merge,
+            &mut calling,
+            || (fresh(), Workspace::new()),
+            |(partial, workspace), body_index| {
+                partial.ingest(self.simulate_body(body_index, links, workspace));
+            },
+            |(merged, _), (partial, _)| merged.merge(partial),
         );
+        *aggregator = calling.0;
     }
 
     /// Runs the fold for bodies `0..stop` (clamped to the fleet size) and
@@ -931,8 +943,9 @@ mod tests {
         // Re-derive the same totals by folding the five bodies by hand.
         let links = LinkCache::for_population(fleet.population());
         let mut aggregator = FleetAggregator::new(fleet.horizon(), FleetConfig::DEFAULT_TOP_K);
+        let mut workspace = Workspace::new();
         for i in 0..5 {
-            aggregator.ingest(fleet.simulate_body(i, &links));
+            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace));
         }
         let manual = aggregator.finish();
         assert_eq!(report, manual);
@@ -949,6 +962,136 @@ mod tests {
             .sum();
         assert_eq!(report.fleet_latency().count(), delivered);
         assert_eq!(report.body_p95_distribution().count(), 5);
+    }
+
+    /// The oracle for the workspace readout: body `body_index` run on a
+    /// freshly built engine, its full report reduced across the nodes.
+    fn report_summary(config: &FleetConfig, body_index: usize, links: &LinkCache) -> BodySummary {
+        let scenario = config.scenario_for_body(body_index);
+        let (active_span, migrations, replans, placement_energy) = match config.churn() {
+            None => (config.horizon(), 0, 0, Energy::ZERO),
+            Some(spec) => {
+                let sample =
+                    spec.churn()
+                        .sample(config.base_seed(), body_index as u64, config.horizon());
+                let outcome = placement::simulate_placement(spec, &scenario, &sample);
+                (
+                    sample.active(),
+                    outcome.migrations,
+                    outcome.replans,
+                    outcome.energy,
+                )
+            }
+        };
+        let report = scenario.build_simulation(links).run(active_span);
+        let mut latency = LatencySketch::new();
+        let mut worst_p95 = TimeSpan::ZERO;
+        for (stats, sketch) in report.node_stats().iter().zip(report.latency_sketches()) {
+            latency.merge(sketch);
+            worst_p95 = worst_p95.max(stats.p95_latency);
+        }
+        BodySummary {
+            body_index,
+            seed: scenario.seed(),
+            archetype: Arc::clone(scenario.archetype_label()),
+            nodes: scenario.leaves().len(),
+            generated_frames: report.node_stats().iter().map(|s| s.generated_frames).sum(),
+            delivered_frames: report.node_stats().iter().map(|s| s.delivered_frames).sum(),
+            delivered_bytes: report.node_stats().iter().map(|s| s.delivered_bytes).sum(),
+            events_processed: report.events_processed(),
+            delivery_ratio: report.delivery_ratio(),
+            total_energy: report.total_energy(),
+            worst_p95_latency: worst_p95,
+            latency,
+            active_span,
+            migrations,
+            replans,
+            placement_energy,
+        }
+    }
+
+    #[test]
+    fn workspace_readout_matches_the_report_reduction() {
+        use crate::population::{BodyArchetype, ChurnModel, LeafArchetype};
+        use hidwa_energy::sensing::SensorModality;
+        use hidwa_eqs::body::BodySite;
+        use hidwa_netsim::traffic::{TrafficMix, TrafficPattern};
+        use hidwa_units::Power;
+        let mixed = FleetConfig::new(24)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(5)
+            .with_horizon(TimeSpan::from_seconds(2.0));
+        let churned = mixed.clone().with_base_seed(77).with_churn(ChurnSpec::new(
+            ChurnModel::with_rate(0.5).with_link_fade(0.8),
+            PolicyKind::ReoptimizeOnChange,
+        ));
+        // 72 bursty-or-periodic slots, each worn with probability 0.9, so
+        // body sizes fall on both sides of the 64-node single-word mask.
+        let sites = [BodySite::Wrist, BodySite::Chest, BodySite::Ear];
+        let slots = (0..72)
+            .map(|i| {
+                let spec = scenario::LeafSpec {
+                    name: "burst",
+                    site: sites[i % sites.len()],
+                    modality: SensorModality::Inertial,
+                    traffic: TrafficPattern::Silent,
+                    compute_power: Power::from_micro_watts(3.0),
+                };
+                let traffic = TrafficMix::new(vec![
+                    (
+                        2.0,
+                        TrafficPattern::bursty(TimeSpan::from_millis(60.0), 128),
+                    ),
+                    (
+                        1.0,
+                        TrafficPattern::periodic(TimeSpan::from_millis(90.0), 64),
+                    ),
+                ]);
+                LeafArchetype::new(spec, 0.9, traffic)
+            })
+            .collect();
+        let wide = FleetConfig::new(24)
+            .with_population(PopulationModel::new(vec![BodyArchetype::new(
+                "wide",
+                1.0,
+                RadioTechnology::WiR,
+                MacPolicy::Polling,
+                slots,
+            )]))
+            .with_horizon(TimeSpan::from_seconds(1.0));
+        let fleets = [mixed, churned, wide];
+        let links: Vec<LinkCache> = fleets
+            .iter()
+            .map(|config| LinkCache::for_population(config.population()))
+            .collect();
+        // One workspace runs every body back to back, so each body starts
+        // from whatever the previous (often larger) one left behind.
+        let mut workspace = Workspace::new();
+        let mut sizes = Vec::new();
+        for body_index in 0..24 {
+            for (config, links) in fleets.iter().zip(&links) {
+                let got = config.simulate_body(body_index, links, &mut workspace);
+                let want = report_summary(config, body_index, links);
+                let context = format!("body {body_index} of {}", want.archetype);
+                assert_eq!(
+                    got.total_energy.as_joules().to_bits(),
+                    want.total_energy.as_joules().to_bits(),
+                    "{context}"
+                );
+                assert_eq!(
+                    got.worst_p95_latency.as_seconds().to_bits(),
+                    want.worst_p95_latency.as_seconds().to_bits(),
+                    "{context}"
+                );
+                assert!(got.latency == want.latency, "{context}");
+                assert_eq!(got, want, "{context}");
+                sizes.push(got.nodes);
+            }
+        }
+        // The run really shrank and grew across the mask boundary.
+        assert!(sizes.windows(2).any(|pair| pair[0] > 64 && pair[1] <= 64));
+        assert!(sizes.windows(2).any(|pair| pair[0] <= 64 && pair[1] > 64));
+        assert!(sizes.iter().any(|&nodes| nodes > 64 && nodes < 72));
     }
 
     #[test]
@@ -974,8 +1117,9 @@ mod tests {
             ));
         for config in [uniform, churned] {
             let links = LinkCache::for_population(config.population());
+            let mut workspace = Workspace::new();
             let summaries: Vec<BodySummary> = (0..config.bodies())
-                .map(|i| config.simulate_body(i, &links))
+                .map(|i| config.simulate_body(i, &links, &mut workspace))
                 .collect();
             // Ingests the bodies `keep` selects, in index order.
             let fold = |keep: &dyn Fn(usize) -> bool| {
@@ -1072,8 +1216,13 @@ mod tests {
         assert_eq!(report.worst_bodies().len(), 2);
         // Exact per-body p95 values, recomputed independently.
         let links = LinkCache::for_population(fleet.population());
+        let mut workspace = Workspace::new();
         let mut p95s: Vec<TimeSpan> = (0..12)
-            .map(|i| fleet.simulate_body(i, &links).worst_p95_latency)
+            .map(|i| {
+                fleet
+                    .simulate_body(i, &links, &mut workspace)
+                    .worst_p95_latency
+            })
             .collect();
         p95s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
         assert_eq!(report.body_worst_p95_quantile(0.0), p95s[0]);

@@ -5,8 +5,7 @@
 //! [`Simulation::run`] executes on one of two engines:
 //!
 //! * **Streaming** (default) — a struct-of-arrays, allocation-free core
-//!   (the private `StreamingCore`): per-node generation *slots* merged
-//!   against a FIFO
+//!   (a [`Workspace`]): per-node generation *slots* merged against a FIFO
 //!   of pending transmission completions, flat per-node counter arrays,
 //!   incremental ready-bitmask arbitration ([`Arbiter::grant_masked`] /
 //!   [`Arbiter::grant_words`]) and run-length-batched O(1)-memory
@@ -47,6 +46,26 @@
 //! One shared sequence counter spans both lanes, so the merged pop order is
 //! **identical** to pushing every event through one binary heap — the
 //! engine-equivalence tests assert this end to end across traffic shapes.
+//!
+//! # Reusing one workspace across runs
+//!
+//! A [`Workspace`] holds every array the streaming engine touches and is
+//! reset in place at the start of each run: the per-node arrays are cleared
+//! and refilled, while node queues, per-node sketches and the completion
+//! spill keep the capacity earlier runs gave them.  It has two readouts.
+//! [`Simulation::run`] runs in a fresh workspace and reads a full
+//! [`SimulationReport`] out of it (per-node [`NodeStats`] with their names,
+//! one sketch per node).  [`Simulation::run_totals`] runs in a caller-owned
+//! workspace and reduces it straight into [`RunTotals`]: body-wide frame,
+//! byte and event totals, the energy sum in node order, the worst per-node
+//! p95 and the node sketches merged into one — exactly the values the
+//! report would reduce to, without its per-node names or sketches.  A fleet
+//! fold keeps one workspace per thread; once its buffers reach their
+//! high-water marks, a run of at most 64 nodes allocates nothing but the
+//! merged sketch it returns.  The fleet still builds each body's scenario
+//! leaves and node configurations (with their names) per body.
+//! `hidwa-core`'s `tests/fleet_alloc_counting.rs` gates the allocations per
+//! fleet body.
 
 use crate::event::{BinaryHeapQueue, Event};
 use crate::mac::{Arbiter, MacPolicy};
@@ -176,6 +195,40 @@ impl SimulationReport {
         }
         let delivered: usize = self.node_stats.iter().map(|s| s.delivered_frames).sum();
         delivered as f64 / generated as f64
+    }
+}
+
+/// A run reduced across its nodes ([`Simulation::run_totals`]): every field
+/// equals, bit for bit, the same reduction of the run's
+/// [`SimulationReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunTotals {
+    /// Frames generated across all nodes.
+    pub generated_frames: usize,
+    /// Frames delivered to the hub across all nodes.
+    pub delivered_frames: usize,
+    /// Application bytes delivered to the hub across all nodes.
+    pub delivered_bytes: usize,
+    /// Discrete events processed within the horizon.
+    pub events_processed: u64,
+    /// Radio + baseline energy, summed in node order
+    /// ([`SimulationReport::total_energy`]).
+    pub total_energy: Energy,
+    /// Largest per-node p95 delivery latency.
+    pub worst_p95_latency: TimeSpan,
+    /// Every node's latency sketch merged in node order.
+    pub latency: LatencySketch,
+}
+
+impl RunTotals {
+    /// Fraction of generated frames that were delivered (1.0 when nothing
+    /// was generated), as [`SimulationReport::delivery_ratio`].
+    #[must_use]
+    pub fn delivery_ratio(&self) -> f64 {
+        if self.generated_frames == 0 {
+            return 1.0;
+        }
+        self.delivered_frames as f64 / self.generated_frames as f64
     }
 }
 
@@ -356,7 +409,7 @@ impl ReadyBits {
     }
 }
 
-/// Struct-of-arrays runtime of the streaming engine.
+/// Struct-of-arrays state of the streaming engine, reusable across runs.
 ///
 /// Every quantity the inner loop touches lives in a flat array indexed by
 /// node, sized once before the loop: the drain walks parallel arrays instead
@@ -365,7 +418,11 @@ impl ReadyBits {
 /// global allocator).  Times are raw `f64` seconds — [`TimeSpan`] is a plain
 /// `f64` newtype, so the arithmetic is bit-identical to the newtype path the
 /// reference engine takes.
-struct StreamingCore {
+///
+/// Each run resets the workspace in place for its own node set (see the
+/// [module docs](self)), so nothing a previous run left behind is read;
+/// keep one per thread and pass it to [`Simulation::run_totals`].
+pub struct Workspace {
     // --- per-node constants (hoisted once, split per use site so each
     //     handler streams through exactly the array it needs) ---
     /// Next-frame interval source (generation handler).
@@ -388,7 +445,10 @@ struct StreamingCore {
     // --- per-node frame queues ---
     /// Generation timestamps of queued frames.  Frame bytes are **not**
     /// stored per entry: they are the per-node constant
-    /// `hot[i].frame_bytes`, which halves the queue traffic.
+    /// `hot[i].frame_bytes`, which halves the queue traffic.  Like
+    /// `sketches`, it may hold more entries than the current run has
+    /// nodes: a reset clears only the first `nodes.len()`, which are the
+    /// only ones the run reads, and keeps every buffer.
     queues: Vec<VecDeque<f64>>,
     // --- flat per-node counters ---
     generated: Vec<usize>,
@@ -431,59 +491,204 @@ struct StreamingCore {
     events_processed: u64,
 }
 
-impl StreamingCore {
-    fn new(nodes: &[NodeConfig], policy: MacPolicy, rng: &mut StdRng) -> Self {
-        let count = nodes.len();
-        let hot: Vec<NodeHot> = nodes
-            .iter()
-            .map(|node| NodeHot::build(node, policy))
-            .collect();
-        let mut core = Self {
-            intervals: hot.iter().map(|h| h.interval).collect(),
-            occupancy_seconds: hot.iter().map(|h| h.frame_occupancy.as_seconds()).collect(),
-            frame_bytes: hot.iter().map(|h| h.frame_bytes).collect(),
-            frame_energy: hot.iter().map(|h| h.frame_energy).collect(),
-            traffic: nodes.iter().map(|node| node.traffic().clone()).collect(),
-            gen_heap: Vec::with_capacity(count),
-            queues: (0..count).map(|_| VecDeque::new()).collect(),
-            generated: vec![0; count],
-            in_flight: vec![0; count],
-            delivered: vec![0; count],
-            delivered_bytes: vec![0; count],
-            radio_energy: vec![Energy::ZERO; count],
-            run_latency: vec![[f64::NAN; RUN_WAYS]; count],
-            run_count: vec![[0; RUN_WAYS]; count],
-            run_evict: vec![0; count],
-            sketches: (0..count).map(|_| LatencySketch::new()).collect(),
+/// Empties `slots` and refills it with `count` copies of `value`, keeping
+/// its buffer.
+fn refill<T: Clone>(slots: &mut Vec<T>, count: usize, value: T) {
+    slots.clear();
+    slots.resize(count, value);
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Workspace {
+    /// An empty workspace; its arrays grow to the first run's node count.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            intervals: Vec::new(),
+            occupancy_seconds: Vec::new(),
+            frame_bytes: Vec::new(),
+            frame_energy: Vec::new(),
+            traffic: Vec::new(),
+            gen_heap: Vec::new(),
+            queues: Vec::new(),
+            generated: Vec::new(),
+            in_flight: Vec::new(),
+            delivered: Vec::new(),
+            delivered_bytes: Vec::new(),
+            radio_energy: Vec::new(),
+            run_latency: Vec::new(),
+            run_count: Vec::new(),
+            run_evict: Vec::new(),
+            sketches: Vec::new(),
             completion_head: None,
-            completion_spill: VecDeque::with_capacity(8),
-            ready: if count <= 64 {
-                ReadyBits::Mask(0)
-            } else {
-                ReadyBits::Words(vec![0; count.div_ceil(64)])
-            },
-            arbiter: Arbiter::new(policy, count),
+            completion_spill: VecDeque::new(),
+            ready: ReadyBits::Mask(0),
+            arbiter: Arbiter::new(MacPolicy::Polling, 0),
             medium_busy_until: 0.0,
             medium_busy_total: 0.0,
             next_sequence: 0,
             events_processed: 0,
+        }
+    }
+
+    /// Resets the workspace for a run of `nodes` under `policy` and seeds
+    /// every traffic source — the state a freshly built engine would start
+    /// from, in buffers earlier runs already grew.
+    fn reset(&mut self, nodes: &[NodeConfig], policy: MacPolicy, rng: &mut StdRng) {
+        let count = nodes.len();
+        self.intervals.clear();
+        self.occupancy_seconds.clear();
+        self.frame_bytes.clear();
+        self.frame_energy.clear();
+        self.traffic.clear();
+        for node in nodes {
+            let hot = NodeHot::build(node, policy);
+            self.intervals.push(hot.interval);
+            self.occupancy_seconds
+                .push(hot.frame_occupancy.as_seconds());
+            self.frame_bytes.push(hot.frame_bytes);
+            self.frame_energy.push(hot.frame_energy);
+            self.traffic.push(node.traffic().clone());
+        }
+        if self.queues.len() < count {
+            self.queues.resize_with(count, VecDeque::new);
+            self.sketches.resize_with(count, LatencySketch::new);
+        }
+        self.queues[..count].iter_mut().for_each(VecDeque::clear);
+        self.sketches[..count]
+            .iter_mut()
+            .for_each(LatencySketch::clear);
+        refill(&mut self.generated, count, 0);
+        refill(&mut self.in_flight, count, 0);
+        refill(&mut self.delivered, count, 0);
+        refill(&mut self.delivered_bytes, count, 0);
+        refill(&mut self.radio_energy, count, Energy::ZERO);
+        refill(&mut self.run_latency, count, [f64::NAN; RUN_WAYS]);
+        refill(&mut self.run_count, count, [0; RUN_WAYS]);
+        refill(&mut self.run_evict, count, 0);
+        self.completion_head = None;
+        self.completion_spill.clear();
+        self.completion_spill.reserve(8);
+        self.ready = if count <= 64 {
+            ReadyBits::Mask(0)
+        } else {
+            ReadyBits::Words(vec![0; count.div_ceil(64)])
         };
+        self.arbiter = Arbiter::new(policy, count);
+        self.medium_busy_until = 0.0;
+        self.medium_busy_total = 0.0;
+        self.next_sequence = 0;
+        self.events_processed = 0;
         // Seed the first frame of every traffic source, consuming sequences
         // (and RNG draws) in node order exactly as the reference engine's
         // seeding loop does.
+        self.gen_heap.clear();
         for (i, node) in nodes.iter().enumerate() {
             if let Some(interval) = node.traffic().next_interval(rng) {
-                let sequence = core.next_sequence;
-                core.next_sequence += 1;
-                core.gen_heap.push(GenSlot {
+                let sequence = self.next_sequence;
+                self.next_sequence += 1;
+                self.gen_heap.push(GenSlot {
                     time: interval.as_seconds(),
                     sequence,
                     node: i as u32,
                 });
             }
         }
-        core.heap_build();
-        core
+        self.heap_build();
+    }
+
+    /// Resets for `nodes` and drains the event stream up to `duration`.
+    fn execute(&mut self, nodes: &[NodeConfig], policy: MacPolicy, seed: u64, duration: TimeSpan) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.reset(nodes, policy, &mut rng);
+        self.drain(duration.as_seconds(), &mut rng);
+    }
+
+    /// Reads the finished run of `nodes` out as a full report, moving the
+    /// node sketches into it.
+    fn report(
+        &mut self,
+        nodes: &[NodeConfig],
+        policy: MacPolicy,
+        duration: TimeSpan,
+    ) -> SimulationReport {
+        let mut latency_sketches = Vec::with_capacity(nodes.len());
+        let node_stats = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                self.flush_pending(i);
+                let sketch = std::mem::take(&mut self.sketches[i]);
+                let (mean, p95, max, sketch) = finalize_latencies(sketch, Vec::new());
+                latency_sketches.push(sketch);
+                let radio_energy = self.radio_energy[i];
+                let baseline_energy = node.baseline_power() * duration;
+                let total_energy = radio_energy + baseline_energy;
+                NodeStats {
+                    name: node.name().to_string(),
+                    role: node.role(),
+                    generated_frames: self.generated[i],
+                    delivered_frames: self.delivered[i],
+                    delivered_bytes: self.delivered_bytes[i],
+                    backlog_frames: self.queues[i].len() + self.in_flight[i],
+                    mean_latency: mean,
+                    p95_latency: p95,
+                    max_latency: max,
+                    radio_energy,
+                    baseline_energy,
+                    average_power: if duration.as_seconds() > 0.0 {
+                        total_energy / duration
+                    } else {
+                        Power::ZERO
+                    },
+                    throughput: if duration.as_seconds() > 0.0 {
+                        DataVolume::from_bytes(self.delivered_bytes[i] as f64) / duration
+                    } else {
+                        DataRate::ZERO
+                    },
+                }
+            })
+            .collect();
+
+        SimulationReport {
+            duration,
+            policy,
+            node_stats,
+            medium_busy: TimeSpan::from_seconds(self.medium_busy_total).min(duration),
+            events_processed: self.events_processed,
+            latency_sketches,
+        }
+    }
+
+    /// Reduces the finished run of `nodes` across its nodes, with the same
+    /// operations in the same order as reducing [`report`](Self::report)'s
+    /// output would take.
+    fn totals(&mut self, nodes: &[NodeConfig], duration: TimeSpan) -> RunTotals {
+        let mut latency = LatencySketch::new();
+        let mut worst_p95_latency = TimeSpan::ZERO;
+        for i in 0..nodes.len() {
+            self.flush_pending(i);
+            worst_p95_latency = worst_p95_latency.max(self.sketches[i].quantile(0.95));
+            latency.merge(&self.sketches[i]);
+        }
+        RunTotals {
+            generated_frames: self.generated.iter().sum(),
+            delivered_frames: self.delivered.iter().sum(),
+            delivered_bytes: self.delivered_bytes.iter().sum(),
+            events_processed: self.events_processed,
+            total_energy: nodes
+                .iter()
+                .zip(&self.radio_energy)
+                .map(|(node, &radio_energy)| radio_energy + node.baseline_power() * duration)
+                .sum(),
+            worst_p95_latency,
+            latency,
+        }
     }
 
     #[inline(always)]
@@ -861,70 +1066,33 @@ impl Simulation {
         Ok(load)
     }
 
-    /// Runs the simulation for `duration` of simulated time.
+    /// Runs the simulation for `duration` of simulated time.  The streaming
+    /// engine runs in a fresh [`Workspace`] and reads the report out of it.
     #[must_use]
     pub fn run(&mut self, duration: TimeSpan) -> SimulationReport {
         if self.reference_engine {
-            self.run_reference(duration)
-        } else {
-            self.run_streaming(duration)
+            return self.run_reference(duration);
         }
+        let mut workspace = Workspace::new();
+        workspace.execute(&self.nodes, self.policy, self.seed, duration);
+        workspace.report(&self.nodes, self.policy, duration)
     }
 
-    /// The streaming engine: struct-of-arrays state, slot-based generation
-    /// scheduling, incremental readiness and run-length-batched sketches.
-    /// See the module docs and [`StreamingCore`].
-    fn run_streaming(&mut self, duration: TimeSpan) -> SimulationReport {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut core = StreamingCore::new(&self.nodes, self.policy, &mut rng);
-        core.drain(duration.as_seconds(), &mut rng);
-        let mut latency_sketches = Vec::with_capacity(self.nodes.len());
-        let node_stats = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                core.flush_pending(i);
-                let sketch = std::mem::take(&mut core.sketches[i]);
-                let (mean, p95, max, sketch) = finalize_latencies(sketch, Vec::new());
-                latency_sketches.push(sketch);
-                let radio_energy = core.radio_energy[i];
-                let baseline_energy = node.baseline_power() * duration;
-                let total_energy = radio_energy + baseline_energy;
-                NodeStats {
-                    name: node.name().to_string(),
-                    role: node.role(),
-                    generated_frames: core.generated[i],
-                    delivered_frames: core.delivered[i],
-                    delivered_bytes: core.delivered_bytes[i],
-                    backlog_frames: core.queues[i].len() + core.in_flight[i],
-                    mean_latency: mean,
-                    p95_latency: p95,
-                    max_latency: max,
-                    radio_energy,
-                    baseline_energy,
-                    average_power: if duration.as_seconds() > 0.0 {
-                        total_energy / duration
-                    } else {
-                        Power::ZERO
-                    },
-                    throughput: if duration.as_seconds() > 0.0 {
-                        DataVolume::from_bytes(core.delivered_bytes[i] as f64) / duration
-                    } else {
-                        DataRate::ZERO
-                    },
-                }
-            })
-            .collect();
-
-        SimulationReport {
-            duration,
-            policy: self.policy,
-            node_stats,
-            medium_busy: TimeSpan::from_seconds(core.medium_busy_total).min(duration),
-            events_processed: core.events_processed,
-            latency_sketches,
-        }
+    /// Runs the streaming engine for `duration` in `workspace`, reset in
+    /// place, and reduces the run straight into [`RunTotals`] — equal, bit
+    /// for bit, to reducing [`run`](Self::run)'s report across its nodes,
+    /// without building that report.
+    ///
+    /// # Panics
+    /// Panics if the reference engine is selected: it has no workspace.
+    #[must_use]
+    pub fn run_totals(&self, workspace: &mut Workspace, duration: TimeSpan) -> RunTotals {
+        assert!(
+            !self.reference_engine,
+            "the reference engine does not run in a workspace"
+        );
+        workspace.execute(&self.nodes, self.policy, self.seed, duration);
+        workspace.totals(&self.nodes, duration)
     }
 
     /// The reference engine, faithful to the seed repository's original

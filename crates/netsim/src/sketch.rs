@@ -445,6 +445,18 @@ impl LatencySketch {
         }
     }
 
+    /// Empties the sketch in place: it then equals [`new`](Self::new) but
+    /// keeps its bucket buffer, so a reused sketch allocates only when a
+    /// run needs a wider window than any before it.
+    pub(crate) fn clear(&mut self) {
+        self.count = 0;
+        self.sum_seconds = ExactSum::new();
+        self.min_seconds = f64::INFINITY;
+        self.max_seconds = 0.0;
+        self.first_index = 0;
+        self.buckets.clear();
+    }
+
     /// Records one latency sample.
     ///
     /// Non-finite or negative samples are treated as zero (clamped up to

@@ -22,7 +22,10 @@
 //! ```
 //! The search spool lands in `./search-spool/example` (or
 //! `$HIDWA_SEARCH_SPOOL/example`) — inspect `search.ckpt` and the
-//! per-evaluation fleet blobs under `<fingerprint>/` afterwards.
+//! per-evaluation fleet blobs under `<fingerprint>/` afterwards.  Each run
+//! removes that `example` directory first and starts from scratch: a
+//! finished index left by an earlier run would turn step 2's "fresh"
+//! budgeted search into a resume that folds nothing.
 
 use hidwa_core::fleet::driver::{DriverFleetSpec, InProcessExecutor, PopulationSpec};
 use hidwa_core::fleet::{ChurnSpec, PolicyKind};
@@ -45,6 +48,12 @@ fn main() -> ExitCode {
         std::env::var("HIDWA_SEARCH_SPOOL").unwrap_or_else(|_| "search-spool".to_string()),
     )
     .join("example");
+    // Fresh drill every run: remove only this example's own root.
+    match std::fs::remove_dir_all(&spool) {
+        Ok(()) => {}
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
+        Err(error) => return fail(&format!("could not clear {}: {error}", spool.display())),
+    }
 
     // An 8-point grid: MAC × radio × objective, over a churned mixed fleet
     // so the objective axis actually reaches the re-optimiser.
