@@ -17,7 +17,11 @@
 //! * `fleet` — [`FleetConfig`] batches of independent bodies over the
 //!   [`SweepRunner`], showing how throughput scales with fleet size, plus a
 //!   determinism check that a ≥1000-body fleet aggregates byte-identically at
-//!   thread widths 1 and 4.
+//!   thread widths 1 and 4.  Two populations: `uniform`, the standard
+//!   five-leaf body (one class, so a fold runs the engine once per thread
+//!   and times the memo), and `event-driven`, the same body with its camera
+//!   capturing on scene changes (bursty, so every body runs the engine and
+//!   bodies/s is engine-bound).
 //! * `hetero_fleet` — heterogeneous population streams
 //!   ([`PopulationModel::mixed_default`]: health-patch / AR-assistant /
 //!   BLE-minimal archetypes) ingested through the bounded-memory
@@ -49,6 +53,12 @@
 //!   identical to the single stream — the process boundary must be
 //!   invisible in the result.
 //!
+//! Every `fleet`, `hetero_fleet` and `width_scaling` row records
+//! `engine_runs`, the bodies a width-1 fold runs on the engine: bodies with
+//! a bursty leaf, plus one per distinct deterministic class.  The rest take
+//! a stored run from the fold thread's memo, so these rows' `events` count
+//! events the engine ran once per class, not once per body.
+//!
 //! The file opens with the run's provenance (cores, rustc, git revision,
 //! profile).  Exits non-zero if the two engine paths disagree on any exact
 //! statistic or if any determinism / memory-bound / width / shard-identity
@@ -74,6 +84,7 @@ use hidwa_core::fleet::driver::{
 };
 use hidwa_core::fleet::{FleetCheckpoint, FleetConfig, ShardPlan};
 use hidwa_core::population::PopulationModel;
+use hidwa_core::scenario::{self, LeafSpec};
 use hidwa_core::sweep::SweepRunner;
 use hidwa_eqs::body::BodySite;
 use hidwa_netsim::mac::MacPolicy;
@@ -106,18 +117,22 @@ hidwa_bench::json_struct!(EngineRow {
 });
 
 struct FleetRow {
+    population: String,
     bodies: usize,
     horizon_s: f64,
     events: u64,
+    engine_runs: usize,
     wall_ms: f64,
     bodies_per_sec: f64,
     events_per_sec: f64,
 }
 
 hidwa_bench::json_struct!(FleetRow {
+    population,
     bodies,
     horizon_s,
     events,
+    engine_runs,
     wall_ms,
     bodies_per_sec,
     events_per_sec,
@@ -127,6 +142,7 @@ struct HeteroRow {
     bodies: usize,
     horizon_s: f64,
     events: u64,
+    engine_runs: usize,
     wall_ms: f64,
     bodies_per_sec: f64,
     events_per_sec: f64,
@@ -141,6 +157,7 @@ hidwa_bench::json_struct!(HeteroRow {
     bodies,
     horizon_s,
     events,
+    engine_runs,
     wall_ms,
     bodies_per_sec,
     events_per_sec,
@@ -152,6 +169,7 @@ hidwa_bench::json_struct!(HeteroRow {
 struct WidthRow {
     bodies: usize,
     horizon_s: f64,
+    engine_runs: usize,
     width1_bodies_per_sec: f64,
     width2_bodies_per_sec: f64,
     width2_over_width1: f64,
@@ -162,6 +180,7 @@ struct WidthRow {
 hidwa_bench::json_struct!(WidthRow {
     bodies,
     horizon_s,
+    engine_runs,
     width1_bodies_per_sec,
     width2_bodies_per_sec,
     width2_over_width1,
@@ -278,6 +297,35 @@ fn ten_node_body(reference: bool) -> Simulation {
         );
     }
     sim
+}
+
+/// Bodies a width-1 fold of `config` runs on the engine: every body with
+/// no class, plus one per distinct class (the fleets here are static, so
+/// every span is the horizon, and have far fewer classes than the memo
+/// holds).  The rest take a stored run.
+fn engine_runs(config: &FleetConfig) -> usize {
+    let mut classes = Vec::new();
+    let mut unclassed = 0;
+    for body in 0..config.bodies() {
+        match config.scenario_for_body(body).class() {
+            Some(class) if !classes.contains(&class) => classes.push(class),
+            Some(_) => {}
+            None => unclassed += 1,
+        }
+    }
+    unclassed + classes.len()
+}
+
+/// The standard five-leaf body with its camera capturing on scene changes
+/// (bursty) instead of streaming: no body of it has a class.
+fn event_driven_leaves() -> Vec<LeafSpec> {
+    let mut leaves = scenario::standard_leaf_set();
+    for leaf in &mut leaves {
+        if leaf.name == "camera-glasses" {
+            leaf.traffic = TrafficPattern::bursty(TimeSpan::from_millis(50.0), 4096);
+        }
+    }
+    leaves
 }
 
 fn delivered_bytes(report: &SimulationReport) -> u64 {
@@ -399,33 +447,50 @@ fn main() -> std::process::ExitCode {
     // --- Fleet scaling ------------------------------------------------------
     let runner = SweepRunner::new();
     println!(
-        "\n{:<8} {:>10} {:>10} {:>12} {:>14}  (threads: {})",
+        "\n{:<13} {:>8} {:>10} {:>8} {:>10} {:>12} {:>14}  (threads: {})",
+        "population",
         "bodies",
         "events",
+        "engine",
         "wall ms",
         "bodies/s",
         "events/s",
         runner.threads()
     );
     let mut fleet_rows = Vec::new();
-    for &bodies in &[1usize, 10, 100, 1000] {
-        let config = FleetConfig::new(bodies).with_horizon(fleet_horizon);
-        let start = Instant::now();
-        let report = config.run(&runner);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let row = FleetRow {
-            bodies,
-            horizon_s: fleet_horizon.as_seconds(),
-            events: report.events_processed(),
-            wall_ms,
-            bodies_per_sec: bodies as f64 / (wall_ms / 1e3),
-            events_per_sec: report.events_processed() as f64 / (wall_ms / 1e3),
-        };
-        println!(
-            "{:<8} {:>10} {:>10.1} {:>12.1} {:>14.0}",
-            row.bodies, row.events, row.wall_ms, row.bodies_per_sec, row.events_per_sec
-        );
-        fleet_rows.push(row);
+    for (population, leaves) in [
+        ("uniform", scenario::standard_leaf_set()),
+        ("event-driven", event_driven_leaves()),
+    ] {
+        for &bodies in &[1usize, 10, 100, 1000] {
+            let config = FleetConfig::new(bodies)
+                .with_leaves(leaves.clone())
+                .with_horizon(fleet_horizon);
+            let start = Instant::now();
+            let report = config.run(&runner);
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let row = FleetRow {
+                population: population.to_string(),
+                bodies,
+                horizon_s: fleet_horizon.as_seconds(),
+                events: report.events_processed(),
+                engine_runs: engine_runs(&config),
+                wall_ms,
+                bodies_per_sec: bodies as f64 / (wall_ms / 1e3),
+                events_per_sec: report.events_processed() as f64 / (wall_ms / 1e3),
+            };
+            println!(
+                "{:<13} {:>8} {:>10} {:>8} {:>10.1} {:>12.1} {:>14.0}",
+                row.population,
+                row.bodies,
+                row.events,
+                row.engine_runs,
+                row.wall_ms,
+                row.bodies_per_sec,
+                row.events_per_sec
+            );
+            fleet_rows.push(row);
+        }
     }
 
     // --- Fleet determinism across thread widths -----------------------------
@@ -455,8 +520,8 @@ fn main() -> std::process::ExitCode {
         "\nheterogeneous stream (mixed population: health-patch / ar-assistant / ble-minimal)"
     );
     println!(
-        "{:<8} {:>10} {:>10} {:>12} {:>14} {:>14} {:>10}",
-        "bodies", "events", "wall ms", "bodies/s", "events/s", "state bkts", "delivery"
+        "{:<8} {:>10} {:>8} {:>10} {:>12} {:>14} {:>14} {:>10}",
+        "bodies", "events", "engine", "wall ms", "bodies/s", "events/s", "state bkts", "delivery"
     );
     let mut hetero_rows = Vec::new();
     for &bodies in &[stream_bodies / 10, stream_bodies] {
@@ -471,6 +536,7 @@ fn main() -> std::process::ExitCode {
             bodies,
             horizon_s: stream_horizon.as_seconds(),
             events: report.events_processed(),
+            engine_runs: engine_runs(&config),
             wall_ms,
             bodies_per_sec: bodies as f64 / (wall_ms / 1e3),
             events_per_sec: report.events_processed() as f64 / (wall_ms / 1e3),
@@ -479,9 +545,10 @@ fn main() -> std::process::ExitCode {
             delivery_ratio: report.delivery_ratio(),
         };
         println!(
-            "{:<8} {:>10} {:>10.1} {:>12.1} {:>14.0} {:>14} {:>10.3}",
+            "{:<8} {:>10} {:>8} {:>10.1} {:>12.1} {:>14.0} {:>14} {:>10.3}",
             row.bodies,
             row.events,
+            row.engine_runs,
             row.wall_ms,
             row.bodies_per_sec,
             row.events_per_sec,
@@ -524,8 +591,8 @@ fn main() -> std::process::ExitCode {
     // --- Width scaling: the same fold at width 1 and width 2 ----------------
     println!("\nwidth scaling (mixed population, interleaved, median of {samples})");
     println!(
-        "{:<8} {:>14} {:>14} {:>8} {:>10}",
-        "bodies", "w1 bodies/s", "w2 bodies/s", "w2/w1", "identical"
+        "{:<8} {:>8} {:>14} {:>14} {:>8} {:>10}",
+        "bodies", "engine", "w1 bodies/s", "w2 bodies/s", "w2/w1", "identical"
     );
     let mut width_rows = Vec::new();
     for bodies in [1000, stream_bodies] {
@@ -552,14 +619,16 @@ fn main() -> std::process::ExitCode {
         let row = WidthRow {
             bodies,
             horizon_s: stream_horizon.as_seconds(),
+            engine_runs: engine_runs(&config),
             width1_bodies_per_sec: bodies as f64 / width1_s,
             width2_bodies_per_sec: bodies as f64 / width2_s,
             width2_over_width1: width1_s / width2_s,
             identical,
         };
         println!(
-            "{:<8} {:>14.0} {:>14.0} {:>7.2}x {:>10}",
+            "{:<8} {:>8} {:>14.0} {:>14.0} {:>7.2}x {:>10}",
             row.bodies,
+            row.engine_runs,
             row.width1_bodies_per_sec,
             row.width2_bodies_per_sec,
             row.width2_over_width1,

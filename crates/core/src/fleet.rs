@@ -25,6 +25,28 @@
 //! ([`Simulation::run_totals`](hidwa_netsim::sim::Simulation::run_totals)),
 //! so no per-body engine or report is built.
 //!
+//! # The body-class memo
+//!
+//! Most leaves sense on a fixed cadence, so most bodies of a fleet repeat a
+//! few scenarios exactly.  Each fold thread keeps a small memo beside its
+//! workspace and runs the engine once per distinct deterministic body; a
+//! hit is bit-identical to a fresh run because:
+//!
+//! * a streaming run reads its seed only through
+//!   [`TrafficPattern::next_interval`](hidwa_netsim::traffic::TrafficPattern::next_interval),
+//!   and only bursty sources draw from it (the MAC arbiters draw nothing);
+//! * within one fold the population, the link table, each archetype's
+//!   policy and the horizon are fixed;
+//! * so a body with no bursty leaf is a pure function of what its sampler
+//!   drew — its [class](crate::population::BodyScenario::class) — and of
+//!   its active span, which differs from the horizon only under churn.
+//!
+//! The memo maps `(class, active-span bits)` to the run's totals, holds at
+//! most 64 runs and lives and dies with the fold's thread; there is no
+//! shared cache.  A body with a bursty leaf has no class and always runs,
+//! and a churned body's span is its own, so a churned fold misses on nearly
+//! every body.
+//!
 //! # Determinism and the merge algebra
 //!
 //! Scenario sampling is a pure per-body function, each partial ingests its
@@ -82,7 +104,7 @@ use crate::population::{BodyScenario, LinkCache, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
-use hidwa_netsim::sim::Workspace;
+use hidwa_netsim::sim::{RunTotals, Workspace};
 use hidwa_netsim::sketch::{self, ExactSum, LatencySketch};
 use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, DataVolume, Energy, TimeSpan};
@@ -264,12 +286,15 @@ impl FleetConfig {
 
     /// Simulates one body end to end: sample scenario (and, for a churned
     /// fleet, the body's residency and placement trajectory), build, run the
-    /// active span in `workspace`, reduce.
+    /// active span in `workspace`, reduce.  A deterministic body whose class
+    /// and span `memo` has seen takes the stored run instead of building
+    /// and running its own; `memo` must only ever see this fleet's bodies.
     fn simulate_body(
         &self,
         body_index: usize,
         links: &LinkCache,
         workspace: &mut Workspace,
+        memo: &mut BodyMemo,
     ) -> BodySummary {
         let scenario = self.scenario_for_body(body_index);
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
@@ -287,9 +312,14 @@ impl FleetConfig {
                 )
             }
         };
-        let totals = scenario
-            .build_simulation(links)
-            .run_totals(workspace, active_span);
+        let key = scenario
+            .class()
+            .map(|class| (class, active_span.as_seconds().to_bits()));
+        let totals = memo.totals(key, || {
+            scenario
+                .build_simulation(links)
+                .run_totals(workspace, active_span)
+        });
         BodySummary {
             body_index,
             seed: scenario.seed(),
@@ -335,8 +365,8 @@ impl FleetConfig {
     /// partial ingests in increasing body index, so the resulting state
     /// depends only on which bodies were folded, never on which thread
     /// simulated them (see [`FleetAggregator::merge`]).  Each thread pairs
-    /// its partial with one netsim [`Workspace`] and runs all of its bodies
-    /// in it.
+    /// its partial with one netsim [`Workspace`], which runs all of its
+    /// bodies, and one [`BodyMemo`] of this fold's deterministic runs.
     fn fold_range(
         &self,
         runner: &SweepRunner,
@@ -345,15 +375,19 @@ impl FleetConfig {
         range: Range<usize>,
     ) {
         let fresh = || FleetAggregator::new(self.horizon, self.top_k);
-        let mut calling = (std::mem::replace(aggregator, fresh()), Workspace::new());
+        let mut calling = (
+            std::mem::replace(aggregator, fresh()),
+            Workspace::new(),
+            BodyMemo::default(),
+        );
         runner.fold(
             range,
             &mut calling,
-            || (fresh(), Workspace::new()),
-            |(partial, workspace), body_index| {
-                partial.ingest(self.simulate_body(body_index, links, workspace));
+            || (fresh(), Workspace::new(), BodyMemo::default()),
+            |(partial, workspace, memo), body_index| {
+                partial.ingest(self.simulate_body(body_index, links, workspace, memo));
             },
-            |(merged, _), (partial, _)| merged.merge(partial),
+            |(merged, ..), (partial, ..)| merged.merge(partial),
         );
         *aggregator = calling.0;
     }
@@ -395,6 +429,41 @@ impl FleetConfig {
         let links = LinkCache::for_population(&self.population);
         self.fold_range(runner, &links, &mut aggregator, next_body..self.bodies);
         Ok(aggregator.finish())
+    }
+}
+
+/// One fold thread's memo of the engine runs of its deterministic bodies,
+/// keyed by `(class, active-span bits)` (see the module docs).
+///
+/// It holds at most [`CAPACITY`](Self::CAPACITY) runs and stops inserting
+/// once full.  The keys sit in their own array, apart from the stored
+/// totals, so a body that misses (every body of a churned fleet) scans only
+/// the 1 KiB of keys.
+#[derive(Default)]
+struct BodyMemo {
+    keys: Vec<(u64, u64)>,
+    totals: Vec<RunTotals>,
+}
+
+impl BodyMemo {
+    const CAPACITY: usize = 64;
+
+    /// The totals of the body keyed `key`: a copy of the stored run on a
+    /// hit, else `run()`, stored while there is room.  A `None` key (a body
+    /// with no class) always runs.
+    fn totals(&mut self, key: Option<(u64, u64)>, run: impl FnOnce() -> RunTotals) -> RunTotals {
+        let Some(key) = key else {
+            return run();
+        };
+        if let Some(slot) = self.keys.iter().position(|&seen| seen == key) {
+            return self.totals[slot].clone();
+        }
+        let totals = run();
+        if self.keys.len() < Self::CAPACITY {
+            self.keys.push(key);
+            self.totals.push(totals.clone());
+        }
+        totals
     }
 }
 
@@ -943,9 +1012,9 @@ mod tests {
         // Re-derive the same totals by folding the five bodies by hand.
         let links = LinkCache::for_population(fleet.population());
         let mut aggregator = FleetAggregator::new(fleet.horizon(), FleetConfig::DEFAULT_TOP_K);
-        let mut workspace = Workspace::new();
+        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
         for i in 0..5 {
-            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace));
+            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace, &mut memo));
         }
         let manual = aggregator.finish();
         assert_eq!(report, manual);
@@ -1017,14 +1086,24 @@ mod tests {
         use hidwa_eqs::body::BodySite;
         use hidwa_netsim::traffic::{TrafficMix, TrafficPattern};
         use hidwa_units::Power;
-        let mixed = FleetConfig::new(24)
+        let mixed = FleetConfig::new(3000)
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(5)
             .with_horizon(TimeSpan::from_seconds(2.0));
-        let churned = mixed.clone().with_base_seed(77).with_churn(ChurnSpec::new(
-            ChurnModel::with_rate(0.5).with_link_fade(0.8),
-            PolicyKind::ReoptimizeOnChange,
+        // Zero-rate churn at full duty: every span equals the horizon, so
+        // churned bodies hit the memo too.
+        let calm = mixed.clone().with_base_seed(31).with_churn(ChurnSpec::new(
+            ChurnModel::with_rate(0.0).with_duty_cycle(1.0, 1.0),
+            PolicyKind::StaticAtAdmission,
         ));
+        let churned = FleetConfig::new(240)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(77)
+            .with_horizon(TimeSpan::from_seconds(2.0))
+            .with_churn(ChurnSpec::new(
+                ChurnModel::with_rate(0.5).with_link_fade(0.8),
+                PolicyKind::ReoptimizeOnChange,
+            ));
         // 72 bursty-or-periodic slots, each worn with probability 0.9, so
         // body sizes fall on both sides of the 64-node single-word mask.
         let sites = [BodySite::Wrist, BodySite::Chest, BodySite::Ear];
@@ -1059,20 +1138,34 @@ mod tests {
                 slots,
             )]))
             .with_horizon(TimeSpan::from_seconds(1.0));
-        let fleets = [mixed, churned, wide];
+        let fleets = [mixed, calm, churned, wide];
         let links: Vec<LinkCache> = fleets
             .iter()
             .map(|config| LinkCache::for_population(config.population()))
             .collect();
         // One workspace runs every body back to back, so each body starts
-        // from whatever the previous (often larger) one left behind.
+        // from whatever the previous (often larger) one left behind.  Each
+        // fleet has a memo of its own.
         let mut workspace = Workspace::new();
+        let mut memos: Vec<BodyMemo> = fleets.iter().map(|_| BodyMemo::default()).collect();
+        // Per fleet, the classes a body took from the memo.
+        let mut hit_classes: Vec<Vec<u64>> = vec![Vec::new(); fleets.len()];
         let mut sizes = Vec::new();
-        for body_index in 0..24 {
-            for (config, links) in fleets.iter().zip(&links) {
-                let got = config.simulate_body(body_index, links, &mut workspace);
+        for body_index in 0..3000 {
+            for (k, (config, links)) in fleets.iter().zip(&links).enumerate() {
+                if body_index >= config.bodies() {
+                    continue;
+                }
                 let want = report_summary(config, body_index, links);
-                let context = format!("body {body_index} of {}", want.archetype);
+                let class = config.scenario_for_body(body_index).class();
+                let key = class.map(|class| (class, want.active_span.as_seconds().to_bits()));
+                let memo = &mut memos[k];
+                let hit = key.is_some_and(|key| memo.keys.contains(&key));
+                if hit {
+                    hit_classes[k].extend(class);
+                }
+                let got = config.simulate_body(body_index, links, &mut workspace, memo);
+                let context = format!("body {body_index} of {}, fleet {k}", want.archetype);
                 assert_eq!(
                     got.total_energy.as_joules().to_bits(),
                     want.total_energy.as_joules().to_bits(),
@@ -1085,10 +1178,19 @@ mod tests {
                 );
                 assert!(got.latency == want.latency, "{context}");
                 assert_eq!(got, want, "{context}");
-                sizes.push(got.nodes);
+                if !hit {
+                    sizes.push(got.nodes);
+                }
             }
         }
-        // The run really shrank and grew across the mask boundary.
+        // Every deterministic `mixed_default` class was served from the
+        // memo, statically and under zero-rate churn.
+        for hits in &mut hit_classes[..2] {
+            hits.sort_unstable();
+            hits.dedup();
+            assert_eq!(hits.len(), 26);
+        }
+        // The engine really shrank and grew across the mask boundary.
         assert!(sizes.windows(2).any(|pair| pair[0] > 64 && pair[1] <= 64));
         assert!(sizes.windows(2).any(|pair| pair[0] <= 64 && pair[1] > 64));
         assert!(sizes.iter().any(|&nodes| nodes > 64 && nodes < 72));
@@ -1117,9 +1219,9 @@ mod tests {
             ));
         for config in [uniform, churned] {
             let links = LinkCache::for_population(config.population());
-            let mut workspace = Workspace::new();
+            let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
             let summaries: Vec<BodySummary> = (0..config.bodies())
-                .map(|i| config.simulate_body(i, &links, &mut workspace))
+                .map(|i| config.simulate_body(i, &links, &mut workspace, &mut memo))
                 .collect();
             // Ingests the bodies `keep` selects, in index order.
             let fold = |keep: &dyn Fn(usize) -> bool| {
@@ -1216,11 +1318,11 @@ mod tests {
         assert_eq!(report.worst_bodies().len(), 2);
         // Exact per-body p95 values, recomputed independently.
         let links = LinkCache::for_population(fleet.population());
-        let mut workspace = Workspace::new();
+        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
         let mut p95s: Vec<TimeSpan> = (0..12)
             .map(|i| {
                 fleet
-                    .simulate_body(i, &links, &mut workspace)
+                    .simulate_body(i, &links, &mut workspace, &mut memo)
                     .worst_p95_latency
             })
             .collect();

@@ -491,6 +491,18 @@ impl PopulationModel {
     /// Samples body `body_index`'s scenario — a pure function of
     /// `(base_seed, body_index)` (see the module docs), so the result is
     /// byte-identical wherever and whenever it is materialised.
+    ///
+    /// The scenario also records its [class](BodyScenario::class): which
+    /// archetype was drawn and, per leaf slot, whether the leaf is absent
+    /// or which [`TrafficMix`] entry it drew (an absent leaf's traffic draw
+    /// is not part of it).  The class is packed exactly as a mixed-radix
+    /// `u64` — each slot a digit of radix `entries + 2` (absent, each entry,
+    /// and the `Silent` of an all-zero mix), the archetype index the least
+    /// significant digit — so two bodies of one population share a class
+    /// only if they carry the same leaves with the same traffic over the
+    /// same radio and MAC policy.  A body whose present leaf drew
+    /// [`TrafficPattern::Bursty`] has no class (its run depends on its
+    /// seed), nor does one whose digits do not fit in 64 bits.
     #[must_use]
     pub fn sample(&self, base_seed: u64, body_index: u64) -> BodyScenario {
         let sim_seed = body_seed(base_seed, body_index);
@@ -499,11 +511,11 @@ impl PopulationModel {
         // `weighted_index` helper, so mix and archetype draws stay in sync).
         // A degenerate all-zero-weight population still consumes its draw
         // and falls back to the first archetype.
-        let archetype =
-            &self.archetypes[traffic::weighted_index(&mut rng, self.archetypes.len(), |i| {
-                self.archetypes[i].weight
-            })
-            .unwrap_or(0)];
+        let archetype_index = traffic::weighted_index(&mut rng, self.archetypes.len(), |i| {
+            self.archetypes[i].weight
+        })
+        .unwrap_or(0);
+        let archetype = &self.archetypes[archetype_index];
         // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
         // consumes exactly two draws whether or not it is present, so adding
         // a leaf to an archetype never perturbs the draws of later leaves'
@@ -511,15 +523,29 @@ impl PopulationModel {
         // alignment is moot, but keeping draw counts shape-independent makes
         // scenarios stable under presence-probability tweaks).
         let mut leaves = Vec::with_capacity(archetype.leaves.len());
+        let mut class = Some(0u64);
         for slot in &archetype.leaves {
             let present = rng.gen_bool(slot.presence);
-            let traffic = slot.traffic.sample(&mut rng).clone();
+            let (drawn, traffic) = slot.traffic.sample(&mut rng);
+            // Digit 0 is absent, 1 + i entry i, 1 + entries an all-zero
+            // mix's `Silent`.
+            let entries = slot.traffic.entries().len() as u64;
+            let mut digit = 0;
             if present {
+                if matches!(traffic, TrafficPattern::Bursty { .. }) {
+                    class = None;
+                }
                 let mut spec = slot.spec.clone();
-                spec.traffic = traffic;
+                spec.traffic = traffic.clone();
                 leaves.push(spec);
+                digit = 1 + drawn.map_or(entries, |i| i as u64);
             }
+            class = class.and_then(|c| c.checked_mul(entries + 2)?.checked_add(digit));
         }
+        let class = class.and_then(|c| {
+            c.checked_mul(self.archetypes.len() as u64)?
+                .checked_add(archetype_index as u64)
+        });
         BodyScenario {
             body_index,
             seed: sim_seed,
@@ -527,6 +553,7 @@ impl PopulationModel {
             technology: archetype.technology,
             policy: archetype.policy,
             leaves,
+            class,
         }
     }
 
@@ -558,6 +585,7 @@ pub struct BodyScenario {
     technology: RadioTechnology,
     policy: MacPolicy,
     leaves: Vec<LeafSpec>,
+    class: Option<u64>,
 }
 
 impl BodyScenario {
@@ -601,6 +629,17 @@ impl BodyScenario {
     #[must_use]
     pub fn leaves(&self) -> &[LeafSpec] {
         &self.leaves
+    }
+
+    /// The body's class within its population (see
+    /// [`PopulationModel::sample`]), or `None` if a present leaf is bursty
+    /// or the class does not fit in 64 bits.  Bodies of one population
+    /// with equal classes build identical simulations except for the seed,
+    /// which only bursty sources read, so they run identically over equal
+    /// spans.
+    #[must_use]
+    pub fn class(&self) -> Option<u64> {
+        self.class
     }
 
     /// Materialises the scenario as a ready-to-run [`Simulation`], resolving
@@ -930,6 +969,75 @@ mod tests {
             .count();
         let fraction = health as f64 / 2000.0;
         assert!((fraction - 0.5).abs() < 0.05, "health fraction {fraction}");
+    }
+
+    #[test]
+    fn a_class_names_exactly_one_deterministic_scenario() {
+        let population = PopulationModel::mixed_default();
+        // Each class seen, with the archetype and leaves it stands for.
+        let mut classes: Vec<(u64, String)> = Vec::new();
+        let mut unclassed = 0;
+        for body in 0..4000u64 {
+            let scenario = population.sample(0xC1A55, body);
+            let bursty = scenario
+                .leaves()
+                .iter()
+                .any(|leaf| matches!(leaf.traffic, TrafficPattern::Bursty { .. }));
+            assert_eq!(scenario.class().is_none(), bursty, "body {body}");
+            let Some(class) = scenario.class() else {
+                unclassed += 1;
+                continue;
+            };
+            let leaves: Vec<_> = scenario
+                .leaves()
+                .iter()
+                .map(|leaf| (leaf.name, &leaf.traffic))
+                .collect();
+            let shape = format!("{} {leaves:?}", scenario.archetype());
+            match classes.iter().find(|(seen, _)| *seen == class) {
+                Some((_, seen)) => assert_eq!(*seen, shape, "class {class}"),
+                None => {
+                    assert!(
+                        classes.iter().all(|(_, seen)| *seen != shape),
+                        "two classes for {shape}"
+                    );
+                    classes.push((class, shape));
+                }
+            }
+        }
+        // 12 health-patch, 8 non-bursty ar-assistant and 6 ble-minimal
+        // leaf-and-traffic combinations.
+        assert_eq!(classes.len(), 26);
+        assert!(unclassed > 100, "{unclassed} bursty bodies");
+
+        // A fixed population is one class; too many slots overflow.
+        let uniform = PopulationModel::uniform(
+            RadioTechnology::WiR,
+            scenario::standard_leaf_set(),
+            MacPolicy::Polling,
+        );
+        assert!(uniform.sample(1, 0).class().is_some());
+        assert_eq!(uniform.sample(1, 0).class(), uniform.sample(2, 9).class());
+        let periodic = |ms| TrafficPattern::periodic(TimeSpan::from_millis(ms), 64);
+        let slots = |count| {
+            let spec = scenario::standard_leaf_set().remove(0);
+            let traffic = TrafficMix::new(vec![(1.0, periodic(100.0)), (1.0, periodic(50.0))]);
+            vec![LeafArchetype::new(spec, 1.0, traffic); count]
+        };
+        let of = |count| {
+            PopulationModel::new(vec![BodyArchetype::new(
+                "many",
+                1.0,
+                RadioTechnology::WiR,
+                MacPolicy::Polling,
+                slots(count),
+            )])
+            .sample(3, 0)
+            .class()
+        };
+        // Each slot is a radix-4 digit: 31 fit in 64 bits, 33 do not.
+        assert!(of(31).is_some());
+        assert_eq!(of(33), None);
     }
 
     #[test]

@@ -63,9 +63,10 @@
 //! fold keeps one workspace per thread; once its buffers reach their
 //! high-water marks, a run of at most 64 nodes allocates nothing but the
 //! merged sketch it returns.  The fleet still builds each body's scenario
-//! leaves and node configurations (with their names) per body.
-//! `hidwa-core`'s `tests/fleet_alloc_counting.rs` gates the allocations per
-//! fleet body.
+//! leaves, and the node configurations (with their names) of each body it
+//! runs; a fold thread runs each distinct deterministic body once and
+//! copies the stored totals for its repeats.  `hidwa-core`'s
+//! `tests/fleet_alloc_counting.rs` gates the allocations per fleet body.
 
 use crate::event::{BinaryHeapQueue, Event};
 use crate::mac::{Arbiter, MacPolicy};

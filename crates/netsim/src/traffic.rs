@@ -215,8 +215,8 @@ where
 ///     (1.0, TrafficPattern::streaming(DataRate::from_kbps(13.0), 512)),
 /// ]);
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let drawn = mix.sample(&mut rng);
-/// assert!(mix.entries().iter().any(|(_, p)| p == drawn));
+/// let (index, drawn) = mix.sample(&mut rng);
+/// assert_eq!(&mix.entries()[index.unwrap()].1, drawn);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficMix {
@@ -285,12 +285,13 @@ impl TrafficMix {
         }
     }
 
-    /// Draws one pattern via [`weighted_index`] (one uniform sample per call,
-    /// degenerate mixes yield [`TrafficPattern::Silent`]).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &TrafficPattern {
+    /// Draws one entry via [`weighted_index`] (one uniform sample per
+    /// call): its index and its pattern.  A degenerate mix yields `None`
+    /// and [`TrafficPattern::Silent`].
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Option<usize>, &TrafficPattern) {
         static SILENT: TrafficPattern = TrafficPattern::Silent;
-        weighted_index(rng, self.entries.len(), |i| self.entries[i].0)
-            .map_or(&SILENT, |i| &self.entries[i].1)
+        let index = weighted_index(rng, self.entries.len(), |i| self.entries[i].0);
+        (index, index.map_or(&SILENT, |i| &self.entries[i].1))
     }
 }
 
@@ -362,7 +363,9 @@ mod tests {
         let mix = TrafficMix::new(vec![(3.0, periodic.clone()), (1.0, streaming.clone())]);
         let mut rng = StdRng::seed_from_u64(11);
         let n = 20_000;
-        let periodic_draws = (0..n).filter(|_| *mix.sample(&mut rng) == periodic).count();
+        let periodic_draws = (0..n)
+            .filter(|_| *mix.sample(&mut rng).1 == periodic)
+            .count();
         let fraction = periodic_draws as f64 / f64::from(n);
         assert!((fraction - 0.75).abs() < 0.02, "fraction {fraction}");
         // Expected rate is the weight-blended average.
@@ -383,7 +386,7 @@ mod tests {
             ),
             (1.0, TrafficPattern::Silent),
         ]);
-        let draw = |seed| mix.sample(&mut StdRng::seed_from_u64(seed)).clone();
+        let draw = |seed| mix.sample(&mut StdRng::seed_from_u64(seed)).1.clone();
         for seed in 0..50 {
             assert_eq!(draw(seed), draw(seed));
         }
@@ -401,8 +404,8 @@ mod tests {
             (-3.0, TrafficPattern::Silent),
         ]);
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(*empty.sample(&mut rng), TrafficPattern::Silent);
-        assert_eq!(*zeroed.sample(&mut rng), TrafficPattern::Silent);
+        assert_eq!(empty.sample(&mut rng), (None, &TrafficPattern::Silent));
+        assert_eq!(zeroed.sample(&mut rng), (None, &TrafficPattern::Silent));
         assert_eq!(empty.expected_rate(), DataRate::ZERO);
         // The degenerate sample still consumed exactly one draw: a fresh RNG
         // advanced by one uniform matches the post-sample stream.
@@ -454,8 +457,8 @@ mod tests {
         );
         // Same RNG state draws the scaled counterpart of the same entry.
         for seed in 0..32 {
-            let base_pick = mix.sample(&mut StdRng::seed_from_u64(seed)).clone();
-            let scaled_pick = scaled.sample(&mut StdRng::seed_from_u64(seed)).clone();
+            let base_pick = mix.sample(&mut StdRng::seed_from_u64(seed)).1.clone();
+            let scaled_pick = scaled.sample(&mut StdRng::seed_from_u64(seed)).1.clone();
             assert_eq!(scaled_pick, base_pick.scaled(2.0), "seed {seed} misaligned");
         }
     }
@@ -466,7 +469,7 @@ mod tests {
         let mix = TrafficMix::fixed(pattern.clone());
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
-            assert_eq!(*mix.sample(&mut rng), pattern);
+            assert_eq!(mix.sample(&mut rng), (Some(0), &pattern));
         }
         assert_eq!(mix.expected_rate(), pattern.average_rate());
     }
