@@ -208,6 +208,26 @@ fn conflicting_flags_are_usage_errors() {
 }
 
 #[test]
+fn the_retired_socket_flag_is_an_unknown_flag() {
+    // The spool is the worker's only transport: a `--connect` is refused
+    // before anything is folded or written.
+    let dir = scratch("connect");
+    std::fs::create_dir_all(&dir).expect("create an empty working directory");
+    let args = "--bodies 4 --shard-index 0 --shard-start 0 --shard-end 4 --connect 127.0.0.1:1";
+    let output = Command::new(WORKER.program)
+        .args(args.split(' '))
+        .current_dir(&dir)
+        .output()
+        .expect("run shard_worker");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let created = std::fs::read_dir(&dir).expect("list").count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(r#"unknown flag "--connect""#), "{stderr}");
+    assert!(output.stdout.is_empty() && created == 0, "the worker wrote");
+}
+
+#[test]
 fn coordinators_check_the_horizon_before_spooling() {
     for bad in ["-1", "nan"] {
         let spool = scratch(&format!("horizon{bad}"));

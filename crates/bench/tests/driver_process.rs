@@ -4,7 +4,7 @@
 //! versions of these faults live in `crates/core/tests/fleet_driver.rs`;
 //! here the processes, signals and files are real.
 
-use hidwa_core::fleet::driver::transport::{SocketHub, Transport};
+use hidwa_core::fleet::driver::transport::Transport;
 use hidwa_core::fleet::driver::{
     DriverError, DriverFleetSpec, FleetDriver, PopulationSpec, ProcessExecutor, WorkerCommand,
     SIMULATED_CRASH_EXIT,
@@ -203,30 +203,4 @@ fn a_worker_usage_error_reaches_the_driver_error() {
         } => assert!(stderr.contains("unknown flag"), "stderr tail: {stderr}"),
         other => panic!("expected a usage exit, got {other}"),
     }
-}
-
-#[test]
-fn worker_publishes_over_a_real_socket() {
-    let spec = small_spec(6, 77);
-    let driver = FleetDriver::new(spec.clone(), 1);
-    let hub = SocketHub::bind().expect("bind hub");
-    let shard0 = driver.assignment(0);
-    let mut args = spec.worker_args(&shard0);
-    args.extend(hub.worker_flags());
-    let status = Command::new(worker_bin())
-        .args(&args)
-        .status()
-        .expect("spawn worker");
-    assert!(status.success());
-    let bytes = hub
-        .fetch(0)
-        .expect("fetch")
-        .expect("worker's blob arrived over TCP");
-    let checkpoint = FleetCheckpoint::load(&bytes).expect("blob loads");
-    assert_eq!(checkpoint.bodies_ingested(), 6);
-    assert_eq!(
-        merged_state(&spec, &hub, 1),
-        single_stream_state(&spec),
-        "socket-shipped blob merges byte-identically"
-    );
 }

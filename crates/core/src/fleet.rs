@@ -41,11 +41,12 @@
 //!   drew — its [class](crate::population::BodyScenario::class) — and of
 //!   its active span, which differs from the horizon only under churn.
 //!
-//! The memo maps `(class, active-span bits)` to the run's totals, holds at
-//! most 64 runs and lives and dies with the fold's thread; there is no
-//! shared cache.  A body with a bursty leaf has no class and always runs,
-//! and a churned body's span is its own, so a churned fold misses on nearly
-//! every body.
+//! The memo maps the class of a body that runs the whole horizon to the
+//! run's totals, holds at most 64 runs and lives and dies with the fold's
+//! thread; there is no shared cache.  A body with a bursty leaf has no class
+//! and always runs.  So does a body whose active span is not the horizon: a
+//! churned span is the body's own continuous draw, which no other body
+//! repeats, so such a body neither looks up nor fills the memo.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -72,9 +73,9 @@
 //!
 //! The third axis is the **process boundary**.  [`driver`] is a
 //! coordinator/worker runtime that spawns shard worker *processes*, ships
-//! their partials as checkpoint blobs over a spool directory or local
-//! socket, re-runs killed or corrupted shards, and merges — byte-identical
-//! to the single-stream fold through every recovery path.
+//! their partials as checkpoint blobs through a spool directory, re-runs
+//! killed or corrupted shards, and merges — byte-identical to the
+//! single-stream fold through every recovery path.
 //!
 //! PR 9 makes the fleet *live*: [`FleetConfig::with_churn`] attaches a
 //! [`ChurnSpec`] — a per-body arrival/departure/duty-cycle model
@@ -286,9 +287,10 @@ impl FleetConfig {
 
     /// Simulates one body end to end: sample scenario (and, for a churned
     /// fleet, the body's residency and placement trajectory), build, run the
-    /// active span in `workspace`, reduce.  A deterministic body whose class
-    /// and span `memo` has seen takes the stored run instead of building
-    /// and running its own; `memo` must only ever see this fleet's bodies.
+    /// active span in `workspace`, reduce.  A deterministic body that runs
+    /// the whole horizon and whose class `memo` has seen takes the stored
+    /// run instead of building and running its own; `memo` must only ever
+    /// see this fleet's bodies.
     fn simulate_body(
         &self,
         body_index: usize,
@@ -312,9 +314,7 @@ impl FleetConfig {
                 )
             }
         };
-        let key = scenario
-            .class()
-            .map(|class| (class, active_span.as_seconds().to_bits()));
+        let key = scenario.class().filter(|_| active_span == self.horizon);
         let totals = memo.totals(key, || {
             scenario
                 .build_simulation(links)
@@ -432,16 +432,15 @@ impl FleetConfig {
     }
 }
 
-/// One fold thread's memo of the engine runs of its deterministic bodies,
-/// keyed by `(class, active-span bits)` (see the module docs).
+/// One fold thread's memo of the engine runs of its deterministic bodies
+/// that run the whole horizon, keyed by class (see the module docs).
 ///
 /// It holds at most [`CAPACITY`](Self::CAPACITY) runs and stops inserting
 /// once full.  The keys sit in their own array, apart from the stored
-/// totals, so a body that misses (every body of a churned fleet) scans only
-/// the 1 KiB of keys.
+/// totals, so a body that misses scans only the 512 bytes of keys.
 #[derive(Default)]
 struct BodyMemo {
-    keys: Vec<(u64, u64)>,
+    keys: Vec<u64>,
     totals: Vec<RunTotals>,
 }
 
@@ -450,8 +449,8 @@ impl BodyMemo {
 
     /// The totals of the body keyed `key`: a copy of the stored run on a
     /// hit, else `run()`, stored while there is room.  A `None` key (a body
-    /// with no class) always runs.
-    fn totals(&mut self, key: Option<(u64, u64)>, run: impl FnOnce() -> RunTotals) -> RunTotals {
+    /// with no class, or one whose span is not the horizon) always runs.
+    fn totals(&mut self, key: Option<u64>, run: impl FnOnce() -> RunTotals) -> RunTotals {
         let Some(key) = key else {
             return run();
         };
@@ -1158,7 +1157,7 @@ mod tests {
                 }
                 let want = report_summary(config, body_index, links);
                 let class = config.scenario_for_body(body_index).class();
-                let key = class.map(|class| (class, want.active_span.as_seconds().to_bits()));
+                let key = class.filter(|_| want.active_span == config.horizon());
                 let memo = &mut memos[k];
                 let hit = key.is_some_and(|key| memo.keys.contains(&key));
                 if hit {
@@ -1190,6 +1189,8 @@ mod tests {
             hits.dedup();
             assert_eq!(hits.len(), 26);
         }
+        // A churned span is the body's own draw: that fleet never memoises.
+        assert!(memos[2].keys.is_empty());
         // The engine really shrank and grew across the mask boundary.
         assert!(sizes.windows(2).any(|pair| pair[0] > 64 && pair[1] <= 64));
         assert!(sizes.windows(2).any(|pair| pair[0] <= 64 && pair[1] > 64));

@@ -38,7 +38,7 @@
 //! executions fails the run with a typed [`DriverError`].
 //!
 //! Determinism: which process folded a shard, how often it was re-run, and
-//! which transport carried the blob are all invisible in the result — the
+//! which executor ran it are all invisible in the result — the
 //! merged report is byte-identical to [`FleetConfig::run`] on the same
 //! spec (property-tested in `crates/core/tests/fleet_driver.rs` across
 //! random shard layouts × kill points × resumes, and asserted against real
@@ -83,7 +83,7 @@ use std::process::Command;
 
 pub mod transport;
 
-pub use transport::{SocketHub, SocketPublisher, SpoolTransport, Transport, TransportError};
+pub use transport::{SpoolTransport, Transport, TransportError};
 
 /// Exit code a worker process uses for an **injected** crash
 /// (`--fail-after-bodies`), distinct from real failures so tests can tell
@@ -94,7 +94,7 @@ pub const SIMULATED_CRASH_EXIT: u8 = 13;
 /// argument errors; the flag reference lives in `DEPLOYMENT.md`).
 pub const WORKER_USAGE: &str = "\
 usage: shard_worker --bodies <n> --shard-index <i> --shard-start <a> --shard-end <b>
-                    (--spool <dir> | --connect <host:port>)
+                    --spool <dir>
                     [--base-seed <u64>] [--horizon-s <f64> | --horizon-bits <u64>]
                     [--top-k <n>] [--population <uniform|mixed>] [--threads <n>]
                     [--mac <tdma|polling>] [--radio <wi-r|ble|nfmi|wifi>]
@@ -158,7 +158,7 @@ pub fn check_horizon(flag: &str, seconds: f64) -> Result<f64, String> {
 pub enum DriverError {
     /// The worker CLI arguments were malformed (see [`WORKER_USAGE`]).
     Usage(String),
-    /// The transport failed mechanically (I/O, protocol violation).
+    /// The spool failed mechanically (filesystem I/O).
     Transport(TransportError),
     /// A worker process could not be spawned at all.
     Spawn {
@@ -614,16 +614,6 @@ impl ShardAssignment {
     }
 }
 
-/// Which transport end a worker should construct (from `--spool` /
-/// `--connect`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerTransport {
-    /// Publish into a spool directory (atomic write-to-temp + rename).
-    Spool(PathBuf),
-    /// Connect to a coordinator's [`SocketHub`] at `host:port`.
-    Connect(String),
-}
-
 /// What a worker invocation did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerOutcome {
@@ -647,23 +637,23 @@ pub struct WorkerRequest {
     pub spec: DriverFleetSpec,
     /// The shard this worker folds.
     pub shard: ShardAssignment,
-    /// Where the checkpoint blob goes.
-    pub transport: WorkerTransport,
+    /// The spool directory the checkpoint blob is published into.
+    pub spool: PathBuf,
     /// Thread width of the worker's internal [`SweepRunner`] (default 1:
     /// parallelism normally comes from running many workers).
     pub threads: usize,
     /// Fault injection: fold only this many bodies, then exit without
     /// publishing — a deterministic stand-in for `kill -9`.
     pub fail_after: Option<usize>,
-    /// Fault injection: additionally leave a partial temp blob in the spool
-    /// (requires `--spool`), as a worker killed mid-write would.
+    /// Fault injection: additionally leave a partial temp blob in the
+    /// spool, as a worker killed mid-write would.
     pub fail_with_partial: bool,
 }
 
 /// The worker CLI's flag table (reference in `DEPLOYMENT.md`).
 const WORKER_FLAGS: &str = "--bodies= --base-seed= --horizon-s= --horizon-bits= --top-k= \
     --population= --mac= --radio= --traffic-scale= --traffic-scale-bits= --churn= \
-    --shard-index= --shard-start= --shard-end= --spool= --connect= --threads= \
+    --shard-index= --shard-start= --shard-end= --spool= --threads= \
     --fail-after-bodies= --fail-with-partial";
 
 impl WorkerRequest {
@@ -679,8 +669,6 @@ impl WorkerRequest {
     }
 
     fn from_flags(flags: &Flags) -> Result<Self, String> {
-        flags.exclusive("--spool", "--connect")?;
-        flags.needs("--fail-with-partial", "--spool")?;
         let spec = DriverFleetSpec::from_flags(flags)?;
         let shard = ShardAssignment {
             index: flags.required("--shard-index")?,
@@ -693,15 +681,10 @@ impl WorkerRequest {
                 shard.start, shard.end, spec.bodies
             ));
         }
-        let transport = match (flags.value("--spool")?, flags.raw("--connect")) {
-            (Some(dir), _) => WorkerTransport::Spool(dir),
-            (None, Some(addr)) => WorkerTransport::Connect(addr.to_string()),
-            (None, None) => return Err("one of --spool or --connect is required".into()),
-        };
         Ok(Self {
             spec,
             shard,
-            transport,
+            spool: flags.required("--spool")?,
             threads: flags.value("--threads")?.unwrap_or(1usize).max(1),
             fail_after: flags.value("--fail-after-bodies")?,
             fail_with_partial: flags.has("--fail-with-partial"),
@@ -711,30 +694,25 @@ impl WorkerRequest {
     /// Folds the assigned range and publishes the checkpoint blob.
     ///
     /// # Errors
-    /// [`DriverError`] when the spool/socket transport cannot be constructed
-    /// or the publish fails.
+    /// [`DriverError`] when the spool cannot be created or the publish
+    /// fails.
     pub fn run(&self) -> Result<WorkerOutcome, DriverError> {
         if let Some(fail_after) = self.fail_after {
             // Deterministic stand-in for a mid-shard kill: fold a prefix,
             // publish nothing complete, die with the simulated-crash code.
             let stop = (self.shard.start + fail_after).min(self.shard.end);
             let blob = fold(&self.spec, self.shard.start..stop, self.threads);
-            if let (true, WorkerTransport::Spool(dir)) = (self.fail_with_partial, &self.transport) {
-                SpoolTransport::create(dir)
+            if self.fail_with_partial {
+                SpoolTransport::create(&self.spool)
                     .and_then(|spool| spool.write_partial(self.shard.index, &blob))
                     .map_err(TransportError::Io)?;
             }
             return Ok(WorkerOutcome::SimulatedCrash);
         }
-        let transport: Box<dyn Transport> = match &self.transport {
-            WorkerTransport::Spool(dir) => {
-                Box::new(SpoolTransport::create(dir).map_err(TransportError::Io)?)
-            }
-            WorkerTransport::Connect(addr) => Box::new(SocketPublisher::new(addr.clone())),
-        };
+        let spool = SpoolTransport::create(&self.spool).map_err(TransportError::Io)?;
         Ok(WorkerOutcome::Completed {
             bodies: self.shard.end - self.shard.start,
-            blob_bytes: fold_and_publish(&self.spec, &self.shard, self.threads, &*transport)?,
+            blob_bytes: fold_and_publish(&self.spec, &self.shard, self.threads, &spool)?,
         })
     }
 }
@@ -1394,10 +1372,7 @@ mod tests {
         let request = WorkerRequest::parse(args).expect("canonical args parse");
         assert_eq!(request.spec, spec);
         assert_eq!(request.shard, shard);
-        assert_eq!(
-            request.transport,
-            WorkerTransport::Spool(PathBuf::from("/tmp/somewhere"))
-        );
+        assert_eq!(request.spool, PathBuf::from("/tmp/somewhere"));
         assert_eq!(request.threads, 1);
         assert_eq!(request.fail_after, None);
     }
@@ -1406,14 +1381,14 @@ mod tests {
     fn parser_rejects_malformed_invocations() {
         let usage = |args: &[&str]| {
             let parsed = WorkerRequest::parse(args.iter().map(ToString::to_string));
-            assert!(
-                matches!(parsed, Err(DriverError::Usage(_))),
-                "expected usage error for {args:?}, got {parsed:?}"
-            );
+            match parsed {
+                Err(DriverError::Usage(message)) => message,
+                other => panic!("expected usage error for {args:?}, got {other:?}"),
+            }
         };
         usage(&[]); // --bodies missing
         usage(&["--bodies", "10"]); // shard flags missing
-        usage(&[
+        let missing = usage(&[
             "--bodies",
             "10",
             "--shard-index",
@@ -1422,7 +1397,8 @@ mod tests {
             "0",
             "--shard-end",
             "5",
-        ]); // transport missing
+        ]);
+        assert_eq!(missing, "--spool is required");
         usage(&[
             "--bodies",
             "10",
@@ -1449,7 +1425,7 @@ mod tests {
         ]); // range past the fleet
         usage(&["--frobnicate"]); // unknown flag
         usage(&["--bodies", "ten"]); // unparsable value
-        usage(&[
+        let retired = usage(&[
             "--bodies",
             "10",
             "--shard-index",
@@ -1462,7 +1438,8 @@ mod tests {
             "/tmp/x",
             "--connect",
             "127.0.0.1:1",
-        ]); // both transports
+        ]);
+        assert_eq!(retired, r#"unknown flag "--connect""#);
         let shard = "--bodies 10 --shard-index 0 --shard-start 0 --shard-end 5 --spool /tmp/x";
         // Two spellings of one value conflict; the later one does not win.
         let pairs = [

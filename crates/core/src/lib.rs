@@ -37,9 +37,8 @@
 //!   worker protocol and every CLI.
 //! * [`sealed`] — the one sealed binary envelope (magic, version, body,
 //!   FNV-1a 64 seal) under the checkpoint, search-index and serve formats.
-//! * [`wire`] — the length-prefixed socket framing shared by the fleet blob
-//!   transport and the plan server (one implementation, capped reads, typed
-//!   errors).
+//! * [`wire`] — the plan server's length-prefixed socket framing (one
+//!   implementation, capped reads, typed errors).
 //! * [`serve`] — the partition optimiser and Fig. 3 projector as a warm,
 //!   long-running TCP service: sealed binary codec, exact interned-key plan
 //!   cache, std-only epoll front-end (Linux) and matching client.

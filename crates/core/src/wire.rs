@@ -1,23 +1,20 @@
-//! Length-prefixed TCP framing shared by the fleet blob transport and the
-//! plan server.
+//! Length-prefixed TCP framing of the plan server.
 //!
-//! Both long-running socket endpoints in the repo move opaque payloads in the
-//! same shape — the fleet coordinator's
-//! [`SocketHub`](crate::fleet::driver::transport::SocketHub) receives
-//! checkpoint blobs, and the [`serve`](crate::serve) front-end exchanges
-//! request/response batches — so the frame layer lives here exactly once:
+//! The [`serve`](crate::serve) front-end and its client exchange opaque
+//! request/response batches in one shape, and the frame layer lives here
+//! exactly once:
 //!
 //! ```text
-//! tag      u64 big-endian   (shard index / request correlation id)
+//! tag      u64 big-endian   (request correlation id)
 //! length   u64 big-endian   (payload bytes that follow)
 //! payload  `length` bytes   (opaque to this layer)
 //! ```
 //!
-//! A frame says nothing about what the payload *means*; validation (checkpoint
-//! checksums, request codecs) belongs to the layer above, which is why a
-//! malformed payload is a recoverable application event while a malformed
-//! *frame* tears down the connection — after a framing violation there is no
-//! way to know where the next frame starts.
+//! A frame says nothing about what the payload *means*; validation (the
+//! request codec) belongs to the layer above, which is why a malformed
+//! payload is a recoverable application event while a malformed *frame*
+//! tears down the connection — after a framing violation there is no way to
+//! know where the next frame starts.
 //!
 //! Readers must pass a payload cap: a length prefix is attacker-(or bit-rot-)
 //! controlled input, and the cap is what turns "allocate 2^63 bytes" into a
@@ -35,16 +32,6 @@
 //! ```
 
 use std::io::{Read, Write};
-
-/// The single-byte acknowledgement endpoints send after durably storing a
-/// frame's payload (used by the blob transport's publish/ack exchange).
-pub const ACK: u8 = 0x06;
-
-/// The single-byte *negative* acknowledgement: the frame was well-formed
-/// but the receiver refused to store its payload (e.g. the blob hub's
-/// buffer budget is exhausted).  The sender may retry later — unlike a
-/// framing violation, a NAK leaves the protocol state clean.
-pub const NAK: u8 = 0x15;
 
 /// Why a frame could not be read.
 #[derive(Debug)]

@@ -8,7 +8,7 @@
 //! The same contracts are asserted against real killed worker *processes*
 //! in `crates/bench/tests/driver_process.rs`.
 
-use hidwa_core::fleet::driver::transport::{SocketHub, SocketPublisher, SpoolTransport, Transport};
+use hidwa_core::fleet::driver::transport::{SpoolTransport, Transport};
 use hidwa_core::fleet::driver::{
     DriverError, DriverFleetSpec, FleetDriver, InProcessExecutor, PopulationSpec, ShardAssignment,
     ShardExecutor,
@@ -284,154 +284,6 @@ fn recovery_budget_exhaustion_is_a_typed_error() {
 }
 
 #[test]
-fn socket_transport_carries_blobs_end_to_end() {
-    let spec = small_spec(9, 321);
-    let driver = FleetDriver::new(spec.clone(), 3);
-    let hub = SocketHub::bind().expect("bind loopback hub");
-
-    // Publish one shard through a real socket round-trip (worker side), the
-    // rest through the coordinator-local path — the driver cannot tell.
-    let assignment = driver.assignment(0);
-    let config = spec.to_config();
-    let partial = hidwa_core::fleet::ShardPlan::from_boundaries(config.clone(), &[assignment.end])
-        .expect("plan")
-        .shard(0)
-        .fold(&SweepRunner::serial());
-    let blob = FleetCheckpoint::capture(&config, &partial, assignment.end).save();
-    SocketPublisher::new(hub.addr().to_string())
-        .publish(0, &blob)
-        .expect("socket publish");
-    assert_eq!(hub.fetch(0).expect("fetch").as_deref(), Some(&blob[..]));
-
-    let run = driver
-        .run(&InProcessExecutor::serial(), &hub)
-        .expect("driver over the socket hub");
-    assert_eq!(run.reused_shards(), 1, "socket-published blob reused");
-    assert_eq!(
-        merged_state(&spec, &hub, driver.shard_count()),
-        single_stream_state(&spec)
-    );
-}
-
-#[test]
-fn socket_hub_drops_malformed_frames() {
-    use std::io::Write;
-    let hub = SocketHub::bind().expect("bind");
-    // A connection that violates the framing: absurd length then EOF.
-    {
-        let mut stream = std::net::TcpStream::connect(hub.addr()).expect("connect");
-        stream.write_all(&0u64.to_be_bytes()).expect("shard");
-        stream.write_all(&u64::MAX.to_be_bytes()).expect("length");
-    }
-    // And one that just disappears mid-header.
-    {
-        let mut stream = std::net::TcpStream::connect(hub.addr()).expect("connect");
-        stream.write_all(&[1, 2, 3]).expect("partial header");
-    }
-    // Neither stored anything; a well-formed publish still works after.
-    SocketPublisher::new(hub.addr().to_string())
-        .publish(7, b"fine")
-        .expect("publish after garbage");
-    assert!(hub.fetch(0).expect("fetch").is_none());
-    assert_eq!(hub.fetch(7).expect("fetch").as_deref(), Some(&b"fine"[..]));
-}
-
-#[test]
-fn publisher_rides_out_a_hub_restart_mid_publish() {
-    use hidwa_core::fleet::driver::transport::TransportError;
-    use std::time::Duration;
-
-    // Bind once to learn a free port, then take the hub down.
-    let addr = {
-        let hub = SocketHub::bind().expect("bind");
-        hub.addr()
-    };
-    let publisher = SocketPublisher::new(addr.to_string()).with_retry(8, Duration::from_millis(25));
-
-    // Publish against the dead hub from another thread: the first attempts
-    // are refused; the backoff budget must carry it across the restart.
-    let worker = std::thread::spawn(move || publisher.publish(4, b"survived the restart"));
-    std::thread::sleep(Duration::from_millis(80));
-    let hub = SocketHub::bind_addr(addr).expect("rebind the same port");
-    worker
-        .join()
-        .expect("publisher thread")
-        .expect("publish across restart");
-    assert_eq!(
-        hub.fetch(4).expect("fetch").as_deref(),
-        Some(&b"survived the restart"[..])
-    );
-
-    // A hub that never comes back exhausts the budget with a typed error.
-    let gone = {
-        let hub = SocketHub::bind().expect("bind");
-        hub.addr()
-    };
-    let err = SocketPublisher::new(gone.to_string())
-        .with_retry(2, Duration::from_millis(5))
-        .publish(0, b"nope")
-        .expect_err("no hub to publish to");
-    assert!(matches!(err, TransportError::Io(_)), "{err}");
-}
-
-#[test]
-fn hub_backpressure_naks_over_budget_blobs_until_drained() {
-    use hidwa_core::fleet::driver::transport::{HubLimits, TransportError};
-    use std::time::Duration;
-
-    let hub = SocketHub::bind_with(
-        ("127.0.0.1", 0),
-        HubLimits {
-            max_blob: 1024,
-            buffer_budget: 100,
-        },
-    )
-    .expect("bind with limits");
-    let one_shot = |addr: std::net::SocketAddr| {
-        SocketPublisher::new(addr.to_string()).with_retry(1, Duration::from_millis(1))
-    };
-
-    // Fill the budget, then watch the next publish get NAK-ed, not stored.
-    one_shot(hub.addr()).publish(0, &[0xAA; 80]).expect("fits");
-    assert_eq!(hub.buffered_bytes(), 80);
-    let err = one_shot(hub.addr())
-        .publish(1, &[0xBB; 40])
-        .expect_err("over budget");
-    assert!(
-        matches!(err, TransportError::Protocol(message) if message.contains("budget")),
-        "{err}"
-    );
-    assert!(hub.fetch(1).expect("fetch").is_none(), "NAK stores nothing");
-    assert_eq!(hub.buffered_bytes(), 80, "rejected bytes are not buffered");
-
-    // Re-publishing a resident shard frees its old bytes first.
-    one_shot(hub.addr())
-        .publish(0, &[0xCC; 90])
-        .expect("replace in place");
-    assert_eq!(hub.buffered_bytes(), 90);
-
-    // Draining (the coordinator consumed the blob) re-opens the budget —
-    // the ack-late half of reject-and-ack-late, and what a worker's retry
-    // budget rides on.
-    hub.discard(0).expect("coordinator drains");
-    one_shot(hub.addr())
-        .publish(1, &[0xBB; 40])
-        .expect("fits after drain");
-    assert_eq!(
-        hub.fetch(1).expect("fetch").as_deref(),
-        Some(&[0xBB; 40][..])
-    );
-
-    // A blob over the per-frame cap is a framing violation: dropped with
-    // no reply at all, and retries cannot help.
-    let err = one_shot(hub.addr())
-        .publish(2, &[0xDD; 2048])
-        .expect_err("over the frame cap");
-    assert!(matches!(err, TransportError::Protocol(_)), "{err}");
-    assert!(hub.fetch(2).expect("fetch").is_none());
-}
-
-#[test]
 fn churned_driver_runs_are_identical_across_1_2_4_shards() {
     use hidwa_core::fleet::{ChurnSpec, PolicyKind};
     use hidwa_core::population::ChurnModel;
@@ -464,33 +316,6 @@ fn churned_driver_runs_are_identical_across_1_2_4_shards() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn publisher_backoff_saturates_instead_of_overflowing() {
-    use hidwa_core::fleet::driver::transport::TransportError;
-    use std::time::{Duration, Instant};
-
-    // Regression for the ISSUE 9 backoff bug: `backoff *= 2` each attempt
-    // overflows Duration after ~64 doublings and panics mid-retry-loop. The
-    // fix saturates and caps, so even an absurd attempt budget against a
-    // hub that never comes back must fail with a typed error — quickly,
-    // and without panicking.
-    let dead = {
-        let hub = SocketHub::bind().expect("bind");
-        hub.addr()
-    };
-    let started = Instant::now();
-    let err = SocketPublisher::new(dead.to_string())
-        .with_retry(200, Duration::from_nanos(1))
-        .with_backoff_cap(Duration::from_millis(1))
-        .publish(0, b"never lands")
-        .expect_err("no hub to publish to");
-    assert!(matches!(err, TransportError::Io(_)), "{err}");
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "capped backoff must keep 200 attempts bounded"
-    );
 }
 
 proptest! {
