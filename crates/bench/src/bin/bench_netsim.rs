@@ -19,9 +19,9 @@
 //!   determinism check that a ≥1000-body fleet aggregates byte-identically at
 //!   thread widths 1 and 4.  Two populations: `uniform`, the standard
 //!   five-leaf body (one class, so a fold runs the engine once per thread
-//!   and times the memo), and `event-driven`, the same body with its camera
-//!   capturing on scene changes (bursty, so every body runs the engine and
-//!   bodies/s is engine-bound).
+//!   and times the counted-repeat path), and `event-driven`, the same body
+//!   with its camera capturing on scene changes (bursty, so every body runs
+//!   the engine and bodies/s is engine-bound).
 //! * `hetero_fleet` — heterogeneous population streams
 //!   ([`PopulationModel::mixed_default`]: health-patch / AR-assistant /
 //!   BLE-minimal archetypes) ingested through the bounded-memory
@@ -55,9 +55,12 @@
 //!
 //! Every `fleet`, `hetero_fleet` and `width_scaling` row records
 //! `engine_runs`, the bodies a width-1 fold runs on the engine: bodies with
-//! a bursty leaf, plus one per distinct deterministic class.  The rest take
-//! a stored run from the fold thread's memo, so these rows' `events` count
-//! events the engine ran once per class, not once per body.
+//! a bursty leaf, plus one per distinct deterministic class.  The rest are
+//! repeats of a class the fold thread's memo holds: each draws its class
+//! and is counted (or, if it would enter the worst-body list, ingested as
+//! a copy of the stored summary), and the counts go into the fold with one
+//! scaled update per class.  So these rows' `events` count events the
+//! engine ran once per class, not once per body.
 //!
 //! The file opens with the run's provenance (cores, rustc, git revision,
 //! profile).  Exits non-zero if the two engine paths disagree on any exact
@@ -300,9 +303,9 @@ fn ten_node_body(reference: bool) -> Simulation {
 }
 
 /// Bodies a width-1 fold of `config` runs on the engine: every body with
-/// no class, plus one per distinct class (the fleets here are static, so
-/// every span is the horizon, and have far fewer classes than the memo
-/// holds).  The rest take a stored run.
+/// no class, plus one per distinct class (the fleets here are churn-free
+/// and have far fewer classes than the memo holds).  The rest are counted
+/// repeats.
 fn engine_runs(config: &FleetConfig) -> usize {
     let mut classes = Vec::new();
     let mut unclassed = 0;

@@ -228,6 +228,30 @@ fn the_retired_socket_flag_is_an_unknown_flag() {
 }
 
 #[test]
+fn a_partial_blob_needs_an_injected_crash() {
+    // `--fail-with-partial` only adds to `--fail-after-bodies`: alone it is
+    // refused before anything is folded or published.
+    let dir = scratch("partial");
+    std::fs::create_dir_all(&dir).expect("create an empty working directory");
+    let args = "--bodies 4 --shard-index 0 --shard-start 0 --shard-end 4 --spool spool \
+                --fail-with-partial";
+    let output = Command::new(WORKER.program)
+        .args(args.split_whitespace())
+        .current_dir(&dir)
+        .output()
+        .expect("run shard_worker");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let created = std::fs::read_dir(&dir).expect("list").count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--fail-with-partial needs --fail-after-bodies"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty() && created == 0, "the worker wrote");
+}
+
+#[test]
 fn coordinators_check_the_horizon_before_spooling() {
     for bad in ["-1", "nan"] {
         let spool = scratch(&format!("horizon{bad}"));

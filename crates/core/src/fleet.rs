@@ -30,7 +30,8 @@
 //! Most leaves sense on a fixed cadence, so most bodies of a fleet repeat a
 //! few scenarios exactly.  Each fold thread keeps a small memo beside its
 //! workspace and runs the engine once per distinct deterministic body; a
-//! hit is bit-identical to a fresh run because:
+//! repeat's summary equals the first body's but for its index and seed,
+//! because:
 //!
 //! * a streaming run reads its seed only through
 //!   [`TrafficPattern::next_interval`](hidwa_netsim::traffic::TrafficPattern::next_interval),
@@ -39,14 +40,22 @@
 //!   policy and the horizon are fixed;
 //! * so a body with no bursty leaf is a pure function of what its sampler
 //!   drew — its [class](crate::population::BodyScenario::class) — and of
-//!   its active span, which differs from the horizon only under churn.
+//!   its active span, which is the horizon in a churn-free fleet.
 //!
-//! The memo maps the class of a body that runs the whole horizon to the
-//! run's totals, holds at most 64 runs and lives and dies with the fold's
-//! thread; there is no shared cache.  A body with a bursty leaf has no class
-//! and always runs.  So does a body whose active span is not the horizon: a
-//! churned span is the body's own continuous draw, which no other body
-//! repeats, so such a body neither looks up nor fills the memo.
+//! In a churn-free fold each body first draws its class alone, without its
+//! leaves.  The memo maps a class to the first body's [`BodySummary`] and a
+//! repeat count, holds at most 64 classes and lives and dies with the fold's
+//! thread; there is no shared cache.  A repeat that would enter its
+//! partial's worst-body list (`FleetAggregator::keeps`) is ingested as a
+//! copy of the stored summary under its own index and seed.  Any other
+//! repeat is one [`ingest`](FleetAggregator::ingest) would return from
+//! before touching the list, so the memo only counts it.  Before the
+//! partial merges, each count goes in with one scaled update
+//! (`FleetAggregator::ingest_repeats`): every piece of state it touches is
+//! an integer, an [`ExactSum`], a sketch or a min, and each scaled
+//! operation equals that many repetitions.  A body with a bursty leaf has
+//! no class and always runs, and a churned fleet keeps no memo: a churned
+//! span is the body's own continuous draw, which no other body repeats.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -105,7 +114,7 @@ use crate::population::{BodyScenario, LinkCache, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
-use hidwa_netsim::sim::{RunTotals, Workspace};
+use hidwa_netsim::sim::Workspace;
 use hidwa_netsim::sketch::{self, ExactSum, LatencySketch};
 use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, DataVolume, Energy, TimeSpan};
@@ -287,16 +296,12 @@ impl FleetConfig {
 
     /// Simulates one body end to end: sample scenario (and, for a churned
     /// fleet, the body's residency and placement trajectory), build, run the
-    /// active span in `workspace`, reduce.  A deterministic body that runs
-    /// the whole horizon and whose class `memo` has seen takes the stored
-    /// run instead of building and running its own; `memo` must only ever
-    /// see this fleet's bodies.
+    /// active span in `workspace`, reduce.
     fn simulate_body(
         &self,
         body_index: usize,
         links: &LinkCache,
         workspace: &mut Workspace,
-        memo: &mut BodyMemo,
     ) -> BodySummary {
         let scenario = self.scenario_for_body(body_index);
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
@@ -314,12 +319,9 @@ impl FleetConfig {
                 )
             }
         };
-        let key = scenario.class().filter(|_| active_span == self.horizon);
-        let totals = memo.totals(key, || {
-            scenario
-                .build_simulation(links)
-                .run_totals(workspace, active_span)
-        });
+        let totals = scenario
+            .build_simulation(links)
+            .run_totals(workspace, active_span);
         BodySummary {
             body_index,
             seed: scenario.seed(),
@@ -366,7 +368,8 @@ impl FleetConfig {
     /// depends only on which bodies were folded, never on which thread
     /// simulated them (see [`FleetAggregator::merge`]).  Each thread pairs
     /// its partial with one netsim [`Workspace`], which runs all of its
-    /// bodies, and one [`BodyMemo`] of this fold's deterministic runs.
+    /// bodies, and one [`BodyMemo`] of this fold's deterministic bodies,
+    /// whose counted repeats go into the partial before it merges.
     fn fold_range(
         &self,
         runner: &SweepRunner,
@@ -385,11 +388,61 @@ impl FleetConfig {
             &mut calling,
             || (fresh(), Workspace::new(), BodyMemo::default()),
             |(partial, workspace, memo), body_index| {
-                partial.ingest(self.simulate_body(body_index, links, workspace, memo));
+                self.fold_body(body_index, links, partial, workspace, memo);
             },
-            |(merged, ..), (partial, ..)| merged.merge(partial),
+            |(merged, ..), (mut partial, _, memo)| {
+                memo.flush(&mut partial);
+                merged.merge(partial);
+            },
         );
-        *aggregator = calling.0;
+        let (mut folded, _, memo) = calling;
+        memo.flush(&mut folded);
+        *aggregator = folded;
+    }
+
+    /// Folds body `body_index` into `partial`, the next body in its index
+    /// order.  In a churn-free fleet a body whose class `memo` holds is a
+    /// repeat (see the module docs): `partial` ingests a copy of the stored
+    /// summary if the body would enter its worst list, and otherwise the
+    /// memo counts it.  Any other body is simulated in `workspace` and
+    /// ingested, and the first body of each class is stored while the memo
+    /// has room.  `memo` must only ever see this fleet's bodies, folded into
+    /// `partial`.
+    fn fold_body(
+        &self,
+        body_index: usize,
+        links: &LinkCache,
+        partial: &mut FleetAggregator,
+        workspace: &mut Workspace,
+        memo: &mut BodyMemo,
+    ) {
+        let class = match self.churn {
+            None => self.population.class_of(self.base_seed, body_index as u64),
+            Some(_) => None,
+        };
+        let Some(class) = class else {
+            partial.ingest(self.simulate_body(body_index, links, workspace));
+            return;
+        };
+        if let Some(slot) = memo.keys.iter().position(|&seen| seen == class) {
+            let (first, repeats) = &mut memo.runs[slot];
+            if partial.keeps(first.worst_p95_latency) {
+                partial.ingest(BodySummary {
+                    body_index,
+                    seed: self.seed_for_body(body_index),
+                    ..first.clone()
+                });
+            } else {
+                *repeats += 1;
+            }
+            return;
+        }
+        let summary = self.simulate_body(body_index, links, workspace);
+        if memo.keys.len() < BodyMemo::CAPACITY {
+            memo.keys.push(class);
+            memo.runs.push((summary.clone(), 0));
+        }
+        partial.ingest(summary);
     }
 
     /// Runs the fold for bodies `0..stop` (clamped to the fleet size) and
@@ -432,37 +485,29 @@ impl FleetConfig {
     }
 }
 
-/// One fold thread's memo of the engine runs of its deterministic bodies
-/// that run the whole horizon, keyed by class (see the module docs).
+/// One fold thread's memo of its churn-free deterministic bodies, keyed by
+/// class (see the module docs).
 ///
-/// It holds at most [`CAPACITY`](Self::CAPACITY) runs and stops inserting
-/// once full.  The keys sit in their own array, apart from the stored
-/// totals, so a body that misses scans only the 512 bytes of keys.
+/// It holds at most [`CAPACITY`](Self::CAPACITY) classes and stops
+/// inserting once full.  The keys sit in their own array, apart from the
+/// stored runs, so a body that misses scans only the 512 bytes of keys.
 #[derive(Default)]
 struct BodyMemo {
     keys: Vec<u64>,
-    totals: Vec<RunTotals>,
+    /// Per key, the summary of the class's first body and how many later
+    /// bodies of the class were counted instead of ingested.
+    runs: Vec<(BodySummary, u64)>,
 }
 
 impl BodyMemo {
     const CAPACITY: usize = 64;
 
-    /// The totals of the body keyed `key`: a copy of the stored run on a
-    /// hit, else `run()`, stored while there is room.  A `None` key (a body
-    /// with no class, or one whose span is not the horizon) always runs.
-    fn totals(&mut self, key: Option<u64>, run: impl FnOnce() -> RunTotals) -> RunTotals {
-        let Some(key) = key else {
-            return run();
-        };
-        if let Some(slot) = self.keys.iter().position(|&seen| seen == key) {
-            return self.totals[slot].clone();
+    /// Ingests every counted repeat into `partial`, the aggregator its
+    /// thread folded into (or one that has merged it since).
+    fn flush(self, partial: &mut FleetAggregator) {
+        for (summary, repeats) in &self.runs {
+            partial.ingest_repeats(summary, *repeats);
         }
-        let totals = run();
-        if self.keys.len() < Self::CAPACITY {
-            self.keys.push(key);
-            self.totals.push(totals.clone());
-        }
-        totals
     }
 }
 
@@ -605,18 +650,12 @@ impl FleetAggregator {
         self.active_span.add(summary.active_span.as_seconds());
         self.placement_energy
             .add(summary.placement_energy.as_joules());
+        if !self.keeps(summary.worst_p95_latency) {
+            return;
+        }
         // Keep `worst` sorted worst-first (p95 descending, earlier body
         // first on ties): find the first slot whose p95 is strictly smaller
         // and insert there, so in-order ingestion is fully deterministic.
-        if self.worst.len() == self.top_k
-            && summary.worst_p95_latency
-                <= self
-                    .worst
-                    .last()
-                    .map_or(TimeSpan::ZERO, |s| s.worst_p95_latency)
-        {
-            return;
-        }
         let position = self
             .worst
             .iter()
@@ -624,6 +663,50 @@ impl FleetAggregator {
             .unwrap_or(self.worst.len());
         self.worst.insert(position, summary);
         self.worst.truncate(self.top_k);
+    }
+
+    /// Whether the next body ingested, of worst p95 `p95`, would enter the
+    /// worst list: the list has room, or the body beats its last entry.  A
+    /// later body loses every p95 tie, so a tie with the last entry is not
+    /// kept.  Once false for a `p95`, it stays false: the list only fills,
+    /// and the p95 of its last entry only rises, through ingestion and
+    /// [`merge`](Self::merge) alike.
+    fn keeps(&self, p95: TimeSpan) -> bool {
+        let last = self
+            .worst
+            .last()
+            .map_or(TimeSpan::ZERO, |s| s.worst_p95_latency);
+        !(self.worst.len() == self.top_k && p95 <= last)
+    }
+
+    /// Ingests `count` bodies equal to `summary` but for their indices and
+    /// seeds, none of which the worst list keeps — bit-identical to `count`
+    /// [`ingest`](Self::ingest) calls, which would each return before the
+    /// list.  Each total takes one scaled update, exact because every piece
+    /// of state it touches is an integer, an [`ExactSum`], a sketch or a
+    /// min.
+    fn ingest_repeats(&mut self, summary: &BodySummary, count: u64) {
+        if count == 0 {
+            return;
+        }
+        debug_assert!(!self.keeps(summary.worst_p95_latency));
+        let bodies = count as usize;
+        self.bodies += bodies;
+        self.fleet_latency.merge_scaled(&summary.latency, count);
+        self.body_p95.record_run(summary.worst_p95_latency, count);
+        self.total_energy
+            .add_scaled(summary.total_energy.as_joules(), count);
+        self.total_generated += summary.generated_frames * bodies;
+        self.total_delivered += summary.delivered_frames * bodies;
+        self.total_delivered_bytes += summary.delivered_bytes * bodies;
+        self.total_events += summary.events_processed * count;
+        self.min_body_delivery_ratio = self.min_body_delivery_ratio.min(summary.delivery_ratio);
+        self.total_migrations += summary.migrations * count;
+        self.total_replans += summary.replans * count;
+        self.active_span
+            .add_scaled(summary.active_span.as_seconds(), count);
+        self.placement_energy
+            .add_scaled(summary.placement_energy.as_joules(), count);
     }
 
     /// Memory-footprint proxy of the aggregation state: live sketch buckets
@@ -1011,9 +1094,9 @@ mod tests {
         // Re-derive the same totals by folding the five bodies by hand.
         let links = LinkCache::for_population(fleet.population());
         let mut aggregator = FleetAggregator::new(fleet.horizon(), FleetConfig::DEFAULT_TOP_K);
-        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
+        let mut workspace = Workspace::new();
         for i in 0..5 {
-            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace, &mut memo));
+            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace));
         }
         let manual = aggregator.finish();
         assert_eq!(report, manual);
@@ -1089,8 +1172,8 @@ mod tests {
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(5)
             .with_horizon(TimeSpan::from_seconds(2.0));
-        // Zero-rate churn at full duty: every span equals the horizon, so
-        // churned bodies hit the memo too.
+        // Zero-rate churn at full duty: every span equals the horizon, yet a
+        // churned fleet keeps no memo.
         let calm = mixed.clone().with_base_seed(31).with_churn(ChurnSpec::new(
             ChurnModel::with_rate(0.0).with_duty_cycle(1.0, 1.0),
             PolicyKind::StaticAtAdmission,
@@ -1144,11 +1227,14 @@ mod tests {
             .collect();
         // One workspace runs every body back to back, so each body starts
         // from whatever the previous (often larger) one left behind.  Each
-        // fleet has a memo of its own.
+        // fleet also has a counted fold of its own (a partial and a memo) and
+        // a plain fold of the report reductions.
         let mut workspace = Workspace::new();
-        let mut memos: Vec<BodyMemo> = fleets.iter().map(|_| BodyMemo::default()).collect();
-        // Per fleet, the classes a body took from the memo.
-        let mut hit_classes: Vec<Vec<u64>> = vec![Vec::new(); fleets.len()];
+        let fresh = |config: &FleetConfig| FleetAggregator::new(config.horizon(), config.top_k());
+        let mut folds: Vec<(FleetAggregator, BodyMemo, FleetAggregator)> = fleets
+            .iter()
+            .map(|config| (fresh(config), BodyMemo::default(), fresh(config)))
+            .collect();
         let mut sizes = Vec::new();
         for body_index in 0..3000 {
             for (k, (config, links)) in fleets.iter().zip(&links).enumerate() {
@@ -1156,14 +1242,7 @@ mod tests {
                     continue;
                 }
                 let want = report_summary(config, body_index, links);
-                let class = config.scenario_for_body(body_index).class();
-                let key = class.filter(|_| want.active_span == config.horizon());
-                let memo = &mut memos[k];
-                let hit = key.is_some_and(|key| memo.keys.contains(&key));
-                if hit {
-                    hit_classes[k].extend(class);
-                }
-                let got = config.simulate_body(body_index, links, &mut workspace, memo);
+                let got = config.simulate_body(body_index, links, &mut workspace);
                 let context = format!("body {body_index} of {}, fleet {k}", want.archetype);
                 assert_eq!(
                     got.total_energy.as_joules().to_bits(),
@@ -1177,24 +1256,119 @@ mod tests {
                 );
                 assert!(got.latency == want.latency, "{context}");
                 assert_eq!(got, want, "{context}");
-                if !hit {
-                    sizes.push(got.nodes);
-                }
+                sizes.push(got.nodes);
+                let (partial, memo, plain) = &mut folds[k];
+                config.fold_body(body_index, links, partial, &mut workspace, memo);
+                plain.ingest(want);
             }
         }
-        // Every deterministic `mixed_default` class was served from the
-        // memo, statically and under zero-rate churn.
-        for hits in &mut hit_classes[..2] {
-            hits.sort_unstable();
-            hits.dedup();
-            assert_eq!(hits.len(), 26);
+        // Every deterministic `mixed_default` class was stored and repeated;
+        // a churned fleet, even one whose spans all equal the horizon, never
+        // memoises.
+        assert_eq!(folds[0].1.keys.len(), 26);
+        assert!(folds[0].1.runs.iter().all(|&(_, repeats)| repeats > 0));
+        assert!(folds[1].1.keys.is_empty() && folds[2].1.keys.is_empty());
+        // Each counted fold, its repeats flushed, equals the plain fold.
+        for (config, (mut partial, memo, plain)) in fleets.iter().zip(folds) {
+            memo.flush(&mut partial);
+            let bytes = |aggregator: &FleetAggregator| {
+                FleetCheckpoint::capture(config, aggregator, config.bodies())
+                    .save()
+                    .to_vec()
+            };
+            assert!(
+                bytes(&partial) == bytes(&plain),
+                "{} bodies",
+                config.bodies()
+            );
         }
-        // A churned span is the body's own draw: that fleet never memoises.
-        assert!(memos[2].keys.is_empty());
         // The engine really shrank and grew across the mask boundary.
         assert!(sizes.windows(2).any(|pair| pair[0] > 64 && pair[1] <= 64));
         assert!(sizes.windows(2).any(|pair| pair[0] <= 64 && pair[1] > 64));
         assert!(sizes.iter().any(|&nodes| nodes > 64 && nodes < 72));
+    }
+
+    #[test]
+    fn counted_fold_matches_the_plain_fold() {
+        let bytes = |config: &FleetConfig, aggregator: &FleetAggregator| {
+            FleetCheckpoint::capture(config, aggregator, config.bodies())
+                .save()
+                .to_vec()
+        };
+        // The oracle: every body simulated and ingested, in index order.
+        let plain = |config: &FleetConfig| {
+            let links = LinkCache::for_population(config.population());
+            let mut workspace = Workspace::new();
+            let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
+            for body_index in 0..config.bodies() {
+                aggregator.ingest(config.simulate_body(body_index, &links, &mut workspace));
+            }
+            aggregator
+        };
+        let mixed = FleetConfig::new(500)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(26)
+            .with_horizon(TimeSpan::from_seconds(2.0));
+        // Every uniform body ties on p95, so the index tie-break picks the
+        // top-K.
+        let uniform = FleetConfig::new(64).with_horizon(TimeSpan::from_seconds(2.0));
+        let deep = FleetConfig::new(300)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(50)
+            .with_horizon(TimeSpan::from_seconds(1.0))
+            .with_top_k(50);
+        let single = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
+        for config in [&mixed, &uniform, &deep, &single] {
+            let want = bytes(config, &plain(config));
+            for width in 1..=4 {
+                let got = config
+                    .run_until(&SweepRunner::with_threads(width), config.bodies())
+                    .save()
+                    .to_vec();
+                assert!(
+                    got == want,
+                    "{} bodies, top-K {}, width {width}",
+                    config.bodies(),
+                    config.top_k()
+                );
+            }
+        }
+
+        // Past the first K uniform bodies, each repeat ties the full worst
+        // list, so the memo counts it rather than the partial ingesting it.
+        let links = LinkCache::for_population(uniform.population());
+        let mut partial = FleetAggregator::new(uniform.horizon(), uniform.top_k());
+        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
+        for body_index in 0..uniform.bodies() {
+            uniform.fold_body(body_index, &links, &mut partial, &mut workspace, &mut memo);
+        }
+        assert_eq!(partial.bodies(), FleetConfig::DEFAULT_TOP_K);
+        assert_eq!(memo.runs.len(), 1);
+        assert_eq!(memo.runs[0].1, 64 - FleetConfig::DEFAULT_TOP_K as u64);
+
+        // `ingest_repeats` equals as many `ingest`s on its own, too: here
+        // into a partial that never ingested the repeated body, whose
+        // delivery ratio is below every other.
+        let one = mixed.clone().with_top_k(1);
+        let top = plain(&one).worst.remove(0);
+        let links = LinkCache::for_population(one.population());
+        let mut repeat = (0..one.bodies())
+            .map(|i| one.simulate_body(i, &links, &mut workspace))
+            .find(|s| s.worst_p95_latency < top.worst_p95_latency)
+            .expect("a body better than the worst");
+        repeat.delivery_ratio = top.delivery_ratio / 2.0;
+        let mut counted = FleetAggregator::new(one.horizon(), one.top_k());
+        let mut ingested = counted.clone();
+        counted.ingest(top.clone());
+        counted.ingest_repeats(&repeat, 5);
+        ingested.ingest(top);
+        for body_index in 0..5 {
+            ingested.ingest(BodySummary {
+                body_index,
+                ..repeat.clone()
+            });
+        }
+        assert!(bytes(&one, &counted) == bytes(&one, &ingested));
     }
 
     #[test]
@@ -1220,9 +1394,9 @@ mod tests {
             ));
         for config in [uniform, churned] {
             let links = LinkCache::for_population(config.population());
-            let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
+            let mut workspace = Workspace::new();
             let summaries: Vec<BodySummary> = (0..config.bodies())
-                .map(|i| config.simulate_body(i, &links, &mut workspace, &mut memo))
+                .map(|i| config.simulate_body(i, &links, &mut workspace))
                 .collect();
             // Ingests the bodies `keep` selects, in index order.
             let fold = |keep: &dyn Fn(usize) -> bool| {
@@ -1319,11 +1493,11 @@ mod tests {
         assert_eq!(report.worst_bodies().len(), 2);
         // Exact per-body p95 values, recomputed independently.
         let links = LinkCache::for_population(fleet.population());
-        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
+        let mut workspace = Workspace::new();
         let mut p95s: Vec<TimeSpan> = (0..12)
             .map(|i| {
                 fleet
-                    .simulate_body(i, &links, &mut workspace, &mut memo)
+                    .simulate_body(i, &links, &mut workspace)
                     .worst_p95_latency
             })
             .collect();

@@ -100,7 +100,7 @@ usage: shard_worker --bodies <n> --shard-index <i> --shard-start <a> --shard-end
                     [--mac <tdma|polling>] [--radio <wi-r|ble|nfmi|wifi>]
                     [--traffic-scale <f64> | --traffic-scale-bits <u64>]
                     [--churn <rate:dmin:dmax:epochs:fade:policy:thresh:objective:cost>]
-                    [--fail-after-bodies <n>] [--fail-with-partial]";
+                    [--fail-after-bodies <n> [--fail-with-partial]]";
 
 /// The `--mac` flag tag of a [`MacPolicy`] (the search layer's MAC axis
 /// crosses the process boundary with these).
@@ -646,7 +646,7 @@ pub struct WorkerRequest {
     /// publishing — a deterministic stand-in for `kill -9`.
     pub fail_after: Option<usize>,
     /// Fault injection: additionally leave a partial temp blob in the
-    /// spool, as a worker killed mid-write would.
+    /// spool, as a worker killed mid-write would (only with `fail_after`).
     pub fail_with_partial: bool,
 }
 
@@ -669,6 +669,7 @@ impl WorkerRequest {
     }
 
     fn from_flags(flags: &Flags) -> Result<Self, String> {
+        flags.needs("--fail-with-partial", "--fail-after-bodies")?;
         let spec = DriverFleetSpec::from_flags(flags)?;
         let shard = ShardAssignment {
             index: flags.required("--shard-index")?,
@@ -1441,6 +1442,10 @@ mod tests {
         ]);
         assert_eq!(retired, r#"unknown flag "--connect""#);
         let shard = "--bodies 10 --shard-index 0 --shard-start 0 --shard-end 5 --spool /tmp/x";
+        // A partial blob is left only by an injected crash.
+        let args = format!("{shard} --fail-with-partial");
+        let alone = usage(&args.split(' ').collect::<Vec<_>>());
+        assert_eq!(alone, "--fail-with-partial needs --fail-after-bodies");
         // Two spellings of one value conflict; the later one does not win.
         let pairs = [
             ["--horizon-s", "--horizon-bits"],

@@ -506,6 +506,35 @@ impl PopulationModel {
     #[must_use]
     pub fn sample(&self, base_seed: u64, body_index: u64) -> BodyScenario {
         let sim_seed = body_seed(base_seed, body_index);
+        let mut leaves = Vec::new();
+        let (archetype, class) = self.draw(sim_seed, Some(&mut leaves));
+        BodyScenario {
+            body_index,
+            seed: sim_seed,
+            archetype: Arc::clone(&archetype.name),
+            technology: archetype.technology,
+            policy: archetype.policy,
+            leaves,
+            class,
+        }
+    }
+
+    /// Body `body_index`'s [class](BodyScenario::class) — what
+    /// `sample(base_seed, body_index).class()` returns, drawn without
+    /// building the leaf list or touching the archetype's label.
+    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
+        self.draw(body_seed(base_seed, body_index), None).1
+    }
+
+    /// The one draw sequence behind [`sample`](Self::sample) and
+    /// [`class_of`](Self::class_of): the archetype drawn for the body whose
+    /// simulation seed is `sim_seed`, and the body's class.  Each present
+    /// leaf, its traffic drawn, is pushed onto `leaves` when one is given.
+    fn draw(
+        &self,
+        sim_seed: u64,
+        mut leaves: Option<&mut Vec<LeafSpec>>,
+    ) -> (&BodyArchetype, Option<u64>) {
         let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
         // Archetype draw: one uniform over cumulative weights (the shared
         // `weighted_index` helper, so mix and archetype draws stay in sync).
@@ -516,13 +545,15 @@ impl PopulationModel {
         })
         .unwrap_or(0);
         let archetype = &self.archetypes[archetype_index];
+        if let Some(leaves) = leaves.as_deref_mut() {
+            leaves.reserve_exact(archetype.leaves.len());
+        }
         // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
         // consumes exactly two draws whether or not it is present, so adding
         // a leaf to an archetype never perturbs the draws of later leaves'
         // siblings on *other* archetypes (each body re-seeds, so cross-body
         // alignment is moot, but keeping draw counts shape-independent makes
         // scenarios stable under presence-probability tweaks).
-        let mut leaves = Vec::with_capacity(archetype.leaves.len());
         let mut class = Some(0u64);
         for slot in &archetype.leaves {
             let present = rng.gen_bool(slot.presence);
@@ -535,9 +566,11 @@ impl PopulationModel {
                 if matches!(traffic, TrafficPattern::Bursty { .. }) {
                     class = None;
                 }
-                let mut spec = slot.spec.clone();
-                spec.traffic = traffic.clone();
-                leaves.push(spec);
+                if let Some(leaves) = leaves.as_deref_mut() {
+                    let mut spec = slot.spec.clone();
+                    spec.traffic = traffic.clone();
+                    leaves.push(spec);
+                }
                 digit = 1 + drawn.map_or(entries, |i| i as u64);
             }
             class = class.and_then(|c| c.checked_mul(entries + 2)?.checked_add(digit));
@@ -546,15 +579,7 @@ impl PopulationModel {
             c.checked_mul(self.archetypes.len() as u64)?
                 .checked_add(archetype_index as u64)
         });
-        BodyScenario {
-            body_index,
-            seed: sim_seed,
-            archetype: Arc::clone(&archetype.name),
-            technology: archetype.technology,
-            policy: archetype.policy,
-            leaves,
-            class,
-        }
+        (archetype, class)
     }
 
     /// The distinct `(technology, body site)` pairs any scenario sampled from
@@ -1038,6 +1063,64 @@ mod tests {
         // Each slot is a radix-4 digit: 31 fit in 64 bits, 33 do not.
         assert!(of(31).is_some());
         assert_eq!(of(33), None);
+    }
+
+    #[test]
+    fn class_of_draws_the_sampled_class() {
+        use hidwa_energy::sensing::SensorModality;
+        let uniform = PopulationModel::uniform(
+            RadioTechnology::WiR,
+            scenario::standard_leaf_set(),
+            MacPolicy::Polling,
+        );
+        // 72 bursty-or-periodic slots, each worn with probability 0.9.
+        let sites = [BodySite::Wrist, BodySite::Chest, BodySite::Ear];
+        let wide_slots = (0..72)
+            .map(|i| {
+                let spec = LeafSpec {
+                    name: "burst",
+                    site: sites[i % sites.len()],
+                    modality: SensorModality::Inertial,
+                    traffic: TrafficPattern::Silent,
+                    compute_power: Power::from_micro_watts(3.0),
+                };
+                let traffic = TrafficMix::new(vec![
+                    (
+                        2.0,
+                        TrafficPattern::bursty(TimeSpan::from_millis(60.0), 128),
+                    ),
+                    (
+                        1.0,
+                        TrafficPattern::periodic(TimeSpan::from_millis(90.0), 64),
+                    ),
+                ]);
+                LeafArchetype::new(spec, 0.9, traffic)
+            })
+            .collect();
+        // 33 periodic radix-4 slots: every class overflows 64 bits.
+        let periodic = |ms| TrafficPattern::periodic(TimeSpan::from_millis(ms), 64);
+        let traffic = TrafficMix::new(vec![(1.0, periodic(100.0)), (1.0, periodic(50.0))]);
+        let overflow_slots =
+            vec![LeafArchetype::new(scenario::standard_leaf_set().remove(0), 1.0, traffic); 33];
+        let archetype = |name, slots| {
+            BodyArchetype::new(name, 1.0, RadioTechnology::WiR, MacPolicy::Polling, slots)
+        };
+        let populations = [
+            PopulationModel::mixed_default(),
+            uniform,
+            PopulationModel::new(vec![archetype("wide", wide_slots)]),
+            PopulationModel::new(vec![archetype("many", overflow_slots)]),
+        ];
+        for (k, population) in populations.iter().enumerate() {
+            let mut classed = 0;
+            for body in 0..10_000u64 {
+                let class = population.sample(0xC1A55, body).class();
+                assert_eq!(population.class_of(0xC1A55, body), class, "body {body}");
+                classed += usize::from(class.is_some());
+            }
+            // The first two populations have classes, the last two none.
+            assert_eq!(classed > 0, k < 2, "population {k}");
+        }
     }
 
     #[test]

@@ -62,11 +62,13 @@
 //! report would reduce to, without its per-node names or sketches.  A fleet
 //! fold keeps one workspace per thread; once its buffers reach their
 //! high-water marks, a run of at most 64 nodes allocates nothing but the
-//! merged sketch it returns.  The fleet still builds each body's scenario
-//! leaves, and the node configurations (with their names) of each body it
-//! runs; a fold thread runs each distinct deterministic body once and
-//! copies the stored totals for its repeats.  `hidwa-core`'s
-//! `tests/fleet_alloc_counting.rs` gates the allocations per fleet body.
+//! merged sketch it returns.  The fleet still builds the scenario leaves
+//! and the node configurations (with their names) of each body it runs.
+//! A fold thread runs each distinct deterministic body once and only
+//! counts its repeats, which go into the fold with one scaled update each
+//! ([`LatencySketch::merge_scaled`], [`ExactSum::add_sum_scaled`]).
+//! `hidwa-core`'s `tests/fleet_alloc_counting.rs` gates the allocations
+//! per fleet body.
 
 use crate::event::{BinaryHeapQueue, Event};
 use crate::mac::{Arbiter, MacPolicy};

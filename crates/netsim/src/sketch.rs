@@ -234,6 +234,29 @@ impl ExactSum {
         debug_assert!(!carry, "ExactSum overflow (beyond 2^64 x f64::MAX)");
     }
 
+    /// Adds another accumulator exactly `count` times — bit-identical to
+    /// calling [`add_sum`](Self::add_sum) `count` times, in one pass.
+    ///
+    /// Each limb is a limb-wise `u128` multiply-add: `theirs · count + mine +
+    /// carry` is at most `(2^64 − 1)² + 2 · (2^64 − 1) = 2^128 − 1`, so it
+    /// never overflows, and integer multiplication is repeated integer
+    /// addition.  A limb with nothing to add is skipped, so the pass costs
+    /// the few limbs a sum of similar magnitudes spans.  This is how a
+    /// fleet fold flushes a counted run of equal bodies.
+    #[inline]
+    pub fn add_sum_scaled(&mut self, other: &ExactSum, count: u64) {
+        let mut carry = 0u128;
+        for (mine, &theirs) in self.limbs.iter_mut().zip(&other.limbs) {
+            if theirs == 0 && carry == 0 {
+                continue;
+            }
+            let wide = u128::from(theirs) * u128::from(count) + u128::from(*mine) + carry;
+            *mine = wide as u64;
+            carry = wide >> 64;
+        }
+        debug_assert!(carry == 0, "ExactSum overflow (beyond 2^64 x f64::MAX)");
+    }
+
     fn add_limb(&mut self, mut index: usize, value: u64) {
         if value == 0 {
             return;
@@ -614,18 +637,29 @@ impl LatencySketch {
     /// [`ExactSum`] are integer additions, min/max are lattice operations.
     /// Any merge tree over the same sketches yields a byte-identical result —
     /// the algebra `hidwa_core`'s sharded fleet fold is built on.
+    #[inline]
     pub fn merge(&mut self, other: &LatencySketch) {
-        if other.count == 0 {
+        self.merge_scaled(other, 1);
+    }
+
+    /// Merges `other` into this sketch `count` times — bit-identical to
+    /// calling [`merge`](Self::merge) `count` times, in one pass.
+    ///
+    /// Every piece of state scales exactly: the count and each bucket gain
+    /// `count` times `other`'s, the sum takes [`ExactSum::add_sum_scaled`],
+    /// and min/max are idempotent.  A fleet fold flushes a counted run of
+    /// equal bodies through it.
+    #[inline]
+    pub fn merge_scaled(&mut self, other: &LatencySketch, count: u64) {
+        if other.count == 0 || count == 0 {
             return;
         }
-        self.count += other.count;
-        self.sum_seconds.add_sum(&other.sum_seconds);
+        self.count += other.count * count;
+        self.sum_seconds.add_sum_scaled(&other.sum_seconds, count);
         self.min_seconds = self.min_seconds.min(other.min_seconds);
         self.max_seconds = self.max_seconds.max(other.max_seconds);
         if self.buckets.is_empty() {
             self.first_index = other.first_index;
-            self.buckets = other.buckets.clone();
-            return;
         }
         // Align the two observed-key windows before adding counts.  Both
         // windows start and end on non-zero buckets, so the merged window is
@@ -640,7 +674,7 @@ impl LatencySketch {
             self.buckets.resize(offset + other.buckets.len(), 0);
         }
         for (mine, theirs) in self.buckets[offset..].iter_mut().zip(&other.buckets) {
-            *mine += theirs;
+            *mine += theirs * count;
         }
     }
 

@@ -3,11 +3,12 @@
 //! random sample sets and end-to-end through the simulator across periodic,
 //! bursty and streaming traffic.
 
+use bytes::BytesMut;
 use hidwa_eqs::body::BodySite;
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_netsim::node::{LinkParams, NodeConfig};
 use hidwa_netsim::sim::Simulation;
-use hidwa_netsim::sketch::{LatencySketch, RELATIVE_ERROR_BOUND};
+use hidwa_netsim::sketch::{ExactSum, LatencySketch, RELATIVE_ERROR_BOUND};
 use hidwa_netsim::traffic::TrafficPattern;
 use hidwa_units::{DataRate, EnergyPerBit, TimeSpan};
 use proptest::prelude::*;
@@ -17,6 +18,102 @@ fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let idx = ((samples.len() as f64 - 1.0) * q).round() as usize;
     samples[idx.min(samples.len() - 1)]
+}
+
+/// The codec bytes of `sketch`: equal bytes are equal counts, limbs,
+/// extrema bits and buckets.
+fn sketch_bytes(sketch: &LatencySketch) -> Vec<u8> {
+    let mut out = BytesMut::new();
+    sketch.encode(&mut out);
+    out.to_vec()
+}
+
+fn sum_bytes(sum: &ExactSum) -> Vec<u8> {
+    let mut out = BytesMut::new();
+    sum.encode(&mut out);
+    out.to_vec()
+}
+
+/// `merge_scaled(other, n)` and `add_sum_scaled(other, n)` are bit for bit
+/// `n` calls of `merge` / `add_sum`, whatever the two windows: an empty
+/// receiver, disjoint and overlapping windows, and one below the
+/// receiver's.  `n = 2^20` repeats carry through several limbs.
+#[test]
+fn scaled_merges_equal_repeated_merges() {
+    let sketch_of = |millis: &[f64]| {
+        let mut sketch = LatencySketch::new();
+        for &ms in millis {
+            sketch.record(TimeSpan::from_millis(ms));
+        }
+        sketch
+    };
+    let sum_of = |values: &[f64]| {
+        let mut sum = ExactSum::new();
+        for &value in values {
+            sum.add(value);
+        }
+        sum
+    };
+    let receiver = sketch_of(&[4.0, 5.5, 5.5, 9.0]);
+    let sketches = [
+        (
+            "empty receiver",
+            LatencySketch::new(),
+            sketch_of(&[3.0, 7.0, 7.0]),
+        ),
+        ("disjoint", receiver.clone(), sketch_of(&[200.0, 350.0])),
+        (
+            "overlapping",
+            receiver.clone(),
+            sketch_of(&[5.0, 6.0, 12.0]),
+        ),
+        ("below", receiver, sketch_of(&[0.01, 0.5])),
+    ];
+    let receiver = sum_of(&[0.1, 3.0, 1e-300]);
+    let sums = [
+        (
+            "empty receiver",
+            ExactSum::new(),
+            sum_of(&[1e-3, 0.25, 7.0]),
+        ),
+        (
+            "disjoint",
+            receiver.clone(),
+            sum_of(&[1e300, f64::MAX / 3.0]),
+        ),
+        ("overlapping", receiver.clone(), sum_of(&[0.2, 7.5, 1e-300])),
+        (
+            "below",
+            receiver,
+            sum_of(&[f64::MIN_POSITIVE / 7.0, 1e-310]),
+        ),
+    ];
+    for n in [0u64, 1, 2, 1000, 1 << 20] {
+        for (name, base, other) in &sketches {
+            let mut scaled = base.clone();
+            scaled.merge_scaled(other, n);
+            let mut repeated = base.clone();
+            for _ in 0..n {
+                repeated.merge(other);
+            }
+            assert_eq!(
+                sketch_bytes(&scaled),
+                sketch_bytes(&repeated),
+                "{name}, n = {n}"
+            );
+            assert_eq!(scaled.count(), base.count() + n * other.count(), "{name}");
+        }
+        for (name, base, other) in &sums {
+            let mut scaled = base.clone();
+            scaled.add_sum_scaled(other, n);
+            let mut repeated = base.clone();
+            for _ in 0..n {
+                repeated.add_sum(other);
+            }
+            assert_eq!(sum_bytes(&scaled), sum_bytes(&repeated), "{name}, n = {n}");
+            assert_eq!(scaled.to_f64().to_bits(), repeated.to_f64().to_bits());
+        }
+    }
 }
 
 fn wir_link() -> LinkParams {
