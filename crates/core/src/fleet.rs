@@ -636,20 +636,7 @@ impl FleetAggregator {
     /// that each did so then merge in any grouping (see
     /// [`merge`](Self::merge)).
     pub fn ingest(&mut self, summary: BodySummary) {
-        self.bodies += 1;
-        self.fleet_latency.merge(&summary.latency);
-        self.body_p95.record(summary.worst_p95_latency);
-        self.total_energy.add(summary.total_energy.as_joules());
-        self.total_generated += summary.generated_frames;
-        self.total_delivered += summary.delivered_frames;
-        self.total_delivered_bytes += summary.delivered_bytes;
-        self.total_events += summary.events_processed;
-        self.min_body_delivery_ratio = self.min_body_delivery_ratio.min(summary.delivery_ratio);
-        self.total_migrations += summary.migrations;
-        self.total_replans += summary.replans;
-        self.active_span.add(summary.active_span.as_seconds());
-        self.placement_energy
-            .add(summary.placement_energy.as_joules());
+        self.add_totals(&summary, 1);
         if !self.keeps(summary.worst_p95_latency) {
             return;
         }
@@ -682,14 +669,24 @@ impl FleetAggregator {
     /// Ingests `count` bodies equal to `summary` but for their indices and
     /// seeds, none of which the worst list keeps — bit-identical to `count`
     /// [`ingest`](Self::ingest) calls, which would each return before the
-    /// list.  Each total takes one scaled update, exact because every piece
-    /// of state it touches is an integer, an [`ExactSum`], a sketch or a
-    /// min.
+    /// list.
     fn ingest_repeats(&mut self, summary: &BodySummary, count: u64) {
         if count == 0 {
             return;
         }
         debug_assert!(!self.keeps(summary.worst_p95_latency));
+        self.add_totals(summary, count);
+    }
+
+    /// Adds `count` bodies equal to `summary` to every total but the worst
+    /// list — the one place that lists the fields a body updates, for
+    /// [`ingest`](Self::ingest) and `ingest_repeats` alike.  Each total takes
+    /// one scaled update, equal to `count` unscaled ones because every piece
+    /// of state it touches is an integer, an [`ExactSum`], a sketch or a
+    /// min.  Always inlined, so `ingest`'s `count = 1` compiles to the
+    /// unscaled updates.
+    #[inline(always)]
+    fn add_totals(&mut self, summary: &BodySummary, count: u64) {
         let bodies = count as usize;
         self.bodies += bodies;
         self.fleet_latency.merge_scaled(&summary.latency, count);
@@ -1348,7 +1345,7 @@ mod tests {
 
         // `ingest_repeats` equals as many `ingest`s on its own, too: here
         // into a partial that never ingested the repeated body, whose
-        // delivery ratio is below every other.
+        // delivery ratio is below every other and so the partial's minimum.
         let one = mixed.clone().with_top_k(1);
         let top = plain(&one).worst.remove(0);
         let links = LinkCache::for_population(one.population());
@@ -1369,6 +1366,8 @@ mod tests {
             });
         }
         assert!(bytes(&one, &counted) == bytes(&one, &ingested));
+        let min_ratio = counted.finish().min_body_delivery_ratio();
+        assert_eq!(min_ratio.to_bits(), repeat.delivery_ratio.to_bits());
     }
 
     #[test]

@@ -530,6 +530,9 @@ impl PopulationModel {
     /// [`class_of`](Self::class_of): the archetype drawn for the body whose
     /// simulation seed is `sim_seed`, and the body's class.  Each present
     /// leaf, its traffic drawn, is pushed onto `leaves` when one is given.
+    /// Always inlined, so each caller compiles with its own leaf branch
+    /// folded away.
+    #[inline(always)]
     fn draw(
         &self,
         sim_seed: u64,

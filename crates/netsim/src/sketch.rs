@@ -194,6 +194,10 @@ impl ExactSum {
     /// [`LatencySketch::record_run`]: the streaming engine run-length
     /// compresses equal consecutive latencies and flushes each run with one
     /// call.
+    ///
+    /// This and the other scaled operations are always inlined, so a caller
+    /// passing a literal `count = 1` compiles to the unscaled update.
+    #[inline(always)]
     pub fn add_scaled(&mut self, value: f64, count: u64) {
         if !value.is_finite() || value <= 0.0 || count == 0 {
             return;
@@ -223,15 +227,9 @@ impl ExactSum {
 
     /// Adds another accumulator exactly (limb-wise integer addition) —
     /// associative and commutative by construction.
+    #[inline]
     pub fn add_sum(&mut self, other: &ExactSum) {
-        let mut carry = false;
-        for (mine, &theirs) in self.limbs.iter_mut().zip(&other.limbs) {
-            let (sum, overflow_a) = mine.overflowing_add(theirs);
-            let (sum, overflow_b) = sum.overflowing_add(u64::from(carry));
-            *mine = sum;
-            carry = overflow_a || overflow_b;
-        }
-        debug_assert!(!carry, "ExactSum overflow (beyond 2^64 x f64::MAX)");
+        self.add_sum_scaled(other, 1);
     }
 
     /// Adds another accumulator exactly `count` times — bit-identical to
@@ -243,7 +241,7 @@ impl ExactSum {
     /// addition.  A limb with nothing to add is skipped, so the pass costs
     /// the few limbs a sum of similar magnitudes spans.  This is how a
     /// fleet fold flushes a counted run of equal bodies.
-    #[inline]
+    #[inline(always)]
     pub fn add_sum_scaled(&mut self, other: &ExactSum, count: u64) {
         let mut carry = 0u128;
         for (mine, &theirs) in self.limbs.iter_mut().zip(&other.limbs) {
@@ -524,7 +522,7 @@ impl LatencySketch {
     /// half of the streaming engine's run-length latency batching: steady
     /// periodic traffic produces long runs of the exact same latency double,
     /// and each run costs one call instead of one per frame.
-    #[inline]
+    #[inline(always)]
     pub fn record_run(&mut self, latency: TimeSpan, count: u64) {
         if count == 0 {
             return;
@@ -649,7 +647,7 @@ impl LatencySketch {
     /// `count` times `other`'s, the sum takes [`ExactSum::add_sum_scaled`],
     /// and min/max are idempotent.  A fleet fold flushes a counted run of
     /// equal bodies through it.
-    #[inline]
+    #[inline(always)]
     pub fn merge_scaled(&mut self, other: &LatencySketch, count: u64) {
         if other.count == 0 || count == 0 {
             return;

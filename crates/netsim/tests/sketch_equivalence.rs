@@ -37,7 +37,9 @@ fn sum_bytes(sum: &ExactSum) -> Vec<u8> {
 /// `merge_scaled(other, n)` and `add_sum_scaled(other, n)` are bit for bit
 /// `n` calls of `merge` / `add_sum`, whatever the two windows: an empty
 /// receiver, disjoint and overlapping windows, and one below the
-/// receiver's.  `n = 2^20` repeats carry through several limbs.
+/// receiver's.  `n = 2^20` repeats carry through several limbs; its oracle
+/// doubles `other` 20 times by merging it into itself, then merges it once,
+/// which associativity makes equal to 2^20 single merges.
 #[test]
 fn scaled_merges_equal_repeated_merges() {
     let sketch_of = |millis: &[f64]| {
@@ -88,13 +90,22 @@ fn scaled_merges_equal_repeated_merges() {
             sum_of(&[f64::MIN_POSITIVE / 7.0, 1e-310]),
         ),
     ];
-    for n in [0u64, 1, 2, 1000, 1 << 20] {
+    const DOUBLINGS: u32 = 20;
+    for n in [0u64, 1, 2, 1000, 1 << DOUBLINGS] {
         for (name, base, other) in &sketches {
             let mut scaled = base.clone();
             scaled.merge_scaled(other, n);
             let mut repeated = base.clone();
-            for _ in 0..n {
-                repeated.merge(other);
+            if n == 1 << DOUBLINGS {
+                let mut doubled = other.clone();
+                for _ in 0..DOUBLINGS {
+                    doubled.merge(&doubled.clone());
+                }
+                repeated.merge(&doubled);
+            } else {
+                for _ in 0..n {
+                    repeated.merge(other);
+                }
             }
             assert_eq!(
                 sketch_bytes(&scaled),
@@ -107,8 +118,16 @@ fn scaled_merges_equal_repeated_merges() {
             let mut scaled = base.clone();
             scaled.add_sum_scaled(other, n);
             let mut repeated = base.clone();
-            for _ in 0..n {
-                repeated.add_sum(other);
+            if n == 1 << DOUBLINGS {
+                let mut doubled = other.clone();
+                for _ in 0..DOUBLINGS {
+                    doubled.add_sum(&doubled.clone());
+                }
+                repeated.add_sum(&doubled);
+            } else {
+                for _ in 0..n {
+                    repeated.add_sum(other);
+                }
             }
             assert_eq!(sum_bytes(&scaled), sum_bytes(&repeated), "{name}, n = {n}");
             assert_eq!(scaled.to_f64().to_bits(), repeated.to_f64().to_bits());
