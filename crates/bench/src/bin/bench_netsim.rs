@@ -34,10 +34,11 @@
 //! * `width_scaling` — the 1000-body and the largest heterogeneous fold
 //!   timed at [`SweepRunner::with_threads`] 1 and 2 (interleaved, median of
 //!   `HIDWA_BENCH_SAMPLES`: a best-of would pick the rare moments a lone
-//!   thread has the host to itself), with the width-2/width-1 throughput
-//!   ratio and a flag that every fold's checkpoint bytes equal the first
-//!   width-1 fold's.  The ratio is recorded, not gated: a shared host makes
-//!   it noisy.
+//!   thread has the host to itself; one runner per width serves every
+//!   sample, so its helper starts once, as in a long-lived caller), with the
+//!   width-2/width-1 throughput ratio and a flag that every fold's
+//!   checkpoint bytes equal the first width-1 fold's.  The ratio is
+//!   recorded, not gated: a shared host makes it noisy.
 //! * `shard_fleet` — the same 1000-body heterogeneous stream folded under
 //!   several [`ShardPlan`] layouts (even and ragged), each row asserting the
 //!   merged partials are **byte-identical** to the single-stream fold (via
@@ -67,8 +68,9 @@
 //! statistic or if any determinism / memory-bound / width / shard-identity
 //! check fails.
 //!
-//! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per path: the
-//! best is taken for the engines, the median for the widths),
+//! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per row: the
+//! best is taken for the engines, the median for the `fleet`,
+//! `hetero_fleet`, `width_scaling` and `shard_fleet` rows),
 //! `HIDWA_BENCH_HORIZON_S` (default 3600 s engine horizon — an hour
 //! of body time, where the reference path's unbounded sample vectors start
 //! paying reallocation and sort costs), `HIDWA_BENCH_FLEET_HORIZON_S`
@@ -371,6 +373,27 @@ fn time_engines(
     )
 }
 
+/// The median of `walls`, which must not be empty.
+fn median(mut walls: Vec<f64>) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
+}
+
+/// Median wall time in ms of `samples` calls of `fold`, and the last call's
+/// result.  A single timing of a 0.1–25 ms fold moves with whatever else
+/// the host runs at that moment; the median of several does not.
+fn median_ms<T>(samples: usize, mut fold: impl FnMut() -> T) -> (f64, T) {
+    let mut walls = Vec::with_capacity(samples);
+    let mut last = None;
+    for _ in 0..samples {
+        let start = Instant::now();
+        let result = fold();
+        walls.push(start.elapsed().as_secs_f64() * 1e3);
+        last = Some(result);
+    }
+    (median(walls), last.expect("samples >= 1"))
+}
+
 fn main() -> std::process::ExitCode {
     // Worker mode: the driver_fleet section spawns this binary per shard.
     let mut argv = std::env::args().skip(1);
@@ -469,9 +492,7 @@ fn main() -> std::process::ExitCode {
             let config = FleetConfig::new(bodies)
                 .with_leaves(leaves.clone())
                 .with_horizon(fleet_horizon);
-            let start = Instant::now();
-            let report = config.run(&runner);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let (wall_ms, report) = median_ms(samples, || config.run(&runner));
             let row = FleetRow {
                 population: population.to_string(),
                 bodies,
@@ -532,9 +553,7 @@ fn main() -> std::process::ExitCode {
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(0xD15EA5E)
             .with_horizon(stream_horizon);
-        let start = Instant::now();
-        let report = config.run(&runner);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let (wall_ms, report) = median_ms(samples, || config.run(&runner));
         let row = HeteroRow {
             bodies,
             horizon_s: stream_horizon.as_seconds(),
@@ -598,6 +617,9 @@ fn main() -> std::process::ExitCode {
         "bodies", "engine", "w1 bodies/s", "w2 bodies/s", "w2/w1", "identical"
     );
     let mut width_rows = Vec::new();
+    // One runner per width for every sample, so no sample but the first
+    // width-2 fold's pays for starting the helper thread.
+    let width_runners = [SweepRunner::with_threads(1), SweepRunner::with_threads(2)];
     for bodies in [1000, stream_bodies] {
         let config = FleetConfig::new(bodies)
             .with_population(PopulationModel::mixed_default())
@@ -607,18 +629,15 @@ fn main() -> std::process::ExitCode {
         let mut reference: Option<Vec<u8>> = None;
         let mut identical = true;
         for _ in 0..samples {
-            for (slot, width) in [(0, 1), (1, 2)] {
+            for (slot, runner) in width_runners.iter().enumerate() {
                 let start = Instant::now();
-                let checkpoint = config.run_until(&SweepRunner::with_threads(width), bodies);
+                let checkpoint = config.run_until(runner, bodies);
                 wall_s[slot].push(start.elapsed().as_secs_f64());
                 let state = checkpoint.save().to_vec();
                 identical &= *reference.get_or_insert_with(|| state.clone()) == state;
             }
         }
-        let [width1_s, width2_s] = wall_s.map(|mut runs| {
-            runs.sort_by(f64::total_cmp);
-            runs[runs.len() / 2]
-        });
+        let [width1_s, width2_s] = wall_s.map(median);
         let row = WidthRow {
             bodies,
             horizon_s: stream_horizon.as_seconds(),
@@ -652,9 +671,8 @@ fn main() -> std::process::ExitCode {
         "{:<22} {:>7} {:>10} {:>12} {:>10}",
         "layout", "shards", "wall ms", "bodies/s", "identical"
     );
-    let single_start = Instant::now();
-    let single_checkpoint = shard_config.run_until(&runner, shard_bodies);
-    let single_wall_ms = single_start.elapsed().as_secs_f64() * 1e3;
+    let (single_wall_ms, single_checkpoint) =
+        median_ms(samples, || shard_config.run_until(&runner, shard_bodies));
     let single_state = single_checkpoint.save().to_vec();
     let mut shard_rows = vec![ShardRow {
         layout: "single-stream".to_string(),
@@ -686,9 +704,7 @@ fn main() -> std::process::ExitCode {
         .collect();
     let mut shard_identity_ok = true;
     for (layout, plan) in layouts {
-        let start = Instant::now();
-        let merged = plan.fold(&runner);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let (wall_ms, merged) = median_ms(samples, || plan.fold(&runner));
         let merged_state = FleetCheckpoint::capture(&shard_config, &merged, shard_bodies)
             .save()
             .to_vec();

@@ -16,12 +16,13 @@
 //! ingests the summaries of the bodies it simulates into a
 //! [`FleetAggregator`] of its own — merged latency sketches, running
 //! counters, and a top-K list of the worst bodies by p95 latency — and the
-//! per-thread partials merge once, after the join.  No summary waits to be
-//! folded, and aggregation state is `O(K + sketch buckets)` per partial —
-//! independent of fleet size — so a 10k-body (or 10M-body) fold runs in
-//! `O(threads × (K + sketch))` memory.  Each thread also owns one netsim
-//! [`Workspace`] for the whole fold: every body it simulates runs in that
-//! workspace, reset in place, and is reduced straight into its summary
+//! per-thread partials merge once, after the fold's helpers have left it.
+//! No summary waits to be folded, and aggregation state is
+//! `O(K + sketch buckets)` per partial — independent of fleet size — so a
+//! 10k-body (or 10M-body) fold runs in `O(threads × (K + sketch))` memory.
+//! Each thread also owns one netsim [`Workspace`] for the whole fold: every
+//! body it simulates runs in that workspace, reset in place, and is reduced
+//! straight into its summary
 //! ([`Simulation::run_totals`](hidwa_netsim::sim::Simulation::run_totals)),
 //! so no per-body engine or report is built.
 //!
@@ -363,13 +364,14 @@ impl FleetConfig {
     /// [`run`](Self::run), [`run_until`](Self::run_until),
     /// [`resume`](Self::resume), the shard runners and the driver's worker
     /// fold.  The calling thread ingests its bodies into `aggregator`, each
-    /// helper into a fresh partial that is merged in after the join.  Every
-    /// partial ingests in increasing body index, so the resulting state
-    /// depends only on which bodies were folded, never on which thread
-    /// simulated them (see [`FleetAggregator::merge`]).  Each thread pairs
-    /// its partial with one netsim [`Workspace`], which runs all of its
-    /// bodies, and one [`BodyMemo`] of this fold's deterministic bodies,
-    /// whose counted repeats go into the partial before it merges.
+    /// helper into a fresh partial that is merged in once the helpers have
+    /// left the fold.  Every partial ingests in increasing body index, so
+    /// the resulting state depends only on which bodies were folded, never
+    /// on which thread simulated them (see [`FleetAggregator::merge`]).
+    /// Each thread pairs its partial with one netsim [`Workspace`], which
+    /// runs all of its bodies, and one [`BodyMemo`] of this fold's
+    /// deterministic bodies, whose counted repeats go into the partial
+    /// before it merges.
     fn fold_range(
         &self,
         runner: &SweepRunner,

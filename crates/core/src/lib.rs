@@ -74,8 +74,9 @@
 //! assert!(point.battery_life.as_years() > 1.0);
 //! ```
 
-// `deny`, not `forbid`: the epoll syscall shim (`serve::sys`) is the single
-// module allowed to opt back in — every other line of the crate stays safe.
+// `deny`, not `forbid`: the epoll syscall shim (`serve::sys`) and the sweep
+// runner's helper pool (`sweep::pool`) are the only modules allowed to opt
+// back in — every other line of the crate stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -23,10 +23,11 @@
 //!   when the socket fills, `EPOLLOUT` interest is armed and dropped again
 //!   the moment the buffer drains (level-triggered `EPOLLOUT` with nothing
 //!   to write would busy-spin the loop).
-//! * **timeouts** — every tick (the `epoll_wait` timeout) each loop sweeps
-//!   its connections: one that is stalled *mid-frame* (slow loris) or with
-//!   *unread responses* for longer than the configured deadline is dropped;
-//!   a connection idle between frames is left alone, so keep-alive clients
+//! * **timeouts** — once per tick (the `epoll_wait` timeout), however many
+//!   readiness events arrive in between, each loop sweeps its connections:
+//!   one that is stalled *mid-frame* (slow loris) or with *unread
+//!   responses* for longer than the configured deadline is dropped; a
+//!   connection idle between frames is left alone, so keep-alive clients
 //!   survive.
 //! * **shutdown** — the stop flag (set by a wire-level `Shutdown` envelope
 //!   on any connection, or by the owning [`PlanServer`](super::PlanServer))
@@ -58,8 +59,12 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// observation.
 const TICK_MS: i32 = 20;
 
+/// One tick as a duration: how often a loop sweeps its connections for
+/// idle deadlines, however many readiness events arrive in between.
+const TICK: Duration = Duration::from_millis(TICK_MS as u64);
+
 /// How long a loop ignores the listener after a failed accept.
-const ACCEPT_PAUSE: Duration = Duration::from_millis(TICK_MS as u64);
+const ACCEPT_PAUSE: Duration = TICK;
 
 /// How long a stopping loop keeps pumping to flush pending responses.
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
@@ -130,6 +135,7 @@ fn event_loop(
     let mut draining = false;
     let mut drain_deadline = Instant::now();
     let mut accept_paused_until: Option<Instant> = None;
+    let mut next_sweep = Instant::now() + TICK;
 
     loop {
         let Ok(ready) = epoll.wait(&mut events, TICK_MS) else {
@@ -178,7 +184,8 @@ fn event_loop(
         {
             accept_paused_until = None;
         }
-        if let Some(deadline) = idle_timeout {
+        if let Some(deadline) = idle_timeout.filter(|_| now >= next_sweep) {
+            next_sweep = now + TICK;
             for slot in 0..conns.len() {
                 let stalled = conns[slot].as_ref().is_some_and(|conn| {
                     (conn.decoder.mid_frame() || conn.pending_out())

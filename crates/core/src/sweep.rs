@@ -11,19 +11,29 @@
 //! # Implementation notes
 //!
 //! The workspace builds offline, so `rayon` cannot be a dependency; the
-//! runner ships one primitive of its own, [`SweepRunner::fold`], built on
-//! `std::thread::scope`.  The calling thread and `threads − 1` helpers claim
-//! indices from one atomic counter, and each folds its claims into a partial
-//! accumulator of its own; after the join the helpers' partials are merged
-//! into the caller's.  No thread waits on another before the join, and no
-//! result waits to be folded, so memory is `O(threads × partial)`.
-//! [`SweepRunner::map`] is that fold collecting `(index, value)` pairs,
-//! ordered by index afterwards; its shape matches `rayon`'s indexed
-//! `par_iter().map().collect()`.
+//! runner ships one primitive of its own, [`SweepRunner::fold`].  A runner
+//! `threads` wide keeps `threads − 1` helper threads for its lifetime
+//! (`with_threads(64)` keeps 63): they start on its first parallel fold, are
+//! shared by its clones, park on a condvar between folds, and are joined
+//! when its last clone drops.  A width-1 runner starts and allocates
+//! nothing.  A fold hands the parked helpers one job; the calling thread and
+//! the helpers claim indices from one atomic counter, and each folds its
+//! claims into a partial accumulator of its own.  The caller waits until
+//! every helper has left the job, then merges the helpers' partials into
+//! its own.  No thread waits on another before that, and no result waits to
+//! be folded, so memory is `O(threads × partial)`.  [`SweepRunner::map`] is
+//! that fold collecting `(index, value)` pairs, ordered by index afterwards;
+//! its shape matches `rayon`'s indexed `par_iter().map().collect()`.
+//!
+//! A runner's helpers serve one fold at a time.  A fold that finds them
+//! busy — another thread folding on the same runner or a clone, or a fold
+//! nested in a fold closure — runs inline on its own thread, as a width-1
+//! runner does, so no fold waits for another and none can deadlock.
 //!
 //! A panic in any participant exhausts the claim counter, so the others stop
-//! at their next claim, and propagates to the caller after the join.  The
-//! thread count is capped by `available_parallelism`, overridable with the
+//! at their next claim, and propagates to the caller once every helper has
+//! left the job; the helpers stay parked for the next fold.  The thread
+//! count is capped by `available_parallelism`, overridable with the
 //! `HIDWA_SWEEP_THREADS` environment variable (`1` forces serial execution,
 //! e.g. when profiling).
 
@@ -31,9 +41,12 @@ use crate::partition::{Objective, PartitionContext, PartitionOptimizer, Partitio
 use hidwa_isa::models::WearableModel;
 use hidwa_netsim::sim::{Simulation, SimulationReport};
 use hidwa_units::TimeSpan;
+use pool::Pool;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+mod pool;
 
 /// One (model × context × objective) cell of a partition sweep.
 #[derive(Debug, Clone)]
@@ -63,9 +76,23 @@ impl PartitionCell {
 }
 
 /// Deterministic parallel map over sweep grids.
-#[derive(Debug, Clone)]
+///
+/// A runner wider than one keeps its `threads − 1` helper threads parked
+/// from its first parallel fold until its last clone drops (see the module
+/// docs).
+#[derive(Clone)]
 pub struct SweepRunner {
     threads: usize,
+    /// The helpers, shared by every clone; `None` at width 1.
+    pool: Option<Arc<Pool>>,
+}
+
+impl std::fmt::Debug for SweepRunner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SweepRunner")
+            .field("threads", &self.threads)
+            .finish()
+    }
 }
 
 impl Default for SweepRunner {
@@ -85,20 +112,23 @@ impl SweepRunner {
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             });
-        Self { threads }
+        Self::with_threads(threads)
     }
 
     /// Runner that executes everything on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
-        Self { threads: 1 }
+        Self::with_threads(1)
     }
 
-    /// Runner with an explicit thread count (minimum 1).
+    /// Runner with an explicit thread count (minimum 1).  No thread starts
+    /// until its first parallel fold.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
+        let threads = threads.max(1);
         Self {
-            threads: threads.max(1),
+            threads,
+            pool: (threads > 1).then(|| Arc::new(Pool::new(threads - 1))),
         }
     }
 
@@ -122,7 +152,7 @@ impl SweepRunner {
     /// [`SweepRunner::map`] with the item index passed to the closure.
     ///
     /// # Panics
-    /// Propagates panics from `f` (workers are joined before returning).
+    /// Propagates panics from `f` (once every helper has left the fold).
     pub fn map_indexed<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,
@@ -144,20 +174,24 @@ impl SweepRunner {
     /// Folds every index of `range` into `acc`, in parallel.
     ///
     /// The calling thread folds its claims into `acc`; each of up to
-    /// `threads − 1` helpers folds its claims into its own `init()`, and
-    /// after the join every helper's accumulator is merged into `acc`.
-    /// Indices come from one atomic counter, so each accumulator sees its
-    /// indices in increasing order, but which indices land in which
-    /// accumulator varies from run to run.  The result is therefore
-    /// independent of the width exactly when folding any partition of
-    /// `range` into index-ordered subsets and merging the parts gives what
-    /// the serial loop `for i in range { fold(acc, i) }` gives — which is
-    /// what a width-1 runner runs, inline, with no thread.
+    /// `threads − 1` of the runner's parked helpers folds its claims into its
+    /// own `init()`, and once every helper has left the fold, each helper's
+    /// accumulator is merged into `acc`.  Indices come from one atomic
+    /// counter, so each accumulator sees its indices in increasing order,
+    /// but which indices land in which accumulator varies from run to run.
+    /// The result is therefore independent of the width exactly when
+    /// folding any partition of `range` into index-ordered subsets and
+    /// merging the parts gives what the serial loop
+    /// `for i in range { fold(acc, i) }` gives — which is what a width-1
+    /// runner runs, inline, with no thread, and what any fold runs when it
+    /// finds the runner's helpers busy with another fold (on another thread,
+    /// or the one this fold is nested in).
     ///
     /// # Panics
     /// Propagates a panic from `fold` or `merge`, on any thread, once every
-    /// thread has stopped: a panicking thread exhausts the claim counter, so
-    /// the others stop at their next claim.
+    /// helper has left the fold: a panicking thread exhausts the claim
+    /// counter, so the others stop at their next claim.  The runner folds
+    /// normally afterwards.
     pub fn fold<A, N, F, M>(&self, range: Range<usize>, acc: &mut A, init: N, fold: F, mut merge: M)
     where
         A: Send,
@@ -166,13 +200,6 @@ impl SweepRunner {
         M: FnMut(&mut A, A),
     {
         let helpers = self.threads.min(range.len()).saturating_sub(1);
-        if helpers == 0 {
-            for index in range {
-                fold(acc, index);
-            }
-            return;
-        }
-
         let next = AtomicUsize::new(range.start);
         let claim_into = |acc: &mut A| {
             let _stop = StopOnUnwind(&next, range.end);
@@ -185,25 +212,31 @@ impl SweepRunner {
                 fold(acc, index);
             }
         };
-        std::thread::scope(|scope| {
-            let (init, claim_into) = (&init, &claim_into);
-            let handles: Vec<_> = (0..helpers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut partial = init();
-                        claim_into(&mut partial);
-                        partial
-                    })
-                })
-                .collect();
-            claim_into(acc);
-            for handle in handles {
-                match handle.join() {
-                    Ok(partial) => merge(acc, partial),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+        let partials = Mutex::new(Vec::with_capacity(helpers));
+        let helper = || {
+            let mut partial = init();
+            claim_into(&mut partial);
+            partials
+                .lock()
+                .expect("no thread panics while pushing a partial")
+                .push(partial);
+        };
+        let pooled = match &self.pool {
+            Some(pool) if helpers > 0 => pool.run(helpers, &helper, || claim_into(acc)),
+            _ => None,
+        };
+        if pooled.is_none() {
+            for index in range {
+                fold(acc, index);
             }
-        });
+            return;
+        }
+        let partials = partials
+            .into_inner()
+            .expect("no thread panics while pushing a partial");
+        for partial in partials {
+            merge(acc, partial);
+        }
     }
 
     /// Evaluates the full (model × context × objective) partition grid.
@@ -299,6 +332,9 @@ mod tests {
     use hidwa_isa::models;
     use hidwa_netsim::mac::MacPolicy;
     use hidwa_phy::RadioTechnology;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::ThreadId;
 
     #[test]
     fn map_preserves_order_at_any_width() {
@@ -388,10 +424,12 @@ mod tests {
         }
     }
 
-    /// Runs `fold` on its own thread and returns the message of the panic
-    /// it must end with, failing if it has not ended within 10 s.
-    fn panic_message_within_deadline(fold: impl FnOnce() + Send + 'static) -> String {
-        let handle = std::thread::spawn(fold);
+    /// Runs `body` on its own thread and returns how it ended, failing if
+    /// it has not ended within 10 s.
+    fn join_within_deadline<T: Send + 'static>(
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let handle = std::thread::spawn(body);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while !handle.is_finished() {
             assert!(
@@ -400,7 +438,13 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        let payload = handle.join().expect_err("fold must panic");
+        handle.join()
+    }
+
+    /// Runs `fold` on its own thread and returns the message of the panic
+    /// it must end with, failing if it has not ended within 10 s.
+    fn panic_message_within_deadline(fold: impl FnOnce() + Send + 'static) -> String {
+        let payload = join_within_deadline(fold).expect_err("fold must panic");
         payload
             .downcast_ref::<&str>()
             .map(ToString::to_string)
@@ -493,6 +537,259 @@ mod tests {
             );
         });
         assert_eq!(message, "merge failed");
+    }
+
+    /// Sums `range` on `runner`, holding the calling thread's claims until
+    /// a helper has claimed an index, so every fold runs helper claims; each
+    /// helper claim also calls `on_helper_claim`.  Returns the sum and the
+    /// threads that folded into helper partials.
+    fn sum_with_helpers(
+        runner: &SweepRunner,
+        range: Range<usize>,
+        on_helper_claim: &(dyn Fn() + Sync),
+    ) -> (usize, HashSet<ThreadId>) {
+        let helper_claimed = AtomicBool::new(false);
+        let helper_threads = Mutex::new(HashSet::new());
+        // (sum, whether this is a helper's partial)
+        let mut acc = (0, false);
+        runner.fold(
+            range,
+            &mut acc,
+            || (0, true),
+            |(sum, helper), i| {
+                if *helper {
+                    let thread = std::thread::current().id();
+                    helper_threads.lock().unwrap().insert(thread);
+                    on_helper_claim();
+                    helper_claimed.store(true, Ordering::SeqCst);
+                } else {
+                    await_until(|| helper_claimed.load(Ordering::SeqCst));
+                }
+                *sum += i;
+            },
+            |(sum, _), (partial, _)| *sum += partial,
+        );
+        (acc.0, helper_threads.into_inner().unwrap())
+    }
+
+    #[test]
+    fn helpers_stay_parked_between_folds() {
+        join_within_deadline(|| {
+            let runner = SweepRunner::with_threads(3);
+            let mut helper_threads = HashSet::new();
+            for _ in 0..100 {
+                let (sum, threads) = sum_with_helpers(&runner, 0..64, &|| {});
+                assert_eq!(sum, (0..64).sum());
+                helper_threads.extend(threads);
+            }
+            assert!(!helper_threads.contains(&std::thread::current().id()));
+            assert!(
+                (1..=2).contains(&helper_threads.len()),
+                "helper claims ran on {} threads",
+                helper_threads.len()
+            );
+        })
+        .expect("folds must not panic");
+    }
+
+    #[test]
+    fn clones_folding_at_once_each_return_the_serial_result() {
+        join_within_deadline(|| {
+            let runner = SweepRunner::with_threads(2);
+            let (entered, met) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let fold_on = |runner: &SweepRunner| {
+                let mut seen = Vec::new();
+                runner.fold(
+                    0..200,
+                    &mut seen,
+                    Vec::new,
+                    |seen, i| {
+                        if i == 0 {
+                            // Hold each fold's first index until both folds
+                            // have begun, so that they overlap.
+                            entered.fetch_add(1, Ordering::SeqCst);
+                            await_until(|| entered.load(Ordering::SeqCst) == 2);
+                            if entered.load(Ordering::SeqCst) == 2 {
+                                met.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                        seen.push(i);
+                    },
+                    |seen, partial| seen.extend(partial),
+                );
+                seen.sort_unstable();
+                seen
+            };
+            let clone = runner.clone();
+            let (first, second) = std::thread::scope(|scope| {
+                let other = scope.spawn(|| fold_on(&clone));
+                (fold_on(&runner), other.join().unwrap())
+            });
+            assert_eq!(met.load(Ordering::SeqCst), 2, "the folds did not overlap");
+            let serial: Vec<usize> = (0..200).collect();
+            assert_eq!(first, serial);
+            assert_eq!(second, serial);
+        })
+        .expect("folds must not panic");
+    }
+
+    #[test]
+    fn a_fold_nested_in_a_fold_closure_returns_the_serial_result() {
+        join_within_deadline(|| {
+            let runner = SweepRunner::with_threads(2);
+            let helper_claimed = AtomicBool::new(false);
+            let strays = AtomicUsize::new(0);
+            // (per-index inner sums, whether this is a helper's partial)
+            let mut acc = (Vec::new(), false);
+            runner.fold(
+                0..16,
+                &mut acc,
+                || (Vec::new(), true),
+                |(sums, helper), i| {
+                    // Hold the calling thread until the helper has claimed an
+                    // index, so both run nested folds.
+                    if *helper {
+                        helper_claimed.store(true, Ordering::SeqCst);
+                    } else {
+                        await_until(|| helper_claimed.load(Ordering::SeqCst));
+                    }
+                    let outer = std::thread::current().id();
+                    let mut inner = 0;
+                    runner.fold(
+                        0..100,
+                        &mut inner,
+                        || 0,
+                        |inner, j| {
+                            if std::thread::current().id() != outer {
+                                strays.fetch_add(1, Ordering::SeqCst);
+                            }
+                            *inner += i * j;
+                        },
+                        |inner, partial| *inner += partial,
+                    );
+                    sums.push((i, inner));
+                },
+                |(sums, _), (partial, _)| sums.extend(partial),
+            );
+            let mut sums = acc.0;
+            sums.sort_unstable();
+            let serial: Vec<(usize, usize)> = (0..16).map(|i| (i, i * 4950)).collect();
+            assert_eq!(sums, serial);
+            assert_eq!(
+                strays.load(Ordering::SeqCst),
+                0,
+                "a nested fold ran claims off its own thread"
+            );
+        })
+        .expect("folds must not panic");
+    }
+
+    /// Counts its drop, after lingering for its duration; as a
+    /// thread-local value, its thread's exit.
+    struct CountOnDrop(Arc<AtomicUsize>, std::time::Duration);
+
+    impl Drop for CountOnDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(self.1);
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_calling_thread_panic_waits_for_the_helpers() {
+        join_within_deadline(|| {
+            let runner = SweepRunner::with_threads(3);
+            let lead = std::thread::current().id();
+            let lead_failed = AtomicBool::new(false);
+            let partials_dropped = Arc::new(AtomicUsize::new(0));
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                runner.fold(
+                    0..100,
+                    &mut None,
+                    || {
+                        let linger = std::time::Duration::ZERO;
+                        Some(CountOnDrop(Arc::clone(&partials_dropped), linger))
+                    },
+                    |_, _| {
+                        if std::thread::current().id() == lead {
+                            lead_failed.store(true, Ordering::SeqCst);
+                            panic!("lead fold failed");
+                        }
+                        // Helpers stay in the fold well past the panic.
+                        await_until(|| lead_failed.load(Ordering::SeqCst));
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    },
+                    |_, _| {},
+                );
+            }));
+            assert!(failed.is_err());
+            // Both helper partials were handed back, and dropped as the
+            // fold unwound, before the panic reached this frame.
+            assert_eq!(partials_dropped.load(Ordering::SeqCst), 2);
+        })
+        .expect("the panic is caught inside");
+    }
+
+    #[test]
+    fn a_runner_folds_again_after_a_helper_panic() {
+        join_within_deadline(|| {
+            let runner = SweepRunner::with_threads(2);
+            let lead = std::thread::current().id();
+            let helper_failed = AtomicBool::new(false);
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                runner.fold(
+                    0..100,
+                    &mut (),
+                    || (),
+                    |(), _| {
+                        if std::thread::current().id() == lead {
+                            await_until(|| helper_failed.load(Ordering::SeqCst));
+                            return;
+                        }
+                        helper_failed.store(true, Ordering::SeqCst);
+                        panic!("helper fold failed");
+                    },
+                    |(), ()| {},
+                );
+            }));
+            assert!(failed.is_err());
+            let (sum, helper_threads) = sum_with_helpers(&runner, 0..100, &|| {});
+            assert_eq!(sum, 4950);
+            assert!(!helper_threads.is_empty());
+        })
+        .expect("the second fold must not panic");
+    }
+
+    thread_local! {
+        static ON_EXIT: std::cell::RefCell<Option<CountOnDrop>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    #[test]
+    fn dropping_the_last_clone_ends_the_helpers() {
+        join_within_deadline(|| {
+            let exited = Arc::new(AtomicUsize::new(0));
+            let count_exit = || {
+                // A helper's exit lingers, so only a drop that joins the
+                // helpers sees every exit counted.
+                let linger = std::time::Duration::from_millis(20);
+                ON_EXIT.with(|slot| {
+                    slot.borrow_mut()
+                        .get_or_insert_with(|| CountOnDrop(Arc::clone(&exited), linger));
+                });
+            };
+            let runner = SweepRunner::with_threads(3);
+            let (_, mut helper_threads) = sum_with_helpers(&runner, 0..64, &count_exit);
+            let clone = runner.clone();
+            drop(runner);
+            let (sum, threads) = sum_with_helpers(&clone, 0..64, &count_exit);
+            assert_eq!(sum, (0..64).sum());
+            helper_threads.extend(threads);
+            assert_eq!(exited.load(Ordering::SeqCst), 0, "a helper ended early");
+            drop(clone);
+            assert_eq!(exited.load(Ordering::SeqCst), helper_threads.len());
+        })
+        .expect("folds must not panic");
     }
 
     #[test]
