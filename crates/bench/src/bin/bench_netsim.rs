@@ -50,9 +50,10 @@
 //!   the [`FleetDriver`] coordinator with **worker processes** (this binary
 //!   re-invoked as `bench_netsim --worker …`) shipping checkpoint blobs
 //!   over a spool directory, versus the in-process executor and the plain
-//!   single-stream fold.  Every row asserts the merged state bytes are
-//!   identical to the single stream — the process boundary must be
-//!   invisible in the result.
+//!   single-stream fold.  Every driver sample publishes into an empty spool,
+//!   so it times a full fold, never a resume.  Every row asserts the merged
+//!   state bytes are identical to the single stream — the process boundary
+//!   must be invisible in the result.
 //!
 //! Every `fleet`, `hetero_fleet` and `width_scaling` row records
 //! `engine_runs`, the bodies a width-1 fold runs on the engine: bodies with
@@ -70,7 +71,7 @@
 //!
 //! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per row: the
 //! best is taken for the engines, the median for the `fleet`,
-//! `hetero_fleet`, `width_scaling` and `shard_fleet` rows),
+//! `hetero_fleet`, `width_scaling`, `shard_fleet` and `driver_fleet` rows),
 //! `HIDWA_BENCH_HORIZON_S` (default 3600 s engine horizon — an hour
 //! of body time, where the reference path's unbounded sample vectors start
 //! paying reallocation and sort costs), `HIDWA_BENCH_FLEET_HORIZON_S`
@@ -84,8 +85,8 @@
 use hidwa_bench::env_f64;
 use hidwa_bench::json;
 use hidwa_core::fleet::driver::{
-    DriverFleetSpec, FleetDriver, InProcessExecutor, PopulationSpec, ProcessExecutor, Transport,
-    WorkerCommand,
+    DriverFleetSpec, FleetDriver, InProcessExecutor, PopulationSpec, ProcessExecutor,
+    ShardExecutor, WorkerCommand,
 };
 use hidwa_core::fleet::{FleetCheckpoint, FleetConfig, ShardPlan};
 use hidwa_core::population::PopulationModel;
@@ -767,9 +768,8 @@ fn main() -> std::process::ExitCode {
         "{:<16} {:>8} {:>10} {:>12} {:>7} {:>9} {:>10}",
         "mode", "workers", "wall ms", "bodies/s", "reused", "attempts", "identical"
     );
-    let driver_single_start = Instant::now();
-    let driver_single = driver_config.run_until(&runner, driver_bodies);
-    let driver_single_ms = driver_single_start.elapsed().as_secs_f64() * 1e3;
+    let (driver_single_ms, driver_single) =
+        median_ms(samples, || driver_config.run_until(&runner, driver_bodies));
     let driver_single_state = driver_single.save().to_vec();
     let driver_single_report = driver_single.aggregator().clone().finish();
     let mut driver_rows = vec![DriverRow {
@@ -789,28 +789,28 @@ fn main() -> std::process::ExitCode {
     );
     let spool_root =
         std::env::temp_dir().join(format!("hidwa-bench-driver-{}", std::process::id()));
+    let in_process = InProcessExecutor::serial();
+    let worker = WorkerCommand::current_exe_worker().expect("current exe");
+    let processes = ProcessExecutor::new(worker);
     let mut driver_identity_ok = true;
-    for (mode, workers, multiprocess) in [
-        ("in-process", 2usize, false),
-        ("multi-process", 2, true),
-        ("multi-process", 4, true),
+    for (mode, workers, executor) in [
+        ("in-process", 2usize, &in_process as &dyn ShardExecutor),
+        ("multi-process", 2, &processes),
+        ("multi-process", 4, &processes),
     ] {
         let driver = FleetDriver::new(driver_spec.clone(), workers);
-        let spool = driver.spool_in(&spool_root).expect("create spool dir");
-        // Equal layouts share a fingerprint: clear leftovers so every row
-        // times a full fold, not a resume.
-        for shard in 0..driver.shard_count() {
-            spool.discard(shard).expect("clear spool");
-        }
-        let start = Instant::now();
-        let run = if multiprocess {
-            let worker = WorkerCommand::current_exe_worker().expect("current exe");
-            driver.run(&ProcessExecutor::new(worker), &spool)
-        } else {
-            driver.run(&InProcessExecutor::serial(), &spool)
-        }
-        .expect("driver run");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        // Equal layouts share a fingerprint, so every sample publishes into
+        // an empty spool of its own, made before its timing starts: each
+        // sample times a full fold, not a resume.
+        let spools: Vec<_> = (0..samples)
+            .map(|sample| driver.spool_in(spool_root.join(format!("{mode}-{workers}-{sample}"))))
+            .collect::<Result<_, _>>()
+            .expect("create spool dirs");
+        let mut spools = spools.iter();
+        let (wall_ms, run) = median_ms(samples, || {
+            let spool = spools.next().expect("one spool per sample");
+            driver.run(executor, spool).expect("driver run")
+        });
         // Byte-level identity: the merged blob state (limbs, buckets, low
         // bits) must equal the single stream's.
         let identical =

@@ -24,7 +24,11 @@
 //! body it simulates runs in that workspace, reset in place, and is reduced
 //! straight into its summary
 //! ([`Simulation::run_totals`](hidwa_netsim::sim::Simulation::run_totals)),
-//! so no per-body engine or report is built.
+//! so no per-body engine or report is built.  Every fold —
+//! [`run`](FleetConfig::run), [`run_until`](FleetConfig::run_until),
+//! [`resume`](FleetConfig::resume), a [`ShardPlan`]'s shards and a driver
+//! worker's range — enters through one private body-range fold, which
+//! builds the fold's link table and partials itself.
 //!
 //! # The body-class memo
 //!
@@ -82,16 +86,16 @@
 //! guarantee.
 //!
 //! The third axis is the **process boundary**.  [`driver`] is a
-//! coordinator/worker runtime that spawns shard worker *processes*, ships
-//! their partials as checkpoint blobs through a spool directory, re-runs
-//! killed or corrupted shards, and merges — byte-identical to the
-//! single-stream fold through every recovery path.
+//! coordinator/worker runtime that spawns a worker *process* per shard of a
+//! [`ShardPlan`], ships their partials as checkpoint blobs through a spool
+//! directory, re-runs killed or corrupted shards, and merges — byte-identical
+//! to the single-stream fold through every recovery path.
 //!
-//! PR 9 makes the fleet *live*: [`FleetConfig::with_churn`] attaches a
+//! [`FleetConfig::with_churn`] makes the fleet *live*: it attaches a
 //! [`ChurnSpec`] — a per-body arrival/departure/duty-cycle model
 //! ([`ChurnModel`](crate::population::ChurnModel)) plus an online
-//! [`placement`] policy that re-plans each body's partition point as its
-//! link context shifts.  Churn draws are a pure function of
+//! [`placement`] policy ([`PolicyKind`]) that re-plans each body's partition
+//! point as its link context shifts.  Churn draws are a pure function of
 //! `(base_seed, body_index)` under their own seed domain, so churned fleets
 //! keep every determinism axis above; migration and occupancy statistics
 //! flow through the same commutative merge monoid and the (version-bumped)
@@ -131,11 +135,8 @@ pub mod shard;
 pub use crate::population::body_seed;
 pub use checkpoint::{CheckpointError, FleetCheckpoint};
 pub use driver::{DriverError, DriverFleetSpec, FleetDriver};
-pub use placement::{
-    ChurnSpec, Hysteresis, PlacementDecision, PlacementPolicy, PolicyKind, ReoptimizeOnChange,
-    StaticAtAdmission,
-};
-pub use shard::{ShardError, ShardPlan, ShardRunner};
+pub use placement::{ChurnSpec, PolicyKind};
+pub use shard::{ShardError, ShardPlan};
 
 /// A fleet of body networks drawn from a population model.
 ///
@@ -230,7 +231,7 @@ impl FleetConfig {
     /// Attaches a churn-and-placement layer: bodies arrive, depart and duty
     /// cycle per the spec's [`ChurnModel`](crate::population::ChurnModel)
     /// (each body simulates only its active span), and the spec's
-    /// [`PlacementPolicy`] re-plans partition points as link context shifts,
+    /// [`PolicyKind`] re-plans partition points as link context shifts,
     /// charging migrations into the per-body summaries.
     #[must_use]
     pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
@@ -354,43 +355,34 @@ impl FleetConfig {
     /// the report is byte-identical at any thread width.
     #[must_use]
     pub fn run(&self, runner: &SweepRunner) -> FleetReport {
-        let links = LinkCache::for_population(&self.population);
-        let mut aggregator = FleetAggregator::new(self.horizon, self.top_k);
-        self.fold_range(runner, &links, &mut aggregator, 0..self.bodies);
-        aggregator.finish()
+        self.fold_range(runner, 0..self.bodies).finish()
     }
 
-    /// Folds bodies `range` into `aggregator` — the one loop behind
+    /// Folds bodies `range` into a fresh aggregator — the one fold behind
     /// [`run`](Self::run), [`run_until`](Self::run_until),
-    /// [`resume`](Self::resume), the shard runners and the driver's worker
-    /// fold.  The calling thread ingests its bodies into `aggregator`, each
-    /// helper into a fresh partial that is merged in once the helpers have
-    /// left the fold.  Every partial ingests in increasing body index, so
-    /// the resulting state depends only on which bodies were folded, never
-    /// on which thread simulated them (see [`FleetAggregator::merge`]).
-    /// Each thread pairs its partial with one netsim [`Workspace`], which
-    /// runs all of its bodies, and one [`BodyMemo`] of this fold's
-    /// deterministic bodies, whose counted repeats go into the partial
-    /// before it merges.
-    fn fold_range(
-        &self,
-        runner: &SweepRunner,
-        links: &LinkCache,
-        aggregator: &mut FleetAggregator,
-        range: Range<usize>,
-    ) {
-        let fresh = || FleetAggregator::new(self.horizon, self.top_k);
-        let mut calling = (
-            std::mem::replace(aggregator, fresh()),
-            Workspace::new(),
-            BodyMemo::default(),
-        );
+    /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  It
+    /// builds the fold's [`LinkCache`], then every thread, the calling one
+    /// included, ingests its bodies into a partial of its own, and the
+    /// partials merge once the helpers have left the fold.  Every partial
+    /// ingests in increasing body index, so the resulting state depends only
+    /// on which bodies were folded, never on which thread simulated them
+    /// (see [`FleetAggregator::merge`]).  Each thread pairs its partial with
+    /// one netsim [`Workspace`], which runs all of its bodies, and one
+    /// [`BodyMemo`] of this fold's deterministic bodies, whose counted
+    /// repeats go into the partial before it merges.
+    fn fold_range(&self, runner: &SweepRunner, range: Range<usize>) -> FleetAggregator {
+        let links = LinkCache::for_population(&self.population);
+        let fresh = || {
+            let partial = FleetAggregator::new(self.horizon, self.top_k);
+            (partial, Workspace::new(), BodyMemo::default())
+        };
+        let mut calling = fresh();
         runner.fold(
             range,
             &mut calling,
-            || (fresh(), Workspace::new(), BodyMemo::default()),
+            fresh,
             |(partial, workspace, memo), body_index| {
-                self.fold_body(body_index, links, partial, workspace, memo);
+                self.fold_body(body_index, &links, partial, workspace, memo);
             },
             |(merged, ..), (mut partial, _, memo)| {
                 memo.flush(&mut partial);
@@ -399,7 +391,7 @@ impl FleetConfig {
         );
         let (mut folded, _, memo) = calling;
         memo.flush(&mut folded);
-        *aggregator = folded;
+        folded
     }
 
     /// Folds body `body_index` into `partial`, the next body in its index
@@ -453,10 +445,7 @@ impl FleetConfig {
     #[must_use]
     pub fn run_until(&self, runner: &SweepRunner, stop: usize) -> FleetCheckpoint {
         let stop = stop.min(self.bodies);
-        let links = LinkCache::for_population(&self.population);
-        let mut aggregator = FleetAggregator::new(self.horizon, self.top_k);
-        self.fold_range(runner, &links, &mut aggregator, 0..stop);
-        FleetCheckpoint::capture(self, &aggregator, stop)
+        FleetCheckpoint::capture(self, &self.fold_range(runner, 0..stop), stop)
     }
 
     /// Resumes an interrupted fold from `checkpoint` and finishes the fleet:
@@ -481,8 +470,7 @@ impl FleetConfig {
             return Err(CheckpointError::NotResumable);
         }
         let (mut aggregator, next_body) = checkpoint.into_parts();
-        let links = LinkCache::for_population(&self.population);
-        self.fold_range(runner, &links, &mut aggregator, next_body..self.bodies);
+        aggregator.merge(self.fold_range(runner, next_body..self.bodies));
         Ok(aggregator.finish())
     }
 }

@@ -2,9 +2,10 @@
 //! processes**, ships their partial folds back as checkpoint blobs, and
 //! merges them through the exact fleet algebra.
 //!
-//! PR 4 made [`FleetAggregator`] a commutative merge monoid and gave shard
-//! partials a self-validating wire format ([`FleetCheckpoint`]); this module
-//! is the runtime that actually crosses the process boundary with them:
+//! [`FleetAggregator`](super::FleetAggregator) is a commutative merge monoid
+//! and shard partials have a self-validating wire format
+//! ([`FleetCheckpoint`]); this module is the runtime that actually crosses
+//! the process boundary with them:
 //!
 //! * [`DriverFleetSpec`] — the subset of a [`FleetConfig`] that can cross a
 //!   process boundary as CLI flags (bodies, base seed, horizon *bits*,
@@ -17,13 +18,14 @@
 //!   binary entry point (`shard_worker` in the bench crate, and the
 //!   `--worker` modes of `fleet_driver`, `bench_netsim` and the
 //!   `distributed_fleet` example all delegate here).
-//! * [`FleetDriver`] — the coordinator: assigns contiguous ranges, runs
-//!   shards through a [`ShardExecutor`] ([`ProcessExecutor`] spawns worker
-//!   processes via [`std::process::Command`]; [`InProcessExecutor`] folds in
-//!   the calling process, for tests and as the bench baseline), validates
-//!   every returned blob (checksum, config fingerprint, range), re-runs
-//!   missing / corrupt / killed shards, and merges the survivors via
-//!   [`ShardPlan::merge_checkpoints`].
+//! * [`FleetDriver`] — the coordinator: holds the [`ShardPlan`] it assigns
+//!   contiguous ranges from, runs shards through a [`ShardExecutor`]
+//!   ([`ProcessExecutor`] spawns worker processes via
+//!   [`std::process::Command`]; [`InProcessExecutor`] folds in the calling
+//!   process, for tests and as the bench baseline), validates every
+//!   returned blob (checksum, config fingerprint, range) against the plan,
+//!   re-runs missing / corrupt / killed shards, and merges the survivors
+//!   with the plan's [`ShardPlan::merge_checkpoints`] checks.
 //!
 //! # Fault tolerance and resume
 //!
@@ -69,9 +71,9 @@
 use super::checkpoint::{CheckpointError, FleetCheckpoint};
 use super::placement::ChurnSpec;
 use super::shard::ShardPlan;
-use super::{FleetAggregator, FleetConfig, FleetReport};
+use super::{FleetConfig, FleetReport};
 use crate::flags::Flags;
-use crate::population::{LinkCache, PopulationModel};
+use crate::population::PopulationModel;
 use crate::sealed::fnv1a64;
 use crate::sweep::SweepRunner;
 use bytes::Bytes;
@@ -722,15 +724,8 @@ impl WorkerRequest {
 /// partial as a checkpoint blob.
 fn fold(spec: &DriverFleetSpec, range: Range<usize>, threads: usize) -> Bytes {
     let config = spec.to_config();
-    let links = LinkCache::for_population(config.population());
-    let mut partial = FleetAggregator::new(config.horizon(), config.top_k());
     let end = range.end;
-    config.fold_range(
-        &SweepRunner::with_threads(threads),
-        &links,
-        &mut partial,
-        range,
-    );
+    let partial = config.fold_range(&SweepRunner::with_threads(threads), range);
     FleetCheckpoint::capture(&config, &partial, end).save()
 }
 
@@ -993,14 +988,6 @@ impl DriverRun {
         &self.report
     }
 
-    /// The merged aggregator state as a checkpoint over the whole fleet —
-    /// what the published blobs combine to, ready for byte-identity checks
-    /// against [`FleetConfig::run_until`]'s single-stream capture.
-    #[must_use]
-    pub fn merged_checkpoint(&self) -> &FleetCheckpoint {
-        &self.merged_state
-    }
-
     /// The merged aggregator state serialized — equal, byte for byte, to
     /// `spec.to_config().run_until(runner, bodies).save()` of the same
     /// fleet (asserted by `fleet_driver --verify-single-stream`, the
@@ -1084,9 +1071,9 @@ pub fn run_fingerprint(spec: &DriverFleetSpec, interior_boundaries: &[usize]) ->
 #[derive(Debug, Clone)]
 pub struct FleetDriver {
     spec: DriverFleetSpec,
-    /// Interior shard boundaries (exclusive of 0 and `bodies`), as
-    /// [`ShardPlan::from_boundaries`] takes them.
-    boundaries: Vec<usize>,
+    /// The shard layout over `spec`'s fleet; blobs are validated against
+    /// and merged under its config.
+    plan: ShardPlan,
     max_attempts: usize,
 }
 
@@ -1098,13 +1085,9 @@ impl FleetDriver {
     /// ranges ([`ShardPlan::split`] semantics).
     #[must_use]
     pub fn new(spec: DriverFleetSpec, shards: usize) -> Self {
-        let plan = ShardPlan::split(spec.to_config(), shards);
-        let boundaries = (0..plan.shard_count().saturating_sub(1))
-            .map(|shard| plan.range(shard).end)
-            .collect();
         Self {
+            plan: ShardPlan::split(spec.to_config(), shards),
             spec,
-            boundaries,
             max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
         }
     }
@@ -1117,11 +1100,9 @@ impl FleetDriver {
         spec: DriverFleetSpec,
         boundaries: &[usize],
     ) -> Result<Self, super::ShardError> {
-        // Validate through the same path the run will use.
-        ShardPlan::from_boundaries(spec.to_config(), boundaries)?;
         Ok(Self {
+            plan: ShardPlan::from_boundaries(spec.to_config(), boundaries)?,
             spec,
-            boundaries: boundaries.to_vec(),
             max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
         })
     }
@@ -1142,7 +1123,7 @@ impl FleetDriver {
     /// Number of shards in the plan.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.boundaries.len() + 1
+        self.plan.shard_count()
     }
 
     /// The assignment of shard `shard`.
@@ -1151,28 +1132,18 @@ impl FleetDriver {
     /// Panics if `shard >= shard_count()`.
     #[must_use]
     pub fn assignment(&self, shard: usize) -> ShardAssignment {
-        assert!(shard < self.shard_count(), "shard out of range");
-        let start = if shard == 0 {
-            0
-        } else {
-            self.boundaries[shard - 1]
-        };
-        let end = self
-            .boundaries
-            .get(shard)
-            .copied()
-            .unwrap_or(self.spec.bodies);
+        let range = self.plan.range(shard);
         ShardAssignment {
             index: shard,
-            start,
-            end,
+            start: range.start,
+            end: range.end,
         }
     }
 
     /// This run's fingerprint (see [`run_fingerprint`]).
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        run_fingerprint(&self.spec, &self.boundaries)
+        run_fingerprint(&self.spec, self.plan.boundaries())
     }
 
     /// Opens the conventional spool transport for this run:
@@ -1189,12 +1160,11 @@ impl FleetDriver {
     /// blob from an older layout or foreign run is rejected, not merged).
     fn validate_blob(
         &self,
-        config: &FleetConfig,
         shard: &ShardAssignment,
         bytes: &[u8],
     ) -> Result<FleetCheckpoint, CheckpointError> {
         let checkpoint = FleetCheckpoint::load(bytes)?;
-        checkpoint.verify_config(config)?;
+        checkpoint.verify_config(self.plan.config())?;
         if checkpoint.next_body() != shard.end
             || checkpoint.bodies_ingested() != shard.end - shard.start
         {
@@ -1203,6 +1173,28 @@ impl FleetDriver {
             ));
         }
         Ok(checkpoint)
+    }
+
+    /// Fetches `progress`'s shard blob from `transport` and validates it:
+    /// a valid blob is kept, a rejected one is recorded and discarded.
+    /// Returns whether the transport held a blob at all.
+    fn fetch_blob(
+        &self,
+        transport: &dyn Transport,
+        progress: &mut ShardProgress,
+    ) -> Result<bool, DriverError> {
+        let shard = progress.outcome.shard.index;
+        let Some(bytes) = transport.fetch(shard)? else {
+            return Ok(false);
+        };
+        match self.validate_blob(&progress.outcome.shard, &bytes) {
+            Ok(checkpoint) => progress.blob = Some(checkpoint),
+            Err(source) => {
+                progress.record(DriverError::Blob { shard, source });
+                transport.discard(shard)?;
+            }
+        }
+        Ok(true)
     }
 
     /// Runs the fleet to completion: reuse valid blobs already on the
@@ -1224,62 +1216,41 @@ impl FleetDriver {
         executor: &dyn ShardExecutor,
         transport: &dyn Transport,
     ) -> Result<DriverRun, DriverError> {
-        let config = self.spec.to_config();
-        let count = self.shard_count();
-        let mut blobs: Vec<Option<FleetCheckpoint>> = (0..count).map(|_| None).collect();
-        let mut outcomes: Vec<ShardOutcome> = (0..count)
-            .map(|shard| ShardOutcome {
-                shard: self.assignment(shard),
-                reused: false,
-                attempts: 0,
-                recovered: Vec::new(),
+        let mut shards: Vec<ShardProgress> = (0..self.shard_count())
+            .map(|shard| ShardProgress {
+                outcome: ShardOutcome {
+                    shard: self.assignment(shard),
+                    reused: false,
+                    attempts: 0,
+                    recovered: Vec::new(),
+                },
+                blob: None,
+                last_fault: None,
             })
             .collect();
-        let mut last_error: Vec<Option<DriverError>> = (0..count).map(|_| None).collect();
         for _ in 0..self.max_attempts {
             // 1. Reuse whatever the transport already holds, if valid.  (No
             //    blob at all needs no record — a prior failed attempt
             //    already recorded why it is missing.)
-            for shard in 0..count {
-                if blobs[shard].is_some() {
-                    continue;
-                }
-                let assignment = self.assignment(shard);
-                if let Some(bytes) = transport.fetch(shard)? {
-                    match self.validate_blob(&config, &assignment, &bytes) {
-                        Ok(checkpoint) => {
-                            if outcomes[shard].attempts == 0 {
-                                outcomes[shard].reused = true;
-                            }
-                            blobs[shard] = Some(checkpoint);
-                        }
-                        Err(source) => {
-                            let fault = DriverError::Blob { shard, source };
-                            outcomes[shard].recovered.push(fault.to_string());
-                            transport.discard(shard)?;
-                            last_error[shard] = Some(fault);
-                        }
-                    }
+            for progress in shards.iter_mut().filter(|p| p.blob.is_none()) {
+                self.fetch_blob(transport, progress)?;
+                if progress.blob.is_some() && progress.outcome.attempts == 0 {
+                    progress.outcome.reused = true;
                 }
             }
-            let pending: Vec<usize> = (0..count).filter(|&s| blobs[s].is_none()).collect();
+            let pending: Vec<&mut ShardProgress> =
+                shards.iter_mut().filter(|p| p.blob.is_none()).collect();
             if pending.is_empty() {
                 break;
             }
             // 2. Execute every still-missing shard, concurrently.
             let spec = &self.spec;
-            let results: Vec<(usize, Result<(), DriverError>)> = std::thread::scope(|scope| {
+            let results: Vec<Result<(), DriverError>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = pending
                     .iter()
-                    .map(|&shard| {
-                        let assignment = self.assignment(shard);
-                        let attempt = outcomes[shard].attempts;
-                        scope.spawn(move || {
-                            (
-                                shard,
-                                executor.execute(spec, &assignment, attempt, transport),
-                            )
-                        })
+                    .map(|progress| {
+                        let (shard, attempt) = (&progress.outcome.shard, progress.outcome.attempts);
+                        scope.spawn(move || executor.execute(spec, shard, attempt, transport))
                     })
                     .collect();
                 handles
@@ -1288,67 +1259,68 @@ impl FleetDriver {
                     .collect()
             });
             // 3. Validate what the attempts published, in shard order.
-            for (shard, result) in results {
-                outcomes[shard].attempts += 1;
-                let assignment = self.assignment(shard);
+            for (progress, result) in pending.into_iter().zip(results) {
+                progress.outcome.attempts += 1;
                 match result {
-                    Ok(()) => match transport.fetch(shard)? {
-                        Some(bytes) => match self.validate_blob(&config, &assignment, &bytes) {
-                            Ok(checkpoint) => {
-                                blobs[shard] = Some(checkpoint);
-                            }
-                            Err(source) => {
-                                let fault = DriverError::Blob { shard, source };
-                                outcomes[shard].recovered.push(fault.to_string());
-                                transport.discard(shard)?;
-                                last_error[shard] = Some(fault);
-                            }
-                        },
-                        None => {
-                            let fault = DriverError::Missing { shard };
-                            outcomes[shard].recovered.push(fault.to_string());
-                            last_error[shard] = Some(fault);
+                    Ok(()) => {
+                        if !self.fetch_blob(transport, progress)? {
+                            let shard = progress.outcome.shard.index;
+                            progress.record(DriverError::Missing { shard });
                         }
-                    },
-                    Err(fault) => {
-                        outcomes[shard].recovered.push(fault.to_string());
-                        last_error[shard] = Some(fault);
                     }
+                    Err(fault) => progress.record(fault),
                 }
             }
-            if blobs.iter().all(Option::is_some) {
-                break;
-            }
         }
-        for shard in 0..count {
-            if blobs[shard].is_none() {
+        let mut blobs = Vec::with_capacity(shards.len());
+        let mut outcomes = Vec::with_capacity(shards.len());
+        for (shard, progress) in shards.into_iter().enumerate() {
+            let Some(blob) = progress.blob else {
                 return Err(DriverError::Exhausted {
                     shard,
-                    attempts: outcomes[shard].attempts,
+                    attempts: progress.outcome.attempts,
                     last: Box::new(
-                        last_error[shard]
-                            .take()
+                        progress
+                            .last_fault
                             .unwrap_or(DriverError::Missing { shard }),
                     ),
                 });
-            }
+            };
+            blobs.push(blob);
+            outcomes.push(progress.outcome);
         }
         // Every recovered fault in `outcomes[_].recovered` was followed by a
         // successful re-run; the merge below is over validated blobs only.
-        let plan = ShardPlan::from_boundaries(config.clone(), &self.boundaries)
-            .expect("boundaries validated at construction");
-        let merged = plan
-            .merge_partials(blobs.into_iter().flatten())
+        let merged = self
+            .plan
+            .merge_partials(blobs)
             .map_err(DriverError::Merge)?;
         // Keep the merged state around so callers can check byte-identity
         // without re-fetching and re-merging the blobs themselves.
-        let merged_state = FleetCheckpoint::capture(&config, &merged, self.spec.bodies);
+        let merged_state = FleetCheckpoint::capture(self.plan.config(), &merged, self.spec.bodies);
         Ok(DriverRun {
             report: merged.finish(),
             merged_state,
             fingerprint: self.fingerprint(),
             shards: outcomes,
         })
+    }
+}
+
+/// One shard's progress through a [`FleetDriver::run`]: its outcome so far,
+/// its validated blob once it has one, and the last fault recorded for it.
+struct ShardProgress {
+    outcome: ShardOutcome,
+    blob: Option<FleetCheckpoint>,
+    last_fault: Option<DriverError>,
+}
+
+impl ShardProgress {
+    /// Records a recovered fault: its message in the outcome, the error
+    /// itself as the one an exhausted run reports.
+    fn record(&mut self, fault: DriverError) {
+        self.outcome.recovered.push(fault.to_string());
+        self.last_fault = Some(fault);
     }
 }
 
@@ -1611,5 +1583,73 @@ mod tests {
         assert!(FleetDriver::with_boundaries(spec.clone(), &[0, 4, 4, 10]).is_ok());
         assert!(FleetDriver::with_boundaries(spec.clone(), &[7, 3]).is_err());
         assert!(FleetDriver::with_boundaries(spec, &[11]).is_err());
+    }
+
+    /// Scripts each shard's first attempt: shard 0 publishes its blob and
+    /// then fails, shard 1 succeeds without publishing, the rest fold.
+    struct Scripted;
+
+    impl ShardExecutor for Scripted {
+        fn execute(
+            &self,
+            spec: &DriverFleetSpec,
+            shard: &ShardAssignment,
+            attempt: usize,
+            transport: &dyn Transport,
+        ) -> Result<(), DriverError> {
+            match (shard.index, attempt) {
+                (1, 0) => Ok(()),
+                (0, 0) => {
+                    fold_and_publish(spec, shard, 1, transport)?;
+                    Err(DriverError::Worker {
+                        shard: 0,
+                        code: Some(1),
+                        stderr: String::new(),
+                    })
+                }
+                _ => fold_and_publish(spec, shard, 1, transport).map(drop),
+            }
+        }
+    }
+
+    #[test]
+    fn run_records_what_happened_to_each_shard() {
+        let spec = DriverFleetSpec::new(8).with_horizon(hidwa_units::TimeSpan::from_seconds(0.25));
+        let driver = FleetDriver::new(spec, 4);
+        let root = std::env::temp_dir().join(format!("hidwa-outcomes-{}", std::process::id()));
+        // A failed execution is not fetched in its round, even though it
+        // published a valid blob: with one attempt, shard 0 is exhausted.
+        let once = driver.clone().with_max_attempts(1);
+        let spool = once.spool_in(root.join("once")).expect("spool");
+        match once.run(&Scripted, &spool) {
+            Err(DriverError::Exhausted { shard: 0, last, .. }) => {
+                assert!(matches!(*last, DriverError::Worker { .. }), "{last}");
+            }
+            other => panic!("expected shard 0 exhausted, got {other:?}"),
+        }
+        // Shard 2's valid blob is already there, shard 3's is garbage.
+        let spool = driver.spool_in(root.join("seeded")).expect("spool");
+        fold_and_publish(driver.spec(), &driver.assignment(2), 1, &spool).expect("seed");
+        spool.publish(3, b"torn").expect("seed");
+        let run = driver.run(&Scripted, &spool).expect("every shard recovers");
+        std::fs::remove_dir_all(&root).ok();
+        let outcomes: Vec<_> = run
+            .shards()
+            .iter()
+            .map(|s| (s.reused, s.attempts, s.recovered.join("; ")))
+            .collect();
+        // Only a blob found before any attempt counts as reused: shard 0's
+        // is picked up by the second round's reuse pass.
+        assert_eq!(
+            outcomes[..3],
+            [
+                (false, 1, "shard 0: worker exited with code 1".to_string()),
+                (false, 2, DriverError::Missing { shard: 1 }.to_string()),
+                (true, 0, String::new()),
+            ]
+        );
+        let (reused, attempts, recovered) = &outcomes[3];
+        assert!(!reused && *attempts == 1, "{:?}", outcomes[3]);
+        assert!(recovered.starts_with("shard 3: published blob rejected"));
     }
 }

@@ -5,11 +5,11 @@
 //! ([`ChurnModel`]), and a body's link fades
 //! and recovers across context epochs, so the cut that was optimal at
 //! admission drifts off-optimum over the residency.  This module is the
-//! decision layer that reacts: a [`PlacementPolicy`] watches each context
-//! epoch and chooses between *keeping* the current cut and *migrating* to a
-//! freshly optimised one, with every adopted change counted as a migration
-//! carrying an explicit energy cost (state transfer, model reload, dropped
-//! in-flight activations).
+//! decision layer that reacts: a policy ([`PolicyKind`]) watches each
+//! context epoch and chooses between *keeping* the current cut and
+//! *migrating* to a freshly optimised one, with every adopted change
+//! counted as a migration carrying an explicit energy cost (state transfer,
+//! model reload, dropped in-flight activations).
 //!
 //! The shape mirrors ccicconetti/stateful-faas-sim (SNIPPETS.md): competing
 //! policies replayed over the same deterministic event stream, compared by a
@@ -18,18 +18,20 @@
 //! policy B at 10k bodies is an exactly reproducible experiment at any
 //! thread width, shard layout or process boundary.
 //!
-//! Three built-in policies span the design space:
+//! Three policies span the design space:
 //!
-//! * [`StaticAtAdmission`] — plan once when the body arrives, never touch it
-//!   again (the do-nothing baseline: zero migrations, maximum drift);
-//! * [`ReoptimizeOnChange`] — re-run the optimiser every context epoch and
-//!   always adopt the winner (the oracle baseline: minimum drift, maximum
-//!   migration churn);
-//! * [`Hysteresis`] — re-run the optimiser but migrate only when the
-//!   improvement beats a relative threshold, trading a bounded drift for a
-//!   bounded migration rate.
+//! * [`PolicyKind::StaticAtAdmission`] — plan once when the body arrives,
+//!   never touch it again (the do-nothing baseline: zero migrations,
+//!   maximum drift);
+//! * [`PolicyKind::ReoptimizeOnChange`] — re-run the optimiser every context
+//!   epoch and always adopt the winner (the oracle baseline: minimum drift,
+//!   maximum migration churn);
+//! * [`PolicyKind::Hysteresis`] — re-run the optimiser but migrate only when
+//!   the improvement beats a relative threshold, trading a bounded drift for
+//!   a bounded migration rate.
 //!
-//! [`PolicyKind`] names the built-ins for CLI flags and bench rows;
+//! [`simulate_placement`] makes each epoch's decision with one `match` on
+//! the policy, whose tag also names it in CLI flags and bench rows;
 //! [`ChurnSpec`] bundles churn model + policy + objective + migration cost
 //! into the one value a [`FleetConfig`](super::FleetConfig) (and the
 //! process-boundary [`DriverFleetSpec`](super::DriverFleetSpec)) carries.
@@ -42,130 +44,6 @@ use hidwa_isa::models::WearableModel;
 use hidwa_phy::RadioTechnology;
 use hidwa_units::Energy;
 
-/// An online placement policy: given the retained plan re-evaluated in the
-/// *new* epoch's context and an optimiser for that context, decide what the
-/// body runs next epoch.
-///
-/// Implementations must be pure functions of their arguments — placement
-/// runs inside the fleet's deterministic per-body fold, so any hidden state
-/// or entropy would break byte-identity across thread widths and shards.
-pub trait PlacementPolicy {
-    /// Stable policy name (CLI tag, bench row label).
-    fn name(&self) -> &'static str;
-
-    /// Decides the plan for the next epoch.  `retained` is the currently
-    /// deployed cut re-costed under the new context (its energy/latency
-    /// reflect the epoch's faded link, its `feasible` flag tells the policy
-    /// whether the old cut still sustains the model's rate).
-    fn decide(
-        &self,
-        optimizer: &PartitionOptimizer,
-        model: &WearableModel,
-        objective: Objective,
-        retained: &PartitionPlan,
-    ) -> PlacementDecision;
-}
-
-/// What a policy chose for the next epoch.
-#[derive(Debug, Clone)]
-pub struct PlacementDecision {
-    /// The plan the body runs next epoch.
-    pub plan: PartitionPlan,
-    /// Whether the optimiser was re-run to make this decision (a *re-plan*;
-    /// it becomes a *migration* only if the adopted cut actually changed).
-    pub replanned: bool,
-}
-
-/// Plan once at admission, never re-plan.  Zero migrations by construction;
-/// the retained cut silently degrades (or goes infeasible) as the link
-/// fades.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticAtAdmission;
-
-impl PlacementPolicy for StaticAtAdmission {
-    fn name(&self) -> &'static str {
-        "static-at-admission"
-    }
-
-    fn decide(
-        &self,
-        _optimizer: &PartitionOptimizer,
-        _model: &WearableModel,
-        _objective: Objective,
-        retained: &PartitionPlan,
-    ) -> PlacementDecision {
-        PlacementDecision {
-            plan: retained.clone(),
-            replanned: false,
-        }
-    }
-}
-
-/// Re-run the optimiser every context epoch and always adopt its winner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReoptimizeOnChange;
-
-impl PlacementPolicy for ReoptimizeOnChange {
-    fn name(&self) -> &'static str {
-        "reoptimize-on-change"
-    }
-
-    fn decide(
-        &self,
-        optimizer: &PartitionOptimizer,
-        model: &WearableModel,
-        objective: Objective,
-        retained: &PartitionPlan,
-    ) -> PlacementDecision {
-        let plan = optimizer
-            .optimize(model, objective)
-            .unwrap_or_else(|_| retained.clone());
-        PlacementDecision {
-            plan,
-            replanned: true,
-        }
-    }
-}
-
-/// Re-run the optimiser every epoch but migrate only when the candidate
-/// improves the objective by more than `threshold` (relative), or the
-/// retained cut has gone infeasible.  `threshold = 0` degenerates to
-/// [`ReoptimizeOnChange`]; `threshold → ∞` to [`StaticAtAdmission`] (with
-/// re-planning cost but no migrations).
-#[derive(Debug, Clone, Copy)]
-pub struct Hysteresis {
-    /// Relative improvement required before a migration is adopted.
-    pub threshold: f64,
-}
-
-impl PlacementPolicy for Hysteresis {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
-    fn decide(
-        &self,
-        optimizer: &PartitionOptimizer,
-        model: &WearableModel,
-        objective: Objective,
-        retained: &PartitionPlan,
-    ) -> PlacementDecision {
-        let Ok(candidate) = optimizer.optimize(model, objective) else {
-            return PlacementDecision {
-                plan: retained.clone(),
-                replanned: true,
-            };
-        };
-        let retained_key = objective_key(retained, objective);
-        let candidate_key = objective_key(&candidate, objective);
-        let adopt = !retained.feasible || candidate_key < retained_key * (1.0 - self.threshold);
-        PlacementDecision {
-            plan: if adopt { candidate } else { retained.clone() },
-            replanned: true,
-        }
-    }
-}
-
 /// The scalar a plan is judged by under an objective — the same quantity the
 /// streaming optimiser minimises.
 #[must_use]
@@ -177,20 +55,32 @@ pub fn objective_key(plan: &PartitionPlan, objective: Objective) -> f64 {
     }
 }
 
-/// Names the built-in policies across CLI flags, bench rows and the driver's
-/// process boundary.
+/// An online placement policy: how a body's cut reacts to each new context
+/// epoch (see [`simulate_placement`]), named by its tag across CLI flags,
+/// bench rows and the driver's process boundary.
+///
+/// Every policy is a pure function of the epoch's context — placement runs
+/// inside the fleet's deterministic per-body fold, so any hidden state or
+/// entropy would break byte-identity across thread widths and shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
-    /// [`StaticAtAdmission`].
+    /// Plan once at admission, never re-plan.  Zero migrations by
+    /// construction; the retained cut silently degrades (or goes
+    /// infeasible) as the link fades.
     StaticAtAdmission,
-    /// [`ReoptimizeOnChange`].
+    /// Re-run the optimiser every context epoch and always adopt its winner.
     ReoptimizeOnChange,
-    /// [`Hysteresis`] (threshold carried by [`ChurnSpec`]).
+    /// Re-run the optimiser every epoch but migrate only when the candidate
+    /// improves the objective by more than [`ChurnSpec`]'s relative
+    /// threshold, or the retained cut has gone infeasible.  A threshold of 0
+    /// degenerates to [`ReoptimizeOnChange`](Self::ReoptimizeOnChange);
+    /// `threshold → ∞` to [`StaticAtAdmission`](Self::StaticAtAdmission)
+    /// (with re-planning cost but no migrations).
     Hysteresis,
 }
 
 impl PolicyKind {
-    /// Every built-in policy, in tag order.
+    /// Every policy, in tag order.
     pub const ALL: [Self; 3] = [
         Self::StaticAtAdmission,
         Self::ReoptimizeOnChange,
@@ -252,8 +142,8 @@ impl ChurnSpec {
         self
     }
 
-    /// Sets the relative improvement [`Hysteresis`] requires before
-    /// migrating (clamped to `[0, ∞)`; non-finite values become 0).
+    /// Sets the relative improvement [`PolicyKind::Hysteresis`] requires
+    /// before migrating (clamped to `[0, ∞)`; non-finite values become 0).
     #[must_use]
     pub fn with_hysteresis_threshold(mut self, threshold: f64) -> Self {
         self.hysteresis_threshold = if threshold.is_finite() {
@@ -299,18 +189,6 @@ impl ChurnSpec {
     #[must_use]
     pub fn migration_cost(&self) -> Energy {
         self.migration_cost
-    }
-
-    /// The built-in policy object this spec names.
-    #[must_use]
-    pub fn build_policy(&self) -> Box<dyn PlacementPolicy> {
-        match self.policy {
-            PolicyKind::StaticAtAdmission => Box::new(StaticAtAdmission),
-            PolicyKind::ReoptimizeOnChange => Box::new(ReoptimizeOnChange),
-            PolicyKind::Hysteresis => Box::new(Hysteresis {
-                threshold: self.hysteresis_threshold,
-            }),
-        }
     }
 
     /// The canonical, bit-exact flag encoding
@@ -440,9 +318,9 @@ pub struct PlacementOutcome {
 }
 
 /// Replays one body's residency through the spec's policy: admission plan in
-/// epoch 0, then one [`PlacementPolicy::decide`] per subsequent context
-/// epoch, accumulating inference energy (plan leaf energy × inferences in
-/// the epoch) and migration costs.
+/// epoch 0, then one policy decision per subsequent context epoch,
+/// accumulating inference energy (plan leaf energy × inferences in the
+/// epoch) and migration costs.
 ///
 /// Pure: the outcome is a function of `(spec, scenario, sample)` only, so it
 /// inherits the churn sample's determinism across threads, shards and
@@ -454,7 +332,7 @@ pub fn simulate_placement(
     sample: &ChurnSample,
 ) -> PlacementOutcome {
     let model = model_for_archetype(scenario.archetype());
-    let policy = spec.build_policy();
+    let objective = spec.objective();
     let base_context = match scenario.technology() {
         RadioTechnology::Ble => PartitionContext::ble_default(),
         _ => PartitionContext::wir_default(),
@@ -473,7 +351,7 @@ pub fn simulate_placement(
     // in the zoo has a first cut), flagged infeasible in its metrics.
     let admission = epoch_optimizer(0);
     let mut current = admission
-        .optimize(model, spec.objective())
+        .optimize(model, objective)
         .or_else(|_| admission.all_on_hub(model))
         .expect("wearable models always expose cut points");
 
@@ -490,15 +368,32 @@ pub fn simulate_placement(
             .iter()
             .find(|cut| cut.index == current.cut_index)
             .map_or_else(|| current.clone(), |cut| optimizer.evaluate(model, cut));
-        let decision = policy.decide(&optimizer, model, spec.objective(), &retained);
-        if decision.replanned {
-            replans += 1;
-        }
-        if decision.plan.cut_index != current.cut_index {
+        // Each optimiser run is a re-plan, whether or not it moves the cut;
+        // an epoch with no feasible cut keeps the retained one.
+        let plan = match spec.policy() {
+            PolicyKind::StaticAtAdmission => retained,
+            PolicyKind::ReoptimizeOnChange => {
+                replans += 1;
+                optimizer.optimize(model, objective).unwrap_or(retained)
+            }
+            PolicyKind::Hysteresis => {
+                replans += 1;
+                let bar = objective_key(&retained, objective) * (1.0 - spec.hysteresis_threshold());
+                match optimizer.optimize(model, objective) {
+                    Ok(candidate)
+                        if !retained.feasible || objective_key(&candidate, objective) < bar =>
+                    {
+                        candidate
+                    }
+                    _ => retained,
+                }
+            }
+        };
+        if plan.cut_index != current.cut_index {
             migrations += 1;
             energy_joules += spec.migration_cost().as_joules();
         }
-        current = decision.plan;
+        current = plan;
         energy_joules += current.leaf_energy.as_joules() * inference_rate * epoch_seconds;
     }
 

@@ -3,13 +3,14 @@
 //!
 //! A [`ShardPlan`] splits a [`FleetConfig`]'s body range `0..bodies` into
 //! contiguous sub-ranges.  Because every body's scenario and seed are pure
-//! functions of `(base_seed, body_index)`, a [`ShardRunner`] needs nothing
-//! but the config and its range — shard `i` can fold on another process or
-//! machine with no coordination, ship its partial state as a
-//! [`FleetCheckpoint`] blob, and the coordinator merges the partials in
+//! functions of `(base_seed, body_index)`, shard `i` needs nothing but the
+//! config and its range: it can fold on another process or machine with no
+//! coordination ([`ShardPlan::checkpoint`] ships its partial state as a
+//! [`FleetCheckpoint`] blob), and the coordinator merges the partials in
 //! shard order (any grouping works; the merge is associative and
 //! commutative) into a [`FleetReport`] byte-identical to the single-stream
-//! fold.
+//! fold.  The plan is also the [`FleetDriver`](super::FleetDriver)'s shard
+//! layout.
 //!
 //! # Example
 //!
@@ -27,7 +28,6 @@
 
 use super::checkpoint::{CheckpointError, FleetCheckpoint};
 use super::{FleetAggregator, FleetConfig, FleetReport};
-use crate::population::LinkCache;
 use crate::sweep::SweepRunner;
 use std::ops::Range;
 
@@ -138,35 +138,38 @@ impl ShardPlan {
         start..self.ends[shard]
     }
 
-    /// A standalone runner for shard `shard` — self-contained (it owns a
-    /// config clone), so it can be constructed identically on any machine
-    /// from the same plan parameters.
+    /// The interior boundaries, as [`from_boundaries`](Self::from_boundaries)
+    /// takes them: every shard's end but the last.
+    pub(crate) fn boundaries(&self) -> &[usize] {
+        &self.ends[..self.ends.len() - 1]
+    }
+
+    /// Folds every shard in-process and merges the partials in shard order
+    /// into one aggregator.
+    #[must_use]
+    pub fn fold(&self, runner: &SweepRunner) -> FleetAggregator {
+        let mut merged = FleetAggregator::new(self.config.horizon(), self.config.top_k());
+        for shard in 0..self.shard_count() {
+            merged.merge(self.config.fold_range(runner, self.range(shard)));
+        }
+        merged
+    }
+
+    /// Folds shard `shard` and wraps the partial as a transportable
+    /// [`FleetCheckpoint`] (its `next_body` is the shard's range end), ready
+    /// to ship to the coordinator for
+    /// [`merge_checkpoints`](Self::merge_checkpoints).  Everything it folds
+    /// is a pure function of the config's base seed and the shard's body
+    /// indices, so equal plans on different machines produce byte-identical
+    /// blobs.
     ///
     /// # Panics
     /// Panics if `shard >= shard_count()`.
     #[must_use]
-    pub fn shard(&self, shard: usize) -> ShardRunner {
+    pub fn checkpoint(&self, shard: usize, runner: &SweepRunner) -> FleetCheckpoint {
         let range = self.range(shard);
-        ShardRunner {
-            config: self.config.clone(),
-            shard_index: shard,
-            range,
-        }
-    }
-
-    /// Folds every shard in-process (sharing one link cache) and merges the
-    /// partials in shard order into one aggregator.
-    #[must_use]
-    pub fn fold(&self, runner: &SweepRunner) -> FleetAggregator {
-        let links = LinkCache::for_population(self.config.population());
-        let mut merged = FleetAggregator::new(self.config.horizon(), self.config.top_k());
-        for shard in 0..self.shard_count() {
-            let mut partial = FleetAggregator::new(self.config.horizon(), self.config.top_k());
-            self.config
-                .fold_range(runner, &links, &mut partial, self.range(shard));
-            merged.merge(partial);
-        }
-        merged
+        let end = range.end;
+        FleetCheckpoint::capture(&self.config, &self.config.fold_range(runner, range), end)
     }
 
     /// Runs the whole plan and finalises the merged aggregate — byte-
@@ -181,7 +184,7 @@ impl ShardPlan {
     /// machines, in any order — and finalises the fleet report.
     ///
     /// Each checkpoint implies its shard's body range (`next_body -
-    /// ingested .. next_body`, which is how [`ShardRunner::checkpoint`]
+    /// ingested .. next_body`, which is how [`checkpoint`](Self::checkpoint)
     /// captures it); the ranges must tile `0..bodies` exactly, so a
     /// missing, duplicated or overlapping shard is rejected rather than
     /// silently under- or double-counted.
@@ -231,49 +234,5 @@ impl ShardPlan {
             ));
         }
         Ok(merged)
-    }
-}
-
-/// One shard of a [`ShardPlan`]: a fleet config plus a contiguous body
-/// range.  Everything it folds is a pure function of the config's base seed
-/// and the body indices, so equal runners on different machines produce
-/// byte-identical partials.
-#[derive(Debug, Clone)]
-pub struct ShardRunner {
-    config: FleetConfig,
-    shard_index: usize,
-    range: Range<usize>,
-}
-
-impl ShardRunner {
-    /// Position of this shard in its plan.
-    #[must_use]
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// The body range this shard folds.
-    #[must_use]
-    pub fn range(&self) -> Range<usize> {
-        self.range.clone()
-    }
-
-    /// Folds this shard's bodies into a partial aggregator.
-    #[must_use]
-    pub fn fold(&self, runner: &SweepRunner) -> FleetAggregator {
-        let links = LinkCache::for_population(self.config.population());
-        let mut partial = FleetAggregator::new(self.config.horizon(), self.config.top_k());
-        self.config
-            .fold_range(runner, &links, &mut partial, self.range.clone());
-        partial
-    }
-
-    /// Folds this shard and wraps the partial as a transportable
-    /// [`FleetCheckpoint`] (the `next_body` is the shard's range end), ready
-    /// to ship to the coordinator for
-    /// [`ShardPlan::merge_checkpoints`].
-    #[must_use]
-    pub fn checkpoint(&self, runner: &SweepRunner) -> FleetCheckpoint {
-        FleetCheckpoint::capture(&self.config, &self.fold(runner), self.range.end)
     }
 }

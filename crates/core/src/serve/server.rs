@@ -1,8 +1,7 @@
 //! The std-only TCP front-end and its pipelined client.
 //!
-//! Transport is the shared [`wire`] framing (`tag u64 BE ·
-//! length u64 BE · payload`) that also carries fleet checkpoint blobs; the
-//! payloads are the sealed [`codec`] envelopes.  One frame
+//! Transport is the [`wire`] framing (`tag u64 BE · length u64 BE ·
+//! payload`); the payloads are the sealed [`codec`] envelopes.  One frame
 //! carries one request batch; the reply frame echoes the request tag so a
 //! client can match responses to submissions (and pipeline several).
 //!

@@ -39,8 +39,6 @@
 
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use hidwa_isa::models::WearableModel;
-use hidwa_netsim::sim::{Simulation, SimulationReport};
-use hidwa_units::TimeSpan;
 use pool::Pool;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -291,26 +289,6 @@ impl SweepRunner {
             }
         })
     }
-
-    /// Runs one simulation per seed, in parallel, reports in seed order.
-    ///
-    /// `build` constructs a fresh [`Simulation`] for a seed (typically
-    /// `scenario::body_network(...).with_seed(seed)`); each worker runs its
-    /// own instance for `horizon` of simulated time.
-    pub fn simulate_seeds<B>(
-        &self,
-        seeds: &[u64],
-        horizon: TimeSpan,
-        build: B,
-    ) -> Vec<SimulationReport>
-    where
-        B: Fn(u64) -> Simulation + Sync,
-    {
-        self.map(seeds, |&seed| {
-            let mut sim = build(seed);
-            sim.run(horizon)
-        })
-    }
 }
 
 /// Exhausts a fold's claim counter if its thread unwinds, so every other
@@ -328,10 +306,7 @@ impl Drop for StopOnUnwind<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario;
     use hidwa_isa::models;
-    use hidwa_netsim::mac::MacPolicy;
-    use hidwa_phy::RadioTechnology;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
     use std::thread::ThreadId;
@@ -822,27 +797,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn simulate_seeds_is_deterministic_per_seed() {
-        let runner = SweepRunner::new();
-        let seeds = [1u64, 2, 3, 1];
-        let horizon = TimeSpan::from_seconds(3.0);
-        let reports = runner.simulate_seeds(&seeds, horizon, |seed| {
-            let mut sim = scenario::standard_body_network(RadioTechnology::WiR);
-            sim = sim.with_seed(seed);
-            sim
-        });
-        assert_eq!(reports.len(), 4);
-        // Same seed, same result — including across different worker threads.
-        assert_eq!(
-            reports[0].node_stats()[0].delivered_bytes,
-            reports[3].node_stats()[0].delivered_bytes
-        );
-        for report in &reports {
-            assert!(report.delivery_ratio() > 0.9);
-        }
-        let _ = MacPolicy::Polling; // scenario default; referenced for clarity
     }
 }

@@ -89,9 +89,9 @@ proptest! {
         let config = small_fleet(bodies, base_seed);
         let plan = ShardPlan::from_boundaries(config.clone(), &[lo, hi]).expect("sorted");
         let serial = SweepRunner::serial();
-        let p1 = plan.shard(0).fold(&serial);
-        let p2 = plan.shard(1).fold(&serial);
-        let p3 = plan.shard(2).fold(&serial);
+        let p1 = plan.checkpoint(0, &serial).into_parts().0;
+        let p2 = plan.checkpoint(1, &serial).into_parts().0;
+        let p3 = plan.checkpoint(2, &serial).into_parts().0;
 
         // (p1 ⊕ p2) ⊕ p3
         let mut left = p1.clone();
@@ -167,10 +167,9 @@ fn shard_checkpoints_merge_across_machines() {
     let plan = ShardPlan::split(config.clone(), 3);
 
     // "Machine A" and "machine B" build the same shard independently.
-    let a = plan.shard(1).checkpoint(&serial).save().to_vec();
+    let a = plan.checkpoint(1, &serial).save().to_vec();
     let b = ShardPlan::split(config.clone(), 3)
-        .shard(1)
-        .checkpoint(&serial)
+        .checkpoint(1, &serial)
         .save()
         .to_vec();
     assert_eq!(a, b);
@@ -178,7 +177,7 @@ fn shard_checkpoints_merge_across_machines() {
     // Ship all three partials (as bytes) and merge on the coordinator.
     let parts: Vec<FleetCheckpoint> = (0..3)
         .map(|i| {
-            let blob = plan.shard(i).checkpoint(&serial).save();
+            let blob = plan.checkpoint(i, &serial).save();
             FleetCheckpoint::load(&blob).expect("shipped blob loads")
         })
         .collect();
@@ -187,7 +186,7 @@ fn shard_checkpoints_merge_across_machines() {
 
     // A missing shard is caught, not silently under-reported.
     let shard_part = |i: usize| {
-        FleetCheckpoint::load(&plan.shard(i).checkpoint(&serial).save()).expect("shard blob loads")
+        FleetCheckpoint::load(&plan.checkpoint(i, &serial).save()).expect("shard blob loads")
     };
     assert!(plan.merge_checkpoints((0..2).map(shard_part)).is_err());
 

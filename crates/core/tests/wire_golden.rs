@@ -11,7 +11,7 @@
 //! simulation — so the bytes cannot move with the platform's libm.
 
 use hidwa_core::fleet::driver::{
-    run_fingerprint, DriverFleetSpec, PopulationSpec, ShardAssignment,
+    run_fingerprint, DriverFleetSpec, FleetDriver, PopulationSpec, ShardAssignment,
 };
 use hidwa_core::fleet::{
     BodySummary, ChurnSpec, FleetAggregator, FleetCheckpoint, FleetConfig, PolicyKind,
@@ -292,6 +292,33 @@ fn worker_args_of_a_tagged_spec() {
 #[test]
 fn run_fingerprint_of_a_tagged_spec() {
     assert_eq!(run_fingerprint(&tagged_spec(), &[16]), "a0467a6ce76c4eb1");
+    // The layouts a driver builds: its shards and the fingerprint they feed.
+    let split = |shards| FleetDriver::new(tagged_spec(), shards);
+    let ragged = FleetDriver::with_boundaries(tagged_spec(), &[0, 16, 16, 40]).expect("sorted");
+    // 45 shards over 40 bodies: one body each, then five empty shards.
+    let one_each = (0..45).map(|i| (i.min(40), (i + 1).min(40))).collect();
+    for (driver, shards, fingerprint) in [
+        (split(0), vec![(0, 40)], "3c19ef151e6aa60e"),
+        (split(1), vec![(0, 40)], "3c19ef151e6aa60e"),
+        (
+            split(3),
+            vec![(0, 14), (14, 27), (27, 40)],
+            "a34ebd8d5ee51137",
+        ),
+        (split(45), one_each, "7f8a4acb1b09ad5a"),
+        (
+            ragged,
+            vec![(0, 0), (0, 16), (16, 16), (16, 40), (40, 40)],
+            "2f8b4f51889f4fe2",
+        ),
+    ] {
+        assert_eq!(driver.shard_count(), shards.len(), "{fingerprint}");
+        for (index, (start, end)) in shards.into_iter().enumerate() {
+            let assignment = ShardAssignment { index, start, end };
+            assert_eq!(driver.assignment(index), assignment, "{fingerprint}");
+        }
+        assert_eq!(driver.fingerprint(), fingerprint);
+    }
 }
 
 #[test]
