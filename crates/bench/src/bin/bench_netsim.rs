@@ -56,13 +56,15 @@
 //!   must be invisible in the result.
 //!
 //! Every `fleet`, `hetero_fleet` and `width_scaling` row records
-//! `engine_runs`, the bodies a width-1 fold runs on the engine: bodies with
-//! a bursty leaf, plus one per distinct deterministic class.  The rest are
-//! repeats of a class the fold thread's memo holds: each draws its class
-//! and is counted (or, if it would enter the worst-body list, ingested as
-//! a copy of the stored summary), and the counts go into the fold with one
-//! scaled update per class.  So these rows' `events` count events the
-//! engine ran once per class, not once per body.
+//! `engine_runs`, the bodies a fold runs on the engine at any width: bodies
+//! with a bursty leaf, plus one per distinct deterministic class (a fold
+//! at width > 1 adds the rare extra run when two threads meet a new class
+//! at once).  The rest are repeats of a class the fold's shared class
+//! table holds: each draws its class and is counted (or, if it would enter
+//! the worst-body list, ingested as a copy of the stored summary), and the
+//! counts go into the fold with one scaled update per class.  So these
+//! rows' `events` count events the engine ran once per class, not once per
+//! body.
 //!
 //! The file opens with the run's provenance (cores, rustc, git revision,
 //! profile).  Exits non-zero if the two engine paths disagree on any exact
@@ -305,10 +307,10 @@ fn ten_node_body(reference: bool) -> Simulation {
     sim
 }
 
-/// Bodies a width-1 fold of `config` runs on the engine: every body with
-/// no class, plus one per distinct class (the fleets here are churn-free
-/// and have far fewer classes than the memo holds).  The rest are counted
-/// repeats.
+/// Bodies a fold of `config` runs on the engine at any width: every body
+/// with no class, plus one per distinct class (the fleets here are
+/// churn-free and have far fewer classes than the class table holds),
+/// races between fold threads aside.  The rest are counted repeats.
 fn engine_runs(config: &FleetConfig) -> usize {
     let mut classes = Vec::new();
     let mut unclassed = 0;

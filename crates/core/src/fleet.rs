@@ -30,13 +30,12 @@
 //! worker's range — enters through one private body-range fold, which
 //! builds the fold's link table and partials itself.
 //!
-//! # The body-class memo
+//! # The body-class table
 //!
 //! Most leaves sense on a fixed cadence, so most bodies of a fleet repeat a
-//! few scenarios exactly.  Each fold thread keeps a small memo beside its
-//! workspace and runs the engine once per distinct deterministic body; a
-//! repeat's summary equals the first body's but for its index and seed,
-//! because:
+//! few scenarios exactly.  A churn-free fold runs the engine about once per
+//! distinct deterministic body, whatever its width; a repeat's summary
+//! equals the first body's but for its index and seed, because:
 //!
 //! * a streaming run reads its seed only through
 //!   [`TrafficPattern::next_interval`](hidwa_netsim::traffic::TrafficPattern::next_interval),
@@ -47,20 +46,29 @@
 //!   drew — its [class](crate::population::BodyScenario::class) — and of
 //!   its active span, which is the horizon in a churn-free fleet.
 //!
-//! In a churn-free fold each body first draws its class alone, without its
-//! leaves.  The memo maps a class to the first body's [`BodySummary`] and a
-//! repeat count, holds at most 64 classes and lives and dies with the fold's
-//! thread; there is no shared cache.  A repeat that would enter its
-//! partial's worst-body list (`FleetAggregator::keeps`) is ingested as a
-//! copy of the stored summary under its own index and seed.  Any other
-//! repeat is one [`ingest`](FleetAggregator::ingest) would return from
-//! before touching the list, so the memo only counts it.  Before the
-//! partial merges, each count goes in with one scaled update
-//! (`FleetAggregator::ingest_repeats`): every piece of state it touches is
-//! an integer, an [`ExactSum`], a sketch or a min, and each scaled
-//! operation equals that many repetitions.  A body with a bursty leaf has
-//! no class and always runs, and a churned fleet keeps no memo: a churned
-//! span is the body's own continuous draw, which no other body repeats.
+//! Such a fold builds one class table, shared by all of its threads and
+//! dropped with it; there is no cache that outlives a fold.  It holds the
+//! population's class draws as integer thresholds, so each body first draws
+//! its class alone, without its leaves, and 64 slots, each a write-once
+//! class key and a write-once [`BodySummary`].  The first thread to claim a
+//! class's slot runs the class's body and stores its summary there; a
+//! thread that finds the slot claimed but not yet stored runs its own copy
+//! rather than wait, and a body whose class finds no slot just runs.  A
+//! repeat that would enter its thread's worst-body list
+//! (`FleetAggregator::keeps`) is ingested as a copy of the stored summary
+//! under its own index and seed.  Any other repeat is one
+//! [`ingest`](FleetAggregator::ingest) would return from before touching the
+//! list, so its thread only counts it, per slot.  The counts are summed over
+//! the partials and go into the merged aggregate once, after the merge, with
+//! one scaled update per class (`FleetAggregator::ingest_repeats`): every
+//! piece of state it touches is an integer, an [`ExactSum`], a sketch or a
+//! min, and each scaled operation equals that many repetitions.  That one
+//! late flush is exact because a count taken on a thread stays one the list
+//! would not keep: the merged worst list holds the thread's own list's
+//! bodies or better ones, so its last entry ranks at or above the
+//! thread's.  A body with a bursty leaf has no class and always runs, and a
+//! churned fleet keeps no table and draws no class: a churned span is the
+//! body's own continuous draw, which no other body repeats.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -115,7 +123,7 @@
 //! assert!(report.fleet_latency().quantile(0.95) > TimeSpan::ZERO);
 //! ```
 
-use crate::population::{BodyScenario, LinkCache, PopulationModel};
+use crate::population::{BodyScenario, ClassThresholds, LinkCache, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
@@ -125,7 +133,8 @@ use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, DataVolume, Energy, TimeSpan};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 pub mod checkpoint;
 pub mod driver;
@@ -361,82 +370,101 @@ impl FleetConfig {
     /// Folds bodies `range` into a fresh aggregator — the one fold behind
     /// [`run`](Self::run), [`run_until`](Self::run_until),
     /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  It
-    /// builds the fold's [`LinkCache`], then every thread, the calling one
-    /// included, ingests its bodies into a partial of its own, and the
-    /// partials merge once the helpers have left the fold.  Every partial
-    /// ingests in increasing body index, so the resulting state depends only
-    /// on which bodies were folded, never on which thread simulated them
-    /// (see [`FleetAggregator::merge`]).  Each thread pairs its partial with
-    /// one netsim [`Workspace`], which runs all of its bodies, and one
-    /// [`BodyMemo`] of this fold's deterministic bodies, whose counted
-    /// repeats go into the partial before it merges.
+    /// builds the fold's [`LinkCache`] and, in a churn-free fleet, its
+    /// [`ClassTable`]; then every thread, the calling one included, ingests
+    /// its bodies into a partial of its own, and the partials merge once the
+    /// helpers have left the fold.  Every partial ingests in increasing body
+    /// index, so the resulting state depends only on which bodies were
+    /// folded, never on which thread simulated them (see
+    /// [`FleetAggregator::merge`]).  Each thread pairs its partial with one
+    /// netsim [`Workspace`], which runs all of its bodies, and a count per
+    /// table slot of the repeats it did not ingest; the counts are summed as
+    /// the partials merge and go into the merged aggregate at the end.
     fn fold_range(&self, runner: &SweepRunner, range: Range<usize>) -> FleetAggregator {
         let links = LinkCache::for_population(&self.population);
+        let table = self.class_table();
         let fresh = || {
             let partial = FleetAggregator::new(self.horizon, self.top_k);
-            (partial, Workspace::new(), BodyMemo::default())
+            (partial, Workspace::new(), [0; ClassTable::SLOTS])
         };
         let mut calling = fresh();
         runner.fold(
             range,
             &mut calling,
             fresh,
-            |(partial, workspace, memo), body_index| {
-                self.fold_body(body_index, &links, partial, workspace, memo);
+            |(partial, workspace, repeats), body_index| {
+                self.fold_body(
+                    body_index,
+                    &links,
+                    table.as_ref(),
+                    partial,
+                    workspace,
+                    repeats,
+                );
             },
-            |(merged, ..), (mut partial, _, memo)| {
-                memo.flush(&mut partial);
+            |(merged, _, repeats), (partial, _, counted)| {
                 merged.merge(partial);
+                for (sum, count) in repeats.iter_mut().zip(counted) {
+                    *sum += count;
+                }
             },
         );
-        let (mut folded, _, memo) = calling;
-        memo.flush(&mut folded);
+        let (mut folded, _, repeats) = calling;
+        if let Some(table) = &table {
+            table.flush(&repeats, &mut folded);
+        }
         folded
     }
 
+    /// The class table of one fold of this fleet, or `None` for a churned
+    /// fleet, whose bodies never repeat (see the module docs).
+    fn class_table(&self) -> Option<ClassTable> {
+        self.churn
+            .is_none()
+            .then(|| ClassTable::new(self.population.class_thresholds()))
+    }
+
     /// Folds body `body_index` into `partial`, the next body in its index
-    /// order.  In a churn-free fleet a body whose class `memo` holds is a
-    /// repeat (see the module docs): `partial` ingests a copy of the stored
-    /// summary if the body would enter its worst list, and otherwise the
-    /// memo counts it.  Any other body is simulated in `workspace` and
-    /// ingested, and the first body of each class is stored while the memo
-    /// has room.  `memo` must only ever see this fleet's bodies, folded into
-    /// `partial`.
+    /// order.  In a churn-free fleet a body whose class `table` holds a run
+    /// of is a repeat (see the module docs): `partial` ingests a copy of the
+    /// stored summary if the body would enter its worst list, and otherwise
+    /// the slot's entry of `repeats` counts it.  Any other body is simulated
+    /// in `workspace` and ingested, and stored in its class's slot if this
+    /// thread claimed it.  `table` must be this fleet's, and `repeats` must
+    /// count only bodies this thread's aggregator would not keep.
     fn fold_body(
         &self,
         body_index: usize,
         links: &LinkCache,
+        table: Option<&ClassTable>,
         partial: &mut FleetAggregator,
         workspace: &mut Workspace,
-        memo: &mut BodyMemo,
+        repeats: &mut [u64; ClassTable::SLOTS],
     ) {
-        let class = match self.churn {
-            None => self.population.class_of(self.base_seed, body_index as u64),
-            Some(_) => None,
-        };
-        let Some(class) = class else {
-            partial.ingest(self.simulate_body(body_index, links, workspace));
-            return;
-        };
-        if let Some(slot) = memo.keys.iter().position(|&seen| seen == class) {
-            let (first, repeats) = &mut memo.runs[slot];
-            if partial.keeps(first.worst_p95_latency) {
-                partial.ingest(BodySummary {
-                    body_index,
-                    seed: self.seed_for_body(body_index),
-                    ..first.clone()
-                });
-            } else {
-                *repeats += 1;
+        let lookup = table.map_or(Lookup::Run, |table| {
+            table.find(table.thresholds.class_of(self.base_seed, body_index as u64))
+        });
+        match lookup {
+            Lookup::Repeat(slot, first) => {
+                if partial.keeps(first.worst_p95_latency) {
+                    partial.ingest(BodySummary {
+                        body_index,
+                        seed: self.seed_for_body(body_index),
+                        ..first.clone()
+                    });
+                } else {
+                    repeats[slot] += 1;
+                }
             }
-            return;
+            Lookup::First(first) => {
+                let summary = self.simulate_body(body_index, links, workspace);
+                first
+                    .set(summary.clone())
+                    .expect("only the thread that claimed a slot stores into it");
+                partial.ingest(summary);
+            }
+            Lookup::Run => partial.ingest(self.simulate_body(body_index, links, workspace)),
         }
-        let summary = self.simulate_body(body_index, links, workspace);
-        if memo.keys.len() < BodyMemo::CAPACITY {
-            memo.keys.push(class);
-            memo.runs.push((summary.clone(), 0));
-        }
-        partial.ingest(summary);
     }
 
     /// Runs the fold for bodies `0..stop` (clamped to the fleet size) and
@@ -475,28 +503,82 @@ impl FleetConfig {
     }
 }
 
-/// One fold thread's memo of its churn-free deterministic bodies, keyed by
-/// class (see the module docs).
+/// One churn-free fold's table of its deterministic body classes, shared by
+/// all of the fold's threads (see the module docs).
 ///
-/// It holds at most [`CAPACITY`](Self::CAPACITY) classes and stops
-/// inserting once full.  The keys sit in their own array, apart from the
-/// stored runs, so a body that misses scans only the 512 bytes of keys.
-#[derive(Default)]
-struct BodyMemo {
-    keys: Vec<u64>,
-    /// Per key, the summary of the class's first body and how many later
-    /// bodies of the class were counted instead of ingested.
-    runs: Vec<(BodySummary, u64)>,
+/// Slot `i` holds a class key, written once by the thread that claims the
+/// slot, and the summary of that class's first body, written once by the
+/// same thread after it ran the body.  Classes claim slots in the order the
+/// threads first meet them, and a class never holds two slots.  The keys sit
+/// in their own array, apart from the summaries, so a lookup scans only the
+/// 512 bytes of keys.  The summaries (about 30 KiB) live on the heap, so a
+/// fold's stack frame stays small with or without a table.
+struct ClassTable {
+    thresholds: ClassThresholds,
+    keys: [AtomicU64; ClassTable::SLOTS],
+    firsts: Box<[OnceLock<BodySummary>]>,
 }
 
-impl BodyMemo {
-    const CAPACITY: usize = 64;
+/// What a body's class finds in the [`ClassTable`].
+enum Lookup<'a> {
+    /// The class's first body is stored, in this slot: the body is a repeat.
+    Repeat(usize, &'a BodySummary),
+    /// This thread claimed a slot for the class: the body runs, and its
+    /// summary goes here.
+    First(&'a OnceLock<BodySummary>),
+    /// The body runs: it has no class, its class's first body is still
+    /// running on another thread, or every slot holds another class.
+    Run,
+}
 
-    /// Ingests every counted repeat into `partial`, the aggregator its
-    /// thread folded into (or one that has merged it since).
-    fn flush(self, partial: &mut FleetAggregator) {
-        for (summary, repeats) in &self.runs {
-            partial.ingest_repeats(summary, *repeats);
+impl ClassTable {
+    const SLOTS: usize = 64;
+
+    /// The key of a slot no class has claimed.  No class is looked up
+    /// under it: a body of class `FREE` runs without the table.
+    const FREE: u64 = u64::MAX;
+
+    fn new(thresholds: ClassThresholds) -> Self {
+        Self {
+            thresholds,
+            keys: std::array::from_fn(|_| AtomicU64::new(Self::FREE)),
+            firsts: (0..Self::SLOTS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Looks `class` up, claiming the first free slot for it if no slot
+    /// holds it.
+    fn find(&self, class: Option<u64>) -> Lookup<'_> {
+        let Some(class) = class.filter(|&class| class != Self::FREE) else {
+            return Lookup::Run;
+        };
+        for (slot, key) in self.keys.iter().enumerate() {
+            // A key is only a name for its slot; the summary is published
+            // through the slot's `OnceLock`, so relaxed accesses suffice.
+            let mut held = key.load(Ordering::Relaxed);
+            if held == Self::FREE {
+                match key.compare_exchange(Self::FREE, class, Ordering::Relaxed, Ordering::Relaxed)
+                {
+                    Ok(_) => return Lookup::First(&self.firsts[slot]),
+                    Err(claimed) => held = claimed,
+                }
+            }
+            if held == class {
+                return self.firsts[slot]
+                    .get()
+                    .map_or(Lookup::Run, |first| Lookup::Repeat(slot, first));
+            }
+        }
+        Lookup::Run
+    }
+
+    /// Ingests every counted repeat, `repeats[i]` of slot `i`'s class, into
+    /// `merged`: the merge of every partial whose repeats were counted.
+    fn flush(&self, repeats: &[u64; Self::SLOTS], merged: &mut FleetAggregator) {
+        for (first, &count) in self.firsts.iter().zip(repeats) {
+            if let Some(first) = first.get() {
+                merged.ingest_repeats(first, count);
+            }
         }
     }
 }
@@ -1160,7 +1242,7 @@ mod tests {
             .with_base_seed(5)
             .with_horizon(TimeSpan::from_seconds(2.0));
         // Zero-rate churn at full duty: every span equals the horizon, yet a
-        // churned fleet keeps no memo.
+        // churned fleet keeps no class table.
         let calm = mixed.clone().with_base_seed(31).with_churn(ChurnSpec::new(
             ChurnModel::with_rate(0.0).with_duty_cycle(1.0, 1.0),
             PolicyKind::StaticAtAdmission,
@@ -1214,13 +1296,17 @@ mod tests {
             .collect();
         // One workspace runs every body back to back, so each body starts
         // from whatever the previous (often larger) one left behind.  Each
-        // fleet also has a counted fold of its own (a partial and a memo) and
-        // a plain fold of the report reductions.
+        // fleet also has a counted fold of its own (a partial, the fleet's
+        // class table and its repeat counts) and a plain fold of the report
+        // reductions.
         let mut workspace = Workspace::new();
         let fresh = |config: &FleetConfig| FleetAggregator::new(config.horizon(), config.top_k());
-        let mut folds: Vec<(FleetAggregator, BodyMemo, FleetAggregator)> = fleets
+        let mut folds: Vec<_> = fleets
             .iter()
-            .map(|config| (fresh(config), BodyMemo::default(), fresh(config)))
+            .map(|config| {
+                let repeats = [0; ClassTable::SLOTS];
+                (fresh(config), config.class_table(), repeats, fresh(config))
+            })
             .collect();
         let mut sizes = Vec::new();
         for body_index in 0..3000 {
@@ -1244,27 +1330,33 @@ mod tests {
                 assert!(got.latency == want.latency, "{context}");
                 assert_eq!(got, want, "{context}");
                 sizes.push(got.nodes);
-                let (partial, memo, plain) = &mut folds[k];
-                config.fold_body(body_index, links, partial, &mut workspace, memo);
+                let (partial, table, repeats, plain) = &mut folds[k];
+                config.fold_body(
+                    body_index,
+                    links,
+                    table.as_ref(),
+                    partial,
+                    &mut workspace,
+                    repeats,
+                );
                 plain.ingest(want);
             }
         }
         // Every deterministic `mixed_default` class was stored and repeated;
-        // a churned fleet, even one whose spans all equal the horizon, never
-        // memoises.
-        assert_eq!(folds[0].1.keys.len(), 26);
-        assert!(folds[0].1.runs.iter().all(|&(_, repeats)| repeats > 0));
-        assert!(folds[1].1.keys.is_empty() && folds[2].1.keys.is_empty());
+        // a churned fleet, even one whose spans all equal the horizon, keeps
+        // no table.
+        let (_, table, repeats, _) = &folds[0];
+        let stored = table.as_ref().expect("a churn-free table").stored();
+        assert_eq!(stored.len(), 26);
+        assert!(stored.iter().all(|&slot| repeats[slot] > 0));
+        assert!(folds[1].1.is_none() && folds[2].1.is_none());
         // Each counted fold, its repeats flushed, equals the plain fold.
-        for (config, (mut partial, memo, plain)) in fleets.iter().zip(folds) {
-            memo.flush(&mut partial);
-            let bytes = |aggregator: &FleetAggregator| {
-                FleetCheckpoint::capture(config, aggregator, config.bodies())
-                    .save()
-                    .to_vec()
-            };
+        for (config, (mut partial, table, repeats, plain)) in fleets.iter().zip(folds) {
+            if let Some(table) = table {
+                table.flush(&repeats, &mut partial);
+            }
             assert!(
-                bytes(&partial) == bytes(&plain),
+                checkpoint_bytes(config, &partial) == checkpoint_bytes(config, &plain),
                 "{} bodies",
                 config.bodies()
             );
@@ -1275,23 +1367,37 @@ mod tests {
         assert!(sizes.iter().any(|&nodes| nodes > 64 && nodes < 72));
     }
 
+    /// The checkpoint bytes of `aggregator`, a fold of all of `config`'s
+    /// bodies.
+    fn checkpoint_bytes(config: &FleetConfig, aggregator: &FleetAggregator) -> Vec<u8> {
+        FleetCheckpoint::capture(config, aggregator, config.bodies())
+            .save()
+            .to_vec()
+    }
+
+    /// The oracle for a counted fold: every body simulated and ingested, in
+    /// index order.
+    fn plain_fold(config: &FleetConfig) -> FleetAggregator {
+        let links = LinkCache::for_population(config.population());
+        let mut workspace = Workspace::new();
+        let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
+        for body_index in 0..config.bodies() {
+            aggregator.ingest(config.simulate_body(body_index, &links, &mut workspace));
+        }
+        aggregator
+    }
+
+    impl ClassTable {
+        /// The slots whose class's first body is stored.
+        fn stored(&self) -> Vec<usize> {
+            (0..Self::SLOTS)
+                .filter(|&slot| self.firsts[slot].get().is_some())
+                .collect()
+        }
+    }
+
     #[test]
     fn counted_fold_matches_the_plain_fold() {
-        let bytes = |config: &FleetConfig, aggregator: &FleetAggregator| {
-            FleetCheckpoint::capture(config, aggregator, config.bodies())
-                .save()
-                .to_vec()
-        };
-        // The oracle: every body simulated and ingested, in index order.
-        let plain = |config: &FleetConfig| {
-            let links = LinkCache::for_population(config.population());
-            let mut workspace = Workspace::new();
-            let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
-            for body_index in 0..config.bodies() {
-                aggregator.ingest(config.simulate_body(body_index, &links, &mut workspace));
-            }
-            aggregator
-        };
         let mixed = FleetConfig::new(500)
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(26)
@@ -1306,7 +1412,7 @@ mod tests {
             .with_top_k(50);
         let single = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
         for config in [&mixed, &uniform, &deep, &single] {
-            let want = bytes(config, &plain(config));
+            let want = checkpoint_bytes(config, &plain_fold(config));
             for width in 1..=4 {
                 let got = config
                     .run_until(&SweepRunner::with_threads(width), config.bodies())
@@ -1322,22 +1428,32 @@ mod tests {
         }
 
         // Past the first K uniform bodies, each repeat ties the full worst
-        // list, so the memo counts it rather than the partial ingesting it.
+        // list, so the fold counts it rather than the partial ingesting it.
         let links = LinkCache::for_population(uniform.population());
         let mut partial = FleetAggregator::new(uniform.horizon(), uniform.top_k());
-        let (mut workspace, mut memo) = (Workspace::new(), BodyMemo::default());
+        let table = uniform.class_table().expect("a churn-free table");
+        let (mut workspace, mut repeats) = (Workspace::new(), [0; ClassTable::SLOTS]);
         for body_index in 0..uniform.bodies() {
-            uniform.fold_body(body_index, &links, &mut partial, &mut workspace, &mut memo);
+            let table = Some(&table);
+            uniform.fold_body(
+                body_index,
+                &links,
+                table,
+                &mut partial,
+                &mut workspace,
+                &mut repeats,
+            );
         }
         assert_eq!(partial.bodies(), FleetConfig::DEFAULT_TOP_K);
-        assert_eq!(memo.runs.len(), 1);
-        assert_eq!(memo.runs[0].1, 64 - FleetConfig::DEFAULT_TOP_K as u64);
+        assert_eq!(table.stored(), [0]);
+        assert_eq!(repeats[0], 64 - FleetConfig::DEFAULT_TOP_K as u64);
+        assert!(repeats[1..].iter().all(|&count| count == 0));
 
         // `ingest_repeats` equals as many `ingest`s on its own, too: here
         // into a partial that never ingested the repeated body, whose
         // delivery ratio is below every other and so the partial's minimum.
         let one = mixed.clone().with_top_k(1);
-        let top = plain(&one).worst.remove(0);
+        let top = plain_fold(&one).worst.remove(0);
         let links = LinkCache::for_population(one.population());
         let mut repeat = (0..one.bodies())
             .map(|i| one.simulate_body(i, &links, &mut workspace))
@@ -1355,9 +1471,61 @@ mod tests {
                 ..repeat.clone()
             });
         }
-        assert!(bytes(&one, &counted) == bytes(&one, &ingested));
+        assert!(checkpoint_bytes(&one, &counted) == checkpoint_bytes(&one, &ingested));
         let min_ratio = counted.finish().min_body_delivery_ratio();
         assert_eq!(min_ratio.to_bits(), repeat.delivery_ratio.to_bits());
+    }
+
+    #[test]
+    fn class_table_claims_each_class_once() {
+        let config = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
+        let links = LinkCache::for_population(config.population());
+        let summary = config.simulate_body(0, &links, &mut Workspace::new());
+        let table = config.class_table().expect("a churn-free table");
+        // The first lookup of a class claims a slot; until its summary is
+        // stored there, every other lookup of the class runs the body.
+        let Lookup::First(first) = table.find(Some(7)) else {
+            panic!("class 7 claimed no slot");
+        };
+        assert!(matches!(table.find(Some(7)), Lookup::Run));
+        assert!(matches!(table.find(Some(9)), Lookup::First(_)));
+        first.set(summary.clone()).expect("one store per slot");
+        assert!(matches!(table.find(Some(7)), Lookup::Repeat(0, s) if *s == summary));
+        // Neither a classless body nor the free-slot marker touches a slot.
+        assert!(matches!(table.find(None), Lookup::Run));
+        assert!(matches!(table.find(Some(ClassTable::FREE)), Lookup::Run));
+        // Once every slot is claimed, a new class runs without one.
+        for class in 100..100 + ClassTable::SLOTS as u64 - 2 {
+            assert!(matches!(table.find(Some(class)), Lookup::First(_)));
+        }
+        assert!(matches!(table.find(Some(5)), Lookup::Run));
+        assert_eq!(table.stored(), [0]);
+    }
+
+    #[test]
+    fn class_table_races_keep_every_fold_exact() {
+        // Every uniform body has the one class, so all threads race for one
+        // slot; the mixed fleet's threads race over 26 classes.
+        let uniform = FleetConfig::new(64).with_horizon(TimeSpan::from_seconds(2.0));
+        let mixed = FleetConfig::new(1000)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(30)
+            .with_horizon(TimeSpan::from_seconds(2.0));
+        for config in [&uniform, &mixed] {
+            let want = checkpoint_bytes(config, &plain_fold(config));
+            for width in 2..=4 {
+                // One long-lived runner, so folds meet its parked helpers.
+                let runner = SweepRunner::with_threads(width);
+                for round in 0..100 {
+                    let got = config.run_until(&runner, config.bodies()).save().to_vec();
+                    assert!(
+                        got == want,
+                        "{} bodies, width {width}, round {round}",
+                        config.bodies()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,24 @@
 //!   demand, which is what lets a 10k-body stream run with O(1) scenario
 //!   memory.
 //!
+//! # Class draws
+//!
+//! A churn-free fleet fold first draws each body's
+//! [class](BodyScenario::class) alone, to find the bodies that repeat one it
+//! has already run.  [`PopulationModel::sample`]'s draw loop is the
+//! reference for that class; the fold draws it instead through a table of
+//! integer thresholds it builds once.  Every draw of the loop takes
+//! one 64-bit word `w` from the RNG and reads the 53-bit integer `k = w >>
+//! 11` as the uniform `k · 2⁻⁵³`, and each draw's outcome is monotone in
+//! `k`: a presence draw is "worn" exactly below some `k`, and a weighted
+//! choice (the archetype, a leaf's traffic entry) picks an index that never
+//! falls as `k` grows — the scaled target only grows, so its running
+//! remainder goes negative no later.  So each outcome is a count of integer
+//! thresholds at or below `k`, one per index a choice can pass (and one per
+//! presence draw), found by a binary search over the reference draw itself.
+//! The table then draws a class with integer compares and adds, and no
+//! branch that depends on the drawn values.
+//!
 //! Two further guarantees are load-bearing for the fleet algebra (and
 //! regression-tested in `tests/population_edges.rs`): an archetype with zero
 //! (or clamped-to-zero) weight is **never** sampled while any positive
@@ -58,7 +76,8 @@ use hidwa_netsim::traffic::{self, TrafficMix, TrafficPattern};
 use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, Power, TimeSpan};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// SplitMix64 finaliser decorrelating per-body seeds: adjacent body indices
@@ -507,7 +526,7 @@ impl PopulationModel {
     pub fn sample(&self, base_seed: u64, body_index: u64) -> BodyScenario {
         let sim_seed = body_seed(base_seed, body_index);
         let mut leaves = Vec::new();
-        let (archetype, class) = self.draw(sim_seed, Some(&mut leaves));
+        let (archetype, class) = self.draw(sim_seed, &mut leaves);
         BodyScenario {
             body_index,
             seed: sim_seed,
@@ -519,38 +538,82 @@ impl PopulationModel {
         }
     }
 
-    /// Body `body_index`'s [class](BodyScenario::class) — what
-    /// `sample(base_seed, body_index).class()` returns, drawn without
-    /// building the leaf list or touching the archetype's label.
-    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
-        self.draw(body_seed(base_seed, body_index), None).1
+    /// The threshold table that draws any body's class as
+    /// [`sample`](Self::sample) does (see the module docs).
+    pub(crate) fn class_thresholds(&self) -> ClassThresholds {
+        // The least draw `k` for which `above(k)` holds (2^53 if none), for
+        // an `above` that never turns false again as `k` grows.  Many never
+        // turn true (a leaf always worn, a mix's last entry), so the search
+        // tries the last draw first.
+        let threshold = |above: &dyn Fn(&mut FixedDraw) -> bool| {
+            let (mut low, mut high) = (0, 1u64 << 53);
+            if !above(&mut FixedDraw((high - 1) << 11)) {
+                return high;
+            }
+            while low < high {
+                let mid = low + (high - low) / 2;
+                if above(&mut FixedDraw(mid << 11)) {
+                    high = mid;
+                } else {
+                    low = mid + 1;
+                }
+            }
+            low
+        };
+        let archetype = (0..self.archetypes.len() - 1)
+            .map(|index| threshold(&|draw| self.draw_archetype(draw) > index))
+            .collect();
+        let mut spans = Vec::with_capacity(self.archetypes.len());
+        let mut slots = Vec::new();
+        for archetype in &self.archetypes {
+            let start = slots.len();
+            for slot in &archetype.leaves {
+                let entries = slot.traffic.entries();
+                // A degenerate mix draws `None`, digit `entries`: each of its
+                // thresholds is 0.
+                let drawn =
+                    |draw: &mut FixedDraw| slot.traffic.sample(draw).0.unwrap_or(entries.len());
+                slots.push(SlotThresholds {
+                    absent_from: threshold(&|draw| !draw.gen_bool(slot.presence)),
+                    entries: (0..entries.len())
+                        .map(|index| threshold(&|draw| drawn(draw) > index))
+                        .collect(),
+                    bursty: entries
+                        .iter()
+                        .map(|(_, traffic)| matches!(traffic, TrafficPattern::Bursty { .. }))
+                        .chain([false])
+                        .collect(),
+                });
+            }
+            spans.push(start..slots.len());
+        }
+        ClassThresholds {
+            archetype,
+            spans,
+            slots,
+        }
     }
 
-    /// The one draw sequence behind [`sample`](Self::sample) and
-    /// [`class_of`](Self::class_of): the archetype drawn for the body whose
-    /// simulation seed is `sim_seed`, and the body's class.  Each present
-    /// leaf, its traffic drawn, is pushed onto `leaves` when one is given.
-    /// Always inlined, so each caller compiles with its own leaf branch
-    /// folded away.
+    /// The archetype draw: one uniform over cumulative weights (the shared
+    /// `weighted_index` helper, so mix and archetype draws stay in sync).
+    /// A degenerate all-zero-weight population still consumes its draw and
+    /// falls back to the first archetype.
+    fn draw_archetype(&self, rng: &mut impl RngCore) -> usize {
+        traffic::weighted_index(rng, self.archetypes.len(), |i| self.archetypes[i].weight)
+            .unwrap_or(0)
+    }
+
+    /// The draw sequence behind [`sample`](Self::sample), and so the
+    /// reference a [`ClassThresholds`] table is tested against: the
+    /// archetype drawn for the body whose simulation seed is `sim_seed`,
+    /// and the body's class.  Each present leaf, its traffic drawn, is
+    /// pushed onto `leaves`.
     #[inline(always)]
-    fn draw(
-        &self,
-        sim_seed: u64,
-        mut leaves: Option<&mut Vec<LeafSpec>>,
-    ) -> (&BodyArchetype, Option<u64>) {
+    fn draw(&self, sim_seed: u64, leaves: &mut Vec<LeafSpec>) -> (&BodyArchetype, Option<u64>) {
         let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
-        // Archetype draw: one uniform over cumulative weights (the shared
-        // `weighted_index` helper, so mix and archetype draws stay in sync).
-        // A degenerate all-zero-weight population still consumes its draw
-        // and falls back to the first archetype.
-        let archetype_index = traffic::weighted_index(&mut rng, self.archetypes.len(), |i| {
-            self.archetypes[i].weight
-        })
-        .unwrap_or(0);
+        let archetype_index = self.draw_archetype(&mut rng);
         let archetype = &self.archetypes[archetype_index];
-        if let Some(leaves) = leaves.as_deref_mut() {
-            leaves.reserve_exact(archetype.leaves.len());
-        }
+        leaves.reserve_exact(archetype.leaves.len());
         // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
         // consumes exactly two draws whether or not it is present, so adding
         // a leaf to an archetype never perturbs the draws of later leaves'
@@ -569,11 +632,9 @@ impl PopulationModel {
                 if matches!(traffic, TrafficPattern::Bursty { .. }) {
                     class = None;
                 }
-                if let Some(leaves) = leaves.as_deref_mut() {
-                    let mut spec = slot.spec.clone();
-                    spec.traffic = traffic.clone();
-                    leaves.push(spec);
-                }
+                let mut spec = slot.spec.clone();
+                spec.traffic = traffic.clone();
+                leaves.push(spec);
                 digit = 1 + drawn.map_or(entries, |i| i as u64);
             }
             class = class.and_then(|c| c.checked_mul(entries + 2)?.checked_add(digit));
@@ -599,6 +660,70 @@ impl PopulationModel {
             }
         }
         pairs
+    }
+}
+
+/// A population's class draws as integer thresholds (see the module docs):
+/// [`class_of`](Self::class_of) answers what
+/// `sample(base_seed, body_index).class()` would, without building the leaf
+/// list, touching the archetype's label or taking a data-dependent branch.
+pub(crate) struct ClassThresholds {
+    /// The archetype drawn is the number of these at or below its draw.
+    archetype: Vec<u64>,
+    /// Per archetype, its leaf slots' range in `slots`.
+    spans: Vec<Range<usize>>,
+    slots: Vec<SlotThresholds>,
+}
+
+/// One leaf slot's two draws as thresholds.
+struct SlotThresholds {
+    /// The leaf is worn exactly when its presence draw is below this.
+    absent_from: u64,
+    /// The traffic entry drawn is the number of these at or below its draw;
+    /// one past the last entry is an all-zero mix's `Silent`.
+    entries: Vec<u64>,
+    /// Per entry drawn, one past the last included, whether it is bursty.
+    bursty: Vec<bool>,
+}
+
+impl ClassThresholds {
+    /// Body `body_index`'s [class](BodyScenario::class), drawn through the
+    /// thresholds: the same RNG words as [`PopulationModel::sample`], the
+    /// same digits, the same overflow rule.
+    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
+        let mut rng = StdRng::seed_from_u64(body_seed(base_seed, body_index) ^ SCENARIO_DOMAIN);
+        let mut draw = || rng.next_u64() >> 11;
+        let archetype = at_or_below(&self.archetype, draw());
+        let mut class = Some(0u64);
+        let mut bursty = false;
+        for slot in &self.slots[self.spans[archetype].clone()] {
+            let present = draw() < slot.absent_from;
+            let drawn = at_or_below(&slot.entries, draw());
+            bursty |= present & slot.bursty[drawn];
+            let radix = slot.entries.len() as u64 + 2;
+            let digit = u64::from(present) * (1 + drawn as u64);
+            class = class.and_then(|c| c.checked_mul(radix)?.checked_add(digit));
+        }
+        let archetypes = self.spans.len() as u64;
+        let class = class.and_then(|c| c.checked_mul(archetypes)?.checked_add(archetype as u64));
+        class.filter(|_| !bursty)
+    }
+}
+
+/// How many of `thresholds` are at or below the 53-bit draw `k`: the index
+/// a threshold draw picks.
+#[inline(always)]
+fn at_or_below(thresholds: &[u64], k: u64) -> usize {
+    thresholds.iter().filter(|&&t| t <= k).count()
+}
+
+/// An RNG whose every word is the one given: the fixed draw a
+/// [`ClassThresholds`] search evaluates the reference at.
+struct FixedDraw(u64);
+
+impl RngCore for FixedDraw {
+    fn next_u64(&mut self) -> u64 {
+        self.0
     }
 }
 
@@ -1105,24 +1230,77 @@ mod tests {
         let traffic = TrafficMix::new(vec![(1.0, periodic(100.0)), (1.0, periodic(50.0))]);
         let overflow_slots =
             vec![LeafArchetype::new(scenario::standard_leaf_set().remove(0), 1.0, traffic); 33];
-        let archetype = |name, slots| {
-            BodyArchetype::new(name, 1.0, RadioTechnology::WiR, MacPolicy::Polling, slots)
+        let weighted = |name, weight, slots| {
+            BodyArchetype::new(
+                name,
+                weight,
+                RadioTechnology::WiR,
+                MacPolicy::Polling,
+                slots,
+            )
         };
+        let archetype = |name, slots| weighted(name, 1.0, slots);
+        // A zero-weight archetype, a leaf worn half the time and an all-zero
+        // mix, which always draws `Silent`.
+        let odd_slots = vec![
+            LeafArchetype::new(
+                scenario::standard_leaf_set().remove(1),
+                0.5,
+                TrafficMix::new(vec![(2.0, periodic(20.0)), (1.0, periodic(40.0))]),
+            ),
+            LeafArchetype::new(
+                scenario::standard_leaf_set().remove(2),
+                1.0,
+                TrafficMix::new(vec![(0.0, periodic(10.0))]),
+            ),
+        ];
         let populations = [
             PopulationModel::mixed_default(),
             uniform,
             PopulationModel::new(vec![archetype("wide", wide_slots)]),
             PopulationModel::new(vec![archetype("many", overflow_slots)]),
+            PopulationModel::new(vec![
+                weighted("never", 0.0, odd_slots.clone()),
+                weighted("light", 1.0, odd_slots.clone()),
+                weighted("heavy", 3.0, odd_slots),
+            ]),
         ];
         for (k, population) in populations.iter().enumerate() {
+            let thresholds = population.class_thresholds();
             let mut classed = 0;
             for body in 0..10_000u64 {
                 let class = population.sample(0xC1A55, body).class();
-                assert_eq!(population.class_of(0xC1A55, body), class, "body {body}");
+                assert_eq!(thresholds.class_of(0xC1A55, body), class, "body {body}");
                 classed += usize::from(class.is_some());
             }
-            // The first two populations have classes, the last two none.
-            assert_eq!(classed > 0, k < 2, "population {k}");
+            // The wide and the overflowing population have no classes.
+            assert_eq!(classed > 0, k != 2 && k != 3, "population {k}");
+            // Random bodies almost never draw a threshold itself, so check
+            // each draw's outcome on both sides of every threshold against
+            // the reference draw.
+            let draws = |thresholds: &[u64]| {
+                let edges = thresholds.iter().flat_map(|&t| [t.saturating_sub(1), t]);
+                edges.filter(|&k| k < 1 << 53).collect::<Vec<u64>>()
+            };
+            let at = |k: u64| FixedDraw(k << 11);
+            for k in draws(&thresholds.archetype) {
+                let want = population.draw_archetype(&mut at(k));
+                assert_eq!(at_or_below(&thresholds.archetype, k), want, "draw {k}");
+            }
+            let leaves = population
+                .archetypes()
+                .iter()
+                .flat_map(BodyArchetype::leaves);
+            for (slot, leaf) in thresholds.slots.iter().zip(leaves) {
+                for k in draws(&[slot.absent_from]) {
+                    assert_eq!(k < slot.absent_from, at(k).gen_bool(leaf.presence()));
+                }
+                let entries = leaf.traffic().entries().len();
+                for k in draws(&slot.entries) {
+                    let want = leaf.traffic().sample(&mut at(k)).0.unwrap_or(entries);
+                    assert_eq!(at_or_below(&slot.entries, k), want, "draw {k}");
+                }
+            }
         }
     }
 

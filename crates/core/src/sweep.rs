@@ -17,8 +17,10 @@
 //! shared by its clones, park on a condvar between folds, and are joined
 //! when its last clone drops.  A width-1 runner starts and allocates
 //! nothing.  A fold hands the parked helpers one job; the calling thread and
-//! the helpers claim indices from one atomic counter, and each folds its
-//! claims into a partial accumulator of its own.  The caller waits until
+//! the helpers claim blocks of consecutive indices from one atomic counter
+//! (up to 16 per claim, while every thread still gets at least 16 claims),
+//! one atomic add per block, and each folds its claims into a partial
+//! accumulator of its own.  The caller waits until
 //! every helper has left the job, then merges the helpers' partials into
 //! its own.  No thread waits on another before that, and no result waits to
 //! be folded, so memory is `O(threads × partial)`.  [`SweepRunner::map`] is
@@ -30,21 +32,34 @@
 //! nested in a fold closure — runs inline on its own thread, as a width-1
 //! runner does, so no fold waits for another and none can deadlock.
 //!
-//! A panic in any participant exhausts the claim counter, so the others stop
-//! at their next claim, and propagates to the caller once every helper has
-//! left the job; the helpers stay parked for the next fold.  The thread
-//! count is capped by `available_parallelism`, overridable with the
-//! `HIDWA_SWEEP_THREADS` environment variable (`1` forces serial execution,
-//! e.g. when profiling).
+//! A panic in any participant stops the others before their next index,
+//! and propagates to the caller once every helper has left the job; the
+//! helpers stay parked for the next fold.  [`SweepRunner::new`] takes its
+//! width from `available_parallelism`, or from the `HIDWA_SWEEP_THREADS`
+//! environment variable when it holds a whole number ≥ 1 (`1` forces serial
+//! execution, e.g. when profiling).  Every width, asked for either way or
+//! through [`SweepRunner::with_threads`], is clamped to [`MAX_THREADS`], so
+//! a mistyped setting cannot start thousands of helpers.
 
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use hidwa_isa::models::WearableModel;
 use pool::Pool;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 mod pool;
+
+/// The widest a runner gets: [`SweepRunner::with_threads`] clamps every
+/// width to it.
+pub const MAX_THREADS: usize = 256;
+
+/// The most consecutive indices one claim of a fold hands out.
+const MAX_BLOCK: usize = 16;
+
+/// The fewest claims a fold's range is cut into per thread, so a short
+/// range still spreads across every thread.
+const MIN_CLAIMS: usize = 16;
 
 /// One (model × context × objective) cell of a partition sweep.
 #[derive(Debug, Clone)]
@@ -100,13 +115,11 @@ impl Default for SweepRunner {
 }
 
 impl SweepRunner {
-    /// Runner using every available core (or `HIDWA_SWEEP_THREADS` if set).
+    /// Runner using every available core (or `HIDWA_SWEEP_THREADS` if set),
+    /// at most [`MAX_THREADS`] wide.
     #[must_use]
     pub fn new() -> Self {
-        let threads = std::env::var("HIDWA_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
+        let threads = requested_width(std::env::var("HIDWA_SWEEP_THREADS").ok().as_deref())
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
             });
@@ -119,11 +132,11 @@ impl SweepRunner {
         Self::with_threads(1)
     }
 
-    /// Runner with an explicit thread count (minimum 1).  No thread starts
-    /// until its first parallel fold.
+    /// Runner with an explicit thread count, clamped to `1..=`[`MAX_THREADS`].
+    /// No thread starts until its first parallel fold.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
+        let threads = threads.clamp(1, MAX_THREADS);
         Self {
             threads,
             pool: (threads > 1).then(|| Arc::new(Pool::new(threads - 1))),
@@ -174,9 +187,10 @@ impl SweepRunner {
     /// The calling thread folds its claims into `acc`; each of up to
     /// `threads − 1` of the runner's parked helpers folds its claims into its
     /// own `init()`, and once every helper has left the fold, each helper's
-    /// accumulator is merged into `acc`.  Indices come from one atomic
-    /// counter, so each accumulator sees its indices in increasing order,
-    /// but which indices land in which accumulator varies from run to run.
+    /// accumulator is merged into `acc`.  Indices come in blocks of
+    /// consecutive ones from one atomic counter, so each accumulator sees
+    /// its indices in increasing order, but which indices land in which
+    /// accumulator varies from run to run.
     /// The result is therefore independent of the width exactly when
     /// folding any partition of `range` into index-ordered subsets and
     /// merging the parts gives what the serial loop
@@ -187,9 +201,9 @@ impl SweepRunner {
     ///
     /// # Panics
     /// Propagates a panic from `fold` or `merge`, on any thread, once every
-    /// helper has left the fold: a panicking thread exhausts the claim
-    /// counter, so the others stop at their next claim.  The runner folds
-    /// normally afterwards.
+    /// helper has left the fold: a panicking thread raises a stop flag, so
+    /// the others stop before their next index.  The runner folds normally
+    /// afterwards.
     pub fn fold<A, N, F, M>(&self, range: Range<usize>, acc: &mut A, init: N, fold: F, mut merge: M)
     where
         A: Send,
@@ -198,16 +212,24 @@ impl SweepRunner {
         M: FnMut(&mut A, A),
     {
         let helpers = self.threads.min(range.len()).saturating_sub(1);
+        let block = (range.len() / ((helpers + 1) * MIN_CLAIMS)).clamp(1, MAX_BLOCK);
         let next = AtomicUsize::new(range.start);
+        let stopped = AtomicBool::new(false);
         let claim_into = |acc: &mut A| {
-            let _stop = StopOnUnwind(&next, range.end);
+            let _stop = StopOnUnwind(&stopped);
             loop {
-                // The counter only hands out tickets; it publishes no data.
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= range.end {
+                // The counter and the flag only hand out tickets; they
+                // publish no data.
+                let start = next.fetch_add(block, Ordering::Relaxed);
+                if start >= range.end {
                     return;
                 }
-                fold(acc, index);
+                for index in start..range.end.min(start + block) {
+                    if stopped.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    fold(acc, index);
+                }
             }
         };
         let partials = Mutex::new(Vec::with_capacity(helpers));
@@ -291,14 +313,20 @@ impl SweepRunner {
     }
 }
 
-/// Exhausts a fold's claim counter if its thread unwinds, so every other
-/// participant stops at its next claim.
-struct StopOnUnwind<'a>(&'a AtomicUsize, usize);
+/// The width `HIDWA_SWEEP_THREADS` asks for, given its value: a whole
+/// number ≥ 1, or `None` (unset, malformed or 0) for the default.
+fn requested_width(setting: Option<&str>) -> Option<usize> {
+    setting.and_then(|v| v.parse().ok()).filter(|&n| n >= 1)
+}
+
+/// Raises a fold's stop flag if its thread unwinds, so every other
+/// participant stops before its next index.
+struct StopOnUnwind<'a>(&'a AtomicBool);
 
 impl Drop for StopOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.store(self.1, Ordering::Relaxed);
+            self.0.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -324,6 +352,33 @@ mod tests {
         }
         assert_eq!(SweepRunner::with_threads(0).threads(), 1);
         assert!(SweepRunner::new().threads() >= 1);
+    }
+
+    #[test]
+    fn widths_are_clamped_to_max_threads() {
+        // No thread starts: a runner starts none before its first parallel
+        // fold.
+        assert_eq!(SweepRunner::with_threads(1_000_000).threads(), MAX_THREADS);
+        assert_eq!(SweepRunner::with_threads(MAX_THREADS).threads(), 256);
+        assert_eq!(SweepRunner::with_threads(MAX_THREADS - 1).threads(), 255);
+        assert_eq!(SweepRunner::with_threads(0).threads(), 1);
+    }
+
+    #[test]
+    fn the_width_setting_parses_as_a_pure_function() {
+        assert_eq!(requested_width(Some("3")), Some(3));
+        // A typo asks for a huge width, which `with_threads` then clamps.
+        assert_eq!(requested_width(Some("100000")), Some(100_000));
+        for setting in [
+            None,
+            Some(""),
+            Some("0"),
+            Some("-2"),
+            Some("two"),
+            Some(" 3"),
+        ] {
+            assert_eq!(requested_width(setting), None, "{setting:?}");
+        }
     }
 
     #[test]

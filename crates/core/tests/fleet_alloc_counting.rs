@@ -5,14 +5,14 @@
 //! `tests/alloc_counting.rs` does.  Each case folds a fleet of 500 bodies
 //! and one of 1000 bodies at width 1; the fixed costs (link table,
 //! aggregator, the fold thread's netsim workspace growing to its high-water
-//! mark, its memo filling up) are the same in both, so the difference
-//! divided by the 500 extra bodies is the per-body cost.
+//! mark, the fold's class table filling up) are the same in both, so the
+//! difference divided by the 500 extra bodies is the per-body cost.
 //!
 //! The two cases gate the two paths a body can take.  In a
 //! `mixed_default` fleet most bodies repeat a deterministic class the fold
-//! thread has already run, so the fold draws the body's class and counts
-//! it: such a body allocates nothing (a repeat that enters the worst-body
-//! list copies the stored summary, which is rare).  In a fleet where every
+//! has already run, so the fold draws the body's class and counts it: such
+//! a body allocates nothing (a repeat that enters the worst-body list
+//! copies the stored summary, which is rare).  In a fleet where every
 //! body carries an event-driven (bursty) leaf, no body has a class and
 //! every body runs the engine: it allocates its leaf list, its node
 //! configurations with their names, and the merged latency sketch its

@@ -8,8 +8,9 @@
 //!   (a [`Workspace`]): per-node generation *slots* merged against a FIFO
 //!   of pending transmission completions, flat per-node counter arrays,
 //!   incremental ready-bitmask arbitration ([`Arbiter::grant_masked`] /
-//!   [`Arbiter::grant_words`]) and run-length-batched O(1)-memory
-//!   [`LatencySketch`] percentile tracking.  This is the fleet-scale hot
+//!   [`Arbiter::grant_words`]) and O(1)-memory [`LatencySketch`]
+//!   percentile tracking with fixed-point latency sums (below).  This is
+//!   the fleet-scale hot
 //!   path: per-event cost is constant, no heap allocation survives into the
 //!   steady-state loop (enforced by the counting-allocator test in
 //!   `tests/alloc_counting.rs`), and memory is independent of the horizon.
@@ -47,6 +48,22 @@
 //! **identical** to pushing every event through one binary heap — the
 //! engine-equivalence tests assert this end to end across traffic shapes.
 //!
+//! # Exact latency sums in a fixed-point window
+//!
+//! Each delivery goes straight into its node's sketch: count, extrema and
+//! bucket at once.  Only the sketch's exact sum, an [`ExactSum`] of 34
+//! limbs, would cost more than that, so the workspace keeps it per node in
+//! a `u128` window instead, whose lowest bit weighs `2^-80` s.  A latency
+//! in `[2^-28, 2^23)` s — every latency a body network produces — is its
+//! 53-bit mantissa shifted by 0 to 50 bits there: an exact integer below
+//! `2^103`, added with one integer add and 25 bits of headroom.  Anything
+//! outside the window, and the window itself before an add that would
+//! overflow it, goes into the sketch's own `ExactSum`, and the window
+//! drains into that `ExactSum` at readout.  Both hold exact integers, and
+//! integer addition regroups freely, so the drained sketch is
+//! bit-identical to one that took every sample through
+//! [`LatencySketch::record`] (`sketch.rs` tests both spill paths).
+//!
 //! # Reusing one workspace across runs
 //!
 //! A [`Workspace`] holds every array the streaming engine touches and is
@@ -64,9 +81,9 @@
 //! high-water marks, a run of at most 64 nodes allocates nothing but the
 //! merged sketch it returns.  The fleet still builds the scenario leaves
 //! and the node configurations (with their names) of each body it runs.
-//! A fold thread runs each distinct deterministic body once and only
-//! counts its repeats, which go into the fold with one scaled update each
-//! ([`LatencySketch::merge_scaled`], [`ExactSum::add_sum_scaled`]).
+//! A churn-free fold runs each distinct deterministic body about once and
+//! only counts its repeats, which go into the fold with one scaled update
+//! per class ([`LatencySketch::merge_scaled`], [`ExactSum::add_sum_scaled`]).
 //! `hidwa-core`'s `tests/fleet_alloc_counting.rs` gates the allocations
 //! per fleet body.
 
@@ -355,12 +372,6 @@ struct PendingCompletion {
     generated_at: f64,
 }
 
-/// Ways in the per-node latency-run cache.  Latencies in a simulation take
-/// few distinct `f64` values at a time (zero-wait deliveries repeat the
-/// occupancy-rounded double; contended ones cycle through a handful of wait
-/// residues), so four ways absorb almost every sample without a flush.
-const RUN_WAYS: usize = 4;
-
 /// One pending `FrameGenerated` event: a node's generation *slot*.  The
 /// `(time, sequence)` pop key is carried inline so heap comparisons touch
 /// only the heap array itself — no indirection back into per-node state.
@@ -459,21 +470,14 @@ pub struct Workspace {
     delivered: Vec<usize>,
     delivered_bytes: Vec<usize>,
     radio_energy: Vec<Energy>,
-    // --- multiset latency batcher ---
-    /// Per-node associative cache of uncommitted latency runs: way `k` holds
-    /// `run_count[node][k]` samples equal to `run_latency[node][k]`.  Empty
-    /// ways hold NaN, which compares equal to nothing.  Every sketch update
-    /// (integer count/bucket adds, the [`ExactSum`] fixed-point sum, min/max
-    /// lattice ops) is a grouping- and order-independent function of the
-    /// sample **multiset**, so batching does not require *consecutive* equal
-    /// samples — interleaved contended/uncontended deliveries accumulate in
-    /// separate ways and flush ([`LatencySketch::record_run`]) only on
-    /// eviction or at end of run, landing on the bit-identical sketch.
-    run_latency: Vec<[f64; RUN_WAYS]>,
-    run_count: Vec<[u64; RUN_WAYS]>,
-    /// Round-robin eviction cursor per node.
-    run_evict: Vec<u8>,
+    // --- per-node latency sketches ---
+    /// Every delivery is recorded straight into its node's sketch, except
+    /// for its exact sum, which goes into the node's `u128` fixed-point
+    /// window in `sums` whenever the latency fits it (see the module docs).
     sketches: Vec<LatencySketch>,
+    /// Per node, the window of latency sums not yet in its sketch; drained
+    /// into the sketch at readout.
+    sums: Vec<u128>,
     // --- medium + arbitration ---
     /// The earliest pending transmission completion.  Completions are
     /// scheduled at non-decreasing times (the `medium_busy_until`
@@ -524,10 +528,8 @@ impl Workspace {
             delivered: Vec::new(),
             delivered_bytes: Vec::new(),
             radio_energy: Vec::new(),
-            run_latency: Vec::new(),
-            run_count: Vec::new(),
-            run_evict: Vec::new(),
             sketches: Vec::new(),
+            sums: Vec::new(),
             completion_head: None,
             completion_spill: VecDeque::new(),
             ready: ReadyBits::Mask(0),
@@ -571,9 +573,7 @@ impl Workspace {
         refill(&mut self.delivered, count, 0);
         refill(&mut self.delivered_bytes, count, 0);
         refill(&mut self.radio_energy, count, Energy::ZERO);
-        refill(&mut self.run_latency, count, [f64::NAN; RUN_WAYS]);
-        refill(&mut self.run_count, count, [0; RUN_WAYS]);
-        refill(&mut self.run_evict, count, 0);
+        refill(&mut self.sums, count, 0);
         self.completion_head = None;
         self.completion_spill.clear();
         self.completion_spill.reserve(8);
@@ -625,7 +625,7 @@ impl Workspace {
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                self.flush_pending(i);
+                self.sketches[i].drain_window(&mut self.sums[i]);
                 let sketch = std::mem::take(&mut self.sketches[i]);
                 let (mean, p95, max, sketch) = finalize_latencies(sketch, Vec::new());
                 latency_sketches.push(sketch);
@@ -675,7 +675,7 @@ impl Workspace {
         let mut latency = LatencySketch::new();
         let mut worst_p95_latency = TimeSpan::ZERO;
         for i in 0..nodes.len() {
-            self.flush_pending(i);
+            self.sketches[i].drain_window(&mut self.sums[i]);
             worst_p95_latency = worst_p95_latency.max(self.sketches[i].quantile(0.95));
             latency.merge(&self.sketches[i]);
         }
@@ -721,21 +721,6 @@ impl Workspace {
     fn heap_build(&mut self) {
         for at in (0..self.gen_heap.len() / 2).rev() {
             self.heap_sift_down(at);
-        }
-    }
-
-    /// Commits every open latency run of a node into its sketch.  The ways
-    /// flush in slot order, which is immaterial: the sketch state depends on
-    /// the sample multiset alone.
-    fn flush_pending(&mut self, node: usize) {
-        for way in 0..RUN_WAYS {
-            let count = self.run_count[node][way];
-            if count > 0 {
-                self.sketches[node]
-                    .record_run(TimeSpan::from_seconds(self.run_latency[node][way]), count);
-                self.run_count[node][way] = 0;
-                self.run_latency[node][way] = f64::NAN;
-            }
         }
     }
 
@@ -809,7 +794,7 @@ impl Workspace {
                 self.events_processed += 1;
                 self.delivered[node] += 1;
                 self.delivered_bytes[node] += self.frame_bytes[node];
-                self.batch_latency(node, completed - time);
+                self.record_latency(node, completed - time);
                 self.radio_energy[node] += self.frame_energy[node];
             } else {
                 self.in_flight[node] += 1;
@@ -840,54 +825,23 @@ impl Workspace {
     }
 
     /// Handles a completion taken from the head of the FIFO lane: account
-    /// the delivery, fold the latency into the node's run-length batch, then
-    /// offer the now-free medium.
+    /// the delivery, record its latency, then offer the now-free medium.
     #[inline(always)]
     fn on_completion(&mut self, completion: PendingCompletion) {
         let node = completion.node as usize;
         self.in_flight[node] = self.in_flight[node].saturating_sub(1);
         self.delivered[node] += 1;
         self.delivered_bytes[node] += self.frame_bytes[node];
-        self.batch_latency(node, completion.time - completion.generated_at);
+        self.record_latency(node, completion.time - completion.generated_at);
         self.radio_energy[node] += self.frame_energy[node];
         self.try_transmit(completion.time);
     }
 
-    /// Folds one delivery latency into the node's multiset batcher.
-    ///
-    /// Applies the same sample hygiene as [`LatencySketch::record`] first:
-    /// clamped samples coalesce on the literal `0.0` and no NaN survives, so
-    /// equal inputs always compare equal and the cache accumulates exactly
-    /// the values `record()` would.
+    /// Records one delivery latency in the node's sketch, its exact sum in
+    /// the node's window.
     #[inline(always)]
-    fn batch_latency(&mut self, node: usize, raw_latency: f64) {
-        let mut latency = raw_latency;
-        if !latency.is_finite() || latency < 0.0 {
-            latency = 0.0;
-        }
-        // Branch-free probe: empty ways hold NaN and match nothing.
-        let lat = &mut self.run_latency[node];
-        let mut way = RUN_WAYS;
-        for (k, &stored) in lat.iter().enumerate() {
-            if stored == latency {
-                way = k;
-            }
-        }
-        if way < RUN_WAYS {
-            self.run_count[node][way] += 1;
-        } else {
-            // Miss: evict the cursor's way (flushing its run, if any) and
-            // open a fresh run there.
-            let way = self.run_evict[node] as usize;
-            self.run_evict[node] = ((way + 1) % RUN_WAYS) as u8;
-            let count = self.run_count[node][way];
-            if count > 0 {
-                self.sketches[node]
-                    .record_run(TimeSpan::from_seconds(self.run_latency[node][way]), count);
-            }
-            self.run_latency[node][way] = latency;
-            self.run_count[node][way] = 1;
-        }
+    fn record_latency(&mut self, node: usize, latency: f64) {
+        self.sketches[node].record_windowed(latency, &mut self.sums[node]);
     }
 
     /// Offers the medium to the round-robin winner among ready nodes, if the

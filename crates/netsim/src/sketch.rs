@@ -190,10 +190,7 @@ impl ExactSum {
     /// repetitions, keeping every product below `2^63` so the same two-limb
     /// shifted addition `add` uses stays exact; integer multiplication *is*
     /// repeated integer addition, so the accumulator lands on the identical
-    /// limbs.  This is the batched-drain path of
-    /// [`LatencySketch::record_run`]: the streaming engine run-length
-    /// compresses equal consecutive latencies and flushes each run with one
-    /// call.
+    /// limbs.  [`LatencySketch::record_run`] sums through it.
     ///
     /// This and the other scaled operations are always inlined, so a caller
     /// passing a literal `count = 1` compiles to the unscaled update.
@@ -253,6 +250,20 @@ impl ExactSum {
             carry = wide >> 64;
         }
         debug_assert!(carry == 0, "ExactSum overflow (beyond 2^64 x f64::MAX)");
+    }
+
+    /// Adds `window · 2^-80` exactly: the fixed-point window of
+    /// [`LatencySketch::record_windowed`], whose lowest bit sits at bit
+    /// `1074 − 80` of the limbs.
+    fn add_window(&mut self, window: u128) {
+        const POSITION: usize = 1074 - 80;
+        let (limb, shift) = (POSITION / 64, POSITION % 64);
+        let low = u128::from(window as u64) << shift;
+        let high = u128::from((window >> 64) as u64) << shift;
+        self.add_limb(limb, low as u64);
+        self.add_limb(limb + 1, (low >> 64) as u64);
+        self.add_limb(limb + 1, high as u64);
+        self.add_limb(limb + 2, (high >> 64) as u64);
     }
 
     fn add_limb(&mut self, mut index: usize, value: u64) {
@@ -428,6 +439,16 @@ fn take_f64(input: &mut Bytes) -> Result<f64, SketchCodecError> {
     Ok(f64::from_bits(take_u64(input)?))
 }
 
+/// A latency sample as the sketch keeps it: non-finite and negative
+/// samples become zero.
+#[inline(always)]
+fn sample_seconds(seconds: f64) -> f64 {
+    if !seconds.is_finite() || seconds < 0.0 {
+        return 0.0;
+    }
+    seconds
+}
+
 /// Streaming percentile sketch over latency samples.
 ///
 /// See the [module docs](self) for the bucketing scheme and the error bound.
@@ -485,31 +506,9 @@ impl LatencySketch {
     /// poison the histogram.
     #[inline]
     pub fn record(&mut self, latency: TimeSpan) {
-        let mut seconds = latency.as_seconds();
-        if !seconds.is_finite() || seconds < 0.0 {
-            seconds = 0.0;
-        }
-        self.count += 1;
+        let seconds = sample_seconds(latency.as_seconds());
         self.sum_seconds.add(seconds);
-        self.min_seconds = self.min_seconds.min(seconds);
-        self.max_seconds = self.max_seconds.max(seconds);
-        let index = key_of(seconds) - base_key();
-        if self.buckets.is_empty() {
-            self.first_index = index;
-            self.buckets.push(1);
-        } else if index < self.first_index {
-            // Rare: a sample below everything seen so far; shift the window.
-            let shift = (self.first_index - index) as usize;
-            self.buckets.splice(0..0, std::iter::repeat_n(0, shift));
-            self.first_index = index;
-            self.buckets[0] += 1;
-        } else {
-            let relative = (index - self.first_index) as usize;
-            if relative >= self.buckets.len() {
-                self.buckets.resize(relative + 1, 0);
-            }
-            self.buckets[relative] += 1;
-        }
+        self.count_samples(seconds, 1);
     }
 
     /// Records `count` identical latency samples in O(1) — bit-identical to
@@ -518,21 +517,65 @@ impl LatencySketch {
     /// Every per-sample update is exact under batching: the count and the
     /// target bucket gain integer `count`, the [`ExactSum`] takes the scaled
     /// addition ([`ExactSum::add_scaled`], exactly `count` repeated adds),
-    /// and min/max are idempotent over equal values.  This is the flush
-    /// half of the streaming engine's run-length latency batching: steady
-    /// periodic traffic produces long runs of the exact same latency double,
-    /// and each run costs one call instead of one per frame.
+    /// and min/max are idempotent over equal values.  A fleet fold records
+    /// a counted run of equal bodies' p95 latencies through it.
     #[inline(always)]
     pub fn record_run(&mut self, latency: TimeSpan, count: u64) {
         if count == 0 {
             return;
         }
-        let mut seconds = latency.as_seconds();
-        if !seconds.is_finite() || seconds < 0.0 {
-            seconds = 0.0;
-        }
-        self.count += count;
+        let seconds = sample_seconds(latency.as_seconds());
         self.sum_seconds.add_scaled(seconds, count);
+        self.count_samples(seconds, count);
+    }
+
+    /// Records one latency sample of `seconds` as [`record`](Self::record)
+    /// does, except that its exact sum goes into `window` when it fits: the
+    /// streaming engine's per-delivery path.
+    ///
+    /// `window` is a `u128` fixed-point sum whose lowest bit weighs `2^-80`
+    /// s.  A double in `[2^-28, 2^23)` s is its 53-bit mantissa shifted by 0
+    /// to 50 bits there, an exact integer below `2^103`, so adding it is one
+    /// integer add with 25 bits of headroom.  A sample outside that range
+    /// (zero and subnormals included) goes into the sketch's own
+    /// [`ExactSum`], and so does the window itself, before the add that
+    /// would overflow it.  Integer addition regroups freely, so once
+    /// [`drain_window`](Self::drain_window) has added the window to the
+    /// sketch, the sketch is bit-identical to one that recorded every sample
+    /// through `record`.
+    #[inline(always)]
+    pub(crate) fn record_windowed(&mut self, seconds: f64, window: &mut u128) {
+        // The biased exponents of [2^-28, 2^23): the lowest one puts a
+        // mantissa's last bit on the window's lowest.
+        const EXPONENTS: std::ops::Range<u64> = 1023 - 28..1023 + 23;
+        let seconds = sample_seconds(seconds);
+        let bits = seconds.to_bits();
+        let exponent = bits >> 52;
+        if EXPONENTS.contains(&exponent) {
+            let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+            let term = u128::from(mantissa) << (exponent - EXPONENTS.start);
+            *window = window.checked_add(term).unwrap_or_else(|| {
+                self.sum_seconds.add_window(*window);
+                term
+            });
+        } else {
+            self.sum_seconds.add(seconds);
+        }
+        self.count_samples(seconds, 1);
+    }
+
+    /// Adds `window`, a [`record_windowed`](Self::record_windowed) sum, to
+    /// the sketch's exact sum and empties it.
+    pub(crate) fn drain_window(&mut self, window: &mut u128) {
+        self.sum_seconds.add_window(std::mem::take(window));
+    }
+
+    /// Adds `count` samples of `seconds` (already cleaned) to everything
+    /// but the exact sum: the count, the extrema and the bucket.  Always
+    /// inlined, so `count = 1` compiles to the unscaled update.
+    #[inline(always)]
+    fn count_samples(&mut self, seconds: f64, count: u64) {
+        self.count += count;
         self.min_seconds = self.min_seconds.min(seconds);
         self.max_seconds = self.max_seconds.max(seconds);
         let index = key_of(seconds) - base_key();
@@ -540,6 +583,7 @@ impl LatencySketch {
             self.first_index = index;
             self.buckets.push(count);
         } else if index < self.first_index {
+            // Rare: a sample below everything seen so far; shift the window.
             let shift = (self.first_index - index) as usize;
             self.buckets.splice(0..0, std::iter::repeat_n(0, shift));
             self.first_index = index;
@@ -764,6 +808,7 @@ impl LatencySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
@@ -977,6 +1022,75 @@ mod tests {
         let before = batched.clone();
         batched.record_run(TimeSpan::from_seconds(1.0), 0);
         assert_eq!(batched, before);
+    }
+
+    /// Records `samples` through [`LatencySketch::record_windowed`] into a
+    /// sketch and its window, and through [`LatencySketch::record`] into
+    /// another sketch.  Returns the windowed sketch and its window, not yet
+    /// drained, and the recorded sketch.
+    fn record_both(samples: impl Iterator<Item = f64>) -> (LatencySketch, u128, LatencySketch) {
+        let (mut windowed, mut window, mut recorded) =
+            (LatencySketch::new(), 0, LatencySketch::new());
+        for seconds in samples {
+            windowed.record_windowed(seconds, &mut window);
+            recorded.record(TimeSpan::from_seconds(seconds));
+        }
+        (windowed, window, recorded)
+    }
+
+    fn codec_bytes(sketch: &LatencySketch) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        sketch.encode(&mut out);
+        out.freeze().to_vec()
+    }
+
+    #[test]
+    fn windowed_sums_match_record_byte_for_byte() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let below = |seconds: f64| f64::from_bits(seconds.to_bits() - 1);
+        let (low, high) = (2f64.powi(-28), 2f64.powi(23));
+        // Random latencies over [1e-9, 1e3] s, then the window's edges.
+        let mut rng = StdRng::seed_from_u64(0x51DE);
+        let mut samples: Vec<f64> = (0..20_000)
+            .map(|_| 10f64.powf(rng.gen_range(-9.0..3.0)))
+            .collect();
+        let outside = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            1e-300,
+            1e-9,
+            below(low),
+            high,
+            1e7,
+            4e9,
+        ];
+        samples.extend(outside);
+        samples.extend([low, below(high), 1.0, 3e-4]);
+        let (mut windowed, mut window, recorded) = record_both(samples.iter().copied());
+        windowed.drain_window(&mut window);
+        assert_eq!(window, 0);
+        assert_eq!(codec_bytes(&windowed), codec_bytes(&recorded));
+
+        // Samples outside the window go straight into the exact sum.
+        let (windowed, window, recorded) = record_both(outside.iter().copied());
+        assert_eq!(window, 0);
+        assert!(!windowed.sum_seconds.is_zero());
+        assert_eq!(codec_bytes(&windowed), codec_bytes(&recorded));
+
+        // The largest sample the window holds is just below 2^103 of its
+        // units, so the 2^25 + 1st one overflows it: the window spills
+        // into the exact sum and restarts.
+        let samples = std::iter::repeat_n(below(high), (1 << 25) + 5).chain([2e-3]);
+        let (mut windowed, mut window, recorded) = record_both(samples);
+        assert!(!windowed.sum_seconds.is_zero(), "the window never spilled");
+        windowed.drain_window(&mut window);
+        assert_eq!(codec_bytes(&windowed), codec_bytes(&recorded));
+        assert_eq!(
+            windowed.mean().as_seconds().to_bits(),
+            recorded.mean().as_seconds().to_bits()
+        );
     }
 
     #[test]
