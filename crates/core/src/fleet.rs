@@ -28,7 +28,9 @@
 //! [`run`](FleetConfig::run), [`run_until`](FleetConfig::run_until),
 //! [`resume`](FleetConfig::resume), a [`ShardPlan`]'s shards and a driver
 //! worker's range — enters through one private body-range fold, which
-//! builds the fold's link table and partials itself.
+//! builds the fold's partials itself.  The population draws each body and
+//! resolves its links through tables it builds once, on first use, so a
+//! fold that re-runs a population builds neither.
 //!
 //! # The body-class table
 //!
@@ -47,28 +49,28 @@
 //!   its active span, which is the horizon in a churn-free fleet.
 //!
 //! Such a fold builds one class table, shared by all of its threads and
-//! dropped with it; there is no cache that outlives a fold.  It holds the
-//! population's class draws as integer thresholds, so each body first draws
-//! its class alone, without its leaves, and 64 slots, each a write-once
+//! dropped with it; no stored run outlives a fold.  Each body first draws
+//! its class alone, without its leaves, through its population's draw
+//! thresholds, and looks it up among the table's 64 slots, each a write-once
 //! class key and a write-once [`BodySummary`].  The first thread to claim a
-//! class's slot runs the class's body and stores its summary there; a
-//! thread that finds the slot claimed but not yet stored runs its own copy
-//! rather than wait, and a body whose class finds no slot just runs.  A
-//! repeat that would enter its thread's worst-body list
-//! (`FleetAggregator::keeps`) is ingested as a copy of the stored summary
-//! under its own index and seed.  Any other repeat is one
-//! [`ingest`](FleetAggregator::ingest) would return from before touching the
-//! list, so its thread only counts it, per slot.  The counts are summed over
-//! the partials and go into the merged aggregate once, after the merge, with
-//! one scaled update per class (`FleetAggregator::ingest_repeats`): every
-//! piece of state it touches is an integer, an [`ExactSum`], a sketch or a
-//! min, and each scaled operation equals that many repetitions.  That one
-//! late flush is exact because a count taken on a thread stays one the list
-//! would not keep: the merged worst list holds the thread's own list's
-//! bodies or better ones, so its last entry ranks at or above the
-//! thread's.  A body with a bursty leaf has no class and always runs, and a
-//! churned fleet keeps no table and draws no class: a churned span is the
-//! body's own continuous draw, which no other body repeats.
+//! class's slot runs the class's body and stores its summary there; a thread
+//! that finds the slot claimed but not yet stored runs its own copy rather
+//! than wait, and a body whose class finds no slot just runs.  A repeat that
+//! would enter its thread's worst-body list (`FleetAggregator::keeps`) is
+//! ingested as a copy of the stored summary under its own index and seed.
+//! Any other repeat is one [`ingest`](FleetAggregator::ingest) would return
+//! from before touching the list, so its thread only counts it, per slot.
+//! The counts are summed over the partials and go into the merged aggregate
+//! once, after the merge, with one scaled update per class
+//! (`FleetAggregator::ingest_repeats`): every piece of state it touches is
+//! an integer, an [`ExactSum`], a sketch or a min, and each scaled operation
+//! equals that many repetitions.  That one late flush is exact because a
+//! count taken on a thread stays one the list would not keep: the merged
+//! worst list holds the thread's own list's bodies or better ones, so its
+//! last entry ranks at or above the thread's.  A body with a bursty leaf has
+//! no class and always runs, and a churned fleet keeps no table and draws no
+//! class: a churned span is the body's own continuous draw, which no other
+//! body repeats.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -123,7 +125,7 @@
 //! assert!(report.fleet_latency().quantile(0.95) > TimeSpan::ZERO);
 //! ```
 
-use crate::population::{BodyScenario, ClassThresholds, LinkCache, PopulationModel};
+use crate::population::{BodyScenario, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
@@ -308,12 +310,7 @@ impl FleetConfig {
     /// Simulates one body end to end: sample scenario (and, for a churned
     /// fleet, the body's residency and placement trajectory), build, run the
     /// active span in `workspace`, reduce.
-    fn simulate_body(
-        &self,
-        body_index: usize,
-        links: &LinkCache,
-        workspace: &mut Workspace,
-    ) -> BodySummary {
+    fn simulate_body(&self, body_index: usize, workspace: &mut Workspace) -> BodySummary {
         let scenario = self.scenario_for_body(body_index);
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
             None => (self.horizon, 0, 0, Energy::ZERO),
@@ -331,7 +328,7 @@ impl FleetConfig {
             }
         };
         let totals = scenario
-            .build_simulation(links)
+            .build_simulation(self.population.links())
             .run_totals(workspace, active_span);
         BodySummary {
             body_index,
@@ -369,19 +366,18 @@ impl FleetConfig {
 
     /// Folds bodies `range` into a fresh aggregator — the one fold behind
     /// [`run`](Self::run), [`run_until`](Self::run_until),
-    /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  It
-    /// builds the fold's [`LinkCache`] and, in a churn-free fleet, its
-    /// [`ClassTable`]; then every thread, the calling one included, ingests
-    /// its bodies into a partial of its own, and the partials merge once the
-    /// helpers have left the fold.  Every partial ingests in increasing body
-    /// index, so the resulting state depends only on which bodies were
-    /// folded, never on which thread simulated them (see
+    /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  In a
+    /// churn-free fleet it builds the fold's [`ClassTable`]; the draw thresholds
+    /// and link table are the population's, built once.  Then every thread, the
+    /// calling one included, ingests its bodies into a partial of its own, and
+    /// the partials merge once the helpers have left the fold.  Every partial
+    /// ingests in increasing body index, so the resulting state depends only on
+    /// which bodies were folded, never on which thread simulated them (see
     /// [`FleetAggregator::merge`]).  Each thread pairs its partial with one
-    /// netsim [`Workspace`], which runs all of its bodies, and a count per
-    /// table slot of the repeats it did not ingest; the counts are summed as
-    /// the partials merge and go into the merged aggregate at the end.
+    /// netsim [`Workspace`], which runs all of its bodies, and a count per table
+    /// slot of the repeats it did not ingest; the counts are summed as the
+    /// partials merge and go into the merged aggregate at the end.
     fn fold_range(&self, runner: &SweepRunner, range: Range<usize>) -> FleetAggregator {
-        let links = LinkCache::for_population(&self.population);
         let table = self.class_table();
         let fresh = || {
             let partial = FleetAggregator::new(self.horizon, self.top_k);
@@ -393,14 +389,7 @@ impl FleetConfig {
             &mut calling,
             fresh,
             |(partial, workspace, repeats), body_index| {
-                self.fold_body(
-                    body_index,
-                    &links,
-                    table.as_ref(),
-                    partial,
-                    workspace,
-                    repeats,
-                );
+                self.fold_body(body_index, table.as_ref(), partial, workspace, repeats);
             },
             |(merged, _, repeats), (partial, _, counted)| {
                 merged.merge(partial);
@@ -419,9 +408,7 @@ impl FleetConfig {
     /// The class table of one fold of this fleet, or `None` for a churned
     /// fleet, whose bodies never repeat (see the module docs).
     fn class_table(&self) -> Option<ClassTable> {
-        self.churn
-            .is_none()
-            .then(|| ClassTable::new(self.population.class_thresholds()))
+        self.churn.is_none().then(ClassTable::new)
     }
 
     /// Folds body `body_index` into `partial`, the next body in its index
@@ -435,14 +422,13 @@ impl FleetConfig {
     fn fold_body(
         &self,
         body_index: usize,
-        links: &LinkCache,
         table: Option<&ClassTable>,
         partial: &mut FleetAggregator,
         workspace: &mut Workspace,
         repeats: &mut [u64; ClassTable::SLOTS],
     ) {
         let lookup = table.map_or(Lookup::Run, |table| {
-            table.find(table.thresholds.class_of(self.base_seed, body_index as u64))
+            table.find(self.population.class_of(self.base_seed, body_index as u64))
         });
         match lookup {
             Lookup::Repeat(slot, first) => {
@@ -457,13 +443,13 @@ impl FleetConfig {
                 }
             }
             Lookup::First(first) => {
-                let summary = self.simulate_body(body_index, links, workspace);
+                let summary = self.simulate_body(body_index, workspace);
                 first
                     .set(summary.clone())
                     .expect("only the thread that claimed a slot stores into it");
                 partial.ingest(summary);
             }
-            Lookup::Run => partial.ingest(self.simulate_body(body_index, links, workspace)),
+            Lookup::Run => partial.ingest(self.simulate_body(body_index, workspace)),
         }
     }
 
@@ -514,7 +500,6 @@ impl FleetConfig {
 /// 512 bytes of keys.  The summaries (about 30 KiB) live on the heap, so a
 /// fold's stack frame stays small with or without a table.
 struct ClassTable {
-    thresholds: ClassThresholds,
     keys: [AtomicU64; ClassTable::SLOTS],
     firsts: Box<[OnceLock<BodySummary>]>,
 }
@@ -538,9 +523,8 @@ impl ClassTable {
     /// under it: a body of class `FREE` runs without the table.
     const FREE: u64 = u64::MAX;
 
-    fn new(thresholds: ClassThresholds) -> Self {
+    fn new() -> Self {
         Self {
-            thresholds,
             keys: std::array::from_fn(|_| AtomicU64::new(Self::FREE)),
             firsts: (0..Self::SLOTS).map(|_| OnceLock::new()).collect(),
         }
@@ -1161,11 +1145,10 @@ mod tests {
         let fleet = FleetConfig::new(5).with_horizon(TimeSpan::from_seconds(3.0));
         let report = fleet.run(&SweepRunner::serial());
         // Re-derive the same totals by folding the five bodies by hand.
-        let links = LinkCache::for_population(fleet.population());
         let mut aggregator = FleetAggregator::new(fleet.horizon(), FleetConfig::DEFAULT_TOP_K);
         let mut workspace = Workspace::new();
         for i in 0..5 {
-            aggregator.ingest(fleet.simulate_body(i, &links, &mut workspace));
+            aggregator.ingest(fleet.simulate_body(i, &mut workspace));
         }
         let manual = aggregator.finish();
         assert_eq!(report, manual);
@@ -1186,7 +1169,7 @@ mod tests {
 
     /// The oracle for the workspace readout: body `body_index` run on a
     /// freshly built engine, its full report reduced across the nodes.
-    fn report_summary(config: &FleetConfig, body_index: usize, links: &LinkCache) -> BodySummary {
+    fn report_summary(config: &FleetConfig, body_index: usize) -> BodySummary {
         let scenario = config.scenario_for_body(body_index);
         let (active_span, migrations, replans, placement_energy) = match config.churn() {
             None => (config.horizon(), 0, 0, Energy::ZERO),
@@ -1203,7 +1186,9 @@ mod tests {
                 )
             }
         };
-        let report = scenario.build_simulation(links).run(active_span);
+        let report = scenario
+            .build_simulation(config.population().links())
+            .run(active_span);
         let mut latency = LatencySketch::new();
         let mut worst_p95 = TimeSpan::ZERO;
         for (stats, sketch) in report.node_stats().iter().zip(report.latency_sketches()) {
@@ -1290,10 +1275,6 @@ mod tests {
             )]))
             .with_horizon(TimeSpan::from_seconds(1.0));
         let fleets = [mixed, calm, churned, wide];
-        let links: Vec<LinkCache> = fleets
-            .iter()
-            .map(|config| LinkCache::for_population(config.population()))
-            .collect();
         // One workspace runs every body back to back, so each body starts
         // from whatever the previous (often larger) one left behind.  Each
         // fleet also has a counted fold of its own (a partial, the fleet's
@@ -1310,12 +1291,12 @@ mod tests {
             .collect();
         let mut sizes = Vec::new();
         for body_index in 0..3000 {
-            for (k, (config, links)) in fleets.iter().zip(&links).enumerate() {
+            for (k, config) in fleets.iter().enumerate() {
                 if body_index >= config.bodies() {
                     continue;
                 }
-                let want = report_summary(config, body_index, links);
-                let got = config.simulate_body(body_index, links, &mut workspace);
+                let want = report_summary(config, body_index);
+                let got = config.simulate_body(body_index, &mut workspace);
                 let context = format!("body {body_index} of {}, fleet {k}", want.archetype);
                 assert_eq!(
                     got.total_energy.as_joules().to_bits(),
@@ -1331,14 +1312,7 @@ mod tests {
                 assert_eq!(got, want, "{context}");
                 sizes.push(got.nodes);
                 let (partial, table, repeats, plain) = &mut folds[k];
-                config.fold_body(
-                    body_index,
-                    links,
-                    table.as_ref(),
-                    partial,
-                    &mut workspace,
-                    repeats,
-                );
+                config.fold_body(body_index, table.as_ref(), partial, &mut workspace, repeats);
                 plain.ingest(want);
             }
         }
@@ -1378,11 +1352,10 @@ mod tests {
     /// The oracle for a counted fold: every body simulated and ingested, in
     /// index order.
     fn plain_fold(config: &FleetConfig) -> FleetAggregator {
-        let links = LinkCache::for_population(config.population());
         let mut workspace = Workspace::new();
         let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
         for body_index in 0..config.bodies() {
-            aggregator.ingest(config.simulate_body(body_index, &links, &mut workspace));
+            aggregator.ingest(config.simulate_body(body_index, &mut workspace));
         }
         aggregator
     }
@@ -1429,7 +1402,6 @@ mod tests {
 
         // Past the first K uniform bodies, each repeat ties the full worst
         // list, so the fold counts it rather than the partial ingesting it.
-        let links = LinkCache::for_population(uniform.population());
         let mut partial = FleetAggregator::new(uniform.horizon(), uniform.top_k());
         let table = uniform.class_table().expect("a churn-free table");
         let (mut workspace, mut repeats) = (Workspace::new(), [0; ClassTable::SLOTS]);
@@ -1437,7 +1409,6 @@ mod tests {
             let table = Some(&table);
             uniform.fold_body(
                 body_index,
-                &links,
                 table,
                 &mut partial,
                 &mut workspace,
@@ -1454,9 +1425,8 @@ mod tests {
         // delivery ratio is below every other and so the partial's minimum.
         let one = mixed.clone().with_top_k(1);
         let top = plain_fold(&one).worst.remove(0);
-        let links = LinkCache::for_population(one.population());
         let mut repeat = (0..one.bodies())
-            .map(|i| one.simulate_body(i, &links, &mut workspace))
+            .map(|i| one.simulate_body(i, &mut workspace))
             .find(|s| s.worst_p95_latency < top.worst_p95_latency)
             .expect("a body better than the worst");
         repeat.delivery_ratio = top.delivery_ratio / 2.0;
@@ -1479,8 +1449,7 @@ mod tests {
     #[test]
     fn class_table_claims_each_class_once() {
         let config = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
-        let links = LinkCache::for_population(config.population());
-        let summary = config.simulate_body(0, &links, &mut Workspace::new());
+        let summary = config.simulate_body(0, &mut Workspace::new());
         let table = config.class_table().expect("a churn-free table");
         // The first lookup of a class claims a slot; until its summary is
         // stored there, every other lookup of the class runs the body.
@@ -1550,10 +1519,9 @@ mod tests {
                 PolicyKind::ReoptimizeOnChange,
             ));
         for config in [uniform, churned] {
-            let links = LinkCache::for_population(config.population());
             let mut workspace = Workspace::new();
             let summaries: Vec<BodySummary> = (0..config.bodies())
-                .map(|i| config.simulate_body(i, &links, &mut workspace))
+                .map(|i| config.simulate_body(i, &mut workspace))
                 .collect();
             // Ingests the bodies `keep` selects, in index order.
             let fold = |keep: &dyn Fn(usize) -> bool| {
@@ -1649,14 +1617,9 @@ mod tests {
         let report = fleet.run(&SweepRunner::serial());
         assert_eq!(report.worst_bodies().len(), 2);
         // Exact per-body p95 values, recomputed independently.
-        let links = LinkCache::for_population(fleet.population());
         let mut workspace = Workspace::new();
         let mut p95s: Vec<TimeSpan> = (0..12)
-            .map(|i| {
-                fleet
-                    .simulate_body(i, &links, &mut workspace)
-                    .worst_p95_latency
-            })
+            .map(|i| fleet.simulate_body(i, &mut workspace).worst_p95_latency)
             .collect();
         p95s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
         assert_eq!(report.body_worst_p95_quantile(0.0), p95s[0]);

@@ -202,6 +202,10 @@ pub enum DriverError {
     },
     /// Validated blobs that nevertheless do not merge into the fleet (e.g.
     /// ranges that no longer tile `0..bodies` after a plan change).
+    /// [`FleetDriver::run`] checks every blob against its own shard's range
+    /// of the plan before it merges, and a plan's ranges tile the fleet, so
+    /// `run` cannot return this today; the merge keeps its own check as the
+    /// last guard.
     Merge(CheckpointError),
 }
 
@@ -1209,8 +1213,8 @@ impl FleetDriver {
     ///
     /// # Errors
     /// [`DriverError::Exhausted`] when a shard stays invalid past the
-    /// recovery budget; [`DriverError::Transport`] / [`DriverError::Merge`]
-    /// for non-recoverable failures.
+    /// recovery budget; [`DriverError::Transport`] when the transport fails
+    /// ([`DriverError::Merge`] is the merge's last guard, see its doc).
     pub fn run(
         &self,
         executor: &dyn ShardExecutor,
@@ -1651,5 +1655,94 @@ mod tests {
         let (reused, attempts, recovered) = &outcomes[3];
         assert!(!reused && *attempts == 1, "{:?}", outcomes[3]);
         assert!(recovered.starts_with("shard 3: published blob rejected"));
+    }
+
+    /// Publishes a blob no checkpoint loader accepts.
+    struct Garbage;
+
+    impl ShardExecutor for Garbage {
+        fn execute(
+            &self,
+            _spec: &DriverFleetSpec,
+            shard: &ShardAssignment,
+            _attempt: usize,
+            transport: &dyn Transport,
+        ) -> Result<(), DriverError> {
+            Ok(transport.publish(shard.index, b"garbage")?)
+        }
+    }
+
+    /// A transport whose every fetch fails with an I/O error.
+    struct Unplugged;
+
+    impl Transport for Unplugged {
+        fn publish(&self, _shard: usize, _blob: &[u8]) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn fetch(&self, _shard: usize) -> Result<Option<Vec<u8>>, TransportError> {
+            Err(TransportError::Io(std::io::Error::other("unplugged")))
+        }
+
+        fn discard(&self, _shard: usize) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn worker_flags(&self) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    /// A one-shard driver with a single attempt, and a scratch directory
+    /// named after `case` for its spool.
+    fn one_attempt(case: &str) -> (FleetDriver, PathBuf) {
+        let spec = DriverFleetSpec::new(4).with_horizon(hidwa_units::TimeSpan::from_seconds(0.25));
+        let root = std::env::temp_dir().join(format!("hidwa-{case}-{}", std::process::id()));
+        (FleetDriver::new(spec, 1).with_max_attempts(1), root)
+    }
+
+    #[test]
+    fn a_worker_that_cannot_spawn_exhausts_its_shard() {
+        let (driver, root) = one_attempt("spawn");
+        let missing = ProcessExecutor::new(WorkerCommand::new(root.join("no-such-worker")));
+        let spool = driver.spool_in(&root).expect("spool");
+        let run = driver.run(&missing, &spool);
+        std::fs::remove_dir_all(&root).ok();
+        match run {
+            Err(DriverError::Exhausted { shard: 0, last, .. }) => {
+                assert!(
+                    matches!(*last, DriverError::Spawn { shard: 0, .. }),
+                    "{last}"
+                );
+            }
+            other => panic!("expected a spawn failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_blob_that_does_not_load_exhausts_its_shard() {
+        let (driver, root) = one_attempt("blob");
+        let spool = driver.spool_in(&root).expect("spool");
+        let run = driver.run(&Garbage, &spool);
+        std::fs::remove_dir_all(&root).ok();
+        match run {
+            Err(DriverError::Exhausted { shard: 0, last, .. }) => {
+                assert!(
+                    matches!(*last, DriverError::Blob { shard: 0, .. }),
+                    "{last}"
+                );
+            }
+            other => panic!("expected a rejected blob, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failing_transport_aborts_the_run() {
+        let (driver, _) = one_attempt("transport");
+        let run = driver.run(&InProcessExecutor::serial(), &Unplugged);
+        assert!(
+            matches!(run, Err(DriverError::Transport(TransportError::Io(_)))),
+            "expected a transport failure, got {run:?}"
+        );
     }
 }

@@ -15,8 +15,9 @@
 //! seeds a fresh SplitMix64-backed RNG from the per-body seed (the same
 //! [`body_seed`] finaliser the fleet layer uses for simulation seeds, domain-
 //! separated by a constant), draws the archetype, per-leaf presence and
-//! per-leaf traffic in a fixed order, and never touches shared state.  Two
-//! consequences the fleet layer builds on:
+//! per-leaf traffic in a fixed order, and reads nothing but the population
+//! (its draw table, see below, is a function of the population alone).
+//! Two consequences the fleet layer builds on:
 //!
 //! * a body's scenario is byte-identical no matter which thread **or
 //!   machine** materialises it, at any
@@ -28,23 +29,23 @@
 //!   demand, which is what lets a 10k-body stream run with O(1) scenario
 //!   memory.
 //!
-//! # Class draws
+//! # Draws
 //!
-//! A churn-free fleet fold first draws each body's
+//! Every draw a body makes takes one 64-bit word `w` from its RNG and reads
+//! the 53-bit integer `k = w >> 11` as the uniform `k · 2⁻⁵³`, and each
+//! draw's outcome is monotone in `k`: a presence draw is "worn" exactly below
+//! some `k`, and a weighted choice (the archetype, a leaf's traffic entry)
+//! picks an index that never falls as `k` grows — the scaled target only
+//! grows, so its running remainder goes negative no later.  So each outcome
+//! is a count of integer thresholds at or below `k`, one per index a choice
+//! can pass (and one per presence draw), found by a binary search over the
+//! float draw itself.  A population builds that table once, on first use,
+//! and the thresholds are its one draw: [`PopulationModel::sample`] and the
+//! class draw of a churn-free fleet fold (which draws a body's
 //! [class](BodyScenario::class) alone, to find the bodies that repeat one it
-//! has already run.  [`PopulationModel::sample`]'s draw loop is the
-//! reference for that class; the fold draws it instead through a table of
-//! integer thresholds it builds once.  Every draw of the loop takes
-//! one 64-bit word `w` from the RNG and reads the 53-bit integer `k = w >>
-//! 11` as the uniform `k · 2⁻⁵³`, and each draw's outcome is monotone in
-//! `k`: a presence draw is "worn" exactly below some `k`, and a weighted
-//! choice (the archetype, a leaf's traffic entry) picks an index that never
-//! falls as `k` grows — the scaled target only grows, so its running
-//! remainder goes negative no later.  So each outcome is a count of integer
-//! thresholds at or below `k`, one per index a choice can pass (and one per
-//! presence draw), found by a binary search over the reference draw itself.
-//! The table then draws a class with integer compares and adds, and no
-//! branch that depends on the drawn values.
+//! has already run) walk the same loop of integer compares and adds, and the
+//! class draw takes no branch that depends on the drawn values.  The float
+//! draw loop the thresholds stand for is kept only as the tests' reference.
 //!
 //! Two further guarantees are load-bearing for the fleet algebra (and
 //! regression-tested in `tests/population_edges.rs`): an archetype with zero
@@ -78,7 +79,7 @@ use hidwa_units::{DataRate, Power, TimeSpan};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// SplitMix64 finaliser decorrelating per-body seeds: adjacent body indices
 /// map to statistically independent streams even for `base_seed = 0`.  The
@@ -128,13 +129,17 @@ impl LeafArchetype {
         }
     }
 
-    /// A leaf worn with probability `presence` (clamped to `[0, 1]`) whose
-    /// traffic pattern is drawn from `traffic` per body.
+    /// A leaf worn with probability `presence` (clamped to `[0, 1]`; NaN
+    /// means never) whose traffic pattern is drawn from `traffic` per body.
     #[must_use]
     pub fn new(spec: LeafSpec, presence: f64, traffic: TrafficMix) -> Self {
         Self {
             spec,
-            presence: presence.clamp(0.0, 1.0),
+            presence: if presence.is_nan() {
+                0.0
+            } else {
+                presence.clamp(0.0, 1.0)
+            },
             traffic,
         }
     }
@@ -229,6 +234,11 @@ impl BodyArchetype {
 #[derive(Debug, Clone)]
 pub struct PopulationModel {
     archetypes: Vec<BodyArchetype>,
+    /// The draw thresholds and the link table, each a pure function of
+    /// `archetypes` built on first use.  Only [`new`](Self::new) makes a
+    /// population, so a builder's result starts with both cells empty.
+    thresholds: OnceLock<ClassThresholds>,
+    links: OnceLock<LinkCache>,
 }
 
 impl PopulationModel {
@@ -243,7 +253,11 @@ impl PopulationModel {
             !archetypes.is_empty(),
             "PopulationModel needs at least one archetype"
         );
-        Self { archetypes }
+        Self {
+            archetypes,
+            thresholds: OnceLock::new(),
+            links: OnceLock::new(),
+        }
     }
 
     /// The homogeneous population: every body carries exactly `leaves` with
@@ -467,7 +481,7 @@ impl PopulationModel {
         for archetype in &mut self.archetypes {
             archetype.technology = technology;
         }
-        self
+        Self::new(self.archetypes)
     }
 
     /// Sets the MAC policy on **every** archetype.
@@ -476,7 +490,7 @@ impl PopulationModel {
         for archetype in &mut self.archetypes {
             archetype.policy = policy;
         }
-        self
+        Self::new(self.archetypes)
     }
 
     /// Replaces **every** archetype's leaf set with the given always-present,
@@ -486,7 +500,7 @@ impl PopulationModel {
         for archetype in &mut self.archetypes {
             archetype.leaves = leaves.iter().cloned().map(LeafArchetype::fixed).collect();
         }
-        self
+        Self::new(self.archetypes)
     }
 
     /// Scales the offered load of **every** leaf's traffic — both the base
@@ -504,7 +518,7 @@ impl PopulationModel {
                 slot.traffic = slot.traffic.scaled(factor);
             }
         }
-        self
+        Self::new(self.archetypes)
     }
 
     /// Samples body `body_index`'s scenario — a pure function of
@@ -526,7 +540,8 @@ impl PopulationModel {
     pub fn sample(&self, base_seed: u64, body_index: u64) -> BodyScenario {
         let sim_seed = body_seed(base_seed, body_index);
         let mut leaves = Vec::new();
-        let (archetype, class) = self.draw(sim_seed, &mut leaves);
+        let (archetype, class) = self.draw(sim_seed, Some(&mut leaves));
+        let archetype = &self.archetypes[archetype];
         BodyScenario {
             body_index,
             seed: sim_seed,
@@ -538,9 +553,63 @@ impl PopulationModel {
         }
     }
 
-    /// The threshold table that draws any body's class as
-    /// [`sample`](Self::sample) does (see the module docs).
-    pub(crate) fn class_thresholds(&self) -> ClassThresholds {
+    /// Body `body_index`'s [class](BodyScenario::class): what
+    /// `sample(base_seed, body_index).class()` returns, without building
+    /// the leaf list or touching the archetype's label.
+    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
+        self.draw(body_seed(base_seed, body_index), None).1
+    }
+
+    /// The draw sequence behind [`sample`](Self::sample) and
+    /// [`class_of`](Self::class_of), through the population's thresholds
+    /// (see the module docs): the index of the archetype drawn for the body
+    /// whose simulation seed is `sim_seed`, and the body's class.  With
+    /// `leaves`, each present leaf, its traffic drawn, is pushed onto it.
+    #[inline(always)]
+    fn draw(&self, sim_seed: u64, mut leaves: Option<&mut Vec<LeafSpec>>) -> (usize, Option<u64>) {
+        let table = self.thresholds.get_or_init(|| self.class_thresholds());
+        let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
+        let mut draw = || rng.next_u64() >> 11;
+        let archetype = at_or_below(&table.archetype, draw());
+        let slots = &table.slots[table.spans[archetype].clone()];
+        if let Some(leaves) = leaves.as_deref_mut() {
+            leaves.reserve_exact(slots.len());
+        }
+        // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
+        // consumes exactly two draws whether or not it is present, so
+        // scenarios stay stable under presence-probability tweaks.
+        let mut class = Some(0u64);
+        let mut bursty = false;
+        for (slot, leaf) in slots.iter().zip(&self.archetypes[archetype].leaves) {
+            let present = draw() < slot.absent_from;
+            let drawn = at_or_below(&slot.entries, draw());
+            bursty |= present & slot.bursty[drawn];
+            if let (true, Some(leaves)) = (present, leaves.as_deref_mut()) {
+                // One past the last entry is an all-zero mix's `Silent`.
+                let traffic = leaf.traffic.entries().get(drawn);
+                leaves.push(LeafSpec {
+                    traffic: traffic.map_or(TrafficPattern::Silent, |(_, t)| t.clone()),
+                    ..leaf.spec.clone()
+                });
+            }
+            // Digit 0 is absent, 1 + i entry i.
+            let radix = slot.entries.len() as u64 + 2;
+            let digit = u64::from(present) * (1 + drawn as u64);
+            class = class.and_then(|c| c.checked_mul(radix)?.checked_add(digit));
+        }
+        let archetypes = self.archetypes.len() as u64;
+        let class = class.and_then(|c| c.checked_mul(archetypes)?.checked_add(archetype as u64));
+        (archetype, class.filter(|_| !bursty))
+    }
+
+    /// The population's link table, derived once (see [`LinkCache`]).
+    pub(crate) fn links(&self) -> &LinkCache {
+        self.links.get_or_init(|| LinkCache::for_population(self))
+    }
+
+    /// The threshold table that [`draw`](Self::draw) walks, searched out of
+    /// the float draws (see the module docs).
+    fn class_thresholds(&self) -> ClassThresholds {
         // The least draw `k` for which `above(k)` holds (2^53 if none), for
         // an `above` that never turns false again as `k` grows.  Many never
         // turn true (a leaf always worn, a mix's last entry), so the search
@@ -603,49 +672,6 @@ impl PopulationModel {
             .unwrap_or(0)
     }
 
-    /// The draw sequence behind [`sample`](Self::sample), and so the
-    /// reference a [`ClassThresholds`] table is tested against: the
-    /// archetype drawn for the body whose simulation seed is `sim_seed`,
-    /// and the body's class.  Each present leaf, its traffic drawn, is
-    /// pushed onto `leaves`.
-    #[inline(always)]
-    fn draw(&self, sim_seed: u64, leaves: &mut Vec<LeafSpec>) -> (&BodyArchetype, Option<u64>) {
-        let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
-        let archetype_index = self.draw_archetype(&mut rng);
-        let archetype = &self.archetypes[archetype_index];
-        leaves.reserve_exact(archetype.leaves.len());
-        // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
-        // consumes exactly two draws whether or not it is present, so adding
-        // a leaf to an archetype never perturbs the draws of later leaves'
-        // siblings on *other* archetypes (each body re-seeds, so cross-body
-        // alignment is moot, but keeping draw counts shape-independent makes
-        // scenarios stable under presence-probability tweaks).
-        let mut class = Some(0u64);
-        for slot in &archetype.leaves {
-            let present = rng.gen_bool(slot.presence);
-            let (drawn, traffic) = slot.traffic.sample(&mut rng);
-            // Digit 0 is absent, 1 + i entry i, 1 + entries an all-zero
-            // mix's `Silent`.
-            let entries = slot.traffic.entries().len() as u64;
-            let mut digit = 0;
-            if present {
-                if matches!(traffic, TrafficPattern::Bursty { .. }) {
-                    class = None;
-                }
-                let mut spec = slot.spec.clone();
-                spec.traffic = traffic.clone();
-                leaves.push(spec);
-                digit = 1 + drawn.map_or(entries, |i| i as u64);
-            }
-            class = class.and_then(|c| c.checked_mul(entries + 2)?.checked_add(digit));
-        }
-        let class = class.and_then(|c| {
-            c.checked_mul(self.archetypes.len() as u64)?
-                .checked_add(archetype_index as u64)
-        });
-        (archetype, class)
-    }
-
     /// The distinct `(technology, body site)` pairs any scenario sampled from
     /// this population can require — the domain a [`LinkCache`] precomputes.
     #[must_use]
@@ -663,11 +689,10 @@ impl PopulationModel {
     }
 }
 
-/// A population's class draws as integer thresholds (see the module docs):
-/// [`class_of`](Self::class_of) answers what
-/// `sample(base_seed, body_index).class()` would, without building the leaf
-/// list, touching the archetype's label or taking a data-dependent branch.
-pub(crate) struct ClassThresholds {
+/// A population's draws as integer thresholds (see the module docs): the
+/// archetype, and per leaf slot its presence and traffic entry.
+#[derive(Debug, Clone)]
+struct ClassThresholds {
     /// The archetype drawn is the number of these at or below its draw.
     archetype: Vec<u64>,
     /// Per archetype, its leaf slots' range in `slots`.
@@ -676,6 +701,7 @@ pub(crate) struct ClassThresholds {
 }
 
 /// One leaf slot's two draws as thresholds.
+#[derive(Debug, Clone)]
 struct SlotThresholds {
     /// The leaf is worn exactly when its presence draw is below this.
     absent_from: u64,
@@ -684,30 +710,6 @@ struct SlotThresholds {
     entries: Vec<u64>,
     /// Per entry drawn, one past the last included, whether it is bursty.
     bursty: Vec<bool>,
-}
-
-impl ClassThresholds {
-    /// Body `body_index`'s [class](BodyScenario::class), drawn through the
-    /// thresholds: the same RNG words as [`PopulationModel::sample`], the
-    /// same digits, the same overflow rule.
-    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
-        let mut rng = StdRng::seed_from_u64(body_seed(base_seed, body_index) ^ SCENARIO_DOMAIN);
-        let mut draw = || rng.next_u64() >> 11;
-        let archetype = at_or_below(&self.archetype, draw());
-        let mut class = Some(0u64);
-        let mut bursty = false;
-        for slot in &self.slots[self.spans[archetype].clone()] {
-            let present = draw() < slot.absent_from;
-            let drawn = at_or_below(&slot.entries, draw());
-            bursty |= present & slot.bursty[drawn];
-            let radix = slot.entries.len() as u64 + 2;
-            let digit = u64::from(present) * (1 + drawn as u64);
-            class = class.and_then(|c| c.checked_mul(radix)?.checked_add(digit));
-        }
-        let archetypes = self.spans.len() as u64;
-        let class = class.and_then(|c| c.checked_mul(archetypes)?.checked_add(archetype as u64));
-        class.filter(|_| !bursty)
-    }
 }
 
 /// How many of `thresholds` are at or below the 53-bit draw `k`: the index
@@ -812,13 +814,13 @@ impl BodyScenario {
 /// Memoised channel-model link derivation per `(technology, body site)`.
 ///
 /// Deriving [`LinkParams`] walks the EQS channel/capacity stack — by far the
-/// most expensive part of constructing a body.  A fleet run derives each
-/// distinct pair **once** up front and every body resolves its leaves with a
-/// (tiny) linear lookup, so heterogeneous fleets pay the channel model
-/// O(distinct pairs), not O(bodies × leaves).
+/// most expensive part of constructing a body.  A population derives each
+/// distinct pair it can sample **once**, on first use, and every body
+/// resolves its leaves with a (tiny) linear lookup, so heterogeneous fleets
+/// pay the channel model O(distinct pairs), not O(bodies × leaves) or
+/// O(folds).
 #[derive(Debug, Clone)]
 pub struct LinkCache {
-    hub_site: BodySite,
     entries: Vec<((RadioTechnology, BodySite), LinkParams)>,
 }
 
@@ -826,18 +828,7 @@ impl LinkCache {
     /// Precomputes the cache for every pair `population` can sample.
     #[must_use]
     pub fn for_population(population: &PopulationModel) -> Self {
-        let hub_site = BodySite::Waist;
-        let entries = population
-            .link_domain()
-            .into_iter()
-            .map(|(technology, site)| {
-                (
-                    (technology, site),
-                    scenario::link_params_for(technology, site, hub_site),
-                )
-            })
-            .collect();
-        Self { hub_site, entries }
+        Self::derive(population.link_domain())
     }
 
     /// Precomputes the cache for every (supported technology × body site)
@@ -848,22 +839,23 @@ impl LinkCache {
     /// and BLE cover the distinct derivations.)
     #[must_use]
     pub fn warm() -> Self {
-        let hub_site = BodySite::Waist;
-        let entries = [RadioTechnology::WiR, RadioTechnology::Ble]
+        Self::derive(
+            [RadioTechnology::WiR, RadioTechnology::Ble]
+                .into_iter()
+                .flat_map(|technology| BodySite::ALL.map(|site| (technology, site))),
+        )
+    }
+
+    /// Derives the link of every `(technology, site)` pair in `pairs`.
+    fn derive(pairs: impl IntoIterator<Item = (RadioTechnology, BodySite)>) -> Self {
+        let entries = pairs
             .into_iter()
-            .flat_map(|technology| {
-                BodySite::ALL
-                    .into_iter()
-                    .map(move |site| (technology, site))
-            })
             .map(|(technology, site)| {
-                (
-                    (technology, site),
-                    scenario::link_params_for(technology, site, hub_site),
-                )
+                let link = scenario::link_params_for(technology, site);
+                ((technology, site), link)
             })
             .collect();
-        Self { hub_site, entries }
+        Self { entries }
     }
 
     /// Link parameters for a leaf at `site` over `technology`; pairs outside
@@ -875,7 +867,7 @@ impl LinkCache {
             .iter()
             .find(|((t, s), _)| *t == technology && *s == site)
             .map_or_else(
-                || scenario::link_params_for(technology, site, self.hub_site),
+                || scenario::link_params_for(technology, site),
                 |(_, link)| *link,
             )
     }
@@ -1193,6 +1185,100 @@ mod tests {
         assert_eq!(of(33), None);
     }
 
+    /// The float draw loop the thresholds stand for: body `body_index`'s
+    /// scenario, each draw made through its float sampler.
+    fn reference_sample(
+        population: &PopulationModel,
+        base_seed: u64,
+        body_index: u64,
+    ) -> BodyScenario {
+        let seed = body_seed(base_seed, body_index);
+        let mut rng = StdRng::seed_from_u64(seed ^ SCENARIO_DOMAIN);
+        let archetype_index = population.draw_archetype(&mut rng);
+        let archetype = &population.archetypes[archetype_index];
+        let mut leaves = Vec::new();
+        let mut class = Some(0u64);
+        for slot in &archetype.leaves {
+            let present = rng.gen_bool(slot.presence);
+            let (drawn, traffic) = slot.traffic.sample(&mut rng);
+            // Digit 0 is absent, 1 + i entry i, 1 + entries an all-zero
+            // mix's `Silent`.
+            let entries = slot.traffic.entries().len() as u64;
+            let mut digit = 0;
+            if present {
+                if matches!(traffic, TrafficPattern::Bursty { .. }) {
+                    class = None;
+                }
+                let mut spec = slot.spec.clone();
+                spec.traffic = traffic.clone();
+                leaves.push(spec);
+                digit = 1 + drawn.map_or(entries, |i| i as u64);
+            }
+            class = class.and_then(|c| c.checked_mul(entries + 2)?.checked_add(digit));
+        }
+        let class = class.and_then(|c| {
+            c.checked_mul(population.archetypes.len() as u64)?
+                .checked_add(archetype_index as u64)
+        });
+        BodyScenario {
+            body_index,
+            seed,
+            archetype: Arc::clone(&archetype.name),
+            technology: archetype.technology,
+            policy: archetype.policy,
+            leaves,
+            class,
+        }
+    }
+
+    /// Every field of `scenario`, in a form that compares.
+    fn fields(scenario: &BodyScenario) -> impl PartialEq + std::fmt::Debug + '_ {
+        let leaves: Vec<_> = scenario
+            .leaves
+            .iter()
+            .map(|leaf| {
+                let LeafSpec {
+                    name,
+                    site,
+                    modality,
+                    traffic,
+                    compute_power,
+                } = leaf;
+                (name, site, modality, traffic, compute_power)
+            })
+            .collect();
+        let BodyScenario {
+            body_index,
+            seed,
+            archetype,
+            technology,
+            policy,
+            leaves: _,
+            class,
+        } = scenario;
+        (
+            body_index, seed, archetype, technology, policy, leaves, class,
+        )
+    }
+
+    /// Checks every field of `sample`, and `class_of`, against the
+    /// reference loop for bodies `0..bodies`; returns how many have a class.
+    fn assert_draws_match_the_reference(population: &PopulationModel, bodies: u64) -> usize {
+        let mut classed = 0;
+        for body in 0..bodies {
+            let want = reference_sample(population, 0xC1A55, body);
+            let got = population.sample(0xC1A55, body);
+            assert_eq!(fields(&got), fields(&want), "body {body}");
+            assert_eq!(
+                population.class_of(0xC1A55, body),
+                want.class,
+                "body {body}"
+            );
+            classed += usize::from(want.class.is_some());
+        }
+        classed
+    }
+
     #[test]
     fn class_of_draws_the_sampled_class() {
         use hidwa_energy::sensing::SensorModality;
@@ -1266,15 +1352,10 @@ mod tests {
             ]),
         ];
         for (k, population) in populations.iter().enumerate() {
-            let thresholds = population.class_thresholds();
-            let mut classed = 0;
-            for body in 0..10_000u64 {
-                let class = population.sample(0xC1A55, body).class();
-                assert_eq!(thresholds.class_of(0xC1A55, body), class, "body {body}");
-                classed += usize::from(class.is_some());
-            }
+            let classed = assert_draws_match_the_reference(population, 10_000);
             // The wide and the overflowing population have no classes.
             assert_eq!(classed > 0, k != 2 && k != 3, "population {k}");
+            let thresholds = population.thresholds.get().expect("built by the draws");
             // Random bodies almost never draw a threshold itself, so check
             // each draw's outcome on both sides of every threshold against
             // the reference draw.
@@ -1305,6 +1386,63 @@ mod tests {
     }
 
     #[test]
+    fn builders_never_leave_a_stale_table() {
+        // A population that has drawn, so both of its tables exist.
+        let drawn = || {
+            let population = PopulationModel::mixed_default();
+            let _ = population.sample(1, 0);
+            population.links();
+            assert!(population.thresholds.get().is_some() && population.links.get().is_some());
+            population
+        };
+        let built = [
+            drawn().with_technology(RadioTechnology::Ble),
+            drawn().with_policy(MacPolicy::Tdma),
+            drawn().with_leaves(scenario::standard_leaf_set()),
+            drawn().with_traffic_scale(2.0),
+        ];
+        for population in &built {
+            assert_draws_match_the_reference(population, 2_000);
+            let want: Vec<_> = population
+                .link_domain()
+                .into_iter()
+                .map(|(technology, site)| {
+                    let link = scenario::link_params_for(technology, site);
+                    ((technology, site), link)
+                })
+                .collect();
+            assert_eq!(population.links().entries, want);
+        }
+    }
+
+    #[test]
+    fn presence_is_clamped_and_nan_is_never_worn() {
+        let leaf = |presence| {
+            let spec = scenario::standard_leaf_set().remove(0);
+            let traffic = TrafficMix::fixed(spec.traffic.clone());
+            LeafArchetype::new(spec, presence, traffic)
+        };
+        for (given, want) in [
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, 0.0),
+            (-0.5, 0.0),
+            (1.5, 1.0),
+            (0.25, 0.25),
+        ] {
+            assert_eq!(leaf(given).presence(), want, "presence {given}");
+        }
+        let never = PopulationModel::new(vec![BodyArchetype::new(
+            "never",
+            1.0,
+            RadioTechnology::WiR,
+            MacPolicy::Polling,
+            vec![leaf(f64::NAN)],
+        )]);
+        assert!((0..100).all(|body| never.sample(4, body).leaves().is_empty()));
+    }
+
+    #[test]
     fn scenarios_build_runnable_simulations() {
         let population = PopulationModel::mixed_default();
         let links = LinkCache::for_population(&population);
@@ -1322,14 +1460,14 @@ mod tests {
         let population = PopulationModel::mixed_default();
         let links = LinkCache::for_population(&population);
         for (technology, site) in population.link_domain() {
-            let direct = scenario::link_params_for(technology, site, BodySite::Waist);
+            let direct = scenario::link_params_for(technology, site);
             assert_eq!(links.get(technology, site), direct);
         }
         // Out-of-domain pairs fall back to on-the-fly derivation.
         let fallback = links.get(RadioTechnology::WiR, BodySite::Ankle);
         assert_eq!(
             fallback,
-            scenario::link_params_for(RadioTechnology::WiR, BodySite::Ankle, BodySite::Waist)
+            scenario::link_params_for(RadioTechnology::WiR, BodySite::Ankle)
         );
     }
 

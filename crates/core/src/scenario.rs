@@ -18,21 +18,21 @@ use hidwa_phy::wir::WiRTransceiver;
 use hidwa_phy::{RadioTechnology, Transceiver};
 use hidwa_units::{DataRate, Power, TimeSpan, Voltage};
 
+/// Where every body network's hub sits: the waist (smartphone /
+/// wearable-brain position).
+pub const HUB_SITE: BodySite = BodySite::Waist;
+
 /// Builds the link parameters (goodput, delivered energy per bit, wake-up)
-/// that the simulator needs for a leaf at `site` talking to a hub at
-/// `hub_site` over the given radio technology.
+/// that the simulator needs for a leaf at `site` talking to the hub at
+/// [`HUB_SITE`] over the given radio technology.
 ///
 /// # Panics
 /// Never panics for the supported technologies ([`RadioTechnology::WiR`] and
 /// [`RadioTechnology::Ble`]); other technologies fall back to BLE-class
 /// parameters.
 #[must_use]
-pub fn link_params_for(
-    technology: RadioTechnology,
-    site: BodySite,
-    hub_site: BodySite,
-) -> LinkParams {
-    let distance = site.path_to(hub_site);
+pub fn link_params_for(technology: RadioTechnology, site: BodySite) -> LinkParams {
+    let distance = site.path_to(HUB_SITE);
     match technology {
         RadioTechnology::WiR => {
             let transceiver = WiRTransceiver::ixana_class();
@@ -158,19 +158,17 @@ pub fn leaf_node(leaf: &LeafSpec, link: LinkParams) -> NodeConfig {
 
 /// Builds a star-topology body network over the given radio technology.
 ///
-/// The hub sits at the waist (smartphone / wearable-brain position); every
-/// leaf from `leaves` is connected with link parameters derived from the
-/// channel model for its body site.
+/// The hub sits at [`HUB_SITE`]; every leaf from `leaves` is connected with
+/// link parameters derived from the channel model for its body site.
 #[must_use]
 pub fn body_network(
     technology: RadioTechnology,
     leaves: &[LeafSpec],
     policy: MacPolicy,
 ) -> Simulation {
-    let hub_site = BodySite::Waist;
     let mut sim = Simulation::new(policy);
     for leaf in leaves {
-        let link = link_params_for(technology, leaf.site, hub_site);
+        let link = link_params_for(technology, leaf.site);
         sim.add_node(leaf_node(leaf, link));
     }
     sim
@@ -195,10 +193,10 @@ mod tests {
 
     #[test]
     fn wir_links_have_picojoule_efficiency_and_mbps_goodput() {
-        let link = link_params_for(RadioTechnology::WiR, BodySite::Chest, BodySite::Waist);
+        let link = link_params_for(RadioTechnology::WiR, BodySite::Chest);
         assert!(link.goodput().as_mbps() > 3.0, "goodput {}", link.goodput());
         assert!(link.energy_per_bit().as_pico_joules() < 200.0);
-        let ble = link_params_for(RadioTechnology::Ble, BodySite::Chest, BodySite::Waist);
+        let ble = link_params_for(RadioTechnology::Ble, BodySite::Chest);
         assert!(ble.energy_per_bit().as_nano_joules() > 1.0);
         assert!(ble.goodput() < link.goodput());
     }

@@ -3,10 +3,11 @@
 //!
 //! A counting [`GlobalAlloc`] wraps the system allocator, as netsim's
 //! `tests/alloc_counting.rs` does.  Each case folds a fleet of 500 bodies
-//! and one of 1000 bodies at width 1; the fixed costs (link table,
-//! aggregator, the fold thread's netsim workspace growing to its high-water
-//! mark, the fold's class table filling up) are the same in both, so the
-//! difference divided by the 500 extra bodies is the per-body cost.
+//! and one of 1000 bodies at width 1; the fixed costs (the population's
+//! draw thresholds and link table, aggregator, the fold thread's netsim
+//! workspace growing to its high-water mark, the fold's class table filling
+//! up) are the same in both, so the difference divided by the 500 extra
+//! bodies is the per-body cost.
 //!
 //! The two cases gate the two paths a body can take.  In a
 //! `mixed_default` fleet most bodies repeat a deterministic class the fold
@@ -17,6 +18,11 @@
 //! every body runs the engine: it allocates its leaf list, its node
 //! configurations with their names, and the merged latency sketch its
 //! summary carries.
+//!
+//! A third case folds one config three times.  A population builds its
+//! draw thresholds and link table on its first draw and keeps them, so only
+//! the first fold builds them: the second and third allocate the same
+//! count, and fewer than the first.
 //!
 //! Everything lives in one `#[test]` because the counter is process-global:
 //! a second concurrently-running test would perturb the counts.
@@ -65,14 +71,23 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Allocations one serial fold of a `bodies`-body 2 s fleet of
 /// `population` performs.
 fn allocations_for(population: &PopulationModel, bodies: usize) -> u64 {
-    let fleet = FleetConfig::new(bodies)
+    allocations_of(&fleet_of(population, bodies))
+}
+
+/// A `bodies`-body 2 s fleet of `population`.
+fn fleet_of(population: &PopulationModel, bodies: usize) -> FleetConfig {
+    FleetConfig::new(bodies)
         .with_population(population.clone())
-        .with_horizon(TimeSpan::from_seconds(2.0));
+        .with_horizon(TimeSpan::from_seconds(2.0))
+}
+
+/// Allocations one serial fold of `fleet` performs.
+fn allocations_of(fleet: &FleetConfig) -> u64 {
     let runner = SweepRunner::serial();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = fleet.run(&runner);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(report.bodies(), bodies);
+    assert_eq!(report.bodies(), fleet.bodies());
     after - before
 }
 
@@ -121,6 +136,18 @@ fn each_fleet_body_allocates_a_bounded_handful() {
     );
     // Warm up lazily-initialized process state.
     let _ = allocations_for(&mixed, 64);
+
+    let one = fleet_of(&mixed, 1);
+    let folds = [
+        allocations_of(&one),
+        allocations_of(&one),
+        allocations_of(&one),
+    ];
+    println!("one 1-body config folded three times: {folds:?} allocations");
+    assert!(
+        folds[1] == folds[2] && folds[1] < folds[0],
+        "a re-fold built the population's tables again: {folds:?} allocations"
+    );
 
     assert_per_body("mixed_default", &mixed, MAX_MIXED_ALLOCATIONS_PER_BODY);
     assert_per_body(
