@@ -33,7 +33,7 @@
 //!   widths 1 and 4.
 //! * `width_scaling` — the 1000-body and the largest heterogeneous fold
 //!   timed at [`SweepRunner::with_threads`] 1 and 2 (interleaved, median of
-//!   `HIDWA_BENCH_SAMPLES`: a best-of would pick the rare moments a lone
+//!   `SAMPLES`: a best-of would pick the rare moments a lone
 //!   thread has the host to itself; one runner per width serves every
 //!   sample, so its helper starts once, as in a long-lived caller), with the
 //!   width-2/width-1 throughput ratio and a flag that every fold's
@@ -71,21 +71,20 @@
 //! statistic or if any determinism / memory-bound / width / shard-identity
 //! check fails.
 //!
-//! Knobs: `HIDWA_BENCH_SAMPLES` (default 5 timing samples per row: the
-//! best is taken for the engines, the median for the `fleet`,
-//! `hetero_fleet`, `width_scaling`, `shard_fleet` and `driver_fleet` rows),
-//! `HIDWA_BENCH_HORIZON_S` (default 3600 s engine horizon — an hour
-//! of body time, where the reference path's unbounded sample vectors start
-//! paying reallocation and sort costs), `HIDWA_BENCH_FLEET_HORIZON_S`
-//! (default 5 s per-body horizon), `HIDWA_BENCH_STREAM_BODIES` (default
-//! 10000 bodies in the largest heterogeneous stream),
-//! `HIDWA_BENCH_STREAM_HORIZON_S` (default 2 s per-body horizon for the
-//! heterogeneous rows), `HIDWA_BENCH_SHARD_BODIES` (default 1000 bodies in
-//! the shard-identity section), `HIDWA_BENCH_DRIVER_BODIES` (default 400
-//! bodies in the multi-process driver section).
+//! Sizes: `SAMPLES` (5 timing samples per row: the best is taken for the
+//! engines, the median for the `fleet`, `hetero_fleet`, `width_scaling`,
+//! `shard_fleet` and `driver_fleet` rows), `ENGINE_HORIZON` (3600 s — an
+//! hour of body time, where the reference path's unbounded sample vectors
+//! start paying reallocation and sort costs), `FLEET_HORIZON` (5 s
+//! per-body horizon), `STREAM_BODIES` (10000 bodies in the largest
+//! heterogeneous stream), `STREAM_HORIZON` (2 s per-body horizon for the
+//! heterogeneous rows), `SHARD_BODIES` (1000 bodies in the shard-identity
+//! section), `DRIVER_BODIES` (400 bodies in the multi-process driver
+//! section).
 
 use hidwa_bench::env_f64;
 use hidwa_bench::json;
+use hidwa_bench::sampler::{interleave, sample};
 use hidwa_core::fleet::driver::{
     DriverFleetSpec, FleetDriver, InProcessExecutor, PopulationSpec, ProcessExecutor,
     ShardExecutor, WorkerCommand,
@@ -100,7 +99,15 @@ use hidwa_netsim::node::{LinkParams, NodeConfig};
 use hidwa_netsim::sim::{Simulation, SimulationReport};
 use hidwa_netsim::traffic::TrafficPattern;
 use hidwa_units::{DataRate, EnergyPerBit, TimeSpan};
-use std::time::Instant;
+use std::time::Duration;
+
+const SAMPLES: usize = 5;
+const ENGINE_HORIZON: TimeSpan = TimeSpan::from_seconds(3600.0);
+const FLEET_HORIZON: TimeSpan = TimeSpan::from_seconds(5.0);
+const STREAM_BODIES: usize = 10_000;
+const STREAM_HORIZON: TimeSpan = TimeSpan::from_seconds(2.0);
+const SHARD_BODIES: usize = 1000;
+const DRIVER_BODIES: usize = 400;
 
 struct EngineRow {
     path: String,
@@ -344,57 +351,8 @@ fn delivered_bytes(report: &SimulationReport) -> u64 {
         .sum()
 }
 
-fn time_one(reference: bool, horizon: TimeSpan) -> (f64, SimulationReport) {
-    let mut sim = ten_node_body(reference);
-    let start = Instant::now();
-    let report = sim.run(horizon);
-    (start.elapsed().as_secs_f64() * 1e3, report)
-}
-
-/// Best-of-`samples` wall time for both engine paths, sampled *interleaved*
-/// (reference, streaming, reference, …) so machine-load noise hits both
-/// paths alike instead of biasing whichever ran during a quiet window.
-/// Returns `((reference_ms, reference_report), (streaming_ms, report))`.
-#[allow(clippy::type_complexity)]
-fn time_engines(
-    horizon: TimeSpan,
-    samples: usize,
-) -> ((f64, SimulationReport), (f64, SimulationReport)) {
-    let mut best = [f64::INFINITY; 2];
-    let mut reports = [None, None];
-    for _ in 0..samples {
-        for (slot, reference) in [(0, true), (1, false)] {
-            let (ms, report) = time_one(reference, horizon);
-            best[slot] = best[slot].min(ms);
-            reports[slot] = Some(report);
-        }
-    }
-    let [reference, streaming] = reports;
-    (
-        (best[0], reference.expect("samples >= 1")),
-        (best[1], streaming.expect("samples >= 1")),
-    )
-}
-
-/// The median of `walls`, which must not be empty.
-fn median(mut walls: Vec<f64>) -> f64 {
-    walls.sort_by(f64::total_cmp);
-    walls[walls.len() / 2]
-}
-
-/// Median wall time in ms of `samples` calls of `fold`, and the last call's
-/// result.  A single timing of a 0.1–25 ms fold moves with whatever else
-/// the host runs at that moment; the median of several does not.
-fn median_ms<T>(samples: usize, mut fold: impl FnMut() -> T) -> (f64, T) {
-    let mut walls = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let result = fold();
-        walls.push(start.elapsed().as_secs_f64() * 1e3);
-        last = Some(result);
-    }
-    (median(walls), last.expect("samples >= 1"))
+fn ms(wall: Duration) -> f64 {
+    wall.as_secs_f64() * 1e3
 }
 
 fn main() -> std::process::ExitCode {
@@ -404,19 +362,19 @@ fn main() -> std::process::ExitCode {
         return hidwa_core::fleet::driver::worker_main(argv);
     }
 
-    let samples = (env_f64("HIDWA_BENCH_SAMPLES", 5.0) as usize).max(1);
-    let horizon = TimeSpan::from_seconds(env_f64("HIDWA_BENCH_HORIZON_S", 3600.0).max(1.0));
-    let fleet_horizon =
-        TimeSpan::from_seconds(env_f64("HIDWA_BENCH_FLEET_HORIZON_S", 5.0).max(0.5));
-
     hidwa_bench::header(
         "bench_netsim",
         "netsim hot path (reference vs streaming engine) and fleet scaling",
     );
 
     // --- Engine comparison -------------------------------------------------
-    let ((reference_ms, reference_report), (streaming_ms, streaming_report)) =
-        time_engines(horizon, samples);
+    // Best of `SAMPLES`, interleaved so machine-load noise hits both paths
+    // alike instead of biasing whichever ran during a quiet window.  A run
+    // leaves its simulation unchanged, so each path reruns one.
+    let mut engines = [ten_node_body(true), ten_node_body(false)];
+    let [reference, streaming] = interleave(SAMPLES, |slot| engines[slot].run(ENGINE_HORIZON));
+    let (reference_ms, reference_report) = (ms(reference.best().0), reference.last());
+    let (streaming_ms, streaming_report) = (ms(streaming.best().0), streaming.last());
 
     let mut disagreements = 0;
     if reference_report.events_processed() != streaming_report.events_processed() {
@@ -427,7 +385,7 @@ fn main() -> std::process::ExitCode {
         );
         disagreements += 1;
     }
-    if delivered_bytes(&reference_report) != delivered_bytes(&streaming_report) {
+    if delivered_bytes(reference_report) != delivered_bytes(streaming_report) {
         eprintln!("DISAGREEMENT: delivered bytes differ between engines");
         disagreements += 1;
     }
@@ -445,7 +403,7 @@ fn main() -> std::process::ExitCode {
     let speedup = reference_ms / streaming_ms;
     let make_row = |path: &str, wall_ms: f64, report: &SimulationReport, speedup: f64| EngineRow {
         path: path.to_string(),
-        horizon_s: horizon.as_seconds(),
+        horizon_s: ENGINE_HORIZON.as_seconds(),
         events: report.events_processed(),
         delivered_bytes: delivered_bytes(report),
         wall_ms,
@@ -454,8 +412,8 @@ fn main() -> std::process::ExitCode {
         speedup_vs_reference: speedup,
     };
     let engine = vec![
-        make_row("reference", reference_ms, &reference_report, 1.0),
-        make_row("streaming", streaming_ms, &streaming_report, speedup),
+        make_row("reference", reference_ms, reference_report, 1.0),
+        make_row("streaming", streaming_ms, streaming_report, speedup),
     ];
     println!(
         "{:<11} {:>10} {:>10} {:>14} {:>14} {:>8}",
@@ -494,12 +452,13 @@ fn main() -> std::process::ExitCode {
         for &bodies in &[1usize, 10, 100, 1000] {
             let config = FleetConfig::new(bodies)
                 .with_leaves(leaves.clone())
-                .with_horizon(fleet_horizon);
-            let (wall_ms, report) = median_ms(samples, || config.run(&runner));
+                .with_horizon(FLEET_HORIZON);
+            let runs = sample(SAMPLES, || config.run(&runner));
+            let (wall_ms, report) = (ms(runs.median()), runs.last());
             let row = FleetRow {
                 population: population.to_string(),
                 bodies,
-                horizon_s: fleet_horizon.as_seconds(),
+                horizon_s: FLEET_HORIZON.as_seconds(),
                 events: report.events_processed(),
                 engine_runs: engine_runs(&config),
                 wall_ms,
@@ -540,9 +499,6 @@ fn main() -> std::process::ExitCode {
     );
 
     // --- Heterogeneous population streams -----------------------------------
-    let stream_bodies = (env_f64("HIDWA_BENCH_STREAM_BODIES", 10_000.0) as usize).max(100);
-    let stream_horizon =
-        TimeSpan::from_seconds(env_f64("HIDWA_BENCH_STREAM_HORIZON_S", 2.0).max(0.5));
     println!(
         "\nheterogeneous stream (mixed population: health-patch / ar-assistant / ble-minimal)"
     );
@@ -551,15 +507,16 @@ fn main() -> std::process::ExitCode {
         "bodies", "events", "engine", "wall ms", "bodies/s", "events/s", "state bkts", "delivery"
     );
     let mut hetero_rows = Vec::new();
-    for &bodies in &[stream_bodies / 10, stream_bodies] {
+    for bodies in [STREAM_BODIES / 10, STREAM_BODIES] {
         let config = FleetConfig::new(bodies)
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(0xD15EA5E)
-            .with_horizon(stream_horizon);
-        let (wall_ms, report) = median_ms(samples, || config.run(&runner));
+            .with_horizon(STREAM_HORIZON);
+        let runs = sample(SAMPLES, || config.run(&runner));
+        let (wall_ms, report) = (ms(runs.median()), runs.last());
         let row = HeteroRow {
             bodies,
-            horizon_s: stream_horizon.as_seconds(),
+            horizon_s: STREAM_HORIZON.as_seconds(),
             events: report.events_processed(),
             engine_runs: engine_runs(&config),
             wall_ms,
@@ -614,7 +571,7 @@ fn main() -> std::process::ExitCode {
     );
 
     // --- Width scaling: the same fold at width 1 and width 2 ----------------
-    println!("\nwidth scaling (mixed population, interleaved, median of {samples})");
+    println!("\nwidth scaling (mixed population, interleaved, median of {SAMPLES})");
     println!(
         "{:<8} {:>8} {:>14} {:>14} {:>8} {:>10}",
         "bodies", "engine", "w1 bodies/s", "w2 bodies/s", "w2/w1", "identical"
@@ -623,27 +580,24 @@ fn main() -> std::process::ExitCode {
     // One runner per width for every sample, so no sample but the first
     // width-2 fold's pays for starting the helper thread.
     let width_runners = [SweepRunner::with_threads(1), SweepRunner::with_threads(2)];
-    for bodies in [1000, stream_bodies] {
+    for bodies in [1000, STREAM_BODIES] {
         let config = FleetConfig::new(bodies)
             .with_population(PopulationModel::mixed_default())
             .with_base_seed(0xD15EA5E)
-            .with_horizon(stream_horizon);
-        let mut wall_s = [Vec::new(), Vec::new()];
-        let mut reference: Option<Vec<u8>> = None;
-        let mut identical = true;
-        for _ in 0..samples {
-            for (slot, runner) in width_runners.iter().enumerate() {
-                let start = Instant::now();
-                let checkpoint = config.run_until(runner, bodies);
-                wall_s[slot].push(start.elapsed().as_secs_f64());
-                let state = checkpoint.save().to_vec();
-                identical &= *reference.get_or_insert_with(|| state.clone()) == state;
-            }
-        }
-        let [width1_s, width2_s] = wall_s.map(median);
+            .with_horizon(STREAM_HORIZON);
+        let widths = interleave(SAMPLES, |slot| {
+            config.run_until(&width_runners[slot], bodies)
+        });
+        let [width1, width2] = &widths;
+        let expected = width1.last().save();
+        let identical = width1
+            .results()
+            .chain(width2.results())
+            .all(|checkpoint| checkpoint.save() == expected);
+        let [width1_s, width2_s] = widths.each_ref().map(|w| w.median().as_secs_f64());
         let row = WidthRow {
             bodies,
-            horizon_s: stream_horizon.as_seconds(),
+            horizon_s: STREAM_HORIZON.as_seconds(),
             engine_runs: engine_runs(&config),
             width1_bodies_per_sec: bodies as f64 / width1_s,
             width2_bodies_per_sec: bodies as f64 / width2_s,
@@ -664,33 +618,32 @@ fn main() -> std::process::ExitCode {
     let width_identity_ok = width_rows.iter().all(|row| row.identical);
 
     // --- Sharded ingestion: merged partials vs the single stream ------------
-    let shard_bodies = (env_f64("HIDWA_BENCH_SHARD_BODIES", 1000.0) as usize).max(100);
-    let shard_config = FleetConfig::new(shard_bodies)
+    let shard_config = FleetConfig::new(SHARD_BODIES)
         .with_population(PopulationModel::mixed_default())
         .with_base_seed(0x5AAD)
-        .with_horizon(stream_horizon);
-    println!("\nsharded ingestion ({shard_bodies} heterogeneous bodies, merged vs single stream)");
+        .with_horizon(STREAM_HORIZON);
+    println!("\nsharded ingestion ({SHARD_BODIES} heterogeneous bodies, merged vs single stream)");
     println!(
         "{:<22} {:>7} {:>10} {:>12} {:>10}",
         "layout", "shards", "wall ms", "bodies/s", "identical"
     );
-    let (single_wall_ms, single_checkpoint) =
-        median_ms(samples, || shard_config.run_until(&runner, shard_bodies));
+    let singles = sample(SAMPLES, || shard_config.run_until(&runner, SHARD_BODIES));
+    let (single_wall_ms, single_checkpoint) = (ms(singles.median()), singles.last());
     let single_state = single_checkpoint.save().to_vec();
     let mut shard_rows = vec![ShardRow {
         layout: "single-stream".to_string(),
         shards: 1,
-        bodies: shard_bodies,
-        horizon_s: stream_horizon.as_seconds(),
+        bodies: SHARD_BODIES,
+        horizon_s: STREAM_HORIZON.as_seconds(),
         wall_ms: single_wall_ms,
-        bodies_per_sec: shard_bodies as f64 / (single_wall_ms / 1e3),
+        bodies_per_sec: SHARD_BODIES as f64 / (single_wall_ms / 1e3),
         identical_to_single_stream: true,
     }];
     println!(
         "{:<22} {:>7} {:>10.1} {:>12.1} {:>10}",
         "single-stream", 1, single_wall_ms, shard_rows[0].bodies_per_sec, "-"
     );
-    let ragged = [1, shard_bodies / 3, shard_bodies - 2];
+    let ragged = [1, SHARD_BODIES / 3, SHARD_BODIES - 2];
     let layouts: Vec<(String, ShardPlan)> = [2usize, 4, 8]
         .iter()
         .map(|&n| {
@@ -707,8 +660,9 @@ fn main() -> std::process::ExitCode {
         .collect();
     let mut shard_identity_ok = true;
     for (layout, plan) in layouts {
-        let (wall_ms, merged) = median_ms(samples, || plan.fold(&runner));
-        let merged_state = FleetCheckpoint::capture(&shard_config, &merged, shard_bodies)
+        let folds = sample(SAMPLES, || plan.fold(&runner));
+        let wall_ms = ms(folds.median());
+        let merged_state = FleetCheckpoint::capture(&shard_config, folds.last(), SHARD_BODIES)
             .save()
             .to_vec();
         let identical = merged_state == single_state;
@@ -716,10 +670,10 @@ fn main() -> std::process::ExitCode {
         let row = ShardRow {
             layout,
             shards: plan.shard_count(),
-            bodies: shard_bodies,
-            horizon_s: stream_horizon.as_seconds(),
+            bodies: SHARD_BODIES,
+            horizon_s: STREAM_HORIZON.as_seconds(),
             wall_ms,
-            bodies_per_sec: shard_bodies as f64 / (wall_ms / 1e3),
+            bodies_per_sec: SHARD_BODIES as f64 / (wall_ms / 1e3),
             identical_to_single_stream: identical,
         };
         println!(
@@ -739,17 +693,17 @@ fn main() -> std::process::ExitCode {
 
     // Mid-stream interruption: checkpoint at the halfway body, serialize,
     // reload, resume — byte-identical to the uninterrupted fold.
-    let half = shard_config.run_until(&runner, shard_bodies / 2).save();
+    let half = shard_config.run_until(&runner, SHARD_BODIES / 2).save();
     let checkpoint_resume_ok = match FleetCheckpoint::load(&half) {
         Ok(restored) => match shard_config.resume(&runner, restored) {
-            Ok(resumed) => resumed == single_checkpoint.into_parts().0.finish(),
+            Ok(resumed) => resumed == single_checkpoint.aggregator().clone().finish(),
             Err(_) => false,
         },
         Err(_) => false,
     };
     println!(
         "checkpoint at body {} -> save ({} bytes) -> load -> resume: {}",
-        shard_bodies / 2,
+        SHARD_BODIES / 2,
         half.len(),
         if checkpoint_resume_ok {
             "byte-identical"
@@ -759,28 +713,27 @@ fn main() -> std::process::ExitCode {
     );
 
     // --- Multi-process driver: shard workers + spool checkpoint transport --
-    let driver_bodies = (env_f64("HIDWA_BENCH_DRIVER_BODIES", 400.0) as usize).max(50);
-    let driver_spec = DriverFleetSpec::new(driver_bodies)
+    let driver_spec = DriverFleetSpec::new(DRIVER_BODIES)
         .with_population(PopulationSpec::Mixed)
         .with_base_seed(0xD21)
-        .with_horizon(stream_horizon);
+        .with_horizon(STREAM_HORIZON);
     let driver_config = driver_spec.to_config();
-    println!("\nmulti-process driver ({driver_bodies} heterogeneous bodies, spool transport)");
+    println!("\nmulti-process driver ({DRIVER_BODIES} heterogeneous bodies, spool transport)");
     println!(
         "{:<16} {:>8} {:>10} {:>12} {:>7} {:>9} {:>10}",
         "mode", "workers", "wall ms", "bodies/s", "reused", "attempts", "identical"
     );
-    let (driver_single_ms, driver_single) =
-        median_ms(samples, || driver_config.run_until(&runner, driver_bodies));
+    let driver_singles = sample(SAMPLES, || driver_config.run_until(&runner, DRIVER_BODIES));
+    let (driver_single_ms, driver_single) = (ms(driver_singles.median()), driver_singles.last());
     let driver_single_state = driver_single.save().to_vec();
     let driver_single_report = driver_single.aggregator().clone().finish();
     let mut driver_rows = vec![DriverRow {
         mode: "single-stream".to_string(),
         workers: 1,
-        bodies: driver_bodies,
-        horizon_s: stream_horizon.as_seconds(),
+        bodies: DRIVER_BODIES,
+        horizon_s: STREAM_HORIZON.as_seconds(),
         wall_ms: driver_single_ms,
-        bodies_per_sec: driver_bodies as f64 / (driver_single_ms / 1e3),
+        bodies_per_sec: DRIVER_BODIES as f64 / (driver_single_ms / 1e3),
         reused_shards: 0,
         worker_attempts: 0,
         identical_to_single_stream: true,
@@ -804,15 +757,16 @@ fn main() -> std::process::ExitCode {
         // Equal layouts share a fingerprint, so every sample publishes into
         // an empty spool of its own, made before its timing starts: each
         // sample times a full fold, not a resume.
-        let spools: Vec<_> = (0..samples)
-            .map(|sample| driver.spool_in(spool_root.join(format!("{mode}-{workers}-{sample}"))))
+        let spools: Vec<_> = (0..SAMPLES)
+            .map(|n| driver.spool_in(spool_root.join(format!("{mode}-{workers}-{n}"))))
             .collect::<Result<_, _>>()
             .expect("create spool dirs");
         let mut spools = spools.iter();
-        let (wall_ms, run) = median_ms(samples, || {
+        let runs = sample(SAMPLES, || {
             let spool = spools.next().expect("one spool per sample");
             driver.run(executor, spool).expect("driver run")
         });
+        let (wall_ms, run) = (ms(runs.median()), runs.last());
         // Byte-level identity: the merged blob state (limbs, buckets, low
         // bits) must equal the single stream's.
         let identical =
@@ -821,10 +775,10 @@ fn main() -> std::process::ExitCode {
         let row = DriverRow {
             mode: mode.to_string(),
             workers,
-            bodies: driver_bodies,
-            horizon_s: stream_horizon.as_seconds(),
+            bodies: DRIVER_BODIES,
+            horizon_s: STREAM_HORIZON.as_seconds(),
             wall_ms,
-            bodies_per_sec: driver_bodies as f64 / (wall_ms / 1e3),
+            bodies_per_sec: DRIVER_BODIES as f64 / (wall_ms / 1e3),
             reused_shards: run.reused_shards(),
             worker_attempts: run.total_attempts(),
             identical_to_single_stream: identical,

@@ -13,12 +13,19 @@
 //! Writes `BENCH_partition.json` (to `$HIDWA_BENCH_OUT` or the current
 //! directory) so successive PRs can track the trajectory, and exits non-zero
 //! if the two paths ever disagree on the chosen cut.
+//!
+//! Sizes: each figure is the median of `SAMPLES` (30) samples of `ITERS`
+//! (2000) optimiser calls, or a tenth as many naive ones, after as many
+//! untimed warm-up calls as one sample makes.
 
 use hidwa_bench::json;
 use hidwa_bench::reference::naive_optimize_leaf_energy;
+use hidwa_bench::sampler::median_ns_per_call;
 use hidwa_core::partition::{Objective, PartitionContext, PartitionOptimizer};
 use hidwa_isa::models;
-use std::time::Instant;
+
+const SAMPLES: usize = 30;
+const ITERS: usize = 2000;
 
 struct ModelResult {
     model: String,
@@ -36,31 +43,7 @@ hidwa_bench::json_struct!(ModelResult {
     speedup,
 });
 
-/// Median ns per call of `f`, sampled `samples` times at `iters` calls each.
-fn median_ns<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
-    // Warmup.
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_call.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    per_call[per_call.len() / 2]
-}
-
 fn main() {
-    // env_usize clamps to 1: zero would panic (empty medians) or divide by
-    // zero.
-    let samples = hidwa_bench::env_usize("HIDWA_BENCH_SAMPLES", 30);
-    let iters = hidwa_bench::env_usize("HIDWA_BENCH_ITERS", 2000);
-
     let optimizer = PartitionOptimizer::new(PartitionContext::wir_default());
     let mut results = Vec::new();
     let mut disagreements = 0;
@@ -77,13 +60,14 @@ fn main() {
             disagreements += 1;
         }
 
-        let optimize_ns = median_ns(samples, iters, || {
+        let optimize_ns = median_ns_per_call(SAMPLES, ITERS, ITERS, || {
             std::hint::black_box(
                 optimizer.optimize(std::hint::black_box(&model), Objective::LeafEnergy),
             )
             .ok();
         });
-        let naive_ns = median_ns(samples, iters.div_ceil(10), || {
+        let naive_iters = ITERS.div_ceil(10);
+        let naive_ns = median_ns_per_call(SAMPLES, naive_iters, naive_iters, || {
             std::hint::black_box(naive_optimize_leaf_energy(
                 &optimizer,
                 std::hint::black_box(&model),

@@ -4,7 +4,7 @@
 //! Writes `BENCH_projection.json` (to `$HIDWA_BENCH_OUT` or the current
 //! directory) so successive PRs can track the trajectory alongside
 //! `BENCH_partition.json` and `BENCH_netsim.json`.  Four stages are timed
-//! (median ns per call over interleaved samples):
+//! (median ns per call over repeated samples, one stage after another):
 //!
 //! * `single_rate` — one [`Fig3Projector::project_rate`] call (the unit of
 //!   every sweep);
@@ -18,16 +18,18 @@
 //! marker misses its claimed operating band, or if the perpetual edge leaves
 //! the (tracker, audio) rate interval the paper draws it in.
 //!
-//! Knobs: `HIDWA_BENCH_SAMPLES` (default 15 timing samples per stage,
-//! median taken), `HIDWA_BENCH_ITERS` (default 200 calls per sample for the
-//! cheap stages).
+//! Sizes: `SAMPLES` (15 timing samples per stage, median taken), `ITERS`
+//! (200 calls per sample for the cheap stages, a twentieth as many for the
+//! sweep and the edge), each stage after up to 16 untimed warm-up calls.
 
-use hidwa_bench::env_usize;
 use hidwa_bench::json;
+use hidwa_bench::sampler::median_ns_per_call;
 use hidwa_core::devices;
 use hidwa_core::projection::Fig3Projector;
 use hidwa_units::DataRate;
-use std::time::Instant;
+
+const SAMPLES: usize = 15;
+const ITERS: usize = 200;
 
 struct StageResult {
     stage: &'static str,
@@ -61,28 +63,12 @@ hidwa_bench::json_struct!(BenchProjection {
     edge_ok,
 });
 
-/// Median ns per call of `f`, sampled `samples` times at `iters` calls each.
-fn median_ns<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
-    for _ in 0..iters.min(16) {
-        f(); // Warmup.
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_call.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    per_call[per_call.len() / 2]
+/// Median ns per call of `f` over `iters` calls per sample.
+fn median_ns(iters: usize, f: impl FnMut()) -> f64 {
+    median_ns_per_call(SAMPLES, iters, iters.min(16), f)
 }
 
 fn main() {
-    let samples = env_usize("HIDWA_BENCH_SAMPLES", 15);
-    let iters = env_usize("HIDWA_BENCH_ITERS", 200);
-
     hidwa_bench::header(
         "bench_projection",
         "Fig. 3 projection path: single-rate, full sweep, perpetual edge, device catalogue",
@@ -102,24 +88,26 @@ fn main() {
     let edge_ok = edge.as_kbps() > 13.0 && edge.as_kbps() < 256.0;
 
     // --- Timing -------------------------------------------------------------
-    let single_rate_ns = median_ns(samples, iters, || {
+    let single_rate_ns = median_ns(ITERS, || {
         std::hint::black_box(
             projector.project_rate(std::hint::black_box(DataRate::from_kbps(256.0))),
         );
     });
-    let sweep_iters = iters.div_ceil(20);
-    let full_sweep_ns = median_ns(samples, sweep_iters, || {
+    let sweep_iters = ITERS.div_ceil(20);
+    // The inputs are boxed too: with constant ones the reading followed the
+    // harness's inlining rather than the sweep.
+    let full_sweep_ns = median_ns(sweep_iters, || {
         std::hint::black_box(projector.sweep(
-            DataRate::from_bps(10.0),
-            DataRate::from_mbps(10.0),
-            10,
+            std::hint::black_box(DataRate::from_bps(10.0)),
+            std::hint::black_box(DataRate::from_mbps(10.0)),
+            std::hint::black_box(10),
         ));
     });
-    let edge_iters = iters.div_ceil(20);
-    let perpetual_edge_ns = median_ns(samples, edge_iters, || {
+    let edge_iters = ITERS.div_ceil(20);
+    let perpetual_edge_ns = median_ns(edge_iters, || {
         std::hint::black_box(projector.perpetual_region_edge());
     });
-    let catalog_ns = median_ns(samples, iters, || {
+    let catalog_ns = median_ns(ITERS, || {
         for profile in devices::catalog() {
             std::hint::black_box(profile.derived_battery_life());
         }
@@ -132,10 +120,10 @@ fn main() {
         per_sec: 1e9 / median_ns,
     };
     let stages = vec![
-        stage("single_rate", iters, single_rate_ns),
+        stage("single_rate", ITERS, single_rate_ns),
         stage("full_sweep", sweep_iters, full_sweep_ns),
         stage("perpetual_edge", edge_iters, perpetual_edge_ns),
-        stage("device_catalog", iters, catalog_ns),
+        stage("device_catalog", ITERS, catalog_ns),
     ];
 
     println!("{:<16} {:>12} {:>14}", "stage", "median", "calls/s");

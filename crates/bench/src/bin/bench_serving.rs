@@ -20,23 +20,32 @@
 //! `$HIDWA_BENCH_OUT` or the current directory) so successive changes can
 //! track the trajectory.
 //!
-//! Knobs: `HIDWA_BENCH_CLIENTS` (default 4) for the cache×batch scenarios,
-//! `HIDWA_BENCH_REQUESTS` frames per client (default 1500),
-//! `HIDWA_BENCH_SCALE_QUERIES` total queries per scaling row (default
-//! 24000), `HIDWA_BENCH_MIN_RPS` floor (default 1000).
+//! Sizes: `CLIENTS` (4 connections in the cache×batch scenarios),
+//! `REQUESTS` (1500 queries per client in those scenarios), `SCALE_QUERIES`
+//! (24000 queries per scaling row), `GEN_THREADS` (at most 8 load-generator
+//! threads), `PASSES` (each row is the best of 3 passes) and `MIN_RPS` (the
+//! 1000 rps floor of the `single_cached` row).
 
 use hidwa_bench::json;
+use hidwa_bench::sampler::self_timed;
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     ModelId, PlanRequest, ProjectionRequest, Request, WireContext, WireLink,
 };
-use hidwa_core::serve::{PlanClient, PlanServer, PlanService};
+use hidwa_core::serve::{PlanClient, PlanServer, PlanService, ServeStats};
 use hidwa_eqs::body::BodySite;
 use hidwa_netsim::sketch::LatencySketch;
 use hidwa_phy::RadioTechnology;
 use hidwa_units::TimeSpan;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+const CLIENTS: usize = 4;
+const REQUESTS: usize = 1500;
+const SCALE_QUERIES: usize = 24_000;
+const GEN_THREADS: usize = 8;
+const PASSES: usize = 3;
+const MIN_RPS: f64 = 1000.0;
 
 struct ScenarioResult {
     scenario: String,
@@ -114,18 +123,19 @@ fn drain_one(lane: &mut Lane, sketch: &mut LatencySketch, served: &mut u64) {
 /// fixed pool of generator threads (a load generator needs many sockets,
 /// not many OS threads), each pumping `frames` frames of `batch` queries
 /// through a window of `pipeline` in-flight tags against a fresh server;
-/// returns the merged submit-to-reply sketch and the server's final stats.
+/// returns the wall time from the start barrier to the last reply, the
+/// merged submit-to-reply sketch, the server's final stats and the answers.
 fn run_scenario(
     cache: bool,
     clients: usize,
     frames: usize,
     batch: usize,
     pipeline: usize,
-) -> (LatencySketch, hidwa_core::serve::ServeStats, f64, u64) {
+) -> (Duration, (LatencySketch, ServeStats, u64)) {
     let server = PlanServer::bind(PlanService::new().with_cache(cache)).expect("bind loopback");
     let addr = server.addr();
     let log = query_log();
-    let generators = clients.min(hidwa_bench::env_usize("HIDWA_BENCH_GEN_THREADS", 8));
+    let generators = clients.min(GEN_THREADS);
 
     // Connection setup happens before the clock starts (a connect storm
     // against a fresh listener can hit SYN retransmits; that is bring-up
@@ -192,15 +202,16 @@ fn run_scenario(
         sketch.merge(&worker_sketch);
         served += worker_served;
     }
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = start.elapsed();
     let stats = server.service().stats();
-    (sketch, stats, elapsed, served)
+    (elapsed, (sketch, stats, served))
 }
 
-/// Runs a scenario `HIDWA_BENCH_PASSES` times (default 3) and reports the
-/// best pass by rps: on a shared host, throughput is a property of the
-/// code, noise is a property of the neighbours, and max-of-N strips most
-/// of the latter out of the tracked trajectory.
+/// Runs a scenario `PASSES` times and reports the best pass by rps: on a
+/// shared host, throughput is a property of the code, noise is a property
+/// of the neighbours, and max-of-N strips most of the latter out of the
+/// tracked trajectory.  Every pass serves the same number of answers, so
+/// the fastest pass is the one with the best rps.
 fn measure(
     name: &str,
     cache: bool,
@@ -209,28 +220,17 @@ fn measure(
     batch: usize,
     pipeline: usize,
 ) -> ScenarioResult {
-    let passes = hidwa_bench::env_usize("HIDWA_BENCH_PASSES", 3).max(1);
-    let mut best = None;
-    for _ in 0..passes {
+    let passes = self_timed(PASSES, || {
         let pass = run_scenario(cache, clients, frames, batch, pipeline);
+        let (_, (_, stats, served)) = &pass;
         assert_eq!(
-            pass.3, pass.1.requests,
+            *served, stats.requests,
             "served answers must match counters"
         );
-        best = match best {
-            None => Some(pass),
-            Some(incumbent) => {
-                let pass_rps = pass.3 as f64 / pass.2;
-                let incumbent_rps = incumbent.3 as f64 / incumbent.2;
-                Some(if pass_rps > incumbent_rps {
-                    pass
-                } else {
-                    incumbent
-                })
-            }
-        };
-    }
-    let (sketch, stats, elapsed_s, served) = best.expect("at least one pass");
+        pass
+    });
+    let (elapsed, (sketch, stats, served)) = passes.best();
+    let (elapsed_s, served) = (elapsed.as_secs_f64(), *served);
     let rps = served as f64 / elapsed_s;
     let p50_us = sketch.quantile(0.5).as_seconds() * 1e6;
     let p99_us = sketch.quantile(0.99).as_seconds() * 1e6;
@@ -254,10 +254,6 @@ fn measure(
 }
 
 fn main() {
-    let clients = hidwa_bench::env_usize("HIDWA_BENCH_CLIENTS", 4);
-    let rounds = hidwa_bench::env_usize("HIDWA_BENCH_REQUESTS", 1500);
-    let scale_queries = hidwa_bench::env_usize("HIDWA_BENCH_SCALE_QUERIES", 24_000);
-
     hidwa_bench::header(
         "bench_serving",
         "end-to-end plan-server round trips: rps, latency quantiles, cache hit rate",
@@ -280,16 +276,14 @@ fn main() {
     // queries per frame: scale the frame count down so every scenario
     // serves comparable totals.
     for (name, cache, batch) in grid {
-        let frames = (rounds / batch).max(1);
-        results.push(measure(name, cache, clients, frames, batch, 1));
+        results.push(measure(name, cache, CLIENTS, REQUESTS / batch, batch, 1));
     }
 
     // Row family 2: connection scaling, single cached queries.
     for conns in [4usize, 16, 64, 256] {
         for depth in [1usize, 8] {
-            let frames = (scale_queries / conns).max(1);
             let name = format!("scale_{conns}x{depth}");
-            results.push(measure(&name, true, conns, frames, 1, depth));
+            results.push(measure(&name, true, conns, SCALE_QUERIES / conns, 1, depth));
         }
     }
 
@@ -297,12 +291,11 @@ fn main() {
 
     // Sanity floor rather than a flaky perf wall: a warm cached server on
     // loopback must comfortably clear 1k requests/sec.
-    let floor = hidwa_bench::env_f64("HIDWA_BENCH_MIN_RPS", 1000.0);
     for row in &results {
         if row.scenario == "single_cached" {
             assert!(
-                row.rps >= floor,
-                "cached single-query serving fell below {floor} rps: {:.0}",
+                row.rps >= MIN_RPS,
+                "cached single-query serving fell below {MIN_RPS} rps: {:.0}",
                 row.rps
             );
         }

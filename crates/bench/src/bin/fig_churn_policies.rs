@@ -26,10 +26,9 @@
 //! `$HIDWA_RESULTS_DIR/fig_churn_policies.json` (the committed copy lives in
 //! `results/`).  Exits non-zero on any identity failure.
 //!
-//! Knobs: `HIDWA_BENCH_CHURN_BODIES` (default 1000),
-//! `HIDWA_BENCH_CHURN_HORIZON_S` (default 2 s per-body horizon).
+//! Sizes: `BODIES` (1000 bodies per fleet), `HORIZON` (2 s per-body
+//! horizon).
 
-use hidwa_bench::env_f64;
 use hidwa_core::fleet::{ChurnSpec, FleetCheckpoint, FleetConfig, PolicyKind, ShardPlan};
 use hidwa_core::population::{ChurnModel, PopulationModel};
 use hidwa_core::sweep::SweepRunner;
@@ -98,13 +97,13 @@ const POLICIES: [PolicyKind; 3] = [
     PolicyKind::Hysteresis,
 ];
 const CHURN_RATES: [f64; 2] = [0.2, 0.6];
+const BODIES: usize = 1000;
+const HORIZON: TimeSpan = TimeSpan::from_seconds(2.0);
 /// Severe epoch fades (down to 20 % of nominal goodput) so re-optimizing
 /// policies actually have cut moves worth making.
 const LINK_FADE: f64 = 0.8;
 
 fn main() -> std::process::ExitCode {
-    let bodies = (env_f64("HIDWA_BENCH_CHURN_BODIES", 1000.0) as usize).max(100);
-    let horizon = TimeSpan::from_seconds(env_f64("HIDWA_BENCH_CHURN_HORIZON_S", 2.0).max(0.5));
     let runner = SweepRunner::new();
 
     hidwa_bench::header(
@@ -112,8 +111,8 @@ fn main() -> std::process::ExitCode {
         "fleet churn x online placement policies: migration rate, occupancy, energy",
     );
     println!(
-        "{bodies} heterogeneous bodies, {:.1} s horizon, link fade {LINK_FADE} (threads: {})\n",
-        horizon.as_seconds(),
+        "{BODIES} heterogeneous bodies, {:.1} s horizon, link fade {LINK_FADE} (threads: {})\n",
+        HORIZON.as_seconds(),
         runner.threads()
     );
     println!(
@@ -140,14 +139,14 @@ fn main() -> std::process::ExitCode {
                 ChurnModel::with_rate(rate).with_link_fade(LINK_FADE),
                 policy,
             );
-            let config = FleetConfig::new(bodies)
+            let config = FleetConfig::new(BODIES)
                 .with_population(PopulationModel::mixed_default())
                 .with_base_seed(0xC12A)
-                .with_horizon(horizon)
+                .with_horizon(HORIZON)
                 .with_churn(spec);
 
             let start = Instant::now();
-            let single_checkpoint = config.run_until(&SweepRunner::with_threads(1), bodies);
+            let single_checkpoint = config.run_until(&SweepRunner::with_threads(1), BODIES);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let single_state = single_checkpoint.save().to_vec();
             let report = single_checkpoint.into_parts().0.finish();
@@ -155,11 +154,11 @@ fn main() -> std::process::ExitCode {
             // Determinism with churn enabled: width 1 vs 4 and a 4-shard
             // merge must all serialize to the same state bytes.
             let wide_state = config
-                .run_until(&SweepRunner::with_threads(4), bodies)
+                .run_until(&SweepRunner::with_threads(4), BODIES)
                 .save()
                 .to_vec();
             let merged = ShardPlan::split(config.clone(), 4).fold(&runner);
-            let merged_state = FleetCheckpoint::capture(&config, &merged, bodies)
+            let merged_state = FleetCheckpoint::capture(&config, &merged, BODIES)
                 .save()
                 .to_vec();
             let row_identity = wide_state == single_state && merged_state == single_state;
@@ -167,7 +166,7 @@ fn main() -> std::process::ExitCode {
 
             // Mid-stream interruption: save at the halfway body, reload,
             // resume — the finished report must match.
-            let half = config.run_until(&runner, bodies / 2).save();
+            let half = config.run_until(&runner, BODIES / 2).save();
             let row_resume = match FleetCheckpoint::load(&half) {
                 Ok(restored) => config
                     .resume(&runner, restored)
@@ -180,8 +179,8 @@ fn main() -> std::process::ExitCode {
             let row = ChurnRow {
                 policy: policy.to_string(),
                 churn_rate: rate,
-                bodies,
-                horizon_s: horizon.as_seconds(),
+                bodies: BODIES,
+                horizon_s: HORIZON.as_seconds(),
                 wall_ms,
                 migrations: report.migrations(),
                 replans: report.replans(),
@@ -232,8 +231,8 @@ fn main() -> std::process::ExitCode {
         .all(|row| row.occupancy > 0.0 && row.occupancy < 1.0);
 
     let section = ChurnSection {
-        bodies,
-        horizon_s: horizon.as_seconds(),
+        bodies: BODIES,
+        horizon_s: HORIZON.as_seconds(),
         link_fade: LINK_FADE,
         identity_ok,
         resume_ok,

@@ -4,13 +4,16 @@
 //! the [`SweepRunner`] (rows are byte-identical to the serial loop at any
 //! thread width — asserted by `tests/harvest_grid.rs`).
 //!
-//! Knobs: `HIDWA_HARVEST_SEEDS` (default 8 independent Monte-Carlo streams
-//! per cell), `HIDWA_HARVEST_TRIALS` (default 1000 draws per stream).
+//! Sizes: `SEEDS` (8 independent Monte-Carlo streams per cell), `TRIALS`
+//! (1000 draws per stream).
 
 use hidwa_bench::harvest::{monte_carlo_grid, HarvestRow};
-use hidwa_bench::{env_usize, fmt_power, header, write_json};
+use hidwa_bench::{fmt_power, header, write_json};
 use hidwa_core::sweep::SweepRunner;
 use hidwa_units::Power;
+
+const SEEDS: usize = 8;
+const TRIALS: usize = 1000;
 
 fn main() {
     header(
@@ -18,10 +21,8 @@ fn main() {
         "Paper claim: 10-200 µW indoor harvesting makes ULP leaf nodes perpetual",
     );
 
-    let seeds = env_usize("HIDWA_HARVEST_SEEDS", 8);
-    let trials = env_usize("HIDWA_HARVEST_TRIALS", 1000);
     let runner = SweepRunner::new();
-    let rows: Vec<HarvestRow> = monte_carlo_grid(&runner, 2024, seeds, trials);
+    let rows: Vec<HarvestRow> = monte_carlo_grid(&runner, 2024, SEEDS, TRIALS);
 
     let mut current_profile = String::new();
     for row in &rows {
@@ -56,7 +57,7 @@ fn main() {
         .filter(|r| r.architecture.contains("conventional") && r.energy_neutral)
         .count();
     println!(
-        "\nEnergy-neutral (workload, profile) combinations: human-inspired {neutral_human}, conventional {neutral_conventional} ({seeds} Monte-Carlo streams x {trials} trials per cell, {} runner threads)",
+        "\nEnergy-neutral (workload, profile) combinations: human-inspired {neutral_human}, conventional {neutral_conventional} ({SEEDS} Monte-Carlo streams x {TRIALS} trials per cell, {} runner threads)",
         runner.threads()
     );
 

@@ -26,8 +26,8 @@
 //! `$HIDWA_SEARCH_SPOOL` (default `search-spool/`), which CI uploads as an
 //! artifact.
 //!
-//! Knobs: `HIDWA_BENCH_SEARCH_BODIES` (default 48),
-//! `HIDWA_BENCH_SEARCH_HORIZON_S` (default 0.5 s per-body horizon).
+//! Sizes: `BODIES` (48 bodies per evaluation), `HORIZON` (0.5 s per-body
+//! horizon).
 //!
 //! An operator mode for the `DEPLOYMENT.md` walkthrough runs one search
 //! with explicit flags and real worker processes:
@@ -40,7 +40,6 @@
 //! A bad invocation exits 2 with the usage before the spool root is
 //! created; `--horizon-s` gets the worker's own finite, non-negative check.
 
-use hidwa_bench::env_f64;
 use hidwa_core::flags::{usage_error, Flags};
 use hidwa_core::fleet::driver::{
     check_horizon, DriverFleetSpec, InProcessExecutor, PopulationSpec, ProcessExecutor,
@@ -122,6 +121,9 @@ fn churn_template() -> ChurnSpec {
     )
     .with_hysteresis_threshold(0.1)
 }
+
+const BODIES: usize = 48;
+const HORIZON: TimeSpan = TimeSpan::from_seconds(0.5);
 
 fn base_spec(bodies: usize, horizon: TimeSpan, population: PopulationSpec) -> DriverFleetSpec {
     DriverFleetSpec::new(bodies)
@@ -332,8 +334,6 @@ fn main() -> ExitCode {
             .unwrap_or_else(|message| usage_error(SEARCH_USAGE, &message));
     }
 
-    let bodies = (env_f64("HIDWA_BENCH_SEARCH_BODIES", 48.0) as usize).max(8);
-    let horizon = TimeSpan::from_seconds(env_f64("HIDWA_BENCH_SEARCH_HORIZON_S", 0.5).max(0.05));
     let spool = PathBuf::from(
         std::env::var("HIDWA_SEARCH_SPOOL").unwrap_or_else(|_| "search-spool".to_string()),
     );
@@ -345,16 +345,16 @@ fn main() -> ExitCode {
         "fleet-scale configuration search: ranked energy vs worst-body-p95 frontier per archetype",
     );
     println!(
-        "{} grid points (mac x objective x radio x traffic x policy), {bodies} bodies, {:.2} s horizon (threads: {})\n",
+        "{} grid points (mac x objective x radio x traffic x policy), {BODIES} bodies, {:.2} s horizon (threads: {})\n",
         space.len(),
-        horizon.as_seconds(),
+        HORIZON.as_seconds(),
         runner.threads()
     );
 
     let mut archetypes = Vec::new();
     for population in [PopulationSpec::Uniform, PopulationSpec::Mixed] {
         let tag = population.tag().to_string();
-        let spec = SearchSpec::new(base_spec(bodies, horizon, population), space.clone());
+        let spec = SearchSpec::new(base_spec(BODIES, HORIZON, population), space.clone());
         let driver = SearchDriver::new(spec, SearchStrategy::ExhaustiveGrid);
         let root = spool.join(&tag);
         let start = Instant::now();
@@ -384,7 +384,7 @@ fn main() -> ExitCode {
 
     // Contract checks on the reduced grid (mixed population).
     let contract = SearchSpec::new(
-        base_spec(bodies.min(24), horizon, PopulationSpec::Mixed),
+        base_spec(BODIES.min(24), HORIZON, PopulationSpec::Mixed),
         contract_space(),
     );
     let reference_root = spool.join("contract-inproc");
@@ -406,8 +406,8 @@ fn main() -> ExitCode {
     });
 
     let section = SearchSection {
-        bodies,
-        horizon_s: horizon.as_seconds(),
+        bodies: BODIES,
+        horizon_s: HORIZON.as_seconds(),
         grid_points: space.len(),
         identity_ok,
         resume_ok,

@@ -1,5 +1,6 @@
-//! Shared helpers for the experiment binaries: aligned-table printing and
-//! machine-readable result dumps.
+//! Shared helpers for the experiment binaries: aligned-table printing,
+//! machine-readable result dumps and the perf rows' timing loop
+//! ([`sampler`]).
 //!
 //! Every experiment binary in `src/bin/` regenerates one figure or headline
 //! claim of the paper (the figure table in the repo-root README maps each
@@ -31,6 +32,7 @@ pub mod figs;
 pub mod harvest;
 pub mod json;
 pub mod reference;
+pub mod sampler;
 
 use std::fs;
 use std::path::PathBuf;
@@ -59,17 +61,6 @@ pub fn write_json<T: json::ToJson>(name: &str, value: &T) {
     let path = dir.join(format!("{name}.json"));
     fs::write(&path, json::to_string_pretty(value)).expect("write results file");
     println!("[results written to {}]", path.display());
-}
-
-/// Reads a `usize` knob from the environment, clamped to a minimum of 1
-/// (zero would panic or divide-by-zero in every sampling loop that uses it).
-#[must_use]
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
 }
 
 /// Reads an `f64` knob from the environment.

@@ -629,7 +629,7 @@ pub struct BodySummary {
 /// any grouping, and the state is byte-identical to the single-stream
 /// body-order fold — the contract the thread, shard and checkpoint layers
 /// are built on (property-tested in `tests/fleet_shards.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetAggregator {
     horizon: TimeSpan,
     top_k: usize,
@@ -768,7 +768,13 @@ impl FleetAggregator {
     /// which `bench_netsim` asserts across a 10× fleet-size spread.
     #[must_use]
     pub fn state_buckets(&self) -> usize {
-        state_buckets_of(&self.fleet_latency, &self.body_p95, &self.worst)
+        self.fleet_latency.bucket_count()
+            + self.body_p95.bucket_count()
+            + self
+                .worst
+                .iter()
+                .map(|s| s.latency.bucket_count() + 1)
+                .sum::<usize>()
     }
 
     /// Merges another partial fold into this one — the commutative-monoid
@@ -838,24 +844,7 @@ impl FleetAggregator {
     /// Finalises the fold into a [`FleetReport`].
     #[must_use]
     pub fn finish(self) -> FleetReport {
-        FleetReport {
-            horizon: self.horizon,
-            top_k: self.top_k,
-            bodies: self.bodies,
-            fleet_latency: self.fleet_latency,
-            body_p95: self.body_p95,
-            total_energy: Energy::from_joules(self.total_energy.to_f64()),
-            total_generated: self.total_generated,
-            total_delivered: self.total_delivered,
-            total_delivered_bytes: self.total_delivered_bytes,
-            total_events: self.total_events,
-            min_body_delivery_ratio: self.min_body_delivery_ratio,
-            total_migrations: self.total_migrations,
-            total_replans: self.total_replans,
-            active_span: TimeSpan::from_seconds(self.active_span.to_f64()),
-            placement_energy: Energy::from_joules(self.placement_energy.to_f64()),
-            worst: self.worst,
-        }
+        FleetReport { fold: self }
     }
 }
 
@@ -868,121 +857,90 @@ fn ranks_before(a: &BodySummary, b: &BodySummary) -> bool {
         || (a.worst_p95_latency == b.worst_p95_latency && a.body_index < b.body_index)
 }
 
-/// The one definition of the aggregation-state memory proxy: live sketch
-/// buckets (fleet + per-body-p95 + each retained body's sketch) plus one
-/// unit per retained summary.  Shared by [`FleetAggregator::state_buckets`]
-/// and [`FleetReport::aggregation_state_buckets`] so the bench's
-/// bounded-memory guard and the aggregator always measure the same quantity.
-fn state_buckets_of(
-    fleet_latency: &LatencySketch,
-    body_p95: &LatencySketch,
-    worst: &[BodySummary],
-) -> usize {
-    fleet_latency.bucket_count()
-        + body_p95.bucket_count()
-        + worst
-            .iter()
-            .map(|s| s.latency.bucket_count() + 1)
-            .sum::<usize>()
-}
-
 /// Deterministic aggregate of a fleet stream — everything the old
-/// materialised report answered, from `O(K + sketch)` state.
+/// materialised report answered, from `O(K + sketch)` state: the finished
+/// fold itself, read through accessors that round its exact sums.  Two
+/// reports are equal when their folds' states are.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
-    horizon: TimeSpan,
-    top_k: usize,
-    bodies: usize,
-    fleet_latency: LatencySketch,
-    body_p95: LatencySketch,
-    total_energy: Energy,
-    total_generated: usize,
-    total_delivered: usize,
-    total_delivered_bytes: usize,
-    total_events: u64,
-    min_body_delivery_ratio: f64,
-    total_migrations: u64,
-    total_replans: u64,
-    active_span: TimeSpan,
-    placement_energy: Energy,
-    worst: Vec<BodySummary>,
+    fold: FleetAggregator,
 }
 
 impl FleetReport {
     /// Number of bodies aggregated.
     #[must_use]
     pub fn bodies(&self) -> usize {
-        self.bodies
+        self.fold.bodies
     }
 
     /// Simulated horizon per body.
     #[must_use]
     pub fn horizon(&self) -> TimeSpan {
-        self.horizon
+        self.fold.horizon
     }
 
     /// The worst bodies by p95 latency (worst first), kept exactly — at most
     /// the configured top-K, fewer when the fleet is smaller.
     #[must_use]
     pub fn worst_bodies(&self) -> &[BodySummary] {
-        &self.worst
+        &self.fold.worst
     }
 
     /// Fleet-wide delivery-latency distribution (every delivered frame on
     /// every body), queryable to the sketch's documented error bound.
     #[must_use]
     pub fn fleet_latency(&self) -> &LatencySketch {
-        &self.fleet_latency
+        &self.fold.fleet_latency
     }
 
     /// Distribution of per-body worst p95 latency across the fleet (exact
     /// count/min/max, quantiles within the sketch bound).
     #[must_use]
     pub fn body_p95_distribution(&self) -> &LatencySketch {
-        &self.body_p95
+        &self.fold.body_p95
     }
 
     /// Total discrete events processed across the fleet.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.total_events
+        self.fold.total_events
     }
 
     /// Total application bytes delivered across the fleet.
     #[must_use]
     pub fn delivered_bytes(&self) -> usize {
-        self.total_delivered_bytes
+        self.fold.total_delivered_bytes
     }
 
     /// Fleet-wide delivered / generated frame ratio.
     #[must_use]
     pub fn delivery_ratio(&self) -> f64 {
-        if self.total_generated == 0 {
+        if self.fold.total_generated == 0 {
             return 1.0;
         }
-        self.total_delivered as f64 / self.total_generated as f64
+        self.fold.total_delivered as f64 / self.fold.total_generated as f64
     }
 
     /// Total (radio + baseline) energy across the fleet.
     #[must_use]
     pub fn total_energy(&self) -> Energy {
-        self.total_energy
+        Energy::from_joules(self.fold.total_energy.to_f64())
     }
 
     /// Aggregate delivered throughput across the fleet.
     #[must_use]
     pub fn aggregate_throughput(&self) -> DataRate {
-        if self.horizon.as_seconds() <= 0.0 {
+        if self.fold.horizon.as_seconds() <= 0.0 {
             return DataRate::ZERO;
         }
-        DataVolume::from_bytes(self.total_delivered_bytes as f64) / self.horizon
+        DataVolume::from_bytes(self.fold.total_delivered_bytes as f64) / self.fold.horizon
     }
 
     /// Memory-footprint proxy of the retained aggregation state (see
     /// [`FleetAggregator::state_buckets`]).
     #[must_use]
     pub fn aggregation_state_buckets(&self) -> usize {
-        state_buckets_of(&self.fleet_latency, &self.body_p95, &self.worst)
+        self.fold.state_buckets()
     }
 
     /// The `q`-quantile (nearest-rank, `q` clamped to `[0, 1]`) across bodies
@@ -1000,21 +958,22 @@ impl FleetReport {
     /// above the exact tail that follows it.
     #[must_use]
     pub fn body_worst_p95_quantile(&self, q: f64) -> TimeSpan {
-        if self.bodies == 0 {
+        if self.fold.bodies == 0 {
             return TimeSpan::ZERO;
         }
         // Rank in the ascending per-body ordering.
-        let index = sketch::nearest_rank_index(self.bodies, q);
+        let index = sketch::nearest_rank_index(self.fold.bodies, q);
         if index == 0 {
-            return self.body_p95.min();
+            return self.fold.body_p95.min();
         }
         // `worst` holds the top `worst.len()` ascending positions
         // `bodies - worst.len() ..= bodies - 1`, worst first.
-        if index >= self.bodies - self.worst.len() {
-            return self.worst[self.bodies - 1 - index].worst_p95_latency;
+        if index >= self.fold.bodies - self.fold.worst.len() {
+            return self.fold.worst[self.fold.bodies - 1 - index].worst_p95_latency;
         }
-        let interior = self.body_p95.quantile(q);
-        self.worst
+        let interior = self.fold.body_p95.quantile(q);
+        self.fold
+            .worst
             .last()
             .map_or(interior, |tail| interior.min(tail.worst_p95_latency))
     }
@@ -1023,32 +982,32 @@ impl FleetReport {
     /// fleet).
     #[must_use]
     pub fn min_body_delivery_ratio(&self) -> f64 {
-        self.min_body_delivery_ratio
+        self.fold.min_body_delivery_ratio
     }
 
     /// Placement migrations adopted across the fleet (0 without churn).
     #[must_use]
     pub fn migrations(&self) -> u64 {
-        self.total_migrations
+        self.fold.total_migrations
     }
 
     /// Optimiser re-runs across the fleet after admission (0 without churn).
     #[must_use]
     pub fn replans(&self) -> u64 {
-        self.total_replans
+        self.fold.total_replans
     }
 
     /// Total active (duty-weighted resident) simulated time across bodies.
     #[must_use]
     pub fn active_span(&self) -> TimeSpan {
-        self.active_span
+        TimeSpan::from_seconds(self.fold.active_span.to_f64())
     }
 
     /// Inference + migration energy charged by the placement layer
     /// ([`Energy::ZERO`] without churn).
     #[must_use]
     pub fn placement_energy(&self) -> Energy {
-        self.placement_energy
+        Energy::from_joules(self.fold.placement_energy.to_f64())
     }
 
     /// Migrations per active body-hour — the headline policy-comparison
@@ -1056,11 +1015,11 @@ impl FleetReport {
     /// scale).  Zero when no body was ever active.
     #[must_use]
     pub fn migration_rate(&self) -> f64 {
-        let hours = self.active_span.as_seconds() / 3600.0;
+        let hours = self.active_span().as_seconds() / 3600.0;
         if hours <= 0.0 {
             return 0.0;
         }
-        self.total_migrations as f64 / hours
+        self.fold.total_migrations as f64 / hours
     }
 
     /// Mean fraction of the horizon bodies spent active — 1.0 for a static
@@ -1068,11 +1027,11 @@ impl FleetReport {
     /// Zero for an empty fleet.
     #[must_use]
     pub fn mean_occupancy(&self) -> f64 {
-        let denominator = self.bodies as f64 * self.horizon.as_seconds();
+        let denominator = self.fold.bodies as f64 * self.fold.horizon.as_seconds();
         if denominator <= 0.0 {
             return 0.0;
         }
-        self.active_span.as_seconds() / denominator
+        self.active_span().as_seconds() / denominator
     }
 }
 

@@ -209,15 +209,7 @@ impl ObjectiveSpace {
     /// If `index >= self.len()`.
     #[must_use]
     pub fn point(&self, index: u64) -> GridPoint {
-        assert!(index < self.len(), "grid index {index} out of range");
-        let dims = self.dims();
-        let mut rest = index;
-        let mut coords = [0usize; 5];
-        for axis in (0..5).rev() {
-            let radix = dims[axis] as u64;
-            coords[axis] = (rest % radix) as usize;
-            rest /= radix;
-        }
+        let coords = self.coords(index);
         GridPoint {
             index,
             mac: self.mac[coords[0]],

@@ -229,7 +229,7 @@ fn accept_all(
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                if sys::set_nonblocking(stream.as_raw_fd()).is_err() {
+                if stream.set_nonblocking(true).is_err() {
                     continue; // drop the connection, keep accepting
                 }
                 let slot = free.pop().unwrap_or_else(|| {

@@ -1,4 +1,4 @@
-//! Minimal epoll/fcntl syscall shim for the serve reactor (Linux only).
+//! Minimal epoll syscall shim for the serve reactor (Linux only).
 //!
 //! The repo's shim policy (`crates/shims/*`) exists because the build
 //! container has no crates.io registry: anything a real dependency would
@@ -10,7 +10,7 @@
 //! `unsafe`).
 //!
 //! Only the constants the reactor actually uses are defined; values are the
-//! stable Linux UAPI ones (`<sys/epoll.h>`, `<fcntl.h>`).
+//! stable Linux UAPI ones (`<sys/epoll.h>`).
 #![allow(unsafe_code)]
 
 use std::io;
@@ -38,12 +38,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 /// `EPOLL_CLOEXEC` (== `O_CLOEXEC`): spawned workers must not inherit the
 /// reactor's epoll fd.
 const EPOLL_CLOEXEC: c_int = 0o2000000;
-/// `F_GETFL` — read a descriptor's file status flags.
-const F_GETFL: c_int = 3;
-/// `F_SETFL` — write a descriptor's file status flags.
-const F_SETFL: c_int = 4;
-/// `O_NONBLOCK` file status flag.
-const O_NONBLOCK: c_int = 0o4000;
 
 /// One `struct epoll_event`: an interest/readiness mask plus the caller's
 /// 64-bit token (the reactor stores connection-slab slots there).
@@ -73,7 +67,6 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -177,19 +170,6 @@ impl Drop for Epoll {
     }
 }
 
-/// Sets `O_NONBLOCK` on `fd` via `fcntl` (the reactor's sockets must never
-/// park an event-loop thread in the kernel).
-///
-/// # Errors
-/// The `fcntl` errno as an [`io::Error`].
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl with F_GETFL/F_SETFL takes and returns plain integers
-    // on an open descriptor; no pointers are involved.
-    let flags = check(unsafe { fcntl(fd, F_GETFL, 0) })?;
-    check(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) })?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,16 +210,5 @@ mod tests {
         assert!(epoll.wait(&mut events, 1000).unwrap() >= 1);
         epoll.delete(accepted.as_raw_fd()).unwrap();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn set_nonblocking_makes_reads_return_wouldblock() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut accepted, _) = listener.accept().unwrap();
-        set_nonblocking(accepted.as_raw_fd()).unwrap();
-        let mut buf = [0u8; 1];
-        let err = accepted.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 }

@@ -772,10 +772,6 @@ impl Workspace {
             debug_assert_eq!(granted, Some(node));
             let occupancy = self.occupancy_seconds[node];
             let completed = time + occupancy;
-            self.medium_busy_until = completed;
-            self.medium_busy_total += occupancy;
-            let sequence = self.next_sequence;
-            self.next_sequence += 1;
             // Fused completion: when this transmission's completion is the
             // next event overall — no pending completion ahead of it, every
             // generation slot strictly later (on a time tie the older
@@ -791,31 +787,16 @@ impl Workspace {
                     .first()
                     .is_none_or(|root| completed < root.time)
             {
+                self.medium_busy_until = completed;
+                self.medium_busy_total += occupancy;
+                self.next_sequence += 1;
                 self.events_processed += 1;
                 self.delivered[node] += 1;
                 self.delivered_bytes[node] += self.frame_bytes[node];
                 self.record_latency(node, completed - time);
                 self.radio_energy[node] += self.frame_energy[node];
             } else {
-                self.in_flight[node] += 1;
-                debug_assert!(
-                    self.completion_spill
-                        .back()
-                        .or(self.completion_head.as_ref())
-                        .is_none_or(|last| completed >= last.time),
-                    "completions must be scheduled in non-decreasing time order"
-                );
-                let pending = PendingCompletion {
-                    time: completed,
-                    sequence,
-                    node: slot.node,
-                    generated_at: time,
-                };
-                if self.completion_head.is_none() {
-                    self.completion_head = Some(pending);
-                } else {
-                    self.completion_spill.push_back(pending);
-                }
+                self.transmit_frame(node, time, time);
             }
         } else {
             self.queues[node].push_back(time);
