@@ -9,7 +9,8 @@ use hidwa_core::fleet::driver::{
     DriverError, DriverFleetSpec, FleetDriver, PopulationSpec, ProcessExecutor, WorkerCommand,
     SIMULATED_CRASH_EXIT,
 };
-use hidwa_core::fleet::{FleetAggregator, FleetCheckpoint};
+use hidwa_core::fleet::{ChurnSpec, FleetAggregator, FleetCheckpoint, PolicyKind};
+use hidwa_core::population::ChurnModel;
 use hidwa_core::sweep::SweepRunner;
 use hidwa_units::TimeSpan;
 use std::path::PathBuf;
@@ -135,12 +136,15 @@ fn killed_worker_leaves_no_visible_blob_and_is_rerun() {
 
 #[test]
 fn sigkilled_worker_mid_fold_leaves_nothing_visible() {
-    // A workload that takes seconds even in release builds (~1.8 s in
-    // debug), so the 150 ms kill reliably lands mid-fold.
-    let spec = DriverFleetSpec::new(30_000)
+    // Every churned body runs the engine, so no class table can shorten
+    // this fold: it takes about 1.8 s in a release build and 17 s in debug
+    // on a 2-vCPU container, so the 150 ms kill lands mid-fold in both.
+    let churn = ChurnSpec::new(ChurnModel::with_rate(0.3), PolicyKind::StaticAtAdmission);
+    let spec = DriverFleetSpec::new(120_000)
         .with_base_seed(9)
         .with_horizon(TimeSpan::from_seconds(60.0))
-        .with_population(PopulationSpec::Mixed);
+        .with_population(PopulationSpec::Mixed)
+        .with_churn(churn);
     let driver = FleetDriver::new(spec.clone(), 1);
     let dir = spool_dir("sigkill");
     let spool = driver.spool_in(&dir).expect("spool");

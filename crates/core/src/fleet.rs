@@ -5,15 +5,16 @@
 //! star-topology body network — fully independent of every other body, which
 //! makes fleet simulation embarrassingly parallel.  [`FleetConfig`] is a thin
 //! wrapper over a [`PopulationModel`]: each body's scenario (leaf set,
-//! traffic mix, radio, MAC policy) is sampled deterministically from
+//! traffic mix, radio, MAC policy) is drawn deterministically from
 //! `(base_seed, body_index)`, simulated on the streaming netsim engine, and
-//! reduced to a compact [`BodySummary`] on the thread that simulated it.
+//! folded on the thread that simulated it, reduced to a compact
+//! [`BodySummary`] where the fold keeps one.
 //!
 //! # Bounded-memory aggregation
 //!
 //! Summaries are **not** materialised per body.  [`FleetConfig::run`] folds
 //! the fleet over a [`SweepRunner`] ([`SweepRunner::fold`]): every thread
-//! ingests the summaries of the bodies it simulates into a
+//! ingests the bodies it simulates into a
 //! [`FleetAggregator`] of its own — merged latency sketches, running
 //! counters, and a top-K list of the worst bodies by p95 latency — and the
 //! per-thread partials merge once, after the fold's helpers have left it.
@@ -21,16 +22,21 @@
 //! `O(K + sketch buckets)` per partial — independent of fleet size — so a
 //! 10k-body (or 10M-body) fold runs in `O(threads × (K + sketch))` memory.
 //! Each thread also owns one netsim [`Workspace`] for the whole fold: every
-//! body it simulates runs in that workspace, reset in place, and is reduced
-//! straight into its summary
-//! ([`Simulation::run_totals`](hidwa_netsim::sim::Simulation::run_totals)),
-//! so no per-body engine or report is built.  Every fold —
+//! body it simulates runs in that workspace, reset in place
+//! ([`Workspace::run`]), from node configurations its population builds
+//! once, on first use, so no per-body scenario, engine, node list or report
+//! is built.  A body the thread's worst-body list will not keep
+//! (`FleetAggregator::keeps`) goes straight into the thread's partial: its
+//! node sketches merge into the partial's fleet sketch
+//! ([`Workspace::merge_latency`]) and its scalars into the totals, so it
+//! builds no [`BodySummary`] either.  Only a body the list keeps, or the
+//! first body of a class (below), is reduced to its summary.  Every fold —
 //! [`run`](FleetConfig::run), [`run_until`](FleetConfig::run_until),
 //! [`resume`](FleetConfig::resume), a [`ShardPlan`]'s shards and a driver
 //! worker's range — enters through one private body-range fold, which
 //! builds the fold's partials itself.  The population draws each body and
-//! resolves its links through tables it builds once, on first use, so a
-//! fold that re-runs a population builds neither.
+//! resolves its links and nodes through tables it builds once, on first
+//! use, so a fold that re-runs a population builds none of them.
 //!
 //! # The body-class table
 //!
@@ -125,11 +131,12 @@
 //! assert!(report.fleet_latency().quantile(0.95) > TimeSpan::ZERO);
 //! ```
 
-use crate::population::{BodyScenario, PopulationModel};
+use crate::population::{BodyArchetype, BodyScenario, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
-use hidwa_netsim::sim::Workspace;
+use hidwa_netsim::node::NodeConfig;
+use hidwa_netsim::sim::{RunScalars, Workspace};
 use hidwa_netsim::sketch::{self, ExactSum, LatencySketch};
 use hidwa_phy::RadioTechnology;
 use hidwa_units::{DataRate, DataVolume, Energy, TimeSpan};
@@ -307,18 +314,28 @@ impl FleetConfig {
         self.population.sample(self.base_seed, body_index as u64)
     }
 
-    /// Simulates one body end to end: sample scenario (and, for a churned
-    /// fleet, the body's residency and placement trajectory), build, run the
-    /// active span in `workspace`, reduce.
-    fn simulate_body(&self, body_index: usize, workspace: &mut Workspace) -> BodySummary {
-        let scenario = self.scenario_for_body(body_index);
+    /// Runs body `body_index` in `workspace`, its nodes drawn onto `nodes`
+    /// from the population's node table: over the horizon, or in a churned
+    /// fleet over the body's active span after its placement.  Returns the
+    /// body's archetype and totals; its node sketches stay in `workspace`
+    /// ([`Workspace::merge_latency`]).
+    fn run_body<'p>(
+        &'p self,
+        body_index: usize,
+        nodes: &mut Vec<&'p NodeConfig>,
+        workspace: &mut Workspace,
+    ) -> (&'p BodyArchetype, BodyTotals) {
+        let archetype = self
+            .population
+            .nodes_of(self.base_seed, body_index as u64, nodes);
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
             None => (self.horizon, 0, 0, Energy::ZERO),
             Some(spec) => {
                 let sample = spec
                     .churn()
                     .sample(self.base_seed, body_index as u64, self.horizon);
-                let outcome = placement::simulate_placement(spec, &scenario, &sample);
+                let outcome =
+                    placement::place(spec, archetype.name(), archetype.technology(), &sample);
                 (
                     sample.active(),
                     outcome.migrations,
@@ -327,26 +344,49 @@ impl FleetConfig {
                 )
             }
         };
-        let totals = scenario
-            .build_simulation(self.population.links())
-            .run_totals(workspace, active_span);
-        BodySummary {
-            body_index,
-            seed: scenario.seed(),
-            archetype: Arc::clone(scenario.archetype_label()),
-            nodes: scenario.leaves().len(),
-            generated_frames: totals.generated_frames,
-            delivered_frames: totals.delivered_frames,
-            delivered_bytes: totals.delivered_bytes,
-            events_processed: totals.events_processed,
-            delivery_ratio: totals.delivery_ratio(),
-            total_energy: totals.total_energy,
-            worst_p95_latency: totals.worst_p95_latency,
-            latency: totals.latency,
+        let seed = self.seed_for_body(body_index);
+        let run = workspace.run(nodes, archetype.policy(), seed, active_span);
+        let totals = BodyTotals {
+            run,
+            delivery_ratio: run.delivery_ratio(),
             active_span,
             migrations,
             replans,
             placement_energy,
+        };
+        (archetype, totals)
+    }
+
+    /// The summary of body `body_index`, of `archetype` and `nodes` leaves,
+    /// whose run left `totals` and, in `workspace`, its node sketches.
+    fn summarise(
+        &self,
+        body_index: usize,
+        archetype: &BodyArchetype,
+        nodes: usize,
+        totals: BodyTotals,
+        workspace: &Workspace,
+    ) -> BodySummary {
+        let mut latency = LatencySketch::new();
+        workspace.merge_latency(&mut latency);
+        let run = totals.run;
+        BodySummary {
+            body_index,
+            seed: self.seed_for_body(body_index),
+            archetype: Arc::clone(archetype.label()),
+            nodes,
+            generated_frames: run.generated_frames,
+            delivered_frames: run.delivered_frames,
+            delivered_bytes: run.delivered_bytes,
+            events_processed: run.events_processed,
+            delivery_ratio: totals.delivery_ratio,
+            total_energy: run.total_energy,
+            worst_p95_latency: run.worst_p95_latency,
+            latency,
+            active_span: totals.active_span,
+            migrations: totals.migrations,
+            replans: totals.replans,
+            placement_energy: totals.placement_energy,
         }
     }
 
@@ -354,8 +394,8 @@ impl FleetConfig {
     /// [`FleetAggregator`]s and merges them into one bounded report.
     ///
     /// The expensive channel-model link derivation runs once per distinct
-    /// `(technology, site)` pair of the population; each summary is folded
-    /// on the thread that simulated it and dropped, so peak memory is
+    /// `(technology, site)` pair of the population; each body is folded on
+    /// the thread that simulated it, so peak memory is
     /// `O(threads × (K + sketch))` — independent of `bodies`.  Each partial
     /// ingests its bodies in index order and sampling is per-body pure, so
     /// the report is byte-identical at any thread width.
@@ -373,34 +413,30 @@ impl FleetConfig {
     /// the partials merge once the helpers have left the fold.  Every partial
     /// ingests in increasing body index, so the resulting state depends only on
     /// which bodies were folded, never on which thread simulated them (see
-    /// [`FleetAggregator::merge`]).  Each thread pairs its partial with one
-    /// netsim [`Workspace`], which runs all of its bodies, and a count per table
-    /// slot of the repeats it did not ingest; the counts are summed as the
-    /// partials merge and go into the merged aggregate at the end.
+    /// [`FleetAggregator::merge`]).  Each thread keeps its partial in a
+    /// [`FoldThread`], with the netsim [`Workspace`] all of its bodies run
+    /// in and a count per table slot of the repeats it did not ingest; the
+    /// counts are summed as the partials merge and go into the merged
+    /// aggregate at the end.
     fn fold_range(&self, runner: &SweepRunner, range: Range<usize>) -> FleetAggregator {
         let table = self.class_table();
-        let fresh = || {
-            let partial = FleetAggregator::new(self.horizon, self.top_k);
-            (partial, Workspace::new(), [0; ClassTable::SLOTS])
-        };
+        let fresh = || FoldThread::new(self);
         let mut calling = fresh();
         runner.fold(
             range,
             &mut calling,
             fresh,
-            |(partial, workspace, repeats), body_index| {
-                self.fold_body(body_index, table.as_ref(), partial, workspace, repeats);
-            },
-            |(merged, _, repeats), (partial, _, counted)| {
-                merged.merge(partial);
-                for (sum, count) in repeats.iter_mut().zip(counted) {
+            |thread, body_index| self.fold_body(body_index, table.as_ref(), thread),
+            |merged, thread| {
+                merged.partial.merge(thread.partial);
+                for (sum, count) in merged.repeats.iter_mut().zip(thread.repeats) {
                     *sum += count;
                 }
             },
         );
-        let (mut folded, _, repeats) = calling;
+        let mut folded = calling.partial;
         if let Some(table) = &table {
-            table.flush(&repeats, &mut folded);
+            table.flush(&calling.repeats, &mut folded);
         }
         folded
     }
@@ -411,26 +447,28 @@ impl FleetConfig {
         self.churn.is_none().then(ClassTable::new)
     }
 
-    /// Folds body `body_index` into `partial`, the next body in its index
-    /// order.  In a churn-free fleet a body whose class `table` holds a run
-    /// of is a repeat (see the module docs): `partial` ingests a copy of the
-    /// stored summary if the body would enter its worst list, and otherwise
-    /// the slot's entry of `repeats` counts it.  Any other body is simulated
-    /// in `workspace` and ingested, and stored in its class's slot if this
-    /// thread claimed it.  `table` must be this fleet's, and `repeats` must
-    /// count only bodies this thread's aggregator would not keep.
-    fn fold_body(
-        &self,
+    /// Folds body `body_index` into `thread`'s partial, the next body in its
+    /// index order.  In a churn-free fleet a body whose class `table` holds
+    /// a run of is a repeat (see the module docs): the partial ingests a
+    /// copy of the stored summary if the body would enter its worst list,
+    /// and otherwise the slot's entry of the thread's `repeats` counts it.
+    /// Any other body runs in the thread's workspace.  If the thread claimed
+    /// the body's class slot, or the worst list keeps the body, the partial
+    /// ingests the body's summary, which a claimed slot stores; any other
+    /// body goes into the partial without one.  `table` must be this
+    /// fleet's, and `repeats` must count only bodies this thread's
+    /// aggregator would not keep.
+    fn fold_body<'p>(
+        &'p self,
         body_index: usize,
         table: Option<&ClassTable>,
-        partial: &mut FleetAggregator,
-        workspace: &mut Workspace,
-        repeats: &mut [u64; ClassTable::SLOTS],
+        thread: &mut FoldThread<'p>,
     ) {
         let lookup = table.map_or(Lookup::Run, |table| {
             table.find(self.population.class_of(self.base_seed, body_index as u64))
         });
-        match lookup {
+        let partial = &mut thread.partial;
+        let first = match lookup {
             Lookup::Repeat(slot, first) => {
                 if partial.keeps(first.worst_p95_latency) {
                     partial.ingest(BodySummary {
@@ -439,18 +477,32 @@ impl FleetConfig {
                         ..first.clone()
                     });
                 } else {
-                    repeats[slot] += 1;
+                    thread.repeats[slot] += 1;
                 }
+                return;
             }
-            Lookup::First(first) => {
-                let summary = self.simulate_body(body_index, workspace);
-                first
-                    .set(summary.clone())
-                    .expect("only the thread that claimed a slot stores into it");
-                partial.ingest(summary);
-            }
-            Lookup::Run => partial.ingest(self.simulate_body(body_index, workspace)),
+            Lookup::First(first) => Some(first),
+            Lookup::Run => None,
+        };
+        let workspace = &mut thread.workspace;
+        let (archetype, totals) = self.run_body(body_index, &mut thread.nodes, workspace);
+        let kept = partial.keeps(totals.run.worst_p95_latency);
+        if first.is_none() && !kept {
+            partial.add_run(&totals, workspace);
+            return;
         }
+        let summary = self.summarise(body_index, archetype, thread.nodes.len(), totals, workspace);
+        let Some(first) = first else {
+            return partial.ingest(summary);
+        };
+        if kept {
+            partial.ingest(summary.clone());
+        } else {
+            partial.add_summary(&summary, 1);
+        }
+        first
+            .set(summary)
+            .expect("only the thread that claimed a slot stores into it");
     }
 
     /// Runs the fold for bodies `0..stop` (clamped to the fleet size) and
@@ -487,6 +539,40 @@ impl FleetConfig {
         aggregator.merge(self.fold_range(runner, next_body..self.bodies));
         Ok(aggregator.finish())
     }
+}
+
+/// One fold thread's state: its partial, the netsim workspace all of its
+/// bodies run in, the node list of the body it runs, and a count per
+/// [`ClassTable`] slot of the repeats it did not ingest.
+struct FoldThread<'p> {
+    partial: FleetAggregator,
+    workspace: Workspace,
+    nodes: Vec<&'p NodeConfig>,
+    repeats: [u64; ClassTable::SLOTS],
+}
+
+impl FoldThread<'_> {
+    fn new(config: &FleetConfig) -> Self {
+        Self {
+            partial: FleetAggregator::new(config.horizon, config.top_k),
+            workspace: Workspace::new(),
+            nodes: Vec::new(),
+            repeats: [0; ClassTable::SLOTS],
+        }
+    }
+}
+
+/// What one body adds to a fold but its latency samples and its place in
+/// the worst list: the fields `FleetAggregator::add_totals` lists once,
+/// read off a body's run or out of a [`BodySummary`].
+#[derive(Debug, Clone, Copy)]
+struct BodyTotals {
+    run: RunScalars,
+    delivery_ratio: f64,
+    active_span: TimeSpan,
+    migrations: u64,
+    replans: u64,
+    placement_energy: Energy,
 }
 
 /// One churn-free fold's table of its deterministic body classes, shared by
@@ -606,6 +692,27 @@ pub struct BodySummary {
     pub placement_energy: Energy,
 }
 
+impl BodySummary {
+    /// The summary's [`BodyTotals`].
+    fn totals(&self) -> BodyTotals {
+        BodyTotals {
+            run: RunScalars {
+                generated_frames: self.generated_frames,
+                delivered_frames: self.delivered_frames,
+                delivered_bytes: self.delivered_bytes,
+                events_processed: self.events_processed,
+                total_energy: self.total_energy,
+                worst_p95_latency: self.worst_p95_latency,
+            },
+            delivery_ratio: self.delivery_ratio,
+            active_span: self.active_span,
+            migrations: self.migrations,
+            replans: self.replans,
+            placement_energy: self.placement_energy,
+        }
+    }
+}
+
 /// Bounded-memory, body-order fold of a fleet stream.
 ///
 /// State per aggregator, independent of how many bodies are ingested:
@@ -692,7 +799,7 @@ impl FleetAggregator {
     /// that each did so then merge in any grouping (see
     /// [`merge`](Self::merge)).
     pub fn ingest(&mut self, summary: BodySummary) {
-        self.add_totals(&summary, 1);
+        self.add_summary(&summary, 1);
         if !self.keeps(summary.worst_p95_latency) {
             return;
         }
@@ -731,35 +838,52 @@ impl FleetAggregator {
             return;
         }
         debug_assert!(!self.keeps(summary.worst_p95_latency));
-        self.add_totals(summary, count);
+        self.add_summary(summary, count);
+    }
+
+    /// Ingests one body the worst list does not keep, straight off its
+    /// run: `totals` and the node sketches `workspace` holds.  Bit-identical
+    /// to ingesting the body's summary, which would merge those sketches
+    /// into its own first.
+    fn add_run(&mut self, totals: &BodyTotals, workspace: &Workspace) {
+        debug_assert!(!self.keeps(totals.run.worst_p95_latency));
+        workspace.merge_latency(&mut self.fleet_latency);
+        self.add_totals(totals, 1);
     }
 
     /// Adds `count` bodies equal to `summary` to every total but the worst
-    /// list — the one place that lists the fields a body updates, for
-    /// [`ingest`](Self::ingest) and `ingest_repeats` alike.  Each total takes
-    /// one scaled update, equal to `count` unscaled ones because every piece
-    /// of state it touches is an integer, an [`ExactSum`], a sketch or a
-    /// min.  Always inlined, so `ingest`'s `count = 1` compiles to the
-    /// unscaled updates.
+    /// list, for [`ingest`](Self::ingest) and `ingest_repeats`.
     #[inline(always)]
-    fn add_totals(&mut self, summary: &BodySummary, count: u64) {
-        let bodies = count as usize;
-        self.bodies += bodies;
+    fn add_summary(&mut self, summary: &BodySummary, count: u64) {
         self.fleet_latency.merge_scaled(&summary.latency, count);
-        self.body_p95.record_run(summary.worst_p95_latency, count);
+        self.add_totals(&summary.totals(), count);
+    }
+
+    /// Adds `count` bodies of equal `totals` to every total but the fleet
+    /// sketch and the worst list — the one place that lists the fields a
+    /// body updates, for summaries and runs alike.  Each total takes one
+    /// scaled update, equal to `count` unscaled ones because every piece of
+    /// state it touches is an integer, an [`ExactSum`], a sketch or a min.
+    /// Always inlined, so `count = 1` compiles to the unscaled updates.
+    #[inline(always)]
+    fn add_totals(&mut self, totals: &BodyTotals, count: u64) {
+        let bodies = count as usize;
+        let run = &totals.run;
+        self.bodies += bodies;
+        self.body_p95.record_run(run.worst_p95_latency, count);
         self.total_energy
-            .add_scaled(summary.total_energy.as_joules(), count);
-        self.total_generated += summary.generated_frames * bodies;
-        self.total_delivered += summary.delivered_frames * bodies;
-        self.total_delivered_bytes += summary.delivered_bytes * bodies;
-        self.total_events += summary.events_processed * count;
-        self.min_body_delivery_ratio = self.min_body_delivery_ratio.min(summary.delivery_ratio);
-        self.total_migrations += summary.migrations * count;
-        self.total_replans += summary.replans * count;
+            .add_scaled(run.total_energy.as_joules(), count);
+        self.total_generated += run.generated_frames * bodies;
+        self.total_delivered += run.delivered_frames * bodies;
+        self.total_delivered_bytes += run.delivered_bytes * bodies;
+        self.total_events += run.events_processed * count;
+        self.min_body_delivery_ratio = self.min_body_delivery_ratio.min(totals.delivery_ratio);
+        self.total_migrations += totals.migrations * count;
+        self.total_replans += totals.replans * count;
         self.active_span
-            .add_scaled(summary.active_span.as_seconds(), count);
+            .add_scaled(totals.active_span.as_seconds(), count);
         self.placement_energy
-            .add_scaled(summary.placement_energy.as_joules(), count);
+            .add_scaled(totals.placement_energy.as_joules(), count);
     }
 
     /// Memory-footprint proxy of the aggregation state: live sketch buckets
@@ -1105,9 +1229,8 @@ mod tests {
         let report = fleet.run(&SweepRunner::serial());
         // Re-derive the same totals by folding the five bodies by hand.
         let mut aggregator = FleetAggregator::new(fleet.horizon(), FleetConfig::DEFAULT_TOP_K);
-        let mut workspace = Workspace::new();
         for i in 0..5 {
-            aggregator.ingest(fleet.simulate_body(i, &mut workspace));
+            aggregator.ingest(report_summary(&fleet, i));
         }
         let manual = aggregator.finish();
         assert_eq!(report, manual);
@@ -1174,6 +1297,16 @@ mod tests {
         }
     }
 
+    impl FleetConfig {
+        /// Body `body_index`'s summary off the fold's engine path, run in
+        /// `workspace`.
+        fn simulate_body(&self, body_index: usize, workspace: &mut Workspace) -> BodySummary {
+            let mut nodes = Vec::new();
+            let (archetype, totals) = self.run_body(body_index, &mut nodes, workspace);
+            self.summarise(body_index, archetype, nodes.len(), totals, workspace)
+        }
+    }
+
     #[test]
     fn workspace_readout_matches_the_report_reduction() {
         use crate::population::{BodyArchetype, ChurnModel, LeafArchetype};
@@ -1236,16 +1369,14 @@ mod tests {
         let fleets = [mixed, calm, churned, wide];
         // One workspace runs every body back to back, so each body starts
         // from whatever the previous (often larger) one left behind.  Each
-        // fleet also has a counted fold of its own (a partial, the fleet's
-        // class table and its repeat counts) and a plain fold of the report
-        // reductions.
+        // fleet also has a counted fold of its own (a fold thread and the
+        // fleet's class table) and a plain fold of the report reductions.
         let mut workspace = Workspace::new();
-        let fresh = |config: &FleetConfig| FleetAggregator::new(config.horizon(), config.top_k());
         let mut folds: Vec<_> = fleets
             .iter()
             .map(|config| {
-                let repeats = [0; ClassTable::SLOTS];
-                (fresh(config), config.class_table(), repeats, fresh(config))
+                let plain = FleetAggregator::new(config.horizon(), config.top_k());
+                (FoldThread::new(config), config.class_table(), plain)
             })
             .collect();
         let mut sizes = Vec::new();
@@ -1270,23 +1401,24 @@ mod tests {
                 assert!(got.latency == want.latency, "{context}");
                 assert_eq!(got, want, "{context}");
                 sizes.push(got.nodes);
-                let (partial, table, repeats, plain) = &mut folds[k];
-                config.fold_body(body_index, table.as_ref(), partial, &mut workspace, repeats);
+                let (thread, table, plain) = &mut folds[k];
+                config.fold_body(body_index, table.as_ref(), thread);
                 plain.ingest(want);
             }
         }
         // Every deterministic `mixed_default` class was stored and repeated;
         // a churned fleet, even one whose spans all equal the horizon, keeps
         // no table.
-        let (_, table, repeats, _) = &folds[0];
+        let (thread, table, _) = &folds[0];
         let stored = table.as_ref().expect("a churn-free table").stored();
         assert_eq!(stored.len(), 26);
-        assert!(stored.iter().all(|&slot| repeats[slot] > 0));
+        assert!(stored.iter().all(|&slot| thread.repeats[slot] > 0));
         assert!(folds[1].1.is_none() && folds[2].1.is_none());
         // Each counted fold, its repeats flushed, equals the plain fold.
-        for (config, (mut partial, table, repeats, plain)) in fleets.iter().zip(folds) {
+        for (config, (thread, table, plain)) in fleets.iter().zip(folds) {
+            let mut partial = thread.partial;
             if let Some(table) = table {
-                table.flush(&repeats, &mut partial);
+                table.flush(&thread.repeats, &mut partial);
             }
             assert!(
                 checkpoint_bytes(config, &partial) == checkpoint_bytes(config, &plain),
@@ -1308,13 +1440,12 @@ mod tests {
             .to_vec()
     }
 
-    /// The oracle for a counted fold: every body simulated and ingested, in
-    /// index order.
+    /// The oracle for a counted fold: every body's report reduction
+    /// ingested, in index order.
     fn plain_fold(config: &FleetConfig) -> FleetAggregator {
-        let mut workspace = Workspace::new();
         let mut aggregator = FleetAggregator::new(config.horizon(), config.top_k());
         for body_index in 0..config.bodies() {
-            aggregator.ingest(config.simulate_body(body_index, &mut workspace));
+            aggregator.ingest(report_summary(config, body_index));
         }
         aggregator
     }
@@ -1361,23 +1492,15 @@ mod tests {
 
         // Past the first K uniform bodies, each repeat ties the full worst
         // list, so the fold counts it rather than the partial ingesting it.
-        let mut partial = FleetAggregator::new(uniform.horizon(), uniform.top_k());
+        let mut thread = FoldThread::new(&uniform);
         let table = uniform.class_table().expect("a churn-free table");
-        let (mut workspace, mut repeats) = (Workspace::new(), [0; ClassTable::SLOTS]);
         for body_index in 0..uniform.bodies() {
-            let table = Some(&table);
-            uniform.fold_body(
-                body_index,
-                table,
-                &mut partial,
-                &mut workspace,
-                &mut repeats,
-            );
+            uniform.fold_body(body_index, Some(&table), &mut thread);
         }
-        assert_eq!(partial.bodies(), FleetConfig::DEFAULT_TOP_K);
+        assert_eq!(thread.partial.bodies(), FleetConfig::DEFAULT_TOP_K);
         assert_eq!(table.stored(), [0]);
-        assert_eq!(repeats[0], 64 - FleetConfig::DEFAULT_TOP_K as u64);
-        assert!(repeats[1..].iter().all(|&count| count == 0));
+        assert_eq!(thread.repeats[0], 64 - FleetConfig::DEFAULT_TOP_K as u64);
+        assert!(thread.repeats[1..].iter().all(|&count| count == 0));
 
         // `ingest_repeats` equals as many `ingest`s on its own, too: here
         // into a partial that never ingested the repeated body, whose
@@ -1385,7 +1508,7 @@ mod tests {
         let one = mixed.clone().with_top_k(1);
         let top = plain_fold(&one).worst.remove(0);
         let mut repeat = (0..one.bodies())
-            .map(|i| one.simulate_body(i, &mut workspace))
+            .map(|i| report_summary(&one, i))
             .find(|s| s.worst_p95_latency < top.worst_p95_latency)
             .expect("a body better than the worst");
         repeat.delivery_ratio = top.delivery_ratio / 2.0;
@@ -1406,9 +1529,59 @@ mod tests {
     }
 
     #[test]
+    fn engine_bodies_fold_like_the_report_oracle() {
+        use crate::population::ChurnModel;
+        use hidwa_netsim::traffic::TrafficPattern;
+        let mixed = FleetConfig::new(400)
+            .with_population(PopulationModel::mixed_default())
+            .with_base_seed(33)
+            .with_horizon(TimeSpan::from_seconds(1.0));
+        // The ECG patch beside camera glasses that capture on scene
+        // changes: every body is bursty, so every body runs the engine.
+        let mut leaves = scenario::standard_leaf_set();
+        let mut camera = leaves.remove(4);
+        camera.traffic = TrafficPattern::bursty(TimeSpan::from_millis(50.0), 4096);
+        let bursty = FleetConfig::new(160)
+            .with_leaves(vec![leaves.remove(0), camera])
+            .with_base_seed(8)
+            .with_horizon(TimeSpan::from_seconds(1.0));
+        let churned = mixed.clone().with_base_seed(61).with_churn(ChurnSpec::new(
+            ChurnModel::with_rate(0.3).with_link_fade(0.8),
+            PolicyKind::Hysteresis,
+        ));
+        for config in [mixed, bursty, churned] {
+            let summaries: Vec<BodySummary> = (0..config.bodies())
+                .map(|i| report_summary(&config, i))
+                .collect();
+            // Top-K 1 keeps almost no body and 50 keeps many, and the mixed
+            // fleet's repeated classes tie on p95 at every K.
+            for top_k in [1, 8, 50] {
+                let config = config.clone().with_top_k(top_k);
+                let mut plain = FleetAggregator::new(config.horizon(), top_k);
+                for summary in &summaries {
+                    plain.ingest(summary.clone());
+                }
+                let want = checkpoint_bytes(&config, &plain);
+                for width in 1..=4 {
+                    let got = config
+                        .run_until(&SweepRunner::with_threads(width), config.bodies())
+                        .save()
+                        .to_vec();
+                    assert!(
+                        got == want,
+                        "{} bodies, churned {}, top-K {top_k}, width {width}",
+                        config.bodies(),
+                        config.churn().is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn class_table_claims_each_class_once() {
         let config = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
-        let summary = config.simulate_body(0, &mut Workspace::new());
+        let summary = report_summary(&config, 0);
         let table = config.class_table().expect("a churn-free table");
         // The first lookup of a class claims a slot; until its summary is
         // stored there, every other lookup of the class runs the body.
@@ -1478,9 +1651,8 @@ mod tests {
                 PolicyKind::ReoptimizeOnChange,
             ));
         for config in [uniform, churned] {
-            let mut workspace = Workspace::new();
             let summaries: Vec<BodySummary> = (0..config.bodies())
-                .map(|i| config.simulate_body(i, &mut workspace))
+                .map(|i| report_summary(&config, i))
                 .collect();
             // Ingests the bodies `keep` selects, in index order.
             let fold = |keep: &dyn Fn(usize) -> bool| {
@@ -1576,9 +1748,8 @@ mod tests {
         let report = fleet.run(&SweepRunner::serial());
         assert_eq!(report.worst_bodies().len(), 2);
         // Exact per-body p95 values, recomputed independently.
-        let mut workspace = Workspace::new();
         let mut p95s: Vec<TimeSpan> = (0..12)
-            .map(|i| fleet.simulate_body(i, &mut workspace).worst_p95_latency)
+            .map(|i| report_summary(&fleet, i).worst_p95_latency)
             .collect();
         p95s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
         assert_eq!(report.body_worst_p95_quantile(0.0), p95s[0]);

@@ -331,9 +331,20 @@ pub fn simulate_placement(
     scenario: &BodyScenario,
     sample: &ChurnSample,
 ) -> PlacementOutcome {
-    let model = model_for_archetype(scenario.archetype());
+    place(spec, scenario.archetype(), scenario.technology(), sample)
+}
+
+/// [`simulate_placement`] for a body of the archetype named `archetype`
+/// over `technology`: all that placement reads of a scenario.
+pub(crate) fn place(
+    spec: &ChurnSpec,
+    archetype: &str,
+    technology: RadioTechnology,
+    sample: &ChurnSample,
+) -> PlacementOutcome {
+    let model = model_for_archetype(archetype);
     let objective = spec.objective();
-    let base_context = match scenario.technology() {
+    let base_context = match technology {
         RadioTechnology::Ble => PartitionContext::ble_default(),
         _ => PartitionContext::wir_default(),
     };

@@ -46,6 +46,12 @@
 //! has already run) walk the same loop of integer compares and adds, and the
 //! class draw takes no branch that depends on the drawn values.  The float
 //! draw loop the thresholds stand for is kept only as the tests' reference.
+//! A fleet fold's body draw walks the loop too, but puts each present leaf
+//! into its node list as a reference into the population's node table,
+//! which the population builds once, on first use, from its link table: the
+//! node configuration of every leaf slot with every traffic entry it can
+//! draw.  So a fold runs a body without building its scenario, its nodes
+//! or their names.
 //!
 //! Two further guarantees are load-bearing for the fleet algebra (and
 //! regression-tested in `tests/population_edges.rs`): an archetype with zero
@@ -161,6 +167,16 @@ impl LeafArchetype {
     pub fn traffic(&self) -> &TrafficMix {
         &self.traffic
     }
+
+    /// The leaf a body carries when its traffic draw picked entry `entry`
+    /// of the mix; one past the last entry is an all-zero mix's `Silent`.
+    fn with_entry(&self, entry: usize) -> LeafSpec {
+        let traffic = self.traffic.entries().get(entry);
+        LeafSpec {
+            traffic: traffic.map_or(TrafficPattern::Silent, |(_, t)| t.clone()),
+            ..self.spec.clone()
+        }
+    }
 }
 
 /// A weighted class of wearers: which leaves they carry (each with a presence
@@ -205,6 +221,11 @@ impl BodyArchetype {
         &self.name
     }
 
+    /// The interned label itself, for summaries that carry it.
+    pub(crate) fn label(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// Relative weight of the archetype in the population.
     #[must_use]
     pub fn weight(&self) -> f64 {
@@ -234,11 +255,18 @@ impl BodyArchetype {
 #[derive(Debug, Clone)]
 pub struct PopulationModel {
     archetypes: Vec<BodyArchetype>,
-    /// The draw thresholds and the link table, each a pure function of
-    /// `archetypes` built on first use.  Only [`new`](Self::new) makes a
-    /// population, so a builder's result starts with both cells empty.
+    /// The draw thresholds, the link table and the node table, each a pure
+    /// function of `archetypes` built on first use.  Only
+    /// [`new`](Self::new) makes a population, so a builder's result starts
+    /// with every cell empty.
     thresholds: OnceLock<ClassThresholds>,
     links: OnceLock<LinkCache>,
+    /// Per leaf slot, in the order of the thresholds' slots, the node of each
+    /// traffic entry the slot can draw and then the node of an all-zero
+    /// mix's `Silent`: what [`scenario::leaf_node`] builds for the leaf with
+    /// that traffic over the population's link (see
+    /// [`nodes_of`](Self::nodes_of)).
+    nodes: OnceLock<Vec<Vec<NodeConfig>>>,
 }
 
 impl PopulationModel {
@@ -257,6 +285,7 @@ impl PopulationModel {
             archetypes,
             thresholds: OnceLock::new(),
             links: OnceLock::new(),
+            nodes: OnceLock::new(),
         }
     }
 
@@ -540,7 +569,9 @@ impl PopulationModel {
     pub fn sample(&self, base_seed: u64, body_index: u64) -> BodyScenario {
         let sim_seed = body_seed(base_seed, body_index);
         let mut leaves = Vec::new();
-        let (archetype, class) = self.draw(sim_seed, Some(&mut leaves));
+        let (archetype, class) = self.draw(sim_seed, |_, leaf, entry| {
+            leaves.push(leaf.with_entry(entry))
+        });
         let archetype = &self.archetypes[archetype];
         BodyScenario {
             body_index,
@@ -557,40 +588,59 @@ impl PopulationModel {
     /// `sample(base_seed, body_index).class()` returns, without building
     /// the leaf list or touching the archetype's label.
     pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
-        self.draw(body_seed(base_seed, body_index), None).1
+        self.draw(body_seed(base_seed, body_index), |_, _, _| {}).1
     }
 
-    /// The draw sequence behind [`sample`](Self::sample) and
-    /// [`class_of`](Self::class_of), through the population's thresholds
-    /// (see the module docs): the index of the archetype drawn for the body
-    /// whose simulation seed is `sim_seed`, and the body's class.  With
-    /// `leaves`, each present leaf, its traffic drawn, is pushed onto it.
+    /// Body `body_index`'s archetype, with the node of each of its present
+    /// leaves pushed onto `nodes` (emptied first) from the population's node
+    /// table: the archetype and nodes that
+    /// `sample(base_seed, body_index).build_simulation(links)` runs, without
+    /// building the scenario or any node.
+    pub(crate) fn nodes_of<'p>(
+        &'p self,
+        base_seed: u64,
+        body_index: u64,
+        nodes: &mut Vec<&'p NodeConfig>,
+    ) -> &'p BodyArchetype {
+        let table = self.nodes.get_or_init(|| self.node_table());
+        nodes.clear();
+        let sim_seed = body_seed(base_seed, body_index);
+        let (archetype, _) = self.draw(sim_seed, |slot, _, entry| nodes.push(&table[slot][entry]));
+        &self.archetypes[archetype]
+    }
+
+    /// The draw sequence behind [`sample`](Self::sample),
+    /// [`class_of`](Self::class_of) and [`nodes_of`](Self::nodes_of),
+    /// through the population's thresholds (see the module docs): the index
+    /// of the archetype drawn for the body whose simulation seed is
+    /// `sim_seed`, and the body's class.  Each present leaf goes to
+    /// `on_leaf`, with its slot's index in the population's slot order (the
+    /// order of the thresholds' slots and of the node table), and the
+    /// traffic entry it drew (one past the last is an all-zero mix's
+    /// `Silent`).
     #[inline(always)]
-    fn draw(&self, sim_seed: u64, mut leaves: Option<&mut Vec<LeafSpec>>) -> (usize, Option<u64>) {
+    fn draw(
+        &self,
+        sim_seed: u64,
+        mut on_leaf: impl FnMut(usize, &LeafArchetype, usize),
+    ) -> (usize, Option<u64>) {
         let table = self.thresholds.get_or_init(|| self.class_thresholds());
         let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
         let mut draw = || rng.next_u64() >> 11;
         let archetype = at_or_below(&table.archetype, draw());
-        let slots = &table.slots[table.spans[archetype].clone()];
-        if let Some(leaves) = leaves.as_deref_mut() {
-            leaves.reserve_exact(slots.len());
-        }
+        let span = table.spans[archetype].clone();
         // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
         // consumes exactly two draws whether or not it is present, so
         // scenarios stay stable under presence-probability tweaks.
         let mut class = Some(0u64);
         let mut bursty = false;
-        for (slot, leaf) in slots.iter().zip(&self.archetypes[archetype].leaves) {
+        let slots = table.slots[span.clone()].iter().zip(span);
+        for ((slot, index), leaf) in slots.zip(&self.archetypes[archetype].leaves) {
             let present = draw() < slot.absent_from;
             let drawn = at_or_below(&slot.entries, draw());
             bursty |= present & slot.bursty[drawn];
-            if let (true, Some(leaves)) = (present, leaves.as_deref_mut()) {
-                // One past the last entry is an all-zero mix's `Silent`.
-                let traffic = leaf.traffic.entries().get(drawn);
-                leaves.push(LeafSpec {
-                    traffic: traffic.map_or(TrafficPattern::Silent, |(_, t)| t.clone()),
-                    ..leaf.spec.clone()
-                });
+            if present {
+                on_leaf(index, leaf, drawn);
             }
             // Digit 0 is absent, 1 + i entry i.
             let radix = slot.entries.len() as u64 + 2;
@@ -605,6 +655,22 @@ impl PopulationModel {
     /// The population's link table, derived once (see [`LinkCache`]).
     pub(crate) fn links(&self) -> &LinkCache {
         self.links.get_or_init(|| LinkCache::for_population(self))
+    }
+
+    /// The node table [`nodes_of`](Self::nodes_of) draws from (see the
+    /// `nodes` field).
+    fn node_table(&self) -> Vec<Vec<NodeConfig>> {
+        let links = self.links();
+        let mut table = Vec::new();
+        for archetype in &self.archetypes {
+            for leaf in &archetype.leaves {
+                let link = links.get(archetype.technology, leaf.spec.site);
+                let entries = 0..=leaf.traffic.entries().len();
+                let nodes = entries.map(|entry| scenario::leaf_node(&leaf.with_entry(entry), link));
+                table.push(nodes.collect());
+            }
+        }
+        table
     }
 
     /// The threshold table that [`draw`](Self::draw) walks, searched out of
@@ -1279,8 +1345,11 @@ mod tests {
         classed
     }
 
-    #[test]
-    fn class_of_draws_the_sampled_class() {
+    /// Populations at the draw's edges: `mixed_default`, a uniform one,
+    /// 72 bursty-or-periodic slots (no body has a class), 33 periodic slots
+    /// (every class overflows 64 bits), and three weighted copies of an
+    /// all-zero mix beside a leaf worn half the time.
+    fn edge_populations() -> [PopulationModel; 5] {
         use hidwa_energy::sensing::SensorModality;
         let uniform = PopulationModel::uniform(
             RadioTechnology::WiR,
@@ -1340,7 +1409,7 @@ mod tests {
                 TrafficMix::new(vec![(0.0, periodic(10.0))]),
             ),
         ];
-        let populations = [
+        [
             PopulationModel::mixed_default(),
             uniform,
             PopulationModel::new(vec![archetype("wide", wide_slots)]),
@@ -1350,8 +1419,12 @@ mod tests {
                 weighted("light", 1.0, odd_slots.clone()),
                 weighted("heavy", 3.0, odd_slots),
             ]),
-        ];
-        for (k, population) in populations.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn class_of_draws_the_sampled_class() {
+        for (k, population) in edge_populations().iter().enumerate() {
             let classed = assert_draws_match_the_reference(population, 10_000);
             // The wide and the overflowing population have no classes.
             assert_eq!(classed > 0, k != 2 && k != 3, "population {k}");
@@ -1385,14 +1458,65 @@ mod tests {
         }
     }
 
+    /// Checks every entry of the population's node table against
+    /// [`scenario::leaf_node`] of its leaf and traffic over a link derived
+    /// on the spot, and the nodes [`PopulationModel::nodes_of`] draws for
+    /// bodies `0..bodies` against the nodes of the leaves `sample` draws.
+    fn assert_nodes_match_the_sampled_leaves(population: &PopulationModel, bodies: u64) {
+        let mut nodes = Vec::new();
+        for body in 0..bodies {
+            let scenario = population.sample(0xC1A55, body);
+            let archetype = population.nodes_of(0xC1A55, body, &mut nodes);
+            assert_eq!(archetype.name(), scenario.archetype(), "body {body}");
+            assert_eq!(archetype.technology(), scenario.technology());
+            assert_eq!(archetype.policy(), scenario.policy());
+            let links = population.links();
+            let technology = scenario.technology();
+            let want = scenario
+                .leaves()
+                .iter()
+                .map(|leaf| scenario::leaf_node(leaf, links.get(technology, leaf.site)));
+            assert!(want.eq(nodes.iter().copied().cloned()), "body {body}");
+        }
+        let table = population.nodes.get().expect("built by nodes_of");
+        let slots = population.archetypes.iter().flat_map(|archetype| {
+            let technology = archetype.technology;
+            archetype.leaves.iter().map(move |slot| (technology, slot))
+        });
+        assert_eq!(table.len(), slots.clone().count());
+        for ((technology, slot), entries) in slots.zip(table) {
+            let link = scenario::link_params_for(technology, slot.spec.site);
+            let traffic = slot.traffic.entries().iter().map(|(_, t)| t.clone());
+            let want: Vec<NodeConfig> = traffic
+                .chain([TrafficPattern::Silent])
+                .map(|traffic| {
+                    let leaf = LeafSpec {
+                        traffic,
+                        ..slot.spec.clone()
+                    };
+                    scenario::leaf_node(&leaf, link)
+                })
+                .collect();
+            assert_eq!(*entries, want);
+        }
+    }
+
+    #[test]
+    fn node_table_holds_the_nodes_of_the_sampled_leaves() {
+        for population in &edge_populations() {
+            assert_nodes_match_the_sampled_leaves(population, 2_000);
+        }
+    }
+
     #[test]
     fn builders_never_leave_a_stale_table() {
-        // A population that has drawn, so both of its tables exist.
+        // A population that has drawn, so all three of its tables exist.
         let drawn = || {
             let population = PopulationModel::mixed_default();
             let _ = population.sample(1, 0);
-            population.links();
+            let _ = population.nodes_of(1, 0, &mut Vec::new());
             assert!(population.thresholds.get().is_some() && population.links.get().is_some());
+            assert!(population.nodes.get().is_some());
             population
         };
         let built = [
@@ -1412,6 +1536,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(population.links().entries, want);
+            assert_nodes_match_the_sampled_leaves(population, 2_000);
         }
     }
 

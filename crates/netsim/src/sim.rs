@@ -69,21 +69,25 @@
 //! A [`Workspace`] holds every array the streaming engine touches and is
 //! reset in place at the start of each run: the per-node arrays are cleared
 //! and refilled, while node queues, per-node sketches and the completion
-//! spill keep the capacity earlier runs gave them.  It has two readouts.
-//! [`Simulation::run`] runs in a fresh workspace and reads a full
-//! [`SimulationReport`] out of it (per-node [`NodeStats`] with their names,
-//! one sketch per node).  [`Simulation::run_totals`] runs in a caller-owned
-//! workspace and reduces it straight into [`RunTotals`]: body-wide frame,
-//! byte and event totals, the energy sum in node order, the worst per-node
-//! p95 and the node sketches merged into one — exactly the values the
-//! report would reduce to, without its per-node names or sketches.  A fleet
-//! fold keeps one workspace per thread; once its buffers reach their
-//! high-water marks, a run of at most 64 nodes allocates nothing but the
-//! merged sketch it returns.  The fleet still builds the scenario leaves
-//! and the node configurations (with their names) of each body it runs.
-//! A churn-free fold runs each distinct deterministic body about once and
-//! only counts its repeats, which go into the fold with one scaled update
-//! per class ([`LatencySketch::merge_scaled`], [`ExactSum::add_sum_scaled`]).
+//! spill keep the capacity earlier runs gave them.  A run ends with every
+//! node's latency-sum window drained into its sketch, and the workspace has
+//! two readouts.  [`Simulation::run`] runs in a fresh workspace and reads a
+//! full [`SimulationReport`] out of it (per-node [`NodeStats`] with their
+//! names, one sketch per node).  [`Workspace::run`] runs a node list, owned
+//! configurations or references to them, in a caller-owned workspace and
+//! reads only the run's [`RunScalars`] out: body-wide frame, byte and event
+//! totals, the energy sum in node order and the worst per-node p95.
+//! [`Workspace::merge_latency`] then merges the node sketches, in node
+//! order, into a sketch the caller passes in.  [`Simulation::run_totals`] is
+//! those two steps into a fresh sketch, and each value equals what the
+//! report would reduce to.  A fleet fold keeps one workspace per thread and
+//! runs every body from node configurations its population built once; once
+//! the buffers reach their high-water marks, a run of at most 64 nodes
+//! allocates nothing, and a body the fold does not keep whole merges its
+//! node sketches straight into the fold's fleet sketch.  A churn-free fold
+//! runs each distinct deterministic body about once and only counts its
+//! repeats, which go into the fold with one scaled update per class
+//! ([`LatencySketch::merge_scaled`], [`ExactSum::add_sum_scaled`]).
 //! `hidwa-core`'s `tests/fleet_alloc_counting.rs` gates the allocations
 //! per fleet body.
 
@@ -97,6 +101,7 @@ use hidwa_units::{DataRate, DataVolume, Energy, Power, TimeSpan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// Per-node results of a simulation run.
@@ -218,11 +223,11 @@ impl SimulationReport {
     }
 }
 
-/// A run reduced across its nodes ([`Simulation::run_totals`]): every field
-/// equals, bit for bit, the same reduction of the run's
+/// A run's scalars reduced across its nodes ([`Workspace::run`]): every
+/// field equals, bit for bit, the same reduction of the run's
 /// [`SimulationReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunTotals {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunScalars {
     /// Frames generated across all nodes.
     pub generated_frames: usize,
     /// Frames delivered to the hub across all nodes.
@@ -236,11 +241,9 @@ pub struct RunTotals {
     pub total_energy: Energy,
     /// Largest per-node p95 delivery latency.
     pub worst_p95_latency: TimeSpan,
-    /// Every node's latency sketch merged in node order.
-    pub latency: LatencySketch,
 }
 
-impl RunTotals {
+impl RunScalars {
     /// Fraction of generated frames that were delivered (1.0 when nothing
     /// was generated), as [`SimulationReport::delivery_ratio`].
     #[must_use]
@@ -250,6 +253,17 @@ impl RunTotals {
         }
         self.delivered_frames as f64 / self.generated_frames as f64
     }
+}
+
+/// A run reduced across its nodes ([`Simulation::run_totals`]): its scalars
+/// and its node sketches merged, each equal, bit for bit, to the same
+/// reduction of the run's [`SimulationReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunTotals {
+    /// Frame, byte, event and energy totals and the worst per-node p95.
+    pub scalars: RunScalars,
+    /// Every node's latency sketch merged in node order.
+    pub latency: LatencySketch,
 }
 
 /// A star-topology IoB network simulation.
@@ -435,7 +449,8 @@ impl ReadyBits {
 ///
 /// Each run resets the workspace in place for its own node set (see the
 /// [module docs](self)), so nothing a previous run left behind is read;
-/// keep one per thread and pass it to [`Simulation::run_totals`].
+/// keep one per thread and run in it through [`Workspace::run`] or
+/// [`Simulation::run_totals`].
 pub struct Workspace {
     // --- per-node constants (hoisted once, split per use site so each
     //     handler streams through exactly the array it needs) ---
@@ -541,10 +556,35 @@ impl Workspace {
         }
     }
 
+    /// Runs `nodes` under `policy` for `duration`, their stochastic sources
+    /// drawing from `seed`, in this workspace reset in place, and reads the
+    /// run's scalars out.  The node sketches stay in the workspace until the
+    /// next run, for [`merge_latency`](Self::merge_latency).
+    pub fn run<N: Borrow<NodeConfig>>(
+        &mut self,
+        nodes: &[N],
+        policy: MacPolicy,
+        seed: u64,
+        duration: TimeSpan,
+    ) -> RunScalars {
+        self.execute(nodes, policy, seed, duration);
+        self.scalars(nodes, duration)
+    }
+
+    /// Merges the node sketches of the last [`run`](Self::run), in node
+    /// order, into `into`.
+    pub fn merge_latency(&self, into: &mut LatencySketch) {
+        // `intervals` holds one entry per node of the last run; `sketches`
+        // may hold more, left by wider runs.
+        for sketch in &self.sketches[..self.intervals.len()] {
+            into.merge(sketch);
+        }
+    }
+
     /// Resets the workspace for a run of `nodes` under `policy` and seeds
     /// every traffic source — the state a freshly built engine would start
     /// from, in buffers earlier runs already grew.
-    fn reset(&mut self, nodes: &[NodeConfig], policy: MacPolicy, rng: &mut StdRng) {
+    fn reset<N: Borrow<NodeConfig>>(&mut self, nodes: &[N], policy: MacPolicy, rng: &mut StdRng) {
         let count = nodes.len();
         self.intervals.clear();
         self.occupancy_seconds.clear();
@@ -552,6 +592,7 @@ impl Workspace {
         self.frame_energy.clear();
         self.traffic.clear();
         for node in nodes {
+            let node = node.borrow();
             let hot = NodeHot::build(node, policy);
             self.intervals.push(hot.interval);
             self.occupancy_seconds
@@ -592,7 +633,7 @@ impl Workspace {
         // seeding loop does.
         self.gen_heap.clear();
         for (i, node) in nodes.iter().enumerate() {
-            if let Some(interval) = node.traffic().next_interval(rng) {
+            if let Some(interval) = node.borrow().traffic().next_interval(rng) {
                 let sequence = self.next_sequence;
                 self.next_sequence += 1;
                 self.gen_heap.push(GenSlot {
@@ -605,11 +646,21 @@ impl Workspace {
         self.heap_build();
     }
 
-    /// Resets for `nodes` and drains the event stream up to `duration`.
-    fn execute(&mut self, nodes: &[NodeConfig], policy: MacPolicy, seed: u64, duration: TimeSpan) {
+    /// Resets for `nodes`, drains the event stream up to `duration`, and
+    /// drains every node's latency-sum window into its sketch.
+    fn execute<N: Borrow<NodeConfig>>(
+        &mut self,
+        nodes: &[N],
+        policy: MacPolicy,
+        seed: u64,
+        duration: TimeSpan,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.reset(nodes, policy, &mut rng);
         self.drain(duration.as_seconds(), &mut rng);
+        for (sketch, sum) in self.sketches.iter_mut().zip(&mut self.sums) {
+            sketch.drain_window(sum);
+        }
     }
 
     /// Reads the finished run of `nodes` out as a full report, moving the
@@ -625,7 +676,6 @@ impl Workspace {
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                self.sketches[i].drain_window(&mut self.sums[i]);
                 let sketch = std::mem::take(&mut self.sketches[i]);
                 let (mean, p95, max, sketch) = finalize_latencies(sketch, Vec::new());
                 latency_sketches.push(sketch);
@@ -668,18 +718,11 @@ impl Workspace {
         }
     }
 
-    /// Reduces the finished run of `nodes` across its nodes, with the same
+    /// Reduces the finished run of `nodes` to its scalars, with the same
     /// operations in the same order as reducing [`report`](Self::report)'s
     /// output would take.
-    fn totals(&mut self, nodes: &[NodeConfig], duration: TimeSpan) -> RunTotals {
-        let mut latency = LatencySketch::new();
-        let mut worst_p95_latency = TimeSpan::ZERO;
-        for i in 0..nodes.len() {
-            self.sketches[i].drain_window(&mut self.sums[i]);
-            worst_p95_latency = worst_p95_latency.max(self.sketches[i].quantile(0.95));
-            latency.merge(&self.sketches[i]);
-        }
-        RunTotals {
+    fn scalars<N: Borrow<NodeConfig>>(&self, nodes: &[N], duration: TimeSpan) -> RunScalars {
+        RunScalars {
             generated_frames: self.generated.iter().sum(),
             delivered_frames: self.delivered.iter().sum(),
             delivered_bytes: self.delivered_bytes.iter().sum(),
@@ -687,10 +730,14 @@ impl Workspace {
             total_energy: nodes
                 .iter()
                 .zip(&self.radio_energy)
-                .map(|(node, &radio_energy)| radio_energy + node.baseline_power() * duration)
+                .map(|(node, &radio_energy)| {
+                    radio_energy + node.borrow().baseline_power() * duration
+                })
                 .sum(),
-            worst_p95_latency,
-            latency,
+            worst_p95_latency: self.sketches[..nodes.len()]
+                .iter()
+                .map(|sketch| sketch.quantile(0.95))
+                .fold(TimeSpan::ZERO, TimeSpan::max),
         }
     }
 
@@ -1019,7 +1066,8 @@ impl Simulation {
     /// Runs the streaming engine for `duration` in `workspace`, reset in
     /// place, and reduces the run straight into [`RunTotals`] — equal, bit
     /// for bit, to reducing [`run`](Self::run)'s report across its nodes,
-    /// without building that report.
+    /// without building that report.  It is [`Workspace::run`] followed by
+    /// [`Workspace::merge_latency`] into a fresh sketch.
     ///
     /// # Panics
     /// Panics if the reference engine is selected: it has no workspace.
@@ -1029,8 +1077,10 @@ impl Simulation {
             !self.reference_engine,
             "the reference engine does not run in a workspace"
         );
-        workspace.execute(&self.nodes, self.policy, self.seed, duration);
-        workspace.totals(&self.nodes, duration)
+        let scalars = workspace.run(&self.nodes, self.policy, self.seed, duration);
+        let mut latency = LatencySketch::new();
+        workspace.merge_latency(&mut latency);
+        RunTotals { scalars, latency }
     }
 
     /// The reference engine, faithful to the seed repository's original
@@ -1474,6 +1524,56 @@ mod tests {
             assert_eq!(r.mean_latency, s.mean_latency);
             assert_eq!(r.max_latency, s.max_latency);
         }
+    }
+
+    #[test]
+    fn workspace_runs_node_references_like_run_totals() {
+        let duration = TimeSpan::from_seconds(12.0);
+        let nodes = vec![
+            ecg_node("ecg"),
+            NodeConfig::leaf("imu", BodySite::Wrist, wir_link())
+                .with_traffic(TrafficPattern::streaming(DataRate::from_kbps(64.0), 512)),
+            NodeConfig::leaf("burst", BodySite::Finger, wir_link())
+                .with_traffic(TrafficPattern::bursty(TimeSpan::from_millis(80.0), 256)),
+        ];
+        let sim = Simulation::with_nodes(MacPolicy::Polling, nodes.clone()).with_seed(42);
+        let want = sim.run_totals(&mut Workspace::new(), duration);
+        assert!(want.latency.count() > 0);
+        // A workspace that last ran a wider body, so stale node state past
+        // the third node is in its buffers.
+        let wide: Vec<NodeConfig> = (0..70)
+            .map(|i| {
+                NodeConfig::leaf(format!("n{i}"), BodySite::Wrist, wir_link())
+                    .with_traffic(TrafficPattern::periodic(TimeSpan::from_millis(30.0), 64))
+            })
+            .collect();
+        let mut workspace = Workspace::new();
+        let _ = workspace.run(&wide, MacPolicy::Polling, 3, duration);
+        let references: Vec<&NodeConfig> = nodes.iter().collect();
+        let scalars = workspace.run(&references, MacPolicy::Polling, 42, duration);
+        assert_eq!(scalars, want.scalars);
+        assert_eq!(
+            scalars.total_energy.as_joules().to_bits(),
+            want.scalars.total_energy.as_joules().to_bits()
+        );
+        let bytes = |sketch: &LatencySketch| {
+            let mut out = bytes::BytesMut::new();
+            sketch.encode(&mut out);
+            out.to_vec()
+        };
+        let mut fresh = LatencySketch::new();
+        workspace.merge_latency(&mut fresh);
+        assert_eq!(bytes(&fresh), bytes(&want.latency));
+        // Into a sketch that already holds samples on both sides of the
+        // run's, the merge equals merging the fresh-sketch result.
+        let mut held = LatencySketch::new();
+        for millis in [0.01, 0.5, 3.0, 900.0] {
+            held.record(TimeSpan::from_millis(millis));
+        }
+        let mut expected = held.clone();
+        expected.merge(&want.latency);
+        workspace.merge_latency(&mut held);
+        assert_eq!(bytes(&held), bytes(&expected));
     }
 
     #[test]
