@@ -60,11 +60,11 @@
 //! with a bursty leaf, plus one per distinct deterministic class (a fold
 //! at width > 1 adds the rare extra run when two threads meet a new class
 //! at once).  The rest are repeats of a class the fold's shared class
-//! table holds: each draws its class and is counted (or, if it would enter
-//! the worst-body list, ingested as a copy of the stored summary), and the
-//! counts go into the fold with one scaled update per class.  So these
-//! rows' `events` count events the engine ran once per class, not once per
-//! body.
+//! table holds: each is drawn once, finds its class there and is counted
+//! (or, if it would enter the worst-body list, ingested as a copy of the
+//! stored summary), and the counts go into the fold with one scaled update
+//! per class.  So these rows' `events` count events the engine ran once per
+//! class, not once per body.
 //!
 //! The file opens with the run's provenance (cores, rustc, git revision,
 //! profile).  Exits non-zero if the two engine paths disagree on any exact

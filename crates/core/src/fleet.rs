@@ -34,9 +34,10 @@
 //! [`run`](FleetConfig::run), [`run_until`](FleetConfig::run_until),
 //! [`resume`](FleetConfig::resume), a [`ShardPlan`]'s shards and a driver
 //! worker's range — enters through one private body-range fold, which
-//! builds the fold's partials itself.  The population draws each body and
-//! resolves its links and nodes through tables it builds once, on first
-//! use, so a fold that re-runs a population builds none of them.
+//! builds the fold's partials itself.  The population draws each body once,
+//! through one table it builds on first use (the draw's thresholds and
+//! every leaf slot's nodes), so a fold that re-runs a population builds
+//! nothing of it.
 //!
 //! # The body-class table
 //!
@@ -48,20 +49,21 @@
 //! * a streaming run reads its seed only through
 //!   [`TrafficPattern::next_interval`](hidwa_netsim::traffic::TrafficPattern::next_interval),
 //!   and only bursty sources draw from it (the MAC arbiters draw nothing);
-//! * within one fold the population, the link table, each archetype's
-//!   policy and the horizon are fixed;
+//! * within one fold the population, its draw table (links and nodes
+//!   included), each archetype's policy and the horizon are fixed;
 //! * so a body with no bursty leaf is a pure function of what its sampler
 //!   drew — its [class](crate::population::BodyScenario::class) — and of
 //!   its active span, which is the horizon in a churn-free fleet.
 //!
 //! Such a fold builds one class table, shared by all of its threads and
-//! dropped with it; no stored run outlives a fold.  Each body first draws
-//! its class alone, without its leaves, through its population's draw
-//! thresholds, and looks it up among the table's 64 slots, each a write-once
-//! class key and a write-once [`BodySummary`].  The first thread to claim a
-//! class's slot runs the class's body and stores its summary there; a thread
-//! that finds the slot claimed but not yet stored runs its own copy rather
-//! than wait, and a body whose class finds no slot just runs.  A repeat that
+//! dropped with it; no stored run outlives a fold.  Each body is drawn once,
+//! through its population's draw table, into its archetype, its class and
+//! its thread's node list, and its class is looked up among the class
+//! table's 64 slots, each a write-once class key and a write-once
+//! [`BodySummary`].  The first thread to claim a class's slot runs the
+//! class's body and stores its summary there; a thread that finds the slot
+//! claimed but not yet stored runs its own copy rather than wait, and a
+//! body whose class finds no slot just runs.  A repeat that
 //! would enter its thread's worst-body list (`FleetAggregator::keeps`) is
 //! ingested as a copy of the stored summary under its own index and seed.
 //! Any other repeat is one [`ingest`](FleetAggregator::ingest) would return
@@ -74,9 +76,9 @@
 //! count taken on a thread stays one the list would not keep: the merged
 //! worst list holds the thread's own list's bodies or better ones, so its
 //! last entry ranks at or above the thread's.  A body with a bursty leaf has
-//! no class and always runs, and a churned fleet keeps no table and draws no
-//! class: a churned span is the body's own continuous draw, which no other
-//! body repeats.
+//! no class and always runs, and a churned fleet keeps no table, so its
+//! bodies' classes go unused: a churned span is the body's own continuous
+//! draw, which no other body repeats.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -314,20 +316,18 @@ impl FleetConfig {
         self.population.sample(self.base_seed, body_index as u64)
     }
 
-    /// Runs body `body_index` in `workspace`, its nodes drawn onto `nodes`
-    /// from the population's node table: over the horizon, or in a churned
-    /// fleet over the body's active span after its placement.  Returns the
-    /// body's archetype and totals; its node sketches stay in `workspace`
+    /// Runs body `body_index`, of `archetype` and the leaf `nodes` its draw
+    /// put in its node list, in `workspace`: over the horizon, or in a
+    /// churned fleet over the body's active span after its placement.
+    /// Returns the body's totals; its node sketches stay in `workspace`
     /// ([`Workspace::merge_latency`]).
-    fn run_body<'p>(
-        &'p self,
+    fn run_body(
+        &self,
         body_index: usize,
-        nodes: &mut Vec<&'p NodeConfig>,
+        archetype: &BodyArchetype,
+        nodes: &[&NodeConfig],
         workspace: &mut Workspace,
-    ) -> (&'p BodyArchetype, BodyTotals) {
-        let archetype = self
-            .population
-            .nodes_of(self.base_seed, body_index as u64, nodes);
+    ) -> BodyTotals {
         let (active_span, migrations, replans, placement_energy) = match &self.churn {
             None => (self.horizon, 0, 0, Energy::ZERO),
             Some(spec) => {
@@ -346,15 +346,14 @@ impl FleetConfig {
         };
         let seed = self.seed_for_body(body_index);
         let run = workspace.run(nodes, archetype.policy(), seed, active_span);
-        let totals = BodyTotals {
+        BodyTotals {
             run,
             delivery_ratio: run.delivery_ratio(),
             active_span,
             migrations,
             replans,
             placement_energy,
-        };
-        (archetype, totals)
+        }
     }
 
     /// The summary of body `body_index`, of `archetype` and `nodes` leaves,
@@ -407,12 +406,12 @@ impl FleetConfig {
     /// Folds bodies `range` into a fresh aggregator — the one fold behind
     /// [`run`](Self::run), [`run_until`](Self::run_until),
     /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  In a
-    /// churn-free fleet it builds the fold's [`ClassTable`]; the draw thresholds
-    /// and link table are the population's, built once.  Then every thread, the
-    /// calling one included, ingests its bodies into a partial of its own, and
-    /// the partials merge once the helpers have left the fold.  Every partial
-    /// ingests in increasing body index, so the resulting state depends only on
-    /// which bodies were folded, never on which thread simulated them (see
+    /// churn-free fleet it builds the fold's [`ClassTable`]; the draw table is
+    /// the population's, built once.  Then every thread, the calling one
+    /// included, ingests its bodies into a partial of its own, and the
+    /// partials merge once the helpers have left the fold.  Every partial
+    /// ingests in increasing body index, so the resulting state depends only
+    /// on which bodies were folded, never on which thread simulated them (see
     /// [`FleetAggregator::merge`]).  Each thread keeps its partial in a
     /// [`FoldThread`], with the netsim [`Workspace`] all of its bodies run
     /// in and a count per table slot of the repeats it did not ingest; the
@@ -448,25 +447,27 @@ impl FleetConfig {
     }
 
     /// Folds body `body_index` into `thread`'s partial, the next body in its
-    /// index order.  In a churn-free fleet a body whose class `table` holds
-    /// a run of is a repeat (see the module docs): the partial ingests a
-    /// copy of the stored summary if the body would enter its worst list,
-    /// and otherwise the slot's entry of the thread's `repeats` counts it.
-    /// Any other body runs in the thread's workspace.  If the thread claimed
-    /// the body's class slot, or the worst list keeps the body, the partial
-    /// ingests the body's summary, which a claimed slot stores; any other
-    /// body goes into the partial without one.  `table` must be this
-    /// fleet's, and `repeats` must count only bodies this thread's
-    /// aggregator would not keep.
+    /// index order.  The body is drawn once, into its archetype, its class
+    /// and the thread's node list.  In a churn-free fleet a body whose class
+    /// `table` holds a run of is a repeat (see the module docs): the partial
+    /// ingests a copy of the stored summary if the body would enter its
+    /// worst list, and otherwise the slot's entry of the thread's `repeats`
+    /// counts it.  Any other body runs in the thread's workspace.  If the
+    /// thread claimed the body's class slot, or the worst list keeps the
+    /// body, the partial ingests the body's summary, which a claimed slot
+    /// stores; any other body goes into the partial without one.  `table`
+    /// must be this fleet's, and `repeats` must count only bodies this
+    /// thread's aggregator would not keep.
     fn fold_body<'p>(
         &'p self,
         body_index: usize,
         table: Option<&ClassTable>,
         thread: &mut FoldThread<'p>,
     ) {
-        let lookup = table.map_or(Lookup::Run, |table| {
-            table.find(self.population.class_of(self.base_seed, body_index as u64))
-        });
+        let (archetype, class) =
+            self.population
+                .nodes_of(self.base_seed, body_index as u64, &mut thread.nodes);
+        let lookup = table.map_or(Lookup::Run, |table| table.find(class));
         let partial = &mut thread.partial;
         let first = match lookup {
             Lookup::Repeat(slot, first) => {
@@ -485,7 +486,7 @@ impl FleetConfig {
             Lookup::Run => None,
         };
         let workspace = &mut thread.workspace;
-        let (archetype, totals) = self.run_body(body_index, &mut thread.nodes, workspace);
+        let totals = self.run_body(body_index, archetype, &thread.nodes, workspace);
         let kept = partial.keeps(totals.run.worst_p95_latency);
         if first.is_none() && !kept {
             partial.add_run(&totals, workspace);
@@ -542,7 +543,7 @@ impl FleetConfig {
 }
 
 /// One fold thread's state: its partial, the netsim workspace all of its
-/// bodies run in, the node list of the body it runs, and a count per
+/// bodies run in, the node list of the body it drew last, and a count per
 /// [`ClassTable`] slot of the repeats it did not ingest.
 struct FoldThread<'p> {
     partial: FleetAggregator,
@@ -1162,6 +1163,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::LinkCache;
 
     #[test]
     fn per_body_seeds_are_decorrelated() {
@@ -1269,7 +1271,7 @@ mod tests {
             }
         };
         let report = scenario
-            .build_simulation(config.population().links())
+            .build_simulation(&LinkCache::for_population(config.population()))
             .run(active_span);
         let mut latency = LatencySketch::new();
         let mut worst_p95 = TimeSpan::ZERO;
@@ -1302,7 +1304,10 @@ mod tests {
         /// `workspace`.
         fn simulate_body(&self, body_index: usize, workspace: &mut Workspace) -> BodySummary {
             let mut nodes = Vec::new();
-            let (archetype, totals) = self.run_body(body_index, &mut nodes, workspace);
+            let (archetype, _) =
+                self.population
+                    .nodes_of(self.base_seed, body_index as u64, &mut nodes);
+            let totals = self.run_body(body_index, archetype, &nodes, workspace);
             self.summarise(body_index, archetype, nodes.len(), totals, workspace)
         }
     }

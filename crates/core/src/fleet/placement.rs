@@ -37,23 +37,12 @@
 //! process-boundary [`DriverFleetSpec`](super::DriverFleetSpec)) carries.
 
 use crate::flags::parse_tag;
-use crate::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
+use crate::partition::{Objective, PartitionContext, PartitionOptimizer};
 use crate::population::{BodyScenario, ChurnModel, ChurnSample};
 use crate::serve::codec::ModelId;
 use hidwa_isa::models::WearableModel;
 use hidwa_phy::RadioTechnology;
 use hidwa_units::Energy;
-
-/// The scalar a plan is judged by under an objective — the same quantity the
-/// streaming optimiser minimises.
-#[must_use]
-pub fn objective_key(plan: &PartitionPlan, objective: Objective) -> f64 {
-    match objective {
-        Objective::LeafEnergy => plan.leaf_energy.as_joules(),
-        Objective::Latency => plan.latency.as_seconds(),
-        Objective::EnergyDelayProduct => plan.energy_delay_product(),
-    }
-}
 
 /// An online placement policy: how a body's cut reacts to each new context
 /// epoch (see [`simulate_placement`]), named by its tag across CLI flags,
@@ -389,10 +378,12 @@ pub(crate) fn place(
             }
             PolicyKind::Hysteresis => {
                 replans += 1;
-                let bar = objective_key(&retained, objective) * (1.0 - spec.hysteresis_threshold());
+                let retained_key = objective.key(retained.leaf_energy, retained.latency);
+                let bar = retained_key * (1.0 - spec.hysteresis_threshold());
                 match optimizer.optimize(model, objective) {
                     Ok(candidate)
-                        if !retained.feasible || objective_key(&candidate, objective) < bar =>
+                        if !retained.feasible
+                            || objective.key(candidate.leaf_energy, candidate.latency) < bar =>
                     {
                         candidate
                     }

@@ -64,6 +64,17 @@ impl Objective {
             Objective::EnergyDelayProduct => "energy-delay product",
         }
     }
+
+    /// The scalar this objective minimises for a cut of `leaf_energy` and
+    /// `latency`: the one key the optimiser, the partition grid and the
+    /// placement policies rank cuts by.
+    pub(crate) fn key(self, leaf_energy: Energy, latency: TimeSpan) -> f64 {
+        match self {
+            Objective::LeafEnergy => leaf_energy.as_joules(),
+            Objective::Latency => latency.as_seconds(),
+            Objective::EnergyDelayProduct => leaf_energy.as_joules() * latency.as_seconds(),
+        }
+    }
 }
 
 /// The execution environment a partition is evaluated in.
@@ -217,7 +228,8 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// Energy-delay product (J·s) used by [`Objective::EnergyDelayProduct`].
+    /// Energy-delay product (J·s), the [`Objective::EnergyDelayProduct`]
+    /// key.
     #[must_use]
     pub fn energy_delay_product(&self) -> f64 {
         self.leaf_energy.as_joules() * self.latency.as_seconds()
@@ -337,7 +349,7 @@ impl PartitionOptimizer {
             if !metrics.feasible {
                 continue;
             }
-            let key = metrics.key(objective);
+            let key = objective.key(metrics.leaf_energy, metrics.latency);
             let better = match best {
                 None => true,
                 // Strict `<` keeps the earliest minimum; incomparable (NaN)
@@ -404,18 +416,6 @@ struct CutMetrics {
     latency: TimeSpan,
     leaf_power: Power,
     feasible: bool,
-}
-
-impl CutMetrics {
-    fn key(&self, objective: Objective) -> f64 {
-        match objective {
-            Objective::LeafEnergy => self.leaf_energy.as_joules(),
-            Objective::Latency => self.latency.as_seconds(),
-            Objective::EnergyDelayProduct => {
-                self.leaf_energy.as_joules() * self.latency.as_seconds()
-            }
-        }
-    }
 }
 
 #[cfg(test)]

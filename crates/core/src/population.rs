@@ -39,19 +39,20 @@
 //! grows, so its running remainder goes negative no later.  So each outcome
 //! is a count of integer thresholds at or below `k`, one per index a choice
 //! can pass (and one per presence draw), found by a binary search over the
-//! float draw itself.  A population builds that table once, on first use,
-//! and the thresholds are its one draw: [`PopulationModel::sample`] and the
-//! class draw of a churn-free fleet fold (which draws a body's
-//! [class](BodyScenario::class) alone, to find the bodies that repeat one it
-//! has already run) walk the same loop of integer compares and adds, and the
-//! class draw takes no branch that depends on the drawn values.  The float
-//! draw loop the thresholds stand for is kept only as the tests' reference.
-//! A fleet fold's body draw walks the loop too, but puts each present leaf
-//! into its node list as a reference into the population's node table,
-//! which the population builds once, on first use, from its link table: the
-//! node configuration of every leaf slot with every traffic entry it can
-//! draw.  So a fold runs a body without building its scenario, its nodes
-//! or their names.
+//! float draw itself.  A population builds one draw table, on first use, in
+//! one walk over its archetypes and their leaf slots: the archetype
+//! thresholds and, per slot, its presence and traffic-entry thresholds,
+//! which entries are bursty, and the node configuration of the slot's leaf
+//! with each traffic entry it can draw, over the link the channel model
+//! derives for it.  The thresholds are the population's one draw:
+//! [`PopulationModel::sample`] and a fleet fold's body draw walk the same
+//! loop of integer compares and adds.  `sample` builds each present leaf's
+//! spec; the fold's draw puts a reference to each present leaf's node into
+//! the body's node list and returns the body's archetype and
+//! [class](BodyScenario::class), so a fold runs a body, or finds that it
+//! repeats one already run, without building its scenario, its nodes or
+//! their names.  The float draw loop the thresholds stand for is kept only
+//! as the tests' reference.
 //!
 //! Two further guarantees are load-bearing for the fleet algebra (and
 //! regression-tested in `tests/population_edges.rs`): an archetype with zero
@@ -255,18 +256,10 @@ impl BodyArchetype {
 #[derive(Debug, Clone)]
 pub struct PopulationModel {
     archetypes: Vec<BodyArchetype>,
-    /// The draw thresholds, the link table and the node table, each a pure
-    /// function of `archetypes` built on first use.  Only
-    /// [`new`](Self::new) makes a population, so a builder's result starts
-    /// with every cell empty.
-    thresholds: OnceLock<ClassThresholds>,
-    links: OnceLock<LinkCache>,
-    /// Per leaf slot, in the order of the thresholds' slots, the node of each
-    /// traffic entry the slot can draw and then the node of an all-zero
-    /// mix's `Silent`: what [`scenario::leaf_node`] builds for the leaf with
-    /// that traffic over the population's link (see
-    /// [`nodes_of`](Self::nodes_of)).
-    nodes: OnceLock<Vec<Vec<NodeConfig>>>,
+    /// The draw table, a pure function of `archetypes` built on first use.
+    /// Only [`new`](Self::new) makes a population, so a builder's result
+    /// starts with it empty.
+    table: OnceLock<DrawTable>,
 }
 
 impl PopulationModel {
@@ -283,9 +276,7 @@ impl PopulationModel {
         );
         Self {
             archetypes,
-            thresholds: OnceLock::new(),
-            links: OnceLock::new(),
-            nodes: OnceLock::new(),
+            table: OnceLock::new(),
         }
     }
 
@@ -584,63 +575,54 @@ impl PopulationModel {
         }
     }
 
-    /// Body `body_index`'s [class](BodyScenario::class): what
-    /// `sample(base_seed, body_index).class()` returns, without building
-    /// the leaf list or touching the archetype's label.
-    pub(crate) fn class_of(&self, base_seed: u64, body_index: u64) -> Option<u64> {
-        self.draw(body_seed(base_seed, body_index), |_, _, _| {}).1
-    }
-
-    /// Body `body_index`'s archetype, with the node of each of its present
-    /// leaves pushed onto `nodes` (emptied first) from the population's node
-    /// table: the archetype and nodes that
-    /// `sample(base_seed, body_index).build_simulation(links)` runs, without
+    /// Body `body_index`'s archetype and [class](BodyScenario::class), with
+    /// the node of each of its present leaves pushed onto `nodes` (emptied
+    /// first) from the population's draw table: the archetype and class of
+    /// `sample(base_seed, body_index)`, and the nodes its
+    /// [`build_simulation`](BodyScenario::build_simulation) runs, without
     /// building the scenario or any node.
     pub(crate) fn nodes_of<'p>(
         &'p self,
         base_seed: u64,
         body_index: u64,
         nodes: &mut Vec<&'p NodeConfig>,
-    ) -> &'p BodyArchetype {
-        let table = self.nodes.get_or_init(|| self.node_table());
+    ) -> (&'p BodyArchetype, Option<u64>) {
         nodes.clear();
         let sim_seed = body_seed(base_seed, body_index);
-        let (archetype, _) = self.draw(sim_seed, |slot, _, entry| nodes.push(&table[slot][entry]));
-        &self.archetypes[archetype]
+        let (archetype, class) =
+            self.draw(sim_seed, |slot, _, entry| nodes.push(&slot.nodes[entry]));
+        (&self.archetypes[archetype], class)
     }
 
-    /// The draw sequence behind [`sample`](Self::sample),
-    /// [`class_of`](Self::class_of) and [`nodes_of`](Self::nodes_of),
-    /// through the population's thresholds (see the module docs): the index
-    /// of the archetype drawn for the body whose simulation seed is
-    /// `sim_seed`, and the body's class.  Each present leaf goes to
-    /// `on_leaf`, with its slot's index in the population's slot order (the
-    /// order of the thresholds' slots and of the node table), and the
+    /// The draw sequence behind [`sample`](Self::sample) and
+    /// [`nodes_of`](Self::nodes_of), through the population's draw table
+    /// (see the module docs): the index of the archetype drawn for the body
+    /// whose simulation seed is `sim_seed`, and the body's class.  Each
+    /// present leaf goes to `on_leaf`, with its slot of the table and the
     /// traffic entry it drew (one past the last is an all-zero mix's
     /// `Silent`).
     #[inline(always)]
-    fn draw(
-        &self,
+    fn draw<'p>(
+        &'p self,
         sim_seed: u64,
-        mut on_leaf: impl FnMut(usize, &LeafArchetype, usize),
+        mut on_leaf: impl FnMut(&'p DrawSlot, &'p LeafArchetype, usize),
     ) -> (usize, Option<u64>) {
-        let table = self.thresholds.get_or_init(|| self.class_thresholds());
+        let table = self.table.get_or_init(|| self.draw_table());
         let mut rng = StdRng::seed_from_u64(sim_seed ^ SCENARIO_DOMAIN);
         let mut draw = || rng.next_u64() >> 11;
         let archetype = at_or_below(&table.archetype, draw());
-        let span = table.spans[archetype].clone();
+        let slots = &table.slots[table.spans[archetype].clone()];
         // Per-leaf draws, in leaf order: presence, then traffic.  Every leaf
         // consumes exactly two draws whether or not it is present, so
         // scenarios stay stable under presence-probability tweaks.
         let mut class = Some(0u64);
         let mut bursty = false;
-        let slots = table.slots[span.clone()].iter().zip(span);
-        for ((slot, index), leaf) in slots.zip(&self.archetypes[archetype].leaves) {
+        for (slot, leaf) in slots.iter().zip(&self.archetypes[archetype].leaves) {
             let present = draw() < slot.absent_from;
             let drawn = at_or_below(&slot.entries, draw());
             bursty |= present & slot.bursty[drawn];
             if present {
-                on_leaf(index, leaf, drawn);
+                on_leaf(slot, leaf, drawn);
             }
             // Digit 0 is absent, 1 + i entry i.
             let radix = slot.entries.len() as u64 + 2;
@@ -652,30 +634,10 @@ impl PopulationModel {
         (archetype, class.filter(|_| !bursty))
     }
 
-    /// The population's link table, derived once (see [`LinkCache`]).
-    pub(crate) fn links(&self) -> &LinkCache {
-        self.links.get_or_init(|| LinkCache::for_population(self))
-    }
-
-    /// The node table [`nodes_of`](Self::nodes_of) draws from (see the
-    /// `nodes` field).
-    fn node_table(&self) -> Vec<Vec<NodeConfig>> {
-        let links = self.links();
-        let mut table = Vec::new();
-        for archetype in &self.archetypes {
-            for leaf in &archetype.leaves {
-                let link = links.get(archetype.technology, leaf.spec.site);
-                let entries = 0..=leaf.traffic.entries().len();
-                let nodes = entries.map(|entry| scenario::leaf_node(&leaf.with_entry(entry), link));
-                table.push(nodes.collect());
-            }
-        }
-        table
-    }
-
-    /// The threshold table that [`draw`](Self::draw) walks, searched out of
-    /// the float draws (see the module docs).
-    fn class_thresholds(&self) -> ClassThresholds {
+    /// The table that [`draw`](Self::draw) walks: thresholds searched out of
+    /// the float draws (see the module docs), and each slot's nodes resolved
+    /// through a link table that lives only while the table is built.
+    fn draw_table(&self) -> DrawTable {
         // The least draw `k` for which `above(k)` holds (2^53 if none), for
         // an `above` that never turns false again as `k` grows.  Many never
         // turn true (a leaf always worn, a mix's last entry), so the search
@@ -698,31 +660,36 @@ impl PopulationModel {
         let archetype = (0..self.archetypes.len() - 1)
             .map(|index| threshold(&|draw| self.draw_archetype(draw) > index))
             .collect();
+        let links = LinkCache::for_population(self);
         let mut spans = Vec::with_capacity(self.archetypes.len());
         let mut slots = Vec::new();
         for archetype in &self.archetypes {
             let start = slots.len();
-            for slot in &archetype.leaves {
-                let entries = slot.traffic.entries();
+            for leaf in &archetype.leaves {
+                let entries = leaf.traffic.entries().len();
                 // A degenerate mix draws `None`, digit `entries`: each of its
                 // thresholds is 0.
-                let drawn =
-                    |draw: &mut FixedDraw| slot.traffic.sample(draw).0.unwrap_or(entries.len());
-                slots.push(SlotThresholds {
-                    absent_from: threshold(&|draw| !draw.gen_bool(slot.presence)),
-                    entries: (0..entries.len())
+                let drawn = |draw: &mut FixedDraw| leaf.traffic.sample(draw).0.unwrap_or(entries);
+                let link = links.get(archetype.technology, leaf.spec.site);
+                let (bursty, nodes) = (0..=entries)
+                    .map(|entry| {
+                        let leaf = leaf.with_entry(entry);
+                        let bursty = matches!(leaf.traffic, TrafficPattern::Bursty { .. });
+                        (bursty, scenario::leaf_node(&leaf, link))
+                    })
+                    .unzip();
+                slots.push(DrawSlot {
+                    absent_from: threshold(&|draw| !draw.gen_bool(leaf.presence)),
+                    entries: (0..entries)
                         .map(|index| threshold(&|draw| drawn(draw) > index))
                         .collect(),
-                    bursty: entries
-                        .iter()
-                        .map(|(_, traffic)| matches!(traffic, TrafficPattern::Bursty { .. }))
-                        .chain([false])
-                        .collect(),
+                    bursty,
+                    nodes,
                 });
             }
             spans.push(start..slots.len());
         }
-        ClassThresholds {
+        DrawTable {
             archetype,
             spans,
             slots,
@@ -756,19 +723,21 @@ impl PopulationModel {
 }
 
 /// A population's draws as integer thresholds (see the module docs): the
-/// archetype, and per leaf slot its presence and traffic entry.
+/// archetype, and per leaf slot its presence and traffic entry, with the
+/// nodes each slot can draw.
 #[derive(Debug, Clone)]
-struct ClassThresholds {
+struct DrawTable {
     /// The archetype drawn is the number of these at or below its draw.
     archetype: Vec<u64>,
     /// Per archetype, its leaf slots' range in `slots`.
     spans: Vec<Range<usize>>,
-    slots: Vec<SlotThresholds>,
+    slots: Vec<DrawSlot>,
 }
 
-/// One leaf slot's two draws as thresholds.
+/// One leaf slot's two draws as thresholds, and what each traffic entry it
+/// can draw runs as.
 #[derive(Debug, Clone)]
-struct SlotThresholds {
+struct DrawSlot {
     /// The leaf is worn exactly when its presence draw is below this.
     absent_from: u64,
     /// The traffic entry drawn is the number of these at or below its draw;
@@ -776,6 +745,10 @@ struct SlotThresholds {
     entries: Vec<u64>,
     /// Per entry drawn, one past the last included, whether it is bursty.
     bursty: Vec<bool>,
+    /// Per entry drawn, one past the last included, the node
+    /// [`scenario::leaf_node`] builds for the leaf with that traffic over
+    /// the population's link.
+    nodes: Vec<NodeConfig>,
 }
 
 /// How many of `thresholds` are at or below the 53-bit draw `k`: the index
@@ -786,7 +759,7 @@ fn at_or_below(thresholds: &[u64], k: u64) -> usize {
 }
 
 /// An RNG whose every word is the one given: the fixed draw a
-/// [`ClassThresholds`] search evaluates the reference at.
+/// [`DrawTable`] search evaluates the reference at.
 struct FixedDraw(u64);
 
 impl RngCore for FixedDraw {
@@ -880,11 +853,13 @@ impl BodyScenario {
 /// Memoised channel-model link derivation per `(technology, body site)`.
 ///
 /// Deriving [`LinkParams`] walks the EQS channel/capacity stack — by far the
-/// most expensive part of constructing a body.  A population derives each
-/// distinct pair it can sample **once**, on first use, and every body
-/// resolves its leaves with a (tiny) linear lookup, so heterogeneous fleets
-/// pay the channel model O(distinct pairs), not O(bodies × leaves) or
-/// O(folds).
+/// most expensive part of constructing a body.  A population's draw table
+/// derives each distinct pair the population can sample **once**, through
+/// a cache that lives only while the table is built, and resolves every
+/// leaf slot with a (tiny) linear lookup, so heterogeneous fleets pay the
+/// channel model O(distinct pairs), not O(bodies × leaves) or O(folds).
+/// A scenario built outside a fold resolves its leaves through a cache its
+/// caller holds ([`BodyScenario::build_simulation`]).
 #[derive(Debug, Clone)]
 pub struct LinkCache {
     entries: Vec<((RadioTechnology, BodySite), LinkParams)>,
@@ -1327,19 +1302,18 @@ mod tests {
         )
     }
 
-    /// Checks every field of `sample`, and `class_of`, against the
-    /// reference loop for bodies `0..bodies`; returns how many have a class.
+    /// Checks every field of `sample`, and the class `nodes_of` draws,
+    /// against the reference loop for bodies `0..bodies`; returns how many
+    /// have a class.
     fn assert_draws_match_the_reference(population: &PopulationModel, bodies: u64) -> usize {
         let mut classed = 0;
+        let mut nodes = Vec::new();
         for body in 0..bodies {
             let want = reference_sample(population, 0xC1A55, body);
             let got = population.sample(0xC1A55, body);
             assert_eq!(fields(&got), fields(&want), "body {body}");
-            assert_eq!(
-                population.class_of(0xC1A55, body),
-                want.class,
-                "body {body}"
-            );
+            let (_, class) = population.nodes_of(0xC1A55, body, &mut nodes);
+            assert_eq!(class, want.class, "body {body}");
             classed += usize::from(want.class.is_some());
         }
         classed
@@ -1423,12 +1397,12 @@ mod tests {
     }
 
     #[test]
-    fn class_of_draws_the_sampled_class() {
+    fn nodes_of_draws_the_sampled_class() {
         for (k, population) in edge_populations().iter().enumerate() {
             let classed = assert_draws_match_the_reference(population, 10_000);
             // The wide and the overflowing population have no classes.
             assert_eq!(classed > 0, k != 2 && k != 3, "population {k}");
-            let thresholds = population.thresholds.get().expect("built by the draws");
+            let table = population.table.get().expect("built by the draws");
             // Random bodies almost never draw a threshold itself, so check
             // each draw's outcome on both sides of every threshold against
             // the reference draw.
@@ -1437,15 +1411,15 @@ mod tests {
                 edges.filter(|&k| k < 1 << 53).collect::<Vec<u64>>()
             };
             let at = |k: u64| FixedDraw(k << 11);
-            for k in draws(&thresholds.archetype) {
+            for k in draws(&table.archetype) {
                 let want = population.draw_archetype(&mut at(k));
-                assert_eq!(at_or_below(&thresholds.archetype, k), want, "draw {k}");
+                assert_eq!(at_or_below(&table.archetype, k), want, "draw {k}");
             }
             let leaves = population
                 .archetypes()
                 .iter()
                 .flat_map(BodyArchetype::leaves);
-            for (slot, leaf) in thresholds.slots.iter().zip(leaves) {
+            for (slot, leaf) in table.slots.iter().zip(leaves) {
                 for k in draws(&[slot.absent_from]) {
                     assert_eq!(k < slot.absent_from, at(k).gen_bool(leaf.presence()));
                 }
@@ -1458,19 +1432,19 @@ mod tests {
         }
     }
 
-    /// Checks every entry of the population's node table against
+    /// Checks every slot's node row in the population's draw table against
     /// [`scenario::leaf_node`] of its leaf and traffic over a link derived
     /// on the spot, and the nodes [`PopulationModel::nodes_of`] draws for
     /// bodies `0..bodies` against the nodes of the leaves `sample` draws.
     fn assert_nodes_match_the_sampled_leaves(population: &PopulationModel, bodies: u64) {
+        let links = LinkCache::for_population(population);
         let mut nodes = Vec::new();
         for body in 0..bodies {
             let scenario = population.sample(0xC1A55, body);
-            let archetype = population.nodes_of(0xC1A55, body, &mut nodes);
+            let (archetype, _) = population.nodes_of(0xC1A55, body, &mut nodes);
             assert_eq!(archetype.name(), scenario.archetype(), "body {body}");
             assert_eq!(archetype.technology(), scenario.technology());
             assert_eq!(archetype.policy(), scenario.policy());
-            let links = population.links();
             let technology = scenario.technology();
             let want = scenario
                 .leaves()
@@ -1478,13 +1452,13 @@ mod tests {
                 .map(|leaf| scenario::leaf_node(leaf, links.get(technology, leaf.site)));
             assert!(want.eq(nodes.iter().copied().cloned()), "body {body}");
         }
-        let table = population.nodes.get().expect("built by nodes_of");
+        let table = population.table.get().expect("built by the draws");
         let slots = population.archetypes.iter().flat_map(|archetype| {
             let technology = archetype.technology;
             archetype.leaves.iter().map(move |slot| (technology, slot))
         });
-        assert_eq!(table.len(), slots.clone().count());
-        for ((technology, slot), entries) in slots.zip(table) {
+        assert_eq!(table.slots.len(), slots.clone().count());
+        for ((technology, slot), drawn) in slots.zip(&table.slots) {
             let link = scenario::link_params_for(technology, slot.spec.site);
             let traffic = slot.traffic.entries().iter().map(|(_, t)| t.clone());
             let want: Vec<NodeConfig> = traffic
@@ -1497,7 +1471,7 @@ mod tests {
                     scenario::leaf_node(&leaf, link)
                 })
                 .collect();
-            assert_eq!(*entries, want);
+            assert_eq!(drawn.nodes, want);
         }
     }
 
@@ -1510,13 +1484,11 @@ mod tests {
 
     #[test]
     fn builders_never_leave_a_stale_table() {
-        // A population that has drawn, so all three of its tables exist.
+        // A population that has drawn, so its table exists.
         let drawn = || {
             let population = PopulationModel::mixed_default();
             let _ = population.sample(1, 0);
-            let _ = population.nodes_of(1, 0, &mut Vec::new());
-            assert!(population.thresholds.get().is_some() && population.links.get().is_some());
-            assert!(population.nodes.get().is_some());
+            assert!(population.table.get().is_some());
             population
         };
         let built = [
@@ -1526,16 +1498,8 @@ mod tests {
             drawn().with_traffic_scale(2.0),
         ];
         for population in &built {
+            assert!(population.table.get().is_none());
             assert_draws_match_the_reference(population, 2_000);
-            let want: Vec<_> = population
-                .link_domain()
-                .into_iter()
-                .map(|(technology, site)| {
-                    let link = scenario::link_params_for(technology, site);
-                    ((technology, site), link)
-                })
-                .collect();
-            assert_eq!(population.links().entries, want);
             assert_nodes_match_the_sampled_leaves(population, 2_000);
         }
     }

@@ -286,11 +286,7 @@ impl SweepRunner {
             // `plans` already holds every evaluated cut, so the optimum is a
             // scan over it (same first-minimum/NaN semantics as the streaming
             // `optimize`) rather than a second evaluation pass.
-            let key = |p: &PartitionPlan| match objective {
-                Objective::LeafEnergy => p.leaf_energy.as_joules(),
-                Objective::Latency => p.latency.as_seconds(),
-                Objective::EnergyDelayProduct => p.energy_delay_product(),
-            };
+            let key = |p: &PartitionPlan| objective.key(p.leaf_energy, p.latency);
             let best = plans
                 .iter()
                 .filter(|p| p.feasible)

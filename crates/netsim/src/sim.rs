@@ -78,8 +78,7 @@
 //! reads only the run's [`RunScalars`] out: body-wide frame, byte and event
 //! totals, the energy sum in node order and the worst per-node p95.
 //! [`Workspace::merge_latency`] then merges the node sketches, in node
-//! order, into a sketch the caller passes in.  [`Simulation::run_totals`] is
-//! those two steps into a fresh sketch, and each value equals what the
+//! order, into a sketch the caller passes in.  Each value equals what the
 //! report would reduce to.  A fleet fold keeps one workspace per thread and
 //! runs every body from node configurations its population built once; once
 //! the buffers reach their high-water marks, a run of at most 64 nodes
@@ -253,17 +252,6 @@ impl RunScalars {
         }
         self.delivered_frames as f64 / self.generated_frames as f64
     }
-}
-
-/// A run reduced across its nodes ([`Simulation::run_totals`]): its scalars
-/// and its node sketches merged, each equal, bit for bit, to the same
-/// reduction of the run's [`SimulationReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunTotals {
-    /// Frame, byte, event and energy totals and the worst per-node p95.
-    pub scalars: RunScalars,
-    /// Every node's latency sketch merged in node order.
-    pub latency: LatencySketch,
 }
 
 /// A star-topology IoB network simulation.
@@ -449,8 +437,7 @@ impl ReadyBits {
 ///
 /// Each run resets the workspace in place for its own node set (see the
 /// [module docs](self)), so nothing a previous run left behind is read;
-/// keep one per thread and run in it through [`Workspace::run`] or
-/// [`Simulation::run_totals`].
+/// keep one per thread and run in it through [`Workspace::run`].
 pub struct Workspace {
     // --- per-node constants (hoisted once, split per use site so each
     //     handler streams through exactly the array it needs) ---
@@ -1063,26 +1050,6 @@ impl Simulation {
         workspace.report(&self.nodes, self.policy, duration)
     }
 
-    /// Runs the streaming engine for `duration` in `workspace`, reset in
-    /// place, and reduces the run straight into [`RunTotals`] — equal, bit
-    /// for bit, to reducing [`run`](Self::run)'s report across its nodes,
-    /// without building that report.  It is [`Workspace::run`] followed by
-    /// [`Workspace::merge_latency`] into a fresh sketch.
-    ///
-    /// # Panics
-    /// Panics if the reference engine is selected: it has no workspace.
-    #[must_use]
-    pub fn run_totals(&self, workspace: &mut Workspace, duration: TimeSpan) -> RunTotals {
-        assert!(
-            !self.reference_engine,
-            "the reference engine does not run in a workspace"
-        );
-        let scalars = workspace.run(&self.nodes, self.policy, self.seed, duration);
-        let mut latency = LatencySketch::new();
-        workspace.merge_latency(&mut latency);
-        RunTotals { scalars, latency }
-    }
-
     /// The reference engine, faithful to the seed repository's original
     /// shape: one binary heap for every event, a fresh readiness `Vec` per
     /// arbitration, per-event pattern matching on the traffic source and an
@@ -1527,7 +1494,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_runs_node_references_like_run_totals() {
+    fn workspace_runs_node_references_like_the_report() {
         let duration = TimeSpan::from_seconds(12.0);
         let nodes = vec![
             ecg_node("ecg"),
@@ -1536,9 +1503,27 @@ mod tests {
             NodeConfig::leaf("burst", BodySite::Finger, wir_link())
                 .with_traffic(TrafficPattern::bursty(TimeSpan::from_millis(80.0), 256)),
         ];
-        let sim = Simulation::with_nodes(MacPolicy::Polling, nodes.clone()).with_seed(42);
-        let want = sim.run_totals(&mut Workspace::new(), duration);
-        assert!(want.latency.count() > 0);
+        // The reduction of the full report across its nodes that the
+        // workspace's two readouts stand for.
+        let report = Simulation::with_nodes(MacPolicy::Polling, nodes.clone())
+            .with_seed(42)
+            .run(duration);
+        let stats = report.node_stats();
+        let mut worst_p95_latency = TimeSpan::ZERO;
+        let mut latency = LatencySketch::new();
+        for (stats, sketch) in stats.iter().zip(report.latency_sketches()) {
+            worst_p95_latency = worst_p95_latency.max(stats.p95_latency);
+            latency.merge(sketch);
+        }
+        let want = RunScalars {
+            generated_frames: stats.iter().map(|s| s.generated_frames).sum(),
+            delivered_frames: stats.iter().map(|s| s.delivered_frames).sum(),
+            delivered_bytes: stats.iter().map(|s| s.delivered_bytes).sum(),
+            events_processed: report.events_processed(),
+            total_energy: report.total_energy(),
+            worst_p95_latency,
+        };
+        assert!(latency.count() > 0);
         // A workspace that last ran a wider body, so stale node state past
         // the third node is in its buffers.
         let wide: Vec<NodeConfig> = (0..70)
@@ -1551,10 +1536,14 @@ mod tests {
         let _ = workspace.run(&wide, MacPolicy::Polling, 3, duration);
         let references: Vec<&NodeConfig> = nodes.iter().collect();
         let scalars = workspace.run(&references, MacPolicy::Polling, 42, duration);
-        assert_eq!(scalars, want.scalars);
+        assert_eq!(scalars, want);
         assert_eq!(
             scalars.total_energy.as_joules().to_bits(),
-            want.scalars.total_energy.as_joules().to_bits()
+            want.total_energy.as_joules().to_bits()
+        );
+        assert_eq!(
+            scalars.delivery_ratio().to_bits(),
+            report.delivery_ratio().to_bits()
         );
         let bytes = |sketch: &LatencySketch| {
             let mut out = bytes::BytesMut::new();
@@ -1563,7 +1552,7 @@ mod tests {
         };
         let mut fresh = LatencySketch::new();
         workspace.merge_latency(&mut fresh);
-        assert_eq!(bytes(&fresh), bytes(&want.latency));
+        assert_eq!(bytes(&fresh), bytes(&latency));
         // Into a sketch that already holds samples on both sides of the
         // run's, the merge equals merging the fresh-sketch result.
         let mut held = LatencySketch::new();
@@ -1571,7 +1560,7 @@ mod tests {
             held.record(TimeSpan::from_millis(millis));
         }
         let mut expected = held.clone();
-        expected.merge(&want.latency);
+        expected.merge(&latency);
         workspace.merge_latency(&mut held);
         assert_eq!(bytes(&held), bytes(&expected));
     }

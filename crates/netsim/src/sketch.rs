@@ -162,8 +162,27 @@ impl ExactSum {
 
     /// Adds one `f64` exactly.  Negative, NaN and infinite inputs contribute
     /// zero.
+    #[inline]
     pub fn add(&mut self, value: f64) {
-        if !value.is_finite() || value <= 0.0 {
+        self.add_scaled(value, 1);
+    }
+
+    /// Adds `value` exactly `count` times — bit-identical to calling
+    /// [`add`](Self::add) `count` times, in O(1) per 1024 repetitions
+    /// instead of O(count).
+    ///
+    /// The 53-bit mantissa is multiplied by chunks of at most 1024
+    /// repetitions, keeping every product below `2^63` so each chunk's
+    /// shifted value spans at most two limbs and its addition stays exact;
+    /// integer multiplication *is* repeated integer addition, so the
+    /// accumulator lands on the identical limbs.
+    /// [`LatencySketch::record_run`] sums through it.
+    ///
+    /// This and the other scaled operations are always inlined, so a caller
+    /// passing a literal `count = 1` compiles to the unscaled update.
+    #[inline(always)]
+    pub fn add_scaled(&mut self, value: f64, count: u64) {
+        if !value.is_finite() || value <= 0.0 || count == 0 {
             return;
         }
         let bits = value.to_bits();
@@ -177,43 +196,10 @@ impl ExactSum {
         };
         let limb = (bit_position / 64) as usize;
         let shift = bit_position % 64;
-        let wide = u128::from(mantissa) << shift;
-        self.add_limb(limb, wide as u64);
-        self.add_limb(limb + 1, (wide >> 64) as u64);
-    }
-
-    /// Adds `value` exactly `count` times — bit-identical to calling
-    /// [`add`](Self::add) `count` times, in O(1) per 1024 repetitions
-    /// instead of O(count).
-    ///
-    /// The 53-bit mantissa is multiplied by chunks of at most 1024
-    /// repetitions, keeping every product below `2^63` so the same two-limb
-    /// shifted addition `add` uses stays exact; integer multiplication *is*
-    /// repeated integer addition, so the accumulator lands on the identical
-    /// limbs.  [`LatencySketch::record_run`] sums through it.
-    ///
-    /// This and the other scaled operations are always inlined, so a caller
-    /// passing a literal `count = 1` compiles to the unscaled update.
-    #[inline(always)]
-    pub fn add_scaled(&mut self, value: f64, count: u64) {
-        if !value.is_finite() || value <= 0.0 || count == 0 {
-            return;
-        }
-        let bits = value.to_bits();
-        let exponent = ((bits >> 52) & 0x7FF) as u32;
-        let fraction = bits & ((1u64 << 52) - 1);
-        let (mantissa, bit_position) = if exponent == 0 {
-            (fraction, 0)
-        } else {
-            (fraction | (1 << 52), exponent - 1)
-        };
-        let limb = (bit_position / 64) as usize;
-        let shift = bit_position % 64;
         let mut remaining = count;
         while remaining > 0 {
             // mantissa < 2^53 and chunk ≤ 2^10, so the product < 2^63 and the
-            // shifted value spans at most two limbs — the invariant `add`'s
-            // fast path is built on.
+            // shifted value spans at most two limbs.
             let chunk = remaining.min(1024);
             remaining -= chunk;
             let wide = u128::from(mantissa * chunk) << shift;
@@ -506,9 +492,7 @@ impl LatencySketch {
     /// poison the histogram.
     #[inline]
     pub fn record(&mut self, latency: TimeSpan) {
-        let seconds = sample_seconds(latency.as_seconds());
-        self.sum_seconds.add(seconds);
-        self.count_samples(seconds, 1);
+        self.record_run(latency, 1);
     }
 
     /// Records `count` identical latency samples in O(1) — bit-identical to
