@@ -71,7 +71,7 @@ fn drive(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         if let Some(fade) = flags.value("--churn-fade")? {
             churn = churn.with_link_fade(fade);
         }
-        let policy = flags.tag("--churn-policy", &PolicyKind::ALL, PolicyKind::tag)?;
+        let policy = flags.tag("--churn-policy")?;
         spec = spec.with_churn(ChurnSpec::new(
             churn,
             policy.unwrap_or(PolicyKind::ReoptimizeOnChange),

@@ -40,7 +40,7 @@
 //! A bad invocation exits 2 with the usage before the spool root is
 //! created; `--horizon-s` gets the worker's own finite, non-negative check.
 
-use hidwa_core::flags::{usage_error, Flags};
+use hidwa_core::flags::{usage_error, Flags, Tag};
 use hidwa_core::fleet::driver::{
     check_horizon, DriverFleetSpec, InProcessExecutor, PopulationSpec, ProcessExecutor,
     WorkerCommand,
@@ -245,16 +245,21 @@ usage: fleet_search --search [--bodies <n>] [--shards <k>] [--spool <dir>]
 const SEARCH_FLAGS: &str =
     "--bodies= --shards= --spool= --budget= --strategy= --population= --horizon-s=";
 
-/// The strategies `--strategy` names, and their tags.
-const STRATEGIES: [SearchStrategy; 2] = [
-    SearchStrategy::ExhaustiveGrid,
-    SearchStrategy::CoordinateDescent { max_rounds: 4 },
-];
+/// The strategies `--strategy` names.
+#[derive(Clone, Copy)]
+enum Strategy {
+    Exhaustive,
+    Descent,
+}
 
-fn strategy_tag(strategy: SearchStrategy) -> &'static str {
-    match strategy {
-        SearchStrategy::ExhaustiveGrid => "exhaustive",
-        SearchStrategy::CoordinateDescent { .. } => "descent",
+impl Tag for Strategy {
+    const ALL: &'static [Self] = &[Self::Exhaustive, Self::Descent];
+
+    fn tag(self) -> &'static str {
+        match self {
+            Self::Exhaustive => "exhaustive",
+            Self::Descent => "descent",
+        }
     }
 }
 
@@ -269,12 +274,11 @@ fn search_cli(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         .value("--spool")?
         .unwrap_or_else(|| PathBuf::from("search-spool/walkthrough"));
     let budget = flags.value("--budget")?;
-    let strategy = flags
-        .tag("--strategy", &STRATEGIES, strategy_tag)?
-        .unwrap_or(SearchStrategy::ExhaustiveGrid);
-    let population = flags
-        .tag("--population", &PopulationSpec::ALL, PopulationSpec::tag)?
-        .unwrap_or(PopulationSpec::Mixed);
+    let strategy = match flags.tag("--strategy")?.unwrap_or(Strategy::Exhaustive) {
+        Strategy::Exhaustive => SearchStrategy::ExhaustiveGrid,
+        Strategy::Descent => SearchStrategy::CoordinateDescent { max_rounds: 4 },
+    };
+    let population = flags.tag("--population")?.unwrap_or(PopulationSpec::Mixed);
     let horizon_s = check_horizon("--horizon-s", flags.value("--horizon-s")?.unwrap_or(0.25))?;
 
     let spec = SearchSpec::new(

@@ -16,8 +16,8 @@
 //! (default one per core, capped at 4); serving needs epoll, so the server
 //! runs on Linux only.  `--runner` sizes the sweep runner that evaluates
 //! cache misses, `--cache-capacity` bounds the plan cache with CLOCK
-//! eviction, and `--idle-timeout-ms` tunes (or `0` disables) the mid-frame
-//! stall guard that drops slow-loris connections.  `--no-cache` and
+//! eviction (default 4096 plans), and `--idle-timeout-ms` tunes (or `0`
+//! disables) the mid-frame stall guard that drops slow-loris connections.  `--no-cache` and
 //! `--cache-capacity` are mutually exclusive.  A bad invocation exits 2
 //! with the usage on stderr before the address is bound; `--help` prints
 //! the usage on stdout and exits 0.
@@ -29,7 +29,7 @@
 //! below are final.
 
 use hidwa_core::flags::{usage_error, Flags};
-use hidwa_core::serve::{PlanServer, PlanService, ServeConfig, ThreadModel};
+use hidwa_core::serve::{PlanCache, PlanServer, PlanService, ServeConfig, ThreadModel};
 use hidwa_core::sweep::SweepRunner;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -56,7 +56,9 @@ fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     }
     flags.exclusive("--no-cache", "--cache-capacity")?;
     let addr = flags.raw("--addr").unwrap_or("127.0.0.1:0");
-    let cache_capacity: Option<usize> = flags.value("--cache-capacity")?;
+    let cache_capacity = flags
+        .value("--cache-capacity")?
+        .unwrap_or(PlanCache::DEFAULT_CAPACITY);
     let mut config = ServeConfig::default();
     if let Some(event_loops) = flags.value::<NonZeroUsize>("--threads")? {
         config.threads = ThreadModel::Reactor {
@@ -67,10 +69,11 @@ fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         config.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
     }
     let cache = !flags.has("--no-cache");
-    let mut service = PlanService::new().with_cache(cache);
-    if let Some(capacity) = cache_capacity {
-        service = service.with_cache_capacity(capacity);
-    }
+    let mut service = if cache {
+        PlanService::new().with_cache_capacity(cache_capacity)
+    } else {
+        PlanService::new().with_cache(false)
+    };
     if let Some(runner) = flags.value("--runner")? {
         service = service.with_runner(SweepRunner::with_threads(runner));
     }
@@ -83,10 +86,10 @@ fn serve(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         }
     };
     println!("listening on {}", server.addr());
-    let cache_label = match (cache, cache_capacity) {
-        (false, _) => "off".to_string(),
-        (true, Some(capacity)) => format!("on (capacity {capacity})"),
-        (true, None) => "on (unbounded)".to_string(),
+    let cache_label = if cache {
+        format!("on (capacity {cache_capacity})")
+    } else {
+        "off".to_string()
     };
     println!("cache: {cache_label}");
     let ThreadModel::Reactor { event_loops } = config.threads;

@@ -26,7 +26,10 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     out
 }
 
-pub(crate) fn push_indent(out: &mut String, indent: usize) {
+/// Appends `indent` levels of two-space indentation (public for the
+/// [`crate::json_struct!`] expansion).
+#[doc(hidden)]
+pub fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
@@ -150,7 +153,7 @@ macro_rules! json_struct {
                 let fields: &[(&str, &dyn $crate::json::ToJson)] =
                     &[$((::core::stringify!($field), &self.$field as &dyn $crate::json::ToJson)),+];
                 for (i, (name, value)) in fields.iter().enumerate() {
-                    $crate::json::push_indent_pub(out, indent + 1);
+                    $crate::json::push_indent(out, indent + 1);
                     $crate::json::write_escaped(out, name);
                     out.push_str(": ");
                     value.write_json(out, indent + 1);
@@ -159,16 +162,11 @@ macro_rules! json_struct {
                     }
                     out.push('\n');
                 }
-                $crate::json::push_indent_pub(out, indent);
+                $crate::json::push_indent(out, indent);
                 out.push('}');
             }
         }
     };
-}
-
-/// Public indentation helper for the [`crate::json_struct!`] expansion.
-pub fn push_indent_pub(out: &mut String, indent: usize) {
-    push_indent(out, indent);
 }
 
 /// Where a `BENCH_*.json` was measured, under the field names of

@@ -5,7 +5,9 @@
 //! reads typed values back, so all of them refuse bad input in the same
 //! words: `unknown flag "--x"`, `--x needs a value`, `--x could not parse
 //! "v"`, `--x is required`, `--x and --y are mutually exclusive` and
-//! `--x needs --y`.  A flag given twice keeps its last value.
+//! `--x needs --y`.  A flag given twice keeps its last value.  An
+//! enum-valued flag is read through the enum's [`Tag`] impl, the one table
+//! of its names and wire codes that spools and the serve wire share.
 //!
 //! ```
 //! use hidwa_core::flags::Flags;
@@ -87,19 +89,12 @@ impl Flags {
         self.value(name)?.ok_or(format!("{name} is required"))
     }
 
-    /// The value of `name` looked up by [`parse_tag`], if given.
+    /// The value of `name` looked up by [`Tag::parse`], if given.
     ///
     /// # Errors
-    /// The error of [`parse_tag`].
-    pub fn tag<T: Copy>(
-        &self,
-        name: &str,
-        values: &[T],
-        tag: fn(T) -> &'static str,
-    ) -> Result<Option<T>, String> {
-        self.raw(name)
-            .map(|raw| parse_tag(name, values, tag, raw))
-            .transpose()
+    /// The error of [`Tag::parse`].
+    pub fn tag<T: Tag>(&self, name: &str) -> Result<Option<T>, String> {
+        self.raw(name).map(|raw| T::parse(name, raw)).transpose()
     }
 
     /// Refuses `a` and `b` given together.
@@ -125,31 +120,36 @@ impl Flags {
     }
 }
 
-/// The value among `values` whose `tag` is `raw`, so that each tag is
-/// spelled only in its enum's `tag` function.
-///
-/// # Errors
-/// `<what> could not parse "v" (expected "a", "b" or "c")`.
-pub fn parse_tag<T: Copy>(
-    what: &str,
-    values: &[T],
-    tag: fn(T) -> &'static str,
-    raw: &str,
-) -> Result<T, String> {
-    if let Some(&value) = values.iter().find(|&&value| tag(value) == raw) {
-        return Ok(value);
+/// An enum that crosses a flag, spool or wire boundary: each value's name
+/// there is its [`tag`](Self::tag), and its wire code is its position in
+/// [`ALL`](Self::ALL), so both are spelled once, in the enum's impl.
+pub trait Tag: Copy + 'static {
+    /// Every value, in wire-code order.
+    const ALL: &'static [Self];
+
+    /// The name this value crosses a boundary under.
+    fn tag(self) -> &'static str;
+
+    /// The value whose tag is `raw`.
+    ///
+    /// # Errors
+    /// `<what> could not parse "v" (expected "a", "b" or "c")`.
+    fn parse(what: &str, raw: &str) -> Result<Self, String> {
+        if let Some(&value) = Self::ALL.iter().find(|value| value.tag() == raw) {
+            return Ok(value);
+        }
+        let tags: Vec<String> = Self::ALL
+            .iter()
+            .map(|value| format!("{:?}", value.tag()))
+            .collect();
+        let expected = match tags.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+            _ => tags.concat(),
+        };
+        Err(format!(
+            "{what} could not parse {raw:?} (expected {expected})"
+        ))
     }
-    let tags: Vec<String> = values
-        .iter()
-        .map(|&value| format!("{:?}", tag(value)))
-        .collect();
-    let expected = match tags.split_last() {
-        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
-        _ => tags.concat(),
-    };
-    Err(format!(
-        "{what} could not parse {raw:?} (expected {expected})"
-    ))
 }
 
 /// Prints `usage`, then `message` (last, so a stderr tail keeps the reason),
@@ -163,6 +163,32 @@ pub fn usage_error(usage: &str, message: &str) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::driver::PopulationSpec;
+    use crate::fleet::PolicyKind;
+    use crate::partition::Objective;
+    use crate::serve::codec::{code_of, from_code, WireCodecError};
+    use hidwa_netsim::mac::MacPolicy;
+    use hidwa_phy::RadioTechnology;
+    use std::fmt::Debug;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Letter {
+        A,
+        B,
+        C,
+    }
+
+    impl Tag for Letter {
+        const ALL: &'static [Self] = &[Self::A, Self::B, Self::C];
+
+        fn tag(self) -> &'static str {
+            match self {
+                Self::A => "a",
+                Self::B => "b",
+                Self::C => "c",
+            }
+        }
+    }
 
     #[test]
     fn every_error_text() {
@@ -180,9 +206,35 @@ mod tests {
         let exclusive = flags.exclusive("--n", "--m");
         assert_eq!(exclusive, Err("--n and --m are mutually exclusive".into()));
         assert_eq!(flags.needs("--n", "--plan"), Err("--n needs --plan".into()));
-        let tag = |n: u8| ["a", "b", "c"][usize::from(n)];
-        assert_eq!(parse_tag("--t", &[0, 1, 2], tag, "b"), Ok(1));
+        assert_eq!(Letter::parse("--t", "b"), Ok(Letter::B));
         let expected = r#"--t could not parse "d" (expected "a", "b" or "c")"#;
-        assert_eq!(parse_tag("--t", &[0, 1, 2], tag, "d"), Err(expected.into()));
+        assert_eq!(Letter::parse("--t", "d"), Err(expected.into()));
+    }
+
+    /// Every value of `T` parses back from its tag and decodes back from
+    /// its wire code; an unknown tag lists `expected`, and the first code
+    /// past `ALL` is refused.
+    fn round_trips<T: Tag + PartialEq + Debug>(expected: &str) {
+        for (code, &value) in T::ALL.iter().enumerate() {
+            assert_eq!(T::parse("--t", value.tag()), Ok(value));
+            assert_eq!(usize::from(code_of(T::ALL, value)), code);
+            assert_eq!(from_code(T::ALL, code as u8, "unknown"), Ok(value));
+        }
+        let unknown = format!(r#"--t could not parse "x" (expected {expected})"#);
+        assert_eq!(T::parse("--t", "x"), Err(unknown));
+        let past = T::ALL.len() as u8;
+        let refused = Err(WireCodecError::Corrupt("unknown"));
+        assert_eq!(from_code(T::ALL, past, "unknown"), refused);
+    }
+
+    #[test]
+    fn every_tag_round_trips() {
+        round_trips::<Letter>(r#""a", "b" or "c""#);
+        round_trips::<MacPolicy>(r#""tdma" or "polling""#);
+        round_trips::<RadioTechnology>(r#""wi-r", "ble", "nfmi" or "wifi""#);
+        round_trips::<Objective>(r#""leaf-energy", "latency" or "edp""#);
+        let policies = r#""static-at-admission", "reoptimize-on-change" or "hysteresis""#;
+        round_trips::<PolicyKind>(policies);
+        round_trips::<PopulationSpec>(r#""uniform" or "mixed""#);
     }
 }

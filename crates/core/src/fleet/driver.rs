@@ -72,7 +72,7 @@ use super::checkpoint::{CheckpointError, FleetCheckpoint};
 use super::placement::ChurnSpec;
 use super::shard::ShardPlan;
 use super::{FleetConfig, FleetReport};
-use crate::flags::Flags;
+use crate::flags::{Flags, Tag};
 use crate::population::PopulationModel;
 use crate::sealed::fnv1a64;
 use crate::sweep::SweepRunner;
@@ -104,37 +104,33 @@ usage: shard_worker --bodies <n> --shard-index <i> --shard-start <a> --shard-end
                     [--churn <rate:dmin:dmax:epochs:fade:policy:thresh:objective:cost>]
                     [--fail-after-bodies <n> [--fail-with-partial]]";
 
-/// The `--mac` flag tag of a [`MacPolicy`] (the search layer's MAC axis
+/// `--mac` names a [`MacPolicy`] by its tag (the search layer's MAC axis
 /// crosses the process boundary with these).
-#[must_use]
-pub fn mac_tag(policy: MacPolicy) -> &'static str {
-    match policy {
-        MacPolicy::Tdma => "tdma",
-        MacPolicy::Polling => "polling",
+impl Tag for MacPolicy {
+    const ALL: &'static [Self] = &[Self::Tdma, Self::Polling];
+
+    fn tag(self) -> &'static str {
+        match self {
+            Self::Tdma => "tdma",
+            Self::Polling => "polling",
+        }
     }
 }
 
-/// Every value `--mac` accepts.
-const MAC_POLICIES: [MacPolicy; 2] = [MacPolicy::Tdma, MacPolicy::Polling];
+/// `--radio` names a [`RadioTechnology`] by its tag; a plan query's
+/// site-resolved link carries its position in `ALL`.
+impl Tag for RadioTechnology {
+    const ALL: &'static [Self] = &[Self::WiR, Self::Ble, Self::Nfmi, Self::WiFi];
 
-/// The `--radio` flag tag of a [`RadioTechnology`].
-#[must_use]
-pub fn radio_tag(technology: RadioTechnology) -> &'static str {
-    match technology {
-        RadioTechnology::WiR => "wi-r",
-        RadioTechnology::Ble => "ble",
-        RadioTechnology::Nfmi => "nfmi",
-        RadioTechnology::WiFi => "wifi",
+    fn tag(self) -> &'static str {
+        match self {
+            Self::WiR => "wi-r",
+            Self::Ble => "ble",
+            Self::Nfmi => "nfmi",
+            Self::WiFi => "wifi",
+        }
     }
 }
-
-/// Every value `--radio` accepts.
-const RADIOS: [RadioTechnology; 4] = [
-    RadioTechnology::WiR,
-    RadioTechnology::Ble,
-    RadioTechnology::Nfmi,
-    RadioTechnology::WiFi,
-];
 
 /// The check every CLI applies to a horizon flag (`--horizon-s`, and the
 /// worker's `--horizon-bits`): a finite, non-negative number of seconds.
@@ -286,13 +282,11 @@ pub enum PopulationSpec {
     Mixed,
 }
 
-impl PopulationSpec {
-    /// Every named population, in `--population` tag order.
-    pub const ALL: [Self; 2] = [Self::Uniform, Self::Mixed];
+/// `--population <tag>` names a [`PopulationSpec`].
+impl Tag for PopulationSpec {
+    const ALL: &'static [Self] = &[Self::Uniform, Self::Mixed];
 
-    /// The flag value naming this population (`--population <tag>`).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
+    fn tag(self) -> &'static str {
         match self {
             Self::Uniform => "uniform",
             Self::Mixed => "mixed",
@@ -535,10 +529,9 @@ impl DriverFleetSpec {
         if let Some(top_k) = flags.value("--top-k")? {
             spec = spec.with_top_k(top_k);
         }
-        let population = flags.tag("--population", &PopulationSpec::ALL, PopulationSpec::tag)?;
-        spec.population = population.unwrap_or(spec.population);
-        spec.mac = flags.tag("--mac", &MAC_POLICIES, mac_tag)?;
-        spec.radio = flags.tag("--radio", &RADIOS, radio_tag)?;
+        spec.population = flags.tag("--population")?.unwrap_or(spec.population);
+        spec.mac = flags.tag("--mac")?;
+        spec.radio = flags.tag("--radio")?;
         let positive = |flag: &str, factor: f64| {
             (factor.is_finite() && factor > 0.0)
                 .then_some(factor.to_bits())
@@ -575,11 +568,11 @@ impl DriverFleetSpec {
         ];
         if let Some(mac) = self.mac {
             args.push("--mac".into());
-            args.push(mac_tag(mac).into());
+            args.push(mac.tag().into());
         }
         if let Some(radio) = self.radio {
             args.push("--radio".into());
-            args.push(radio_tag(radio).into());
+            args.push(radio.tag().into());
         }
         if self.traffic_scale_bits != 1.0f64.to_bits() {
             args.push("--traffic-scale-bits".into());
@@ -1050,11 +1043,11 @@ pub fn run_fingerprint(spec: &DriverFleetSpec, interior_boundaries: &[usize]) ->
     bytes.extend_from_slice(spec.population.tag().as_bytes());
     bytes.push(0);
     if let Some(mac) = spec.mac {
-        bytes.extend_from_slice(mac_tag(mac).as_bytes());
+        bytes.extend_from_slice(mac.tag().as_bytes());
     }
     bytes.push(0);
     if let Some(radio) = spec.radio {
-        bytes.extend_from_slice(radio_tag(radio).as_bytes());
+        bytes.extend_from_slice(radio.tag().as_bytes());
     }
     bytes.push(0);
     bytes.extend_from_slice(&spec.traffic_scale_bits.to_be_bytes());

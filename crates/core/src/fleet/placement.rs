@@ -36,7 +36,7 @@
 //! into the one value a [`FleetConfig`](super::FleetConfig) (and the
 //! process-boundary [`DriverFleetSpec`](super::DriverFleetSpec)) carries.
 
-use crate::flags::parse_tag;
+use crate::flags::Tag;
 use crate::partition::{Objective, PartitionContext, PartitionOptimizer};
 use crate::population::{BodyScenario, ChurnModel, ChurnSample};
 use crate::serve::codec::ModelId;
@@ -68,17 +68,15 @@ pub enum PolicyKind {
     Hysteresis,
 }
 
-impl PolicyKind {
-    /// Every policy, in tag order.
-    pub const ALL: [Self; 3] = [
+/// The flag/row tag naming a [`PolicyKind`].
+impl Tag for PolicyKind {
+    const ALL: &'static [Self] = &[
         Self::StaticAtAdmission,
         Self::ReoptimizeOnChange,
         Self::Hysteresis,
     ];
 
-    /// The flag/row tag naming this policy.
-    #[must_use]
-    pub fn tag(self) -> &'static str {
+    fn tag(self) -> &'static str {
         match self {
             Self::StaticAtAdmission => "static-at-admission",
             Self::ReoptimizeOnChange => "reoptimize-on-change",
@@ -196,7 +194,7 @@ impl ChurnSpec {
             self.churn.link_fade().to_bits(),
             self.policy.tag(),
             self.hysteresis_threshold.to_bits(),
-            objective_tag(self.objective),
+            self.objective.tag(),
             self.migration_cost.as_joules().to_bits(),
         )
     }
@@ -231,9 +229,9 @@ impl ChurnSpec {
             .parse()
             .map_err(|_| "churn field epochs is not a u32".to_string())?;
         let fade = bits(parts[4], "link-fade")?;
-        let policy = parse_tag("churn policy", &PolicyKind::ALL, PolicyKind::tag, parts[5])?;
+        let policy = PolicyKind::parse("churn policy", parts[5])?;
         let threshold = bits(parts[6], "hysteresis-threshold")?;
-        let objective = parse_tag("churn objective", &OBJECTIVES, objective_tag, parts[7])?;
+        let objective = Objective::parse("churn objective", parts[7])?;
         let migration_cost = bits(parts[8], "migration-cost")?;
         if migration_cost < 0.0 {
             return Err("churn field migration-cost is negative".to_string());
@@ -257,23 +255,6 @@ impl ChurnSpec {
         crate::sealed::fnv1a64(self.flag_value().as_bytes())
     }
 }
-
-/// The flag/row tag of an objective.
-#[must_use]
-pub fn objective_tag(objective: Objective) -> &'static str {
-    match objective {
-        Objective::LeafEnergy => "leaf-energy",
-        Objective::Latency => "latency",
-        Objective::EnergyDelayProduct => "edp",
-    }
-}
-
-/// Every objective the `--churn` encoding names.
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
 
 /// The wearable model a body's archetype runs — the workload the placement
 /// layer partitions — borrowed from the process's shared zoo
@@ -519,8 +500,8 @@ mod tests {
 
     #[test]
     fn policy_tags_round_trip() {
-        let parse = |tag| parse_tag("policy", &PolicyKind::ALL, PolicyKind::tag, tag);
-        for kind in PolicyKind::ALL {
+        let parse = |tag| PolicyKind::parse("policy", tag);
+        for &kind in PolicyKind::ALL {
             assert_eq!(parse(kind.tag()), Ok(kind));
             assert_eq!(kind.to_string(), kind.tag());
         }

@@ -32,6 +32,7 @@
 //! reference (and for table-style figure output); the workspace equivalence
 //! tests assert the streaming pass matches it exactly.
 
+use crate::flags::Tag;
 use crate::CoreError;
 use hidwa_energy::compute::{ComputeClass, ComputeEngine};
 use hidwa_isa::models::WearableModel;
@@ -73,6 +74,21 @@ impl Objective {
             Objective::LeafEnergy => leaf_energy.as_joules(),
             Objective::Latency => latency.as_seconds(),
             Objective::EnergyDelayProduct => leaf_energy.as_joules() * latency.as_seconds(),
+        }
+    }
+}
+
+/// An objective's tag names it in the `--churn` encoding, bench rows and
+/// the search fingerprint; a plan query or answer carries its position in
+/// `ALL`.
+impl Tag for Objective {
+    const ALL: &'static [Self] = &[Self::LeafEnergy, Self::Latency, Self::EnergyDelayProduct];
+
+    fn tag(self) -> &'static str {
+        match self {
+            Self::LeafEnergy => "leaf-energy",
+            Self::Latency => "latency",
+            Self::EnergyDelayProduct => "edp",
         }
     }
 }

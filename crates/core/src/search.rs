@@ -57,10 +57,11 @@ use std::path::{Path, PathBuf};
 use hidwa_netsim::mac::MacPolicy;
 use hidwa_phy::RadioTechnology;
 
+use crate::flags::Tag;
 use crate::fleet::driver::{
-    mac_tag, radio_tag, run_fingerprint, DriverError, DriverFleetSpec, FleetDriver, ShardExecutor,
+    run_fingerprint, DriverError, DriverFleetSpec, FleetDriver, ShardExecutor,
 };
-use crate::fleet::placement::{objective_tag, ChurnSpec, PolicyKind};
+use crate::fleet::placement::{ChurnSpec, PolicyKind};
 use crate::fleet::FleetReport;
 use crate::partition::Objective;
 use crate::sealed::{self, fnv1a64, take_u64, SealError};
@@ -261,30 +262,22 @@ impl ObjectiveSpace {
     /// Canonical byte encoding of the axes, fed into the search-spec
     /// fingerprint.
     fn encode_axes(&self, bytes: &mut Vec<u8>) {
-        bytes.extend_from_slice(&(self.mac.len() as u64).to_be_bytes());
-        for &mac in &self.mac {
-            bytes.extend_from_slice(mac_tag(mac).as_bytes());
-            bytes.push(0);
+        /// A tagged axis: its length, then each value's tag and a NUL.
+        fn put_tags<T: Tag>(bytes: &mut Vec<u8>, axis: &[T]) {
+            bytes.extend_from_slice(&(axis.len() as u64).to_be_bytes());
+            for value in axis {
+                bytes.extend_from_slice(value.tag().as_bytes());
+                bytes.push(0);
+            }
         }
-        bytes.extend_from_slice(&(self.objective.len() as u64).to_be_bytes());
-        for &objective in &self.objective {
-            bytes.extend_from_slice(objective_tag(objective).as_bytes());
-            bytes.push(0);
-        }
-        bytes.extend_from_slice(&(self.radio.len() as u64).to_be_bytes());
-        for &radio in &self.radio {
-            bytes.extend_from_slice(radio_tag(radio).as_bytes());
-            bytes.push(0);
-        }
+        put_tags(bytes, &self.mac);
+        put_tags(bytes, &self.objective);
+        put_tags(bytes, &self.radio);
         bytes.extend_from_slice(&(self.traffic_scale_bits.len() as u64).to_be_bytes());
         for &bits in &self.traffic_scale_bits {
             bytes.extend_from_slice(&bits.to_be_bytes());
         }
-        bytes.extend_from_slice(&(self.churn_policy.len() as u64).to_be_bytes());
-        for &policy in &self.churn_policy {
-            bytes.extend_from_slice(policy.tag().as_bytes());
-            bytes.push(0);
-        }
+        put_tags(bytes, &self.churn_policy);
     }
 }
 
@@ -339,9 +332,9 @@ impl GridPoint {
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}x/{}",
-            mac_tag(self.mac),
-            objective_tag(self.objective),
-            radio_tag(self.radio),
+            self.mac.tag(),
+            self.objective.tag(),
+            self.radio.tag(),
             self.traffic_scale(),
             self.churn_policy.tag()
         )

@@ -70,7 +70,8 @@ pub use codec::{
 };
 pub use server::{ClientError, PlanClient, PlanServer, ServeConfig, ThreadModel};
 
-use crate::partition::{PartitionContext, PartitionOptimizer};
+use crate::flags::Tag;
+use crate::partition::{Objective, PartitionContext, PartitionOptimizer};
 use crate::population::LinkCache;
 use crate::projection::Fig3Projector;
 use crate::sweep::SweepRunner;
@@ -97,7 +98,7 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Plan queries that required a fresh optimisation.
     pub cache_misses: u64,
-    /// Memoized plans displaced by CLOCK eviction (0 when unbounded).
+    /// Memoized plans displaced by CLOCK eviction.
     pub cache_evictions: u64,
     /// Distinct plan keys currently memoized.
     pub cached_plans: u64,
@@ -122,7 +123,7 @@ impl ServeStats {
 #[derive(Debug, Clone, Copy)]
 struct CanonicalPlan {
     model: ModelId,
-    objective: crate::partition::Objective,
+    objective: Objective,
     label: LinkLabel,
     energy_per_bit_pj: f64,
     goodput_bps: f64,
@@ -174,7 +175,8 @@ impl Default for PlanService {
 }
 
 impl PlanService {
-    /// A service with the cache enabled and a default-width runner.
+    /// A service with a cache of [`PlanCache::DEFAULT_CAPACITY`] plans and a
+    /// default-width runner.
     ///
     /// Construction is where all the warmth comes from: the full
     /// technology × site link table and the projector are built here, and
@@ -208,8 +210,9 @@ impl PlanService {
         }
     }
 
-    /// Enables or disables plan memoization (on by default).  Disabling
-    /// never changes answers — only whether they are recomputed.
+    /// Enables (at the default capacity) or disables plan memoization (on by
+    /// default).  Disabling never changes answers — only whether they are
+    /// recomputed.
     #[must_use]
     pub fn with_cache(mut self, enabled: bool) -> Self {
         self.cache = enabled.then(|| Mutex::new(PlanCache::new()));
@@ -303,7 +306,7 @@ impl PlanService {
     fn plan_key(canonical: &CanonicalPlan) -> PlanKey {
         PlanKey {
             model: canonical.model as u8,
-            objective: codec::objective_to_u8(canonical.objective),
+            objective: codec::code_of(Objective::ALL, canonical.objective),
             energy_per_bit_bits: canonical.energy_per_bit_pj.to_bits(),
             goodput_bits: canonical.goodput_bps.to_bits(),
             quantize_activations: canonical.quantize_activations,

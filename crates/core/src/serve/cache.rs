@@ -1,5 +1,5 @@
-//! Interned-key memoization of served partition plans, optionally bounded
-//! by deterministic CLOCK (second-chance) eviction.
+//! Interned-key memoization of served partition plans, bounded by
+//! deterministic CLOCK (second-chance) eviction.
 //!
 //! A plan answer is a pure function of `(model, resolved-and-quantized
 //! context, objective)` — the service canonicalizes every query on admission
@@ -11,11 +11,12 @@
 //! different questions, and an evicted-then-refetched key re-optimises to
 //! the same bytes.
 //!
-//! # Bounded mode: CLOCK eviction
+//! # CLOCK eviction
 //!
-//! An unbounded memo is fine for a zoo of five models, but the north-star
-//! workload is millions of wearers with per-wearer context overrides — the
-//! key space is unbounded, so [`PlanCache::bounded`] caps the resident set.
+//! The zoo has five models, but the north-star workload is millions of
+//! wearers with per-wearer context overrides: the key space is unbounded,
+//! so every cache caps its resident set ([`PlanCache::DEFAULT_CAPACITY`]
+//! unless built [`bounded`](PlanCache::bounded)).
 //! The replacement policy is CLOCK (second-chance): entries live in a fixed
 //! ring of slots, each with a `referenced` bit that lookups (and inserts)
 //! set; on insert-at-capacity a hand sweeps the ring clearing set bits
@@ -66,13 +67,12 @@ struct CacheSlot {
     referenced: bool,
 }
 
-/// Memoized plan answers plus replay-exact hit/miss/eviction counters.
-/// Unbounded by default; [`bounded`](Self::bounded) caps the resident set
-/// with CLOCK eviction.
-#[derive(Debug, Default)]
+/// Memoized plan answers plus replay-exact hit/miss/eviction counters,
+/// holding at most its capacity and evicting by CLOCK beyond that.
+#[derive(Debug)]
 pub struct PlanCache {
-    /// `None` = unbounded (never evicts).
-    capacity: Option<usize>,
+    /// Most entries resident at once (at least 1).
+    capacity: usize,
     /// Key → slot position in the ring.
     index: HashMap<PlanKey, usize>,
     /// The CLOCK ring (grows to `capacity`, then recycles).
@@ -84,11 +84,22 @@ pub struct PlanCache {
     evictions: u64,
 }
 
+impl Default for PlanCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PlanCache {
-    /// An empty, unbounded cache.
+    /// The capacity of a cache not built [`bounded`](Self::bounded), and of
+    /// every [`PlanService`](super::PlanService) not given one.
+    pub const DEFAULT_CAPACITY: usize = 4096;
+
+    /// An empty cache holding at most [`DEFAULT_CAPACITY`](Self::DEFAULT_CAPACITY)
+    /// entries.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::bounded(Self::DEFAULT_CAPACITY)
     }
 
     /// An empty cache holding at most `capacity` entries (clamped to ≥ 1),
@@ -96,14 +107,19 @@ impl PlanCache {
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
         Self {
-            capacity: Some(capacity.max(1)),
-            ..Self::default()
+            capacity: capacity.max(1),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            hand: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
-    /// The capacity bound, or `None` when unbounded.
+    /// The most entries this cache holds at once.
     #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -150,10 +166,7 @@ impl PlanCache {
             self.slots[slot].referenced = true;
             return;
         }
-        let at_capacity = self
-            .capacity
-            .is_some_and(|capacity| self.slots.len() >= capacity);
-        if at_capacity {
+        if self.slots.len() >= self.capacity {
             // Sweep: clear reference bits until an unreferenced victim
             // turns up.  Terminates within two revolutions (after one full
             // sweep every bit is clear).
@@ -205,7 +218,7 @@ impl PlanCache {
         self.misses
     }
 
-    /// Entries displaced by CLOCK to admit a new key (always 0 unbounded).
+    /// Entries displaced by CLOCK to admit a new key.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -234,7 +247,7 @@ mod tests {
     fn counters_follow_serial_replay_semantics() {
         let mut cache = PlanCache::new();
         assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), None);
+        assert_eq!(cache.capacity(), PlanCache::DEFAULT_CAPACITY);
         assert_eq!(cache.lookup(key(0)), None);
         cache.insert(key(0), answer(0));
         assert_eq!(cache.lookup(key(0)), Some(answer(0)));
@@ -248,7 +261,7 @@ mod tests {
     #[test]
     fn clock_evicts_the_first_unreferenced_slot_deterministically() {
         let mut cache = PlanCache::bounded(2);
-        assert_eq!(cache.capacity(), Some(2));
+        assert_eq!(cache.capacity(), 2);
         cache.insert(key(0), answer(0));
         cache.insert(key(1), answer(1));
         // Both slots referenced; the hand strips both bits and takes

@@ -27,6 +27,7 @@
 //! `3` error) followed by the body documented on [`Response`].  The
 //! normative field-by-field table lives in `ARCHITECTURE.md`.
 
+use crate::flags::Tag;
 use crate::partition::Objective;
 use crate::sealed::{self, take_f64, take_string, take_u16, take_u32, take_u64, take_u8};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -90,13 +91,6 @@ impl ModelId {
         ModelId::VitalsTrend,
     ];
 
-    fn from_u8(raw: u8) -> Result<Self, WireCodecError> {
-        Self::ALL
-            .get(raw as usize)
-            .copied()
-            .ok_or(WireCodecError::Corrupt("unknown model id"))
-    }
-
     /// Zoo index of this model.
     #[must_use]
     pub fn index(self) -> usize {
@@ -136,54 +130,21 @@ pub enum WireLink {
     Site(RadioTechnology, BodySite),
 }
 
-fn technology_to_u8(technology: RadioTechnology) -> u8 {
-    match technology {
-        RadioTechnology::WiR => 0,
-        RadioTechnology::Ble => 1,
-        RadioTechnology::Nfmi => 2,
-        RadioTechnology::WiFi => 3,
-    }
+/// The wire code of `value`: its position in `all`, the `ALL` list of its
+/// enum, which every enumeration byte on the wire indexes.
+pub(crate) fn code_of<T: PartialEq>(all: &[T], value: T) -> u8 {
+    let code = all.iter().position(|known| *known == value);
+    code.expect("`ALL` lists every value") as u8
 }
 
-fn technology_from_u8(raw: u8) -> Result<RadioTechnology, WireCodecError> {
-    match raw {
-        0 => Ok(RadioTechnology::WiR),
-        1 => Ok(RadioTechnology::Ble),
-        2 => Ok(RadioTechnology::Nfmi),
-        3 => Ok(RadioTechnology::WiFi),
-        _ => Err(WireCodecError::Corrupt("unknown radio technology")),
-    }
-}
-
-fn site_to_u8(site: BodySite) -> u8 {
-    BodySite::ALL
-        .iter()
-        .position(|&s| s == site)
-        .expect("BodySite::ALL is exhaustive") as u8
-}
-
-fn site_from_u8(raw: u8) -> Result<BodySite, WireCodecError> {
-    BodySite::ALL
-        .get(raw as usize)
-        .copied()
-        .ok_or(WireCodecError::Corrupt("unknown body site"))
-}
-
-pub(crate) fn objective_to_u8(objective: Objective) -> u8 {
-    match objective {
-        Objective::LeafEnergy => 0,
-        Objective::Latency => 1,
-        Objective::EnergyDelayProduct => 2,
-    }
-}
-
-fn objective_from_u8(raw: u8) -> Result<Objective, WireCodecError> {
-    match raw {
-        0 => Ok(Objective::LeafEnergy),
-        1 => Ok(Objective::Latency),
-        2 => Ok(Objective::EnergyDelayProduct),
-        _ => Err(WireCodecError::Corrupt("unknown objective")),
-    }
+/// The value whose wire code is `raw`, or `Corrupt(unknown)`.
+pub(crate) fn from_code<T: Copy>(
+    all: &[T],
+    raw: u8,
+    unknown: &'static str,
+) -> Result<T, WireCodecError> {
+    let value = all.get(usize::from(raw)).copied();
+    value.ok_or(WireCodecError::Corrupt(unknown))
 }
 
 /// The execution environment a plan query names, as it travels on the wire.
@@ -380,7 +341,11 @@ fn put_context(out: &mut BytesMut, context: &WireContext) {
     let (link, technology, site) = match context.link {
         WireLink::WiR => (0u8, 0u8, 0u8),
         WireLink::Ble => (1, 0, 0),
-        WireLink::Site(technology, site) => (2, technology_to_u8(technology), site_to_u8(site)),
+        WireLink::Site(technology, site) => (
+            2,
+            code_of(RadioTechnology::ALL, technology),
+            code_of(&BodySite::ALL, site),
+        ),
     };
     out.put_u8(link);
     out.put_u8(technology);
@@ -395,7 +360,7 @@ fn put_request(out: &mut BytesMut, request: &Request) {
         Request::Plan(plan) => {
             out.put_u8(0);
             out.put_u8(plan.model as u8);
-            out.put_u8(objective_to_u8(plan.objective));
+            out.put_u8(code_of(Objective::ALL, plan.objective));
             put_context(out, &plan.context);
         }
         Request::Projection(projection) => {
@@ -410,7 +375,7 @@ fn put_response(out: &mut BytesMut, response: &Response) {
         Response::Plan(plan) => {
             out.put_u8(0);
             out.put_u8(plan.model as u8);
-            out.put_u8(objective_to_u8(plan.objective));
+            out.put_u8(code_of(Objective::ALL, plan.objective));
             out.put_u32(plan.cut_index);
             out.put_u64(plan.leaf_macs);
             out.put_u64(plan.hub_macs);
@@ -507,7 +472,10 @@ fn take_context(input: &mut Bytes) -> Result<WireContext, WireCodecError> {
                 WireLink::Ble
             }
         }
-        2 => WireLink::Site(technology_from_u8(technology)?, site_from_u8(site)?),
+        2 => WireLink::Site(
+            from_code(RadioTechnology::ALL, technology, "unknown radio technology")?,
+            from_code(&BodySite::ALL, site, "unknown body site")?,
+        ),
         _ => return Err(WireCodecError::Corrupt("unknown link kind")),
     };
     Ok(WireContext {
@@ -527,8 +495,8 @@ fn take_context(input: &mut Bytes) -> Result<WireContext, WireCodecError> {
 fn take_request(input: &mut Bytes) -> Result<Request, WireCodecError> {
     match take_u8(input)? {
         0 => {
-            let model = ModelId::from_u8(take_u8(input)?)?;
-            let objective = objective_from_u8(take_u8(input)?)?;
+            let model = from_code(&ModelId::ALL, take_u8(input)?, "unknown model id")?;
+            let objective = from_code(Objective::ALL, take_u8(input)?, "unknown objective")?;
             let context = take_context(input)?;
             Ok(Request::Plan(PlanRequest {
                 model,
@@ -552,8 +520,8 @@ fn take_request(input: &mut Bytes) -> Result<Request, WireCodecError> {
 fn take_response(input: &mut Bytes) -> Result<Response, WireCodecError> {
     match take_u8(input)? {
         0 => {
-            let model = ModelId::from_u8(take_u8(input)?)?;
-            let objective = objective_from_u8(take_u8(input)?)?;
+            let model = from_code(&ModelId::ALL, take_u8(input)?, "unknown model id")?;
+            let objective = from_code(Objective::ALL, take_u8(input)?, "unknown objective")?;
             let cut_index = take_u32(input)?;
             let leaf_macs = take_u64(input)?;
             let hub_macs = take_u64(input)?;

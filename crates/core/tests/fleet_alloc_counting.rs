@@ -30,6 +30,7 @@
 //! Everything lives in one `#[test]` because the counter is process-global:
 //! a second concurrently-running test would perturb the counts.
 
+use hidwa_core::flags::Tag;
 use hidwa_core::fleet::{ChurnSpec, FleetConfig, PolicyKind};
 use hidwa_core::population::{ChurnModel, PopulationModel};
 use hidwa_core::scenario::{self, LeafSpec};

@@ -220,6 +220,24 @@ fn working_set_within_capacity_never_evicts() {
 }
 
 #[test]
+fn a_default_service_holds_at_most_4096_plans() {
+    // One distinct override quantum per query: the first 4096 fill the
+    // default cache, and the 4097th evicts one of them.
+    let service = PlanService::new();
+    for pj in 1..=4097u32 {
+        let _ = service.answer(&Request::Plan(PlanRequest {
+            model: ModelId::ImuGesture,
+            context: WireContext::of(WireLink::WiR).with_energy_per_bit_pj(f64::from(pj)),
+            objective: Objective::LeafEnergy,
+        }));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.cache_misses, 4097);
+    assert_eq!(stats.cached_plans, 4096, "the default cache is bounded");
+    assert_eq!(stats.cache_evictions, 1);
+}
+
+#[test]
 fn evicted_then_refetched_keys_answer_byte_identical() {
     // Capacity 1: two alternating keys evict each other on every access.
     // Eviction must only ever cost recomputation, never change bytes.

@@ -131,7 +131,7 @@ fn served_bytes_match_serial(cache_enabled: bool, threads: ThreadModel) {
             stats.cache_hits,
             plan_queries_per_pass * (2 * CLIENTS as u64 - 1)
         );
-        assert_eq!(stats.cache_evictions, 0, "unbounded cache never evicts");
+        assert_eq!(stats.cache_evictions, 0, "the keys fit the default cache");
     } else {
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }

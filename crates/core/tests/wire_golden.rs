@@ -177,6 +177,46 @@ fn request_batch_of_every_query_kind() {
     assert_sealed("request batch", &blob, 99, "dd1d18b6175f4b15");
 }
 
+/// Every radio-technology and body-site code of a site-resolved link, each
+/// named by hand so that swapping two codes moves the seal.
+#[test]
+fn request_batch_of_every_site_code() {
+    let technologies = [
+        RadioTechnology::WiR,
+        RadioTechnology::Ble,
+        RadioTechnology::Nfmi,
+        RadioTechnology::WiFi,
+    ];
+    let sites = [
+        BodySite::Ear,
+        BodySite::Face,
+        BodySite::Chest,
+        BodySite::UpperArm,
+        BodySite::Wrist,
+        BodySite::Finger,
+        BodySite::Waist,
+        BodySite::Thigh,
+        BodySite::Ankle,
+    ];
+    let links = technologies
+        .map(|technology| WireLink::Site(technology, BodySite::Chest))
+        .into_iter()
+        .chain(sites.map(|site| WireLink::Site(RadioTechnology::WiR, site)));
+    let requests: Vec<Request> = links
+        .map(|link| {
+            Request::Plan(PlanRequest {
+                model: ModelId::EcgArrhythmia,
+                context: WireContext::of(link),
+                objective: Objective::Latency,
+            })
+        })
+        .collect();
+    let blob = codec::encode_requests(&requests);
+    assert_sealed("site codes", &blob, 320, "ad5d1cc6917e3f25");
+    let decoded = codec::decode_request(&blob).unwrap();
+    assert_eq!(decoded, codec::RequestEnvelope::Queries(requests));
+}
+
 #[test]
 fn response_batch_of_every_answer_kind() {
     let blob = codec::encode_responses(&[
