@@ -76,9 +76,16 @@
 //! count taken on a thread stays one the list would not keep: the merged
 //! worst list holds the thread's own list's bodies or better ones, so its
 //! last entry ranks at or above the thread's.  A body with a bursty leaf has
-//! no class and always runs, and a churned fleet keeps no table, so its
-//! bodies' classes go unused: a churned span is the body's own continuous
-//! draw, which no other body repeats.
+//! no class and always runs, and a churned fleet keeps no class table, so
+//! its bodies' classes go unused: a churned span is the body's own
+//! continuous draw, which no other body repeats.
+//!
+//! A churned fold builds a table of another kind in its place: one
+//! [`placement`] cut table per archetype of its population, shared by its
+//! threads and dropped with it.  Each body's churn is drawn into its fold
+//! thread's buffer, and its placement replays its epochs from its
+//! archetype's table, so a churned body builds no context or plan and
+//! allocates no more than a churn-free body that runs the engine.
 //!
 //! # Determinism and the merge algebra
 //!
@@ -133,7 +140,8 @@
 //! assert!(report.fleet_latency().quantile(0.95) > TimeSpan::ZERO);
 //! ```
 
-use crate::population::{BodyArchetype, BodyScenario, PopulationModel};
+use crate::partition::CutTable;
+use crate::population::{BodyScenario, ChurnSample, PopulationModel};
 use crate::scenario;
 use crate::sweep::SweepRunner;
 use hidwa_netsim::mac::MacPolicy;
@@ -316,28 +324,29 @@ impl FleetConfig {
         self.population.sample(self.base_seed, body_index as u64)
     }
 
-    /// Runs body `body_index`, of `archetype` and the leaf `nodes` its draw
-    /// put in its node list, in `workspace`: over the horizon, or in a
-    /// churned fleet over the body's active span after its placement.
-    /// Returns the body's totals; its node sketches stay in `workspace`
-    /// ([`Workspace::merge_latency`]).
+    /// Runs body `body_index`, of the population's archetype `archetype` and
+    /// the leaf `nodes` its draw put in its node list, in `workspace`: over
+    /// the horizon, or in a churned fold over the body's active span after
+    /// its placement, its churn drawn into `churn` and placed from the
+    /// archetype's cut table in `table`.  Returns the body's totals; its
+    /// node sketches stay in `workspace` ([`Workspace::merge_latency`]).
     fn run_body(
         &self,
         body_index: usize,
-        archetype: &BodyArchetype,
+        archetype: usize,
         nodes: &[&NodeConfig],
+        table: &FoldTable<'_>,
+        churn: &mut ChurnSample,
         workspace: &mut Workspace,
     ) -> BodyTotals {
-        let (active_span, migrations, replans, placement_energy) = match &self.churn {
-            None => (self.horizon, 0, 0, Energy::ZERO),
-            Some(spec) => {
-                let sample = spec
-                    .churn()
-                    .sample(self.base_seed, body_index as u64, self.horizon);
-                let outcome =
-                    placement::place(spec, archetype.name(), archetype.technology(), &sample);
+        let (active_span, migrations, replans, placement_energy) = match table {
+            FoldTable::Classes(_) => (self.horizon, 0, 0, Energy::ZERO),
+            FoldTable::Cuts(spec, cuts) => {
+                spec.churn()
+                    .sample_into(self.base_seed, body_index as u64, self.horizon, churn);
+                let outcome = placement::place(spec, &cuts[archetype], churn);
                 (
-                    sample.active(),
+                    churn.active(),
                     outcome.migrations,
                     outcome.replans,
                     outcome.energy,
@@ -345,7 +354,8 @@ impl FleetConfig {
             }
         };
         let seed = self.seed_for_body(body_index);
-        let run = workspace.run(nodes, archetype.policy(), seed, active_span);
+        let policy = self.population.archetypes()[archetype].policy();
+        let run = workspace.run(nodes, policy, seed, active_span);
         BodyTotals {
             run,
             delivery_ratio: run.delivery_ratio(),
@@ -356,12 +366,13 @@ impl FleetConfig {
         }
     }
 
-    /// The summary of body `body_index`, of `archetype` and `nodes` leaves,
-    /// whose run left `totals` and, in `workspace`, its node sketches.
+    /// The summary of body `body_index`, of the population's archetype
+    /// `archetype` and `nodes` leaves, whose run left `totals` and, in
+    /// `workspace`, its node sketches.
     fn summarise(
         &self,
         body_index: usize,
-        archetype: &BodyArchetype,
+        archetype: usize,
         nodes: usize,
         totals: BodyTotals,
         workspace: &Workspace,
@@ -372,7 +383,7 @@ impl FleetConfig {
         BodySummary {
             body_index,
             seed: self.seed_for_body(body_index),
-            archetype: Arc::clone(archetype.label()),
+            archetype: Arc::clone(self.population.archetypes()[archetype].label()),
             nodes,
             generated_frames: run.generated_frames,
             delivered_frames: run.delivered_frames,
@@ -405,9 +416,9 @@ impl FleetConfig {
 
     /// Folds bodies `range` into a fresh aggregator — the one fold behind
     /// [`run`](Self::run), [`run_until`](Self::run_until),
-    /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  In a
-    /// churn-free fleet it builds the fold's [`ClassTable`]; the draw table is
-    /// the population's, built once.  Then every thread, the calling one
+    /// [`resume`](Self::resume), [`ShardPlan`] and the driver's worker.  It
+    /// builds the fold's [`FoldTable`]; the draw table is the population's,
+    /// built once.  Then every thread, the calling one
     /// included, ingests its bodies into a partial of its own, and the
     /// partials merge once the helpers have left the fold.  Every partial
     /// ingests in increasing body index, so the resulting state depends only
@@ -418,14 +429,14 @@ impl FleetConfig {
     /// counts are summed as the partials merge and go into the merged
     /// aggregate at the end.
     fn fold_range(&self, runner: &SweepRunner, range: Range<usize>) -> FleetAggregator {
-        let table = self.class_table();
+        let table = self.fold_table();
         let fresh = || FoldThread::new(self);
         let mut calling = fresh();
         runner.fold(
             range,
             &mut calling,
             fresh,
-            |thread, body_index| self.fold_body(body_index, table.as_ref(), thread),
+            |thread, body_index| self.fold_body(body_index, &table, thread),
             |merged, thread| {
                 merged.partial.merge(thread.partial);
                 for (sum, count) in merged.repeats.iter_mut().zip(thread.repeats) {
@@ -434,21 +445,33 @@ impl FleetConfig {
             },
         );
         let mut folded = calling.partial;
-        if let Some(table) = &table {
+        if let FoldTable::Classes(table) = &table {
             table.flush(&calling.repeats, &mut folded);
         }
         folded
     }
 
-    /// The class table of one fold of this fleet, or `None` for a churned
-    /// fleet, whose bodies never repeat (see the module docs).
-    fn class_table(&self) -> Option<ClassTable> {
-        self.churn.is_none().then(ClassTable::new)
+    /// The table one fold of this fleet builds: a class table for a
+    /// churn-free fleet, and for a churned one, whose bodies never repeat
+    /// (see the module docs), the cut table of each of its population's
+    /// archetypes.
+    fn fold_table(&self) -> FoldTable<'_> {
+        match &self.churn {
+            None => FoldTable::Classes(Box::new(ClassTable::new())),
+            Some(spec) => FoldTable::Cuts(
+                spec,
+                self.population
+                    .archetypes()
+                    .iter()
+                    .map(|archetype| placement::cut_table(archetype.name(), archetype.technology()))
+                    .collect(),
+            ),
+        }
     }
 
     /// Folds body `body_index` into `thread`'s partial, the next body in its
     /// index order.  The body is drawn once, into its archetype, its class
-    /// and the thread's node list.  In a churn-free fleet a body whose class
+    /// and the thread's node list.  In a churn-free fold a body whose class
     /// `table` holds a run of is a repeat (see the module docs): the partial
     /// ingests a copy of the stored summary if the body would enter its
     /// worst list, and otherwise the slot's entry of the thread's `repeats`
@@ -461,13 +484,16 @@ impl FleetConfig {
     fn fold_body<'p>(
         &'p self,
         body_index: usize,
-        table: Option<&ClassTable>,
+        table: &FoldTable<'_>,
         thread: &mut FoldThread<'p>,
     ) {
         let (archetype, class) =
             self.population
                 .nodes_of(self.base_seed, body_index as u64, &mut thread.nodes);
-        let lookup = table.map_or(Lookup::Run, |table| table.find(class));
+        let lookup = match table {
+            FoldTable::Classes(classes) => classes.find(class),
+            FoldTable::Cuts(..) => Lookup::Run,
+        };
         let partial = &mut thread.partial;
         let first = match lookup {
             Lookup::Repeat(slot, first) => {
@@ -486,7 +512,15 @@ impl FleetConfig {
             Lookup::Run => None,
         };
         let workspace = &mut thread.workspace;
-        let totals = self.run_body(body_index, archetype, &thread.nodes, workspace);
+        let nodes = &thread.nodes;
+        let totals = self.run_body(
+            body_index,
+            archetype,
+            nodes,
+            table,
+            &mut thread.churn,
+            workspace,
+        );
         let kept = partial.keeps(totals.run.worst_p95_latency);
         if first.is_none() && !kept {
             partial.add_run(&totals, workspace);
@@ -543,12 +577,13 @@ impl FleetConfig {
 }
 
 /// One fold thread's state: its partial, the netsim workspace all of its
-/// bodies run in, the node list of the body it drew last, and a count per
-/// [`ClassTable`] slot of the repeats it did not ingest.
+/// bodies run in, the node list and churn draw of the body it drew last,
+/// and a count per [`ClassTable`] slot of the repeats it did not ingest.
 struct FoldThread<'p> {
     partial: FleetAggregator,
     workspace: Workspace,
     nodes: Vec<&'p NodeConfig>,
+    churn: ChurnSample,
     repeats: [u64; ClassTable::SLOTS],
 }
 
@@ -558,9 +593,18 @@ impl FoldThread<'_> {
             partial: FleetAggregator::new(config.horizon, config.top_k),
             workspace: Workspace::new(),
             nodes: Vec::new(),
+            churn: ChurnSample::default(),
             repeats: [0; ClassTable::SLOTS],
         }
     }
+}
+
+/// What one fold builds when it starts, shares among its threads and drops
+/// when it ends: a churn-free fold's [`ClassTable`], or a churned fold's
+/// spec and its population's archetypes' cut tables, in archetype order.
+enum FoldTable<'c> {
+    Classes(Box<ClassTable>),
+    Cuts(&'c ChurnSpec, Box<[CutTable]>),
 }
 
 /// What one body adds to a fold but its latency samples and its place in
@@ -584,8 +628,9 @@ struct BodyTotals {
 /// same thread after it ran the body.  Classes claim slots in the order the
 /// threads first meet them, and a class never holds two slots.  The keys sit
 /// in their own array, apart from the summaries, so a lookup scans only the
-/// 512 bytes of keys.  The summaries (about 30 KiB) live on the heap, so a
-/// fold's stack frame stays small with or without a table.
+/// 512 bytes of keys.  The summaries (about 30 KiB) live on the heap, and a
+/// fold keeps the whole table in a box ([`FoldTable`]), so its stack frame
+/// stays small whichever table it builds.
 struct ClassTable {
     keys: [AtomicU64; ClassTable::SLOTS],
     firsts: Box<[OnceLock<BodySummary>]>,
@@ -1301,14 +1346,30 @@ mod tests {
 
     impl FleetConfig {
         /// Body `body_index`'s summary off the fold's engine path, run in
-        /// `workspace`.
-        fn simulate_body(&self, body_index: usize, workspace: &mut Workspace) -> BodySummary {
+        /// `workspace` in a fold whose table is `table`.
+        fn simulate_body(
+            &self,
+            body_index: usize,
+            table: &FoldTable<'_>,
+            workspace: &mut Workspace,
+        ) -> BodySummary {
             let mut nodes = Vec::new();
             let (archetype, _) =
                 self.population
                     .nodes_of(self.base_seed, body_index as u64, &mut nodes);
-            let totals = self.run_body(body_index, archetype, &nodes, workspace);
+            let mut churn = ChurnSample::default();
+            let totals = self.run_body(body_index, archetype, &nodes, table, &mut churn, workspace);
             self.summarise(body_index, archetype, nodes.len(), totals, workspace)
+        }
+    }
+
+    impl FoldTable<'_> {
+        /// The class table of a churn-free fold.
+        fn classes(&self) -> Option<&ClassTable> {
+            match self {
+                Self::Classes(table) => Some(table),
+                Self::Cuts(..) => None,
+            }
         }
     }
 
@@ -1381,7 +1442,7 @@ mod tests {
             .iter()
             .map(|config| {
                 let plain = FleetAggregator::new(config.horizon(), config.top_k());
-                (FoldThread::new(config), config.class_table(), plain)
+                (FoldThread::new(config), config.fold_table(), plain)
             })
             .collect();
         let mut sizes = Vec::new();
@@ -1391,7 +1452,7 @@ mod tests {
                     continue;
                 }
                 let want = report_summary(config, body_index);
-                let got = config.simulate_body(body_index, &mut workspace);
+                let got = config.simulate_body(body_index, &folds[k].1, &mut workspace);
                 let context = format!("body {body_index} of {}, fleet {k}", want.archetype);
                 assert_eq!(
                     got.total_energy.as_joules().to_bits(),
@@ -1407,7 +1468,7 @@ mod tests {
                 assert_eq!(got, want, "{context}");
                 sizes.push(got.nodes);
                 let (thread, table, plain) = &mut folds[k];
-                config.fold_body(body_index, table.as_ref(), thread);
+                config.fold_body(body_index, table, thread);
                 plain.ingest(want);
             }
         }
@@ -1415,14 +1476,14 @@ mod tests {
         // a churned fleet, even one whose spans all equal the horizon, keeps
         // no table.
         let (thread, table, _) = &folds[0];
-        let stored = table.as_ref().expect("a churn-free table").stored();
+        let stored = table.classes().expect("a churn-free table").stored();
         assert_eq!(stored.len(), 26);
         assert!(stored.iter().all(|&slot| thread.repeats[slot] > 0));
-        assert!(folds[1].1.is_none() && folds[2].1.is_none());
+        assert!(folds[1].1.classes().is_none() && folds[2].1.classes().is_none());
         // Each counted fold, its repeats flushed, equals the plain fold.
         for (config, (thread, table, plain)) in fleets.iter().zip(folds) {
             let mut partial = thread.partial;
-            if let Some(table) = table {
+            if let Some(table) = table.classes() {
                 table.flush(&thread.repeats, &mut partial);
             }
             assert!(
@@ -1498,9 +1559,10 @@ mod tests {
         // Past the first K uniform bodies, each repeat ties the full worst
         // list, so the fold counts it rather than the partial ingesting it.
         let mut thread = FoldThread::new(&uniform);
-        let table = uniform.class_table().expect("a churn-free table");
+        let fold_table = uniform.fold_table();
+        let table = fold_table.classes().expect("a churn-free table");
         for body_index in 0..uniform.bodies() {
-            uniform.fold_body(body_index, Some(&table), &mut thread);
+            uniform.fold_body(body_index, &fold_table, &mut thread);
         }
         assert_eq!(thread.partial.bodies(), FleetConfig::DEFAULT_TOP_K);
         assert_eq!(table.stored(), [0]);
@@ -1587,7 +1649,7 @@ mod tests {
     fn class_table_claims_each_class_once() {
         let config = FleetConfig::new(1).with_horizon(TimeSpan::from_seconds(2.0));
         let summary = report_summary(&config, 0);
-        let table = config.class_table().expect("a churn-free table");
+        let table = ClassTable::new();
         // The first lookup of a class claims a slot; until its summary is
         // stored there, every other lookup of the class runs the body.
         let Lookup::First(first) = table.find(Some(7)) else {

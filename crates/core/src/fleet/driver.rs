@@ -995,6 +995,11 @@ impl DriverRun {
         self.merged_state.save().to_vec()
     }
 
+    /// The merged aggregator state, unserialized.
+    pub(crate) fn merged_state(&self) -> &FleetCheckpoint {
+        &self.merged_state
+    }
+
     /// The run fingerprint (names the spool subdirectory).
     #[must_use]
     pub fn fingerprint(&self) -> &str {

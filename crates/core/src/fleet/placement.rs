@@ -35,9 +35,18 @@
 //! [`ChurnSpec`] bundles churn model + policy + objective + migration cost
 //! into the one value a [`FleetConfig`](super::FleetConfig) (and the
 //! process-boundary [`DriverFleetSpec`](super::DriverFleetSpec)) carries.
+//!
+//! A body places from its archetype's cut table: the link-independent
+//! costs of each cut of the archetype's model in its radio's base context,
+//! built once.  A churned fold builds one table per archetype when it
+//! starts and drops them with the fold; each epoch then derates the table's
+//! link and ranks its rows by the objective's key, with the optimiser's own
+//! cut arithmetic and arg-min, so a decision is scalar work with no
+//! context, optimiser or plan built.  [`simulate_placement`] builds the
+//! table of its scenario and replays the same way.
 
 use crate::flags::Tag;
-use crate::partition::{Objective, PartitionContext, PartitionOptimizer};
+use crate::partition::{CutTable, Objective, PartitionContext};
 use crate::population::{BodyScenario, ChurnModel, ChurnSample};
 use crate::serve::codec::ModelId;
 use hidwa_isa::models::WearableModel;
@@ -294,97 +303,99 @@ pub struct PlacementOutcome {
 ///
 /// Pure: the outcome is a function of `(spec, scenario, sample)` only, so it
 /// inherits the churn sample's determinism across threads, shards and
-/// processes.
+/// processes.  It builds the cut table of the scenario's archetype and radio
+/// and replays the body from it through the one placement a fleet fold
+/// runs.
 #[must_use]
 pub fn simulate_placement(
     spec: &ChurnSpec,
     scenario: &BodyScenario,
     sample: &ChurnSample,
 ) -> PlacementOutcome {
-    place(spec, scenario.archetype(), scenario.technology(), sample)
+    let table = cut_table(scenario.archetype(), scenario.technology());
+    place(spec, &table, sample)
 }
 
-/// [`simulate_placement`] for a body of the archetype named `archetype`
-/// over `technology`: all that placement reads of a scenario.
-pub(crate) fn place(
-    spec: &ChurnSpec,
-    archetype: &str,
-    technology: RadioTechnology,
-    sample: &ChurnSample,
-) -> PlacementOutcome {
-    let model = model_for_archetype(archetype);
-    let objective = spec.objective();
-    let base_context = match technology {
+/// The cut table a body of the archetype named `archetype` over
+/// `technology` places from: the archetype's model
+/// ([`model_for_archetype`]) in the base context of its radio (BLE, or
+/// Wi-R for every other radio).  A churned fold builds one per archetype
+/// when it starts.
+pub(crate) fn cut_table(archetype: &str, technology: RadioTechnology) -> CutTable {
+    let context = match technology {
         RadioTechnology::Ble => PartitionContext::ble_default(),
         _ => PartitionContext::wir_default(),
     };
+    CutTable::new(&context, model_for_archetype(archetype))
+}
+
+/// [`simulate_placement`] for a body whose archetype places from `table`.
+/// Each epoch derates the table's link by the epoch's factor and ranks the
+/// table's rows over it, so no context, optimiser or plan is built.
+pub(crate) fn place(spec: &ChurnSpec, table: &CutTable, sample: &ChurnSample) -> PlacementOutcome {
+    let rows = table.rows();
+    let objective = spec.objective();
     let epochs = sample.link_derate.len().max(1);
     let epoch_seconds = sample.active().as_seconds() / epochs as f64;
-    let inference_rate = model.inferences_per_second();
-
-    let epoch_optimizer = |epoch: usize| {
+    let inference_rate = table.rate();
+    let epoch_link = |epoch: usize| {
         let derate = sample.link_derate.get(epoch).copied().unwrap_or(1.0);
-        PartitionOptimizer::new(base_context.clone().with_link_derating(derate))
+        table.link().derated(derate)
     };
 
     // Admission: optimise in the arrival epoch's context; a workload with no
-    // feasible cut at all is admitted on the raw-offload plan (every model
+    // feasible cut at all is admitted on the raw-offload cut (every model
     // in the zoo has a first cut), flagged infeasible in its metrics.
-    let admission = epoch_optimizer(0);
-    let mut current = admission
-        .optimize(model, objective)
-        .or_else(|_| admission.all_on_hub(model))
-        .expect("wearable models always expose cut points");
+    let link = epoch_link(0);
+    let (mut current, mut cost) = table.optimum(link, objective).unwrap_or_else(|| {
+        let first = rows
+            .first()
+            .expect("wearable models always expose cut points");
+        (0, first.cost(link))
+    });
 
     let mut replans = 0u64;
     let mut migrations = 0u64;
-    let mut energy_joules = current.leaf_energy.as_joules() * inference_rate * epoch_seconds;
+    let mut energy_joules = cost.leaf_energy.as_joules() * inference_rate * epoch_seconds;
 
     for epoch in 1..epochs {
-        let optimizer = epoch_optimizer(epoch);
+        let link = epoch_link(epoch);
         // Re-cost the deployed cut under the new context so the policy sees
         // its true current cost (and feasibility).
-        let retained = model
-            .cut_points()
-            .iter()
-            .find(|cut| cut.index == current.cut_index)
-            .map_or_else(|| current.clone(), |cut| optimizer.evaluate(model, cut));
+        let retained = rows[current].cost(link);
         // Each optimiser run is a re-plan, whether or not it moves the cut;
         // an epoch with no feasible cut keeps the retained one.
-        let plan = match spec.policy() {
-            PolicyKind::StaticAtAdmission => retained,
+        let (next, next_cost) = match spec.policy() {
+            PolicyKind::StaticAtAdmission => (current, retained),
             PolicyKind::ReoptimizeOnChange => {
                 replans += 1;
-                optimizer.optimize(model, objective).unwrap_or(retained)
+                let optimum = table.optimum(link, objective);
+                optimum.unwrap_or((current, retained))
             }
             PolicyKind::Hysteresis => {
                 replans += 1;
-                let retained_key = objective.key(retained.leaf_energy, retained.latency);
-                let bar = retained_key * (1.0 - spec.hysteresis_threshold());
-                match optimizer.optimize(model, objective) {
-                    Ok(candidate)
-                        if !retained.feasible
-                            || objective.key(candidate.leaf_energy, candidate.latency) < bar =>
-                    {
-                        candidate
+                let bar = retained.key(objective) * (1.0 - spec.hysteresis_threshold());
+                match table.optimum(link, objective) {
+                    Some((row, cost)) if !retained.feasible || cost.key(objective) < bar => {
+                        (row, cost)
                     }
-                    _ => retained,
+                    _ => (current, retained),
                 }
             }
         };
-        if plan.cut_index != current.cut_index {
+        if next != current {
             migrations += 1;
             energy_joules += spec.migration_cost().as_joules();
         }
-        current = plan;
-        energy_joules += current.leaf_energy.as_joules() * inference_rate * epoch_seconds;
+        (current, cost) = (next, next_cost);
+        energy_joules += cost.leaf_energy.as_joules() * inference_rate * epoch_seconds;
     }
 
     PlacementOutcome {
         replans,
         migrations,
         energy: Energy::from_joules(energy_joules),
-        final_cut: current.cut_index,
+        final_cut: rows[current].index(),
     }
 }
 

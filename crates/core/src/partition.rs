@@ -28,9 +28,21 @@
 //! * context and model labels are interned `Arc<str>`s, so labelling a plan
 //!   is a reference-count bump rather than a `String` clone.
 //!
+//! A cut's costs split in two, and the cut arithmetic exists once: a
+//! `CutRow` holds the part no link changes (wire bytes and volume, leaf
+//! compute and hub energy, leaf and hub latency, whether the leaf engine
+//! sustains the cut at the model's rate), and `CutRow::cost` adds a link's
+//! part (transmit energy, transfer latency, the link's feasibility).  Every
+//! plan the optimiser builds goes through that pair.  Online placement
+//! ([`crate::fleet::placement`]) re-plans a body every context epoch over a
+//! derated link, so a churned fold builds each archetype's rows once, in a
+//! `CutTable`, and ranks them over each epoch's link with the optimiser's
+//! own arg-min; it builds no context, optimiser or plan per body.
+//!
 //! [`PartitionOptimizer::evaluate_all`] remains available as the naive
 //! reference (and for table-style figure output); the workspace equivalence
-//! tests assert the streaming pass matches it exactly.
+//! tests assert the streaming pass matches it exactly, and a unit test below
+//! asserts a cut table ranks like the optimiser at every derating.
 
 use crate::flags::Tag;
 use crate::CoreError;
@@ -100,10 +112,8 @@ pub struct PartitionContext {
     leaf_engine: ComputeEngine,
     /// Compute engine available on the hub.
     hub_engine: ComputeEngine,
-    /// Delivered energy per application bit on the leaf→hub link.
-    link_energy_per_bit: EnergyPerBit,
-    /// Delivered goodput of the leaf→hub link.
-    link_goodput: DataRate,
+    /// The leaf→hub link.
+    link: Link,
     /// Whether activations are quantized to int8 before transmission.
     quantize_activations: bool,
     /// Descriptive label ("Wi-R", "BLE"), interned for cheap plan labelling.
@@ -123,8 +133,10 @@ impl PartitionContext {
         Self {
             leaf_engine,
             hub_engine,
-            link_energy_per_bit,
-            link_goodput,
+            link: Link {
+                goodput: link_goodput,
+                energy_per_bit: link_energy_per_bit,
+            },
             quantize_activations: true,
             label: Arc::from(label.into()),
         }
@@ -178,14 +190,7 @@ impl PartitionContext {
     /// meaningful axis.
     #[must_use]
     pub fn with_link_derating(mut self, factor: f64) -> Self {
-        let factor = if factor.is_finite() {
-            factor.clamp(1e-3, 1.0)
-        } else {
-            1.0
-        };
-        self.link_goodput = DataRate::from_bps(self.link_goodput.as_bps() * factor);
-        self.link_energy_per_bit =
-            EnergyPerBit::from_pico_joules(self.link_energy_per_bit.as_pico_joules() / factor);
+        self.link = self.link.derated(factor);
         self
     }
 
@@ -288,57 +293,28 @@ impl PartitionOptimizer {
             .collect())
     }
 
-    /// Scalar costs of one cut, computed without building a plan.
-    fn cut_metrics(&self, model: &WearableModel, cut: &CutPoint) -> CutMetrics {
-        let ctx = &self.context;
-        let wire_bytes = ctx.wire_bytes(cut);
-        let wire_volume = DataVolume::from_bytes(wire_bytes);
-
-        let leaf_compute_energy = ctx.leaf_engine.energy_for_ops(cut.leaf_macs as f64);
-        let tx_energy = ctx.link_energy_per_bit * wire_volume;
-        let leaf_energy = leaf_compute_energy + tx_energy;
-        let hub_energy = ctx.hub_engine.energy_for_ops(cut.hub_macs as f64);
-
-        let leaf_latency = ctx.leaf_engine.latency_for_ops(cut.leaf_macs as f64);
-        let transfer_latency = if ctx.link_goodput.as_bps() > 0.0 {
-            wire_volume / ctx.link_goodput
-        } else {
-            TimeSpan::from_seconds(f64::INFINITY)
-        };
-        let hub_latency = ctx.hub_engine.latency_for_ops(cut.hub_macs as f64);
-        let latency = leaf_latency + transfer_latency + hub_latency;
-
-        let rate = model.inferences_per_second();
-        let leaf_power = Power::from_watts(leaf_energy.as_joules() * rate);
-        let feasible = ctx.leaf_engine.can_sustain(cut.leaf_macs as f64 * rate)
-            && ctx.link_goodput.as_bps() >= wire_bytes * 8.0 * rate;
-
-        CutMetrics {
-            wire_bytes,
-            leaf_energy,
-            hub_energy,
-            latency,
-            leaf_power,
-            feasible,
-        }
+    /// The link-independent costs of `cut` of `model` in this context.
+    fn row(&self, model: &WearableModel, cut: &CutPoint) -> CutRow {
+        CutRow::new(&self.context, model.inferences_per_second(), cut)
     }
 
     /// Evaluates one cut point.
     #[must_use]
     pub fn evaluate(&self, model: &WearableModel, cut: &CutPoint) -> PartitionPlan {
-        let metrics = self.cut_metrics(model, cut);
+        let row = self.row(model, cut);
+        let cost = row.cost(self.context.link);
         PartitionPlan {
             context: Arc::clone(&self.context.label),
             model: Arc::clone(model.interned_name()),
             cut_index: cut.index,
             leaf_macs: cut.leaf_macs,
             hub_macs: cut.hub_macs,
-            transfer_bytes: metrics.wire_bytes,
-            leaf_energy: metrics.leaf_energy,
-            hub_energy: metrics.hub_energy,
-            latency: metrics.latency,
-            leaf_power: metrics.leaf_power,
-            feasible: metrics.feasible,
+            transfer_bytes: row.wire_bytes,
+            leaf_energy: cost.leaf_energy,
+            hub_energy: row.hub_energy,
+            latency: cost.latency,
+            leaf_power: Power::from_watts(cost.leaf_energy.as_joules() * row.rate),
+            feasible: cost.feasible,
         }
     }
 
@@ -359,27 +335,10 @@ impl PartitionOptimizer {
         objective: Objective,
     ) -> Result<PartitionPlan, CoreError> {
         let cuts = model.cut_points();
-        let mut best: Option<(usize, f64)> = None;
-        for (index, cut) in cuts.iter().enumerate() {
-            let metrics = self.cut_metrics(model, cut);
-            if !metrics.feasible {
-                continue;
-            }
-            let key = objective.key(metrics.leaf_energy, metrics.latency);
-            let better = match best {
-                None => true,
-                // Strict `<` keeps the earliest minimum; incomparable (NaN)
-                // keys never displace the incumbent — both exactly as the
-                // reference `min_by` behaves.
-                Some((_, best_key)) => {
-                    key.partial_cmp(&best_key) == Some(core::cmp::Ordering::Less)
-                }
-            };
-            if better {
-                best = Some((index, key));
-            }
-        }
-        best.map(|(index, _)| self.evaluate(model, &cuts[index]))
+        let link = self.context.link;
+        let costs = cuts.iter().map(|cut| self.row(model, cut).cost(link));
+        best_cut(costs, objective)
+            .map(|(index, _)| self.evaluate(model, &cuts[index]))
             .ok_or_else(|| CoreError::WorkloadInfeasible {
                 reason: format!(
                     "no feasible cut for {} over {} at {:.1} inferences/s",
@@ -422,16 +381,182 @@ impl PartitionOptimizer {
     }
 }
 
-/// Scalar per-cut costs used by the streaming optimiser; building one of
-/// these allocates nothing.
+/// A leaf→hub link as the cut arithmetic sees it: delivered goodput and
+/// energy per delivered bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Link {
+    goodput: DataRate,
+    energy_per_bit: EnergyPerBit,
+}
+
+impl Link {
+    /// The link at `factor` of its nominal operating point, clamped to
+    /// `[0.001, 1]` (a non-finite factor is 1): the one derating behind
+    /// [`PartitionContext::with_link_derating`] and placement's epochs.
+    pub(crate) fn derated(self, factor: f64) -> Self {
+        let factor = if factor.is_finite() {
+            factor.clamp(1e-3, 1.0)
+        } else {
+            1.0
+        };
+        Self {
+            goodput: DataRate::from_bps(self.goodput.as_bps() * factor),
+            energy_per_bit: EnergyPerBit::from_pico_joules(
+                self.energy_per_bit.as_pico_joules() / factor,
+            ),
+        }
+    }
+}
+
+/// The part of one cut's costs no link changes, computed once per cut:
+/// [`cost`](Self::cost) adds a link's part.  Every plan and every placement
+/// decision goes through this pair, so the cut arithmetic exists once.
 #[derive(Debug, Clone, Copy)]
-struct CutMetrics {
+pub(crate) struct CutRow {
+    /// Layers the leaf runs ([`CutPoint::index`]).
+    index: usize,
+    /// Bytes shipped per inference, after optional quantization.
     wire_bytes: f64,
-    leaf_energy: Energy,
+    wire_volume: DataVolume,
+    leaf_compute_energy: Energy,
     hub_energy: Energy,
-    latency: TimeSpan,
-    leaf_power: Power,
-    feasible: bool,
+    leaf_latency: TimeSpan,
+    hub_latency: TimeSpan,
+    /// The model's inferences per second.
+    rate: f64,
+    /// Whether the leaf engine sustains the cut at `rate`.
+    leaf_sustains: bool,
+}
+
+/// What one cut costs over one link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CutCost {
+    pub(crate) leaf_energy: Energy,
+    pub(crate) latency: TimeSpan,
+    pub(crate) feasible: bool,
+}
+
+impl CutCost {
+    /// The scalar `objective` ranks this cost by.
+    pub(crate) fn key(&self, objective: Objective) -> f64 {
+        objective.key(self.leaf_energy, self.latency)
+    }
+}
+
+impl CutRow {
+    /// The row of `cut` in `context`, for a model run `rate` times a second.
+    fn new(context: &PartitionContext, rate: f64, cut: &CutPoint) -> Self {
+        let wire_bytes = context.wire_bytes(cut);
+        let (leaf_macs, hub_macs) = (cut.leaf_macs as f64, cut.hub_macs as f64);
+        Self {
+            index: cut.index,
+            wire_bytes,
+            wire_volume: DataVolume::from_bytes(wire_bytes),
+            leaf_compute_energy: context.leaf_engine.energy_for_ops(leaf_macs),
+            hub_energy: context.hub_engine.energy_for_ops(hub_macs),
+            leaf_latency: context.leaf_engine.latency_for_ops(leaf_macs),
+            hub_latency: context.hub_engine.latency_for_ops(hub_macs),
+            rate,
+            leaf_sustains: context.leaf_engine.can_sustain(leaf_macs * rate),
+        }
+    }
+
+    /// Layers the leaf runs at this cut.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The cut's cost over `link`.
+    pub(crate) fn cost(&self, link: Link) -> CutCost {
+        let tx_energy = link.energy_per_bit * self.wire_volume;
+        let leaf_energy = self.leaf_compute_energy + tx_energy;
+        let transfer_latency = if link.goodput.as_bps() > 0.0 {
+            self.wire_volume / link.goodput
+        } else {
+            TimeSpan::from_seconds(f64::INFINITY)
+        };
+        let latency = self.leaf_latency + transfer_latency + self.hub_latency;
+        let feasible =
+            self.leaf_sustains && link.goodput.as_bps() >= self.wire_bytes * 8.0 * self.rate;
+        CutCost {
+            leaf_energy,
+            latency,
+            feasible,
+        }
+    }
+}
+
+/// The position and cost of the feasible cost among `costs` that minimises
+/// `objective`, in one streaming pass.  Strict `<` keeps the earliest
+/// minimum, and an incomparable (NaN) key never displaces the incumbent:
+/// both exactly as a `min_by` over the feasible plans behaves.
+fn best_cut(
+    costs: impl Iterator<Item = CutCost>,
+    objective: Objective,
+) -> Option<(usize, CutCost)> {
+    let mut best: Option<(usize, CutCost, f64)> = None;
+    for (index, cost) in costs.enumerate() {
+        if !cost.feasible {
+            continue;
+        }
+        let key = cost.key(objective);
+        let better = match best {
+            None => true,
+            Some((_, _, best_key)) => key.partial_cmp(&best_key) == Some(core::cmp::Ordering::Less),
+        };
+        if better {
+            best = Some((index, cost, key));
+        }
+    }
+    best.map(|(index, cost, _)| (index, cost))
+}
+
+/// One model's [`CutRow`]s in one context, built once and ranked over any
+/// derating of the context's link: what placement replays a body's epochs
+/// from, without building a context, an optimiser or a plan.
+#[derive(Debug)]
+pub(crate) struct CutTable {
+    rows: Box<[CutRow]>,
+    link: Link,
+    rate: f64,
+}
+
+impl CutTable {
+    /// The rows of every cut of `model` in `context`.
+    pub(crate) fn new(context: &PartitionContext, model: &WearableModel) -> Self {
+        let rate = model.inferences_per_second();
+        Self {
+            rows: model
+                .cut_points()
+                .iter()
+                .map(|cut| CutRow::new(context, rate, cut))
+                .collect(),
+            link: context.link,
+            rate,
+        }
+    }
+
+    /// The rows, in cut order.
+    pub(crate) fn rows(&self) -> &[CutRow] {
+        &self.rows
+    }
+
+    /// The context's link at its nominal operating point.
+    pub(crate) fn link(&self) -> Link {
+        self.link
+    }
+
+    /// The model's inferences per second.
+    pub(crate) fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    /// The position and cost of the feasible row that minimises `objective`
+    /// over `link`: the cut [`PartitionOptimizer::optimize`] picks in the
+    /// table's context with its link swapped for `link`.
+    pub(crate) fn optimum(&self, link: Link, objective: Objective) -> Option<(usize, CutCost)> {
+        best_cut(self.rows.iter().map(|row| row.cost(link)), objective)
+    }
 }
 
 #[cfg(test)]
@@ -602,6 +727,81 @@ mod tests {
         let nominal_cut = nominal.optimize(&model, Objective::LeafEnergy).unwrap();
         if let Ok(faded_best) = severe.optimize(&model, Objective::LeafEnergy) {
             assert!(faded_best.cut_index >= nominal_cut.cut_index);
+        }
+    }
+
+    /// Whether `cost` carries `plan`'s leaf energy and latency bits and
+    /// its feasibility.
+    fn costs_like(cost: CutCost, plan: &PartitionPlan) -> bool {
+        let bits = |energy: Energy, latency: TimeSpan| {
+            (energy.as_joules().to_bits(), latency.as_seconds().to_bits())
+        };
+        (bits(cost.leaf_energy, cost.latency), cost.feasible)
+            == (bits(plan.leaf_energy, plan.latency), plan.feasible)
+    }
+
+    #[test]
+    fn cut_tables_rank_like_the_optimiser_at_every_derating() {
+        use crate::serve::codec::ModelId;
+        // Inside the clamp, at both of its ends and past them, and the
+        // non-finite factors that fall back to the nominal link.
+        let deratings = [
+            1.0,
+            0.999,
+            0.5,
+            0.2,
+            1e-3,
+            1e-4,
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for id in ModelId::ALL {
+            let model = id.model();
+            for context in [
+                PartitionContext::wir_default(),
+                PartitionContext::ble_default(),
+            ] {
+                let table = CutTable::new(&context, model);
+                let nominal = table.link();
+                assert_eq!(nominal.derated(1e-4), nominal.derated(1e-3));
+                assert_eq!(nominal.derated(-1.0), nominal.derated(1e-3));
+                assert_eq!(nominal.derated(f64::NAN), nominal.derated(1.0));
+                assert_eq!(nominal.derated(f64::INFINITY), nominal.derated(1.0));
+                assert_eq!(table.rows().len(), model.cut_points().len());
+                for derating in deratings {
+                    let label = format!("{} over {} at {derating}", model.name(), context.label());
+                    let link = nominal.derated(derating);
+                    let derated = context.clone().with_link_derating(derating);
+                    let optimizer = PartitionOptimizer::new(derated);
+                    for (row, cut) in table.rows().iter().zip(model.cut_points()) {
+                        let plan = optimizer.evaluate(model, cut);
+                        assert_eq!(row.index(), plan.cut_index, "{label}");
+                        assert!(
+                            costs_like(row.cost(link), &plan),
+                            "{label}, cut {}",
+                            cut.index
+                        );
+                    }
+                    for &objective in Objective::ALL {
+                        let label = format!("{label}, {}", objective.tag());
+                        match (
+                            table.optimum(link, objective),
+                            optimizer.optimize(model, objective),
+                        ) {
+                            (Some((row, cost)), Ok(plan)) => {
+                                assert_eq!(table.rows()[row].index(), plan.cut_index, "{label}");
+                                assert!(costs_like(cost, &plan), "{label}");
+                            }
+                            (None, Err(CoreError::WorkloadInfeasible { .. })) => {}
+                            (table, optimizer) => {
+                                panic!("{label}: table {table:?}, optimiser {optimizer:?}")
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -575,23 +575,22 @@ impl PopulationModel {
         }
     }
 
-    /// Body `body_index`'s archetype and [class](BodyScenario::class), with
-    /// the node of each of its present leaves pushed onto `nodes` (emptied
-    /// first) from the population's draw table: the archetype and class of
-    /// `sample(base_seed, body_index)`, and the nodes its
-    /// [`build_simulation`](BodyScenario::build_simulation) runs, without
-    /// building the scenario or any node.
+    /// Body `body_index`'s archetype, as its position in
+    /// [`archetypes`](Self::archetypes), and its
+    /// [class](BodyScenario::class), with the node of each of its present
+    /// leaves pushed onto `nodes` (emptied first) from the population's draw
+    /// table: the archetype and class of `sample(base_seed, body_index)`,
+    /// and the nodes its [`build_simulation`](BodyScenario::build_simulation)
+    /// runs, without building the scenario or any node.
     pub(crate) fn nodes_of<'p>(
         &'p self,
         base_seed: u64,
         body_index: u64,
         nodes: &mut Vec<&'p NodeConfig>,
-    ) -> (&'p BodyArchetype, Option<u64>) {
+    ) -> (usize, Option<u64>) {
         nodes.clear();
         let sim_seed = body_seed(base_seed, body_index);
-        let (archetype, class) =
-            self.draw(sim_seed, |slot, _, entry| nodes.push(&slot.nodes[entry]));
-        (&self.archetypes[archetype], class)
+        self.draw(sim_seed, |slot, _, entry| nodes.push(&slot.nodes[entry]))
     }
 
     /// The draw sequence behind [`sample`](Self::sample) and
@@ -1037,31 +1036,46 @@ impl ChurnModel {
     /// body consumes exactly `3 + epochs` draws.
     #[must_use]
     pub fn sample(&self, base_seed: u64, body_index: u64, horizon: TimeSpan) -> ChurnSample {
+        let mut sample = ChurnSample {
+            link_derate: Vec::with_capacity(self.epochs as usize),
+            ..ChurnSample::default()
+        };
+        self.sample_into(base_seed, body_index, horizon, &mut sample);
+        sample
+    }
+
+    /// [`sample`](Self::sample) into `sample`, whose derating buffer is
+    /// reused: the one churn draw, which a fold thread makes into a buffer
+    /// it keeps for all of its bodies.
+    pub(crate) fn sample_into(
+        &self,
+        base_seed: u64,
+        body_index: u64,
+        horizon: TimeSpan,
+        sample: &mut ChurnSample,
+    ) {
         let mut rng = StdRng::seed_from_u64(body_seed(base_seed, body_index) ^ CHURN_DOMAIN);
         let arrival_frac: f64 = rng.gen_range(0.0..=1.0);
         let dwell_frac: f64 = rng.gen_range(0.0..=1.0);
         let duty: f64 = rng.gen_range(self.duty_min..=self.duty_max);
-        let mut link_derate = Vec::with_capacity(self.epochs as usize);
+        sample.link_derate.clear();
         for _ in 0..self.epochs {
             let fade: f64 = rng.gen_range(0.0..=self.link_fade.max(0.0));
-            link_derate.push(1.0 - fade);
+            sample.link_derate.push(1.0 - fade);
         }
         let h = horizon.as_seconds();
         let arrival = arrival_frac * self.rate * h;
         let dwell = (1.0 - self.rate) * h + dwell_frac * self.rate * h;
         let departure = (arrival + dwell).min(h);
-        ChurnSample {
-            arrival: TimeSpan::from_seconds(arrival),
-            departure: TimeSpan::from_seconds(departure),
-            duty,
-            link_derate,
-        }
+        sample.arrival = TimeSpan::from_seconds(arrival);
+        sample.departure = TimeSpan::from_seconds(departure);
+        sample.duty = duty;
     }
 }
 
 /// One body's sampled churn: when it is present, how hard it runs while
 /// present, and how its link fades across context epochs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnSample {
     /// When the body joins the fleet (seconds into the horizon).
     pub arrival: TimeSpan,
@@ -1442,6 +1456,7 @@ mod tests {
         for body in 0..bodies {
             let scenario = population.sample(0xC1A55, body);
             let (archetype, _) = population.nodes_of(0xC1A55, body, &mut nodes);
+            let archetype = &population.archetypes()[archetype];
             assert_eq!(archetype.name(), scenario.archetype(), "body {body}");
             assert_eq!(archetype.technology(), scenario.technology());
             assert_eq!(archetype.policy(), scenario.policy());

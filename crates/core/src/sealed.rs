@@ -58,12 +58,29 @@ impl std::error::Error for SealError {}
 /// not forgery), but any single-bit flip changes it.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a64_from(0xCBF2_9CE4_8422_2325, bytes)
+}
+
+/// FNV-1a 64 continued from the digest `hash` of some bytes over `bytes`.
+fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// [`fnv1a64`] of a blob [`seal`] returned, read off its seal: the seal
+/// digests every byte before it, so the blob's digest is the seal
+/// continued over its own 8 bytes.
+///
+/// # Panics
+/// If `sealed` is shorter than a seal.
+#[must_use]
+pub(crate) fn digest(sealed: &[u8]) -> u64 {
+    let seal = &sealed[sealed.len() - SEAL..];
+    let sum = u64::from_be_bytes(seal.try_into().expect("a seal is 8 bytes"));
+    fnv1a64_from(sum, seal)
 }
 
 /// Starts an envelope: `magic` then `version`.  Append the body, then
@@ -185,6 +202,49 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn a_sealed_blob_digests_through_its_seal() {
+        use crate::fleet::{ChurnSpec, DriverFleetSpec, FleetConfig, PolicyKind};
+        use crate::partition::Objective;
+        use crate::population::ChurnModel;
+        use crate::search::{ObjectiveSpace, SearchCheckpoint, SearchSpec};
+        use crate::serve::codec::{self, ModelId, PlanRequest, Request, Response, WireContext};
+        use crate::sweep::SweepRunner;
+        use hidwa_units::TimeSpan;
+        // Bare envelopes of every body length up to 33 KB, in steps.
+        let mut blobs: Vec<Vec<u8>> = (0..34)
+            .map(|kb| {
+                let mut out = start(b"EXAMPLE!", 1);
+                out.put_slice(&vec![kb as u8; kb * 1000 + kb % 7]);
+                seal(out).to_vec()
+            })
+            .collect();
+        // And one blob of each format: a churned fleet checkpoint, a search
+        // index, and plan-query and answer envelopes.
+        let fleet = FleetConfig::new(6)
+            .with_horizon(TimeSpan::from_seconds(0.5))
+            .with_churn(ChurnSpec::new(
+                ChurnModel::with_rate(0.3),
+                PolicyKind::Hysteresis,
+            ));
+        blobs.push(fleet.run_until(&SweepRunner::serial(), 6).save().to_vec());
+        let base = DriverFleetSpec::new(6).with_horizon(TimeSpan::from_seconds(0.5));
+        let spec = SearchSpec::new(base, ObjectiveSpace::new());
+        blobs.push(SearchCheckpoint::new(&spec).save());
+        blobs.push(
+            codec::encode_requests(&[Request::Plan(PlanRequest {
+                model: ModelId::ImuGesture,
+                context: WireContext::of(codec::WireLink::WiR),
+                objective: Objective::Latency,
+            })])
+            .to_vec(),
+        );
+        blobs.push(codec::encode_responses(&[Response::Infeasible("none".into())]).to_vec());
+        for blob in &blobs {
+            assert_eq!(digest(blob), fnv1a64(blob), "{} bytes", blob.len());
+        }
     }
 
     #[test]

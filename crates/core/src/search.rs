@@ -457,7 +457,7 @@ impl Evaluation {
     pub fn run(&self, runner: &SweepRunner) -> EvaluationOutcome {
         let config = self.spec.to_config();
         let checkpoint = config.run_until(runner, config.bodies());
-        let state_fp = fnv1a64(&checkpoint.save());
+        let state_fp = sealed::digest(&checkpoint.save());
         let (aggregator, _) = checkpoint.into_parts();
         EvaluationOutcome::from_report(self.point.index, &aggregator.finish(), state_fp)
     }
@@ -480,7 +480,7 @@ impl Evaluation {
         let driver = FleetDriver::new(self.spec.clone(), shards);
         let transport = driver.spool_in(spool_root)?;
         let run = driver.run(executor, &transport)?;
-        let state_fp = fnv1a64(&run.state_bytes());
+        let state_fp = sealed::digest(&run.merged_state().save());
         Ok(EvaluationOutcome::from_report(
             self.point.index,
             run.report(),

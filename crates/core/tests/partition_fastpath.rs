@@ -7,6 +7,7 @@
 //! and objective, and the construction-time model caches must match freshly
 //! computed profiles.
 
+use hidwa_core::flags::Tag;
 use hidwa_core::partition::{Objective, PartitionContext, PartitionOptimizer, PartitionPlan};
 use hidwa_core::CoreError;
 use hidwa_isa::models;
@@ -19,12 +20,6 @@ fn contexts() -> Vec<PartitionContext> {
         PartitionContext::ble_default().without_quantization(),
     ]
 }
-
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
 
 /// The naive reference the streaming pass must reproduce: materialise every
 /// plan, filter to feasible, take the first minimum.
@@ -81,7 +76,7 @@ fn streaming_optimize_matches_naive_reference_everywhere() {
     for model in models::all_models() {
         for context in contexts() {
             let optimizer = PartitionOptimizer::new(context);
-            for objective in OBJECTIVES {
+            for &objective in Objective::ALL {
                 let reference = reference_optimum(&optimizer, &model, objective);
                 match (optimizer.optimize(&model, objective), reference) {
                     (Ok(fast), Some(reference)) => {

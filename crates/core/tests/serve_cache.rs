@@ -3,6 +3,7 @@
 //! codec) to uncached recomputation, and the hit counter matches the
 //! analytic count for a replayed request log.
 
+use hidwa_core::flags::Tag;
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     self, ModelId, PlanRequest, ProjectionRequest, Request, WireContext, WireLink,
@@ -11,12 +12,6 @@ use hidwa_core::serve::PlanService;
 use hidwa_core::sweep::SweepRunner;
 use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
-
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
 
 /// The context axis of the grid.  Entries are chosen so that no two
 /// canonicalize to the same cache key (distinct links or distinct override
@@ -41,7 +36,7 @@ fn plan_grid() -> Vec<Request> {
     let mut grid = Vec::new();
     for model in ModelId::ALL {
         for context in context_grid() {
-            for objective in OBJECTIVES {
+            for &objective in Objective::ALL {
                 grid.push(Request::Plan(PlanRequest {
                     model,
                     context,

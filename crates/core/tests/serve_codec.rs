@@ -7,6 +7,7 @@
 mod common;
 
 use common::{reseal, Sweep};
+use hidwa_core::flags::Tag;
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     self, quantize_f64, ModelId, PlanRequest, ProjectionRequest, Request, RequestEnvelope,
@@ -17,12 +18,6 @@ use hidwa_eqs::body::BodySite;
 use hidwa_phy::RadioTechnology;
 use proptest::prelude::*;
 
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
-
 /// A request batch exercising every query kind, link kind and flag state.
 fn representative_requests() -> Vec<Request> {
     let mut requests = Vec::new();
@@ -30,7 +25,7 @@ fn representative_requests() -> Vec<Request> {
         requests.push(Request::Plan(PlanRequest {
             model,
             context: WireContext::of(WireLink::WiR),
-            objective: OBJECTIVES[i % 3],
+            objective: Objective::ALL[i % Objective::ALL.len()],
         }));
     }
     requests.push(Request::Plan(PlanRequest {
@@ -308,7 +303,7 @@ proptest! {
     #[test]
     fn random_plan_requests_roundtrip(
         model in 0usize..5,
-        objective in 0usize..3,
+        objective in 0usize..Objective::ALL.len(),
         link in 0usize..4,
         site in 0usize..9,
         epb in 0.0f64..1e4,
@@ -330,7 +325,7 @@ proptest! {
         let request = Request::Plan(PlanRequest {
             model: ModelId::ALL[model],
             context,
-            objective: OBJECTIVES[objective],
+            objective: Objective::ALL[objective],
         });
         let decoded = codec::decode_request(&codec::encode_requests(&[request]));
         prop_assert_eq!(decoded, Ok(RequestEnvelope::Queries(vec![request])));

@@ -6,6 +6,7 @@
 //! frames, oversized frames and mid-request disconnects without taking
 //! down other connections.
 
+use hidwa_core::flags::Tag;
 use hidwa_core::partition::Objective;
 use hidwa_core::serve::codec::{
     self, ModelId, PlanRequest, ProjectionRequest, Request, Response, WireContext, WireLink,
@@ -18,12 +19,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
-
-const OBJECTIVES: [Objective; 3] = [
-    Objective::LeafEnergy,
-    Objective::Latency,
-    Objective::EnergyDelayProduct,
-];
 
 /// One event loop (what perfbench's `serve_plans` serves with) and two
 /// loops sharing the listener; every test here that takes `MODES` runs
@@ -59,7 +54,7 @@ fn query_log() -> Vec<Request> {
             log.push(Request::Plan(PlanRequest {
                 model,
                 context: WireContext::of(link),
-                objective: OBJECTIVES[(i + j) % 3],
+                objective: Objective::ALL[(i + j) % Objective::ALL.len()],
             }));
         }
         log.push(Request::Projection(ProjectionRequest {
